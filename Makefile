@@ -28,8 +28,6 @@ check: build test
 	  || { echo "make check: FAILED (sim typo did not suggest a kernel)"; exit 1; }
 	@_build/default/bin/hirc.exe sim gemm --engine opcodee 2>&1 | grep -q "did you mean opcode" \
 	  || { echo "make check: FAILED (sim engine typo did not suggest an engine)"; exit 1; }
-	@_build/default/bin/hirc.exe sim gemm --partitions autoo 2>&1 | grep -q "did you mean auto" \
-	  || { echo "make check: FAILED (sim partitions typo did not suggest auto)"; exit 1; }
 	@echo "sim typo suggestion: OK"
 	$(MAKE) faults
 	$(MAKE) serve-smoke

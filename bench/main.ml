@@ -529,7 +529,6 @@ let canonicalize_scaling () =
    tree per settle; the PR 4 compiled engine lowers to slot-indexed
    closures; the opcode engine lowers one step further, to a flat
    int-array opcode program interpreted by a single match loop, with
-   the netlist partitioned across domains at register boundaries and
    batched multi-stimulus runs sharing one compiled program.
 
    End-to-end cycles/sec charges each engine its own elaboration
@@ -556,8 +555,8 @@ let sim_scaling () =
   let module Sim = Hir_rtl.Sim in
   let module Flatten = Hir_rtl.Flatten in
   header "Sim scaling: opcode / compiled / reference engines (cycles/second)";
-  Printf.printf "%-12s %6s %9s %9s %9s %9s %10s %10s %8s\n" "benchmark" "cycles"
-    "ref(c/s)" "comp(c/s)" "op/1(c/s)" "op/N(c/s)" "steady c/s" "batch4 c/s" "speedup";
+  Printf.printf "%-12s %6s %9s %9s %9s %10s %10s %8s\n" "benchmark" "cycles" "ref(c/s)"
+    "comp(c/s)" "op(c/s)" "steady c/s" "batch4 c/s" "speedup";
   let gemm_inputs =
     let a, b = Hir_kernels.Gemm.make_inputs ~seed:34 in
     [ Harness.Tensor a; Harness.Tensor b; Harness.Out_tensor ]
@@ -593,18 +592,15 @@ let sim_scaling () =
       (* compile mutates the module (unroll etc.), so rebuild fresh. *)
       let m, f = build () in
       let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
-      let run ~engine ?partitions () =
-        Harness.run ~engine ?partitions ~emitted ~inputs ~cycles ()
-      in
-      let elab ~engine ?partitions () =
+      let run ~engine () = Harness.run ~engine ~emitted ~inputs ~cycles () in
+      let elab ~engine () =
         best_seconds ~runs:3 (fun () ->
-            Sys.opaque_identity
-              (Sim.create ~engine ?partitions (Flatten.flatten emitted.Emit.design)))
+            Sys.opaque_identity (Sim.create ~engine (Flatten.flatten emitted.Emit.design)))
       in
       (* Steady-state: elaborate once, then time per-stimulus work only
          (fork, agents, cycle loop) on forks of the shared program. *)
-      let steady_run ~engine ?partitions ~runs () =
-        let proto = Sim.create ~engine ?partitions (Flatten.flatten emitted.Emit.design) in
+      let steady_run ~engine ~runs () =
+        let proto = Sim.create ~engine (Flatten.flatten emitted.Emit.design) in
         let total = cycles + 8 in
         best_seconds ~runs (fun () ->
             let sim = Sim.fork proto in
@@ -616,12 +612,8 @@ let sim_scaling () =
             Sys.opaque_identity (Harness.finish_run sim ~emitted ~total))
       in
       let last_stats = ref None in
-      let npart = ref 1 in
       let reference_t = best_seconds ~runs:3 (fun () -> run ~engine:`Reference ()) in
       let compiled_t = best_seconds ~runs:5 (fun () -> run ~engine:`Compiled ()) in
-      let opcode1_t =
-        best_seconds ~runs:5 (fun () -> run ~engine:`Opcode ~partitions:1 ())
-      in
       let opcode_t =
         best_seconds ~runs:5 (fun () ->
             let result, _ = run ~engine:`Opcode () in
@@ -639,13 +631,10 @@ let sim_scaling () =
       let compiled_steady_t = steady_run ~engine:`Compiled ~runs:5 () in
       let opcode_steady_t = steady_run ~engine:`Opcode ~runs:5 () in
       let stats = match !last_stats with Some s -> s | None -> assert false in
-      (let sim = Sim.create ~engine:`Opcode (Flatten.flatten emitted.Emit.design) in
-       npart := Sim.partitions sim);
       let total_cycles = float_of_int stats.Sim.st_cycles in
       let cps t = total_cycles /. t in
       let reference_cps = cps reference_t in
       let compiled_cps = cps compiled_t in
-      let opcode1_cps = cps opcode1_t in
       let opcode_cps = cps opcode_t in
       let compiled_steady_cps = cps compiled_steady_t in
       let opcode_steady_cps = cps opcode_steady_t in
@@ -668,27 +657,24 @@ let sim_scaling () =
           ("cycles", total_cycles);
           ("reference_s", reference_t);
           ("compiled_s", compiled_t);
-          ("opcode_p1_s", opcode1_t);
           ("opcode_s", opcode_t);
           ("batch_s", batch_t);
           ("reference_cps", reference_cps);
           ("compiled_cps", compiled_cps);
-          ("opcode_p1_cps", opcode1_cps);
           ("opcode_cps", opcode_cps);
           ("compiled_elab_s", compiled_elab_t);
           ("opcode_elab_s", opcode_elab_t);
           ("compiled_steady_cps", compiled_steady_cps);
           ("opcode_steady_cps", opcode_steady_cps);
           ("batch_cps", batch_cps);
-          ("partitions", float_of_int !npart);
           ("batch_k", float_of_int sim_batch_k);
           ("speedup_steady_vs_compiled", speedup);
           ("fastpath_rate", fast_rate);
           ("skip_rate", skip_rate);
         ];
-      Printf.printf "%-12s %6d %9.0f %9.0f %9.0f %9.0f %10.0f %10.0f %7.1fx\n" name
-        stats.Sim.st_cycles reference_cps compiled_cps opcode1_cps opcode_cps
-        opcode_steady_cps batch_cps speedup;
+      Printf.printf "%-12s %6d %9.0f %9.0f %9.0f %10.0f %10.0f %7.1fx\n" name
+        stats.Sim.st_cycles reference_cps compiled_cps opcode_cps opcode_steady_cps batch_cps
+        speedup;
       if name = "gemm" then begin
         if speedup < sim_gemm_min_speedup then
           violate

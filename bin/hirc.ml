@@ -26,14 +26,11 @@
          check every cache entry against its content digest
          (quarantining damaged ones) and/or empty the quarantine
      hirc sim <kernel> [--cycles N] [--engine opcode|compiled|reference]
-              [--partitions auto|N] [--batch K] [--stats] [--vcd out.vcd]
-              [--hls] [--inject SPEC]
+              [--batch K] [--stats] [--vcd out.vcd] [--hls] [--inject SPEC]
          compile a built-in kernel and run it in the RTL simulator with
-         generic inputs; --partitions controls the opcode engine's
-         parallel settle, --batch runs K interleaved stimuli through
-         one compiled program, --stats reports the simulator's own
-         counters (settles, assigns evaluated vs skipped, fast-path hit
-         rate, partitions)
+         generic inputs; --batch runs K interleaved stimuli through one
+         compiled program, --stats reports the simulator's own counters
+         (settles, assigns evaluated vs skipped, fast-path hit rate)
 
    The end-to-end flow (parse → verify → passes → emit) lives in
    [Hir_driver.Driver]; this file is only the command-line surface. *)
@@ -494,23 +491,6 @@ let parse_engine s =
                (Hir_kernels.Kernels.suggest_from ~candidates:Hir_rtl.Sim.engine_names s))
             (String.concat ", " Hir_rtl.Sim.engine_names)))
 
-(* "auto" (0: size to the machine) or an explicit count >= 1. *)
-let parse_partitions s =
-  if s = "auto" then Ok 0
-  else
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n ->
-      Error
-        (arg_diag ~flag:"--partitions"
-           (Printf.sprintf "partition count must be >= 1 (got %d)" n))
-    | None ->
-      Error
-        (arg_diag ~flag:"--partitions"
-           (Printf.sprintf "invalid partition count %s%s (expected a positive integer or auto)"
-              s
-              (did_you_mean (Hir_kernels.Kernels.suggest_from ~candidates:[ "auto" ] s))))
-
 let parse_batch s =
   match int_of_string_opt s with
   | Some n when n >= 1 -> Ok n
@@ -542,14 +522,6 @@ let sim_cmd =
             "Simulation engine: $(b,opcode) (default), $(b,compiled) or \
              $(b,reference)")
   in
-  let partitions_arg =
-    Arg.(
-      value & opt string "auto"
-      & info [ "partitions" ] ~docv:"P"
-          ~doc:
-            "Partitions for the opcode engine's parallel settle: $(b,auto) \
-             (default, sized to the machine) or an explicit count >= 1")
-  in
   let batch_arg =
     Arg.(
       value & opt string "1"
@@ -572,8 +544,7 @@ let sim_cmd =
             "Simulate the HLS-compiled variant from the evaluation suite instead of \
              the native HIR kernel")
   in
-  let run name cycles engine_s partitions_s batch_s stats vcd_path use_hls inject
-      inject_seed =
+  let run name cycles engine_s batch_s stats vcd_path use_hls inject inject_seed =
     let ( let* ) r f =
       match r with
       | Error d ->
@@ -582,7 +553,6 @@ let sim_cmd =
       | Ok v -> f v
     in
     let* engine = parse_engine engine_s in
-    let* partitions = parse_partitions partitions_s in
     let* batch = parse_batch batch_s in
     match fault_config_of inject inject_seed with
     | Error e ->
@@ -650,12 +620,12 @@ let sim_cmd =
         Pass.with_counters (fun () ->
             with_faults fault_cfg (fun () ->
                 if batch = 1 then
-                  [ Harness.run ~engine ~partitions ?vcd_path ~emitted
+                  [ Harness.run ~engine ?vcd_path ~emitted
                       ~inputs:harness_inputs ~cycles () ]
                 else
                   (* --vcd samples a single simulation; batched runs
                      skip waveform dumping. *)
-                  Harness.run_batch ~engine ~partitions ~emitted
+                  Harness.run_batch ~engine ~emitted
                     ~stimuli:(List.init batch (fun _ -> harness_inputs))
                     ~cycles ()))
       in
@@ -686,8 +656,8 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim" ~doc:"Run a built-in kernel in the RTL simulator")
     Term.(
-      const run $ kernel_arg $ cycles_arg $ engine_arg $ partitions_arg $ batch_arg
-      $ stats_arg $ vcd_arg $ hls_arg $ inject_arg $ inject_seed_arg)
+      const run $ kernel_arg $ cycles_arg $ engine_arg $ batch_arg $ stats_arg $ vcd_arg
+      $ hls_arg $ inject_arg $ inject_seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* hirc cache                                                          *)

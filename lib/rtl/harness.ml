@@ -17,19 +17,21 @@ type input =
   | Out_tensor
 
 (* Per-bank port accessors, resolved against the simulator once at
-   agent construction ([Sim.reader]/[Sim.writer]) so the per-cycle
-   observe/drive loop does no name lookups. *)
+   agent construction ([Sim.int_reader]/[Sim.reader]/[Sim.writer]) so
+   the per-cycle observe/drive loop does no name lookups, and reads
+   enables and addresses without building a [Bitvec.t]. *)
 type agent_bank = {
-  b_rd : ((unit -> Bitvec.t) * (unit -> Bitvec.t) * (Bitvec.t -> unit)) option;
+  b_rd : ((unit -> int) * (unit -> int) * (Bitvec.t -> unit)) option;
       (* en, addr, drive-data *)
-  b_wr : ((unit -> Bitvec.t) * (unit -> Bitvec.t) * (unit -> Bitvec.t)) option;
+  b_wr : ((unit -> int) * (unit -> int) * (unit -> Bitvec.t)) option;
       (* en, addr, data *)
 }
 
 type agent = {
   ag_elem_width : int;
   ag_tensor : Bitvec.t option array;  (* linear row-major; None = uninitialized *)
-  ag_linear : (int * int) -> int option;  (* (bank, addr) -> linear index *)
+  ag_depth : int;  (* elements per bank *)
+  ag_linear : int array;  (* [bank * depth + addr] -> linear index, -1 = no element *)
   ag_banks : agent_bank array;
   mutable ag_pending : ((Bitvec.t -> unit) * Bitvec.t) list;
       (* data-port writers to drive next cycle *)
@@ -37,25 +39,25 @@ type agent = {
 
 let build_agent sim (mi : Emit.mem_iface) init =
   let info = mi.Emit.mi_info in
-  let n = Hir_dialect.Types.num_elements info in
-  let depth = Hir_dialect.Types.bank_depth info in
-  let table = Hashtbl.create n in
+  let n = Types.num_elements info in
+  let depth = Types.bank_depth info in
+  let linear = Array.make (Array.length mi.Emit.mi_banks * depth) (-1) in
   List.iter
     (fun (idx, bank, addr) ->
-      let linear =
-        List.fold_left2 (fun acc d i -> (acc * d.Types.size) + i) 0 info.Types.dims idx
-      in
-      Hashtbl.replace table ((bank * depth) + addr) linear)
+      linear.((bank * depth) + addr) <-
+        List.fold_left2 (fun acc d i -> (acc * d.Types.size) + i) 0 info.Types.dims idx)
     (Types.layout info);
   let resolve_bank (names : Emit.bank_names) =
     {
       b_rd =
         Option.map
-          (fun (en, addr, data) -> (Sim.reader sim en, Sim.reader sim addr, Sim.writer sim data))
+          (fun (en, addr, data) ->
+            (Sim.int_reader sim en, Sim.int_reader sim addr, Sim.writer sim data))
           names.Emit.bn_rd;
       b_wr =
         Option.map
-          (fun (en, addr, data) -> (Sim.reader sim en, Sim.reader sim addr, Sim.reader sim data))
+          (fun (en, addr, data) ->
+            (Sim.int_reader sim en, Sim.int_reader sim addr, Sim.reader sim data))
           names.Emit.bn_wr;
     }
   in
@@ -65,7 +67,8 @@ let build_agent sim (mi : Emit.mem_iface) init =
       (match init with
       | Some values -> Array.map Option.some values
       | None -> Array.make n None);
-    ag_linear = (fun (bank, addr) -> Hashtbl.find_opt table ((bank * depth) + addr));
+    ag_depth = depth;
+    ag_linear = linear;
     ag_banks = Array.map resolve_bank mi.Emit.mi_banks;
     ag_pending = [];
   }
@@ -77,6 +80,13 @@ let agent_drive ag =
   List.iter (fun (drive, v) -> drive v) ag.ag_pending;
   ag.ag_pending <- []
 
+(* Linear tensor index of address [a] on bank [b], or -1.  The address
+   port is [clog2 depth] bits wide, so it can carry addresses at or past
+   the bank's depth; those hold no element (and must not alias the next
+   bank's). *)
+let linear_index ag b a =
+  if a >= 0 && a < ag.ag_depth then ag.ag_linear.((b * ag.ag_depth) + a) else -1
+
 (* Observe settled outputs: capture reads (respond next cycle), apply
    writes (visible next cycle). *)
 let agent_observe ag =
@@ -85,28 +95,23 @@ let agent_observe ag =
     (fun b bank ->
       (match bank.b_rd with
       | Some (en, addr, drive) ->
-        if not (Bitvec.is_zero (en ())) then begin
-          let a = Bitvec.to_int (addr ()) in
+        if en () <> 0 then begin
+          let i = linear_index ag b (addr ()) in
           let value =
-            match ag.ag_linear (b, a) with
-            | Some linear -> (
-              match tensor.(linear) with
-              | Some v -> v
-              | None -> Bitvec.zero ag.ag_elem_width
-                (* uninitialized read: UB in HIR; the interpreter
-                   rejects it, the RTL agent returns zeros *))
+            match if i < 0 then None else tensor.(i) with
+            | Some v -> v
             | None -> Bitvec.zero ag.ag_elem_width
+            (* out-of-range or uninitialized read: UB in HIR; the
+               interpreter rejects it, the RTL agent returns zeros *)
           in
           ag.ag_pending <- (drive, value) :: ag.ag_pending
         end
       | None -> ());
       match bank.b_wr with
       | Some (en, addr, data) ->
-        if not (Bitvec.is_zero (en ())) then begin
-          let a = Bitvec.to_int (addr ()) in
-          match ag.ag_linear (b, a) with
-          | Some linear -> tensor.(linear) <- Some (data ())
-          | None -> ()
+        if en () <> 0 then begin
+          let i = linear_index ag b (addr ()) in
+          if i >= 0 then tensor.(i) <- Some (data ())
         end
       | None -> ())
     ag.ag_banks
@@ -170,10 +175,10 @@ let finish_run sim ~(emitted : Emit.emitted) ~total =
     sim_stats = Sim.stats sim;
   }
 
-let run_once ?(extra_cycles = 8) ~engine ?(partitions = 0) ?vcd_path
-    ~(emitted : Emit.emitted) ~inputs ~cycles () =
+let run_once ?(extra_cycles = 8) ~engine ?vcd_path ~(emitted : Emit.emitted) ~inputs
+    ~cycles () =
   let flat = Flatten.flatten emitted.Emit.design in
-  let sim = Sim.create ~engine ~partitions flat in
+  let sim = Sim.create ~engine flat in
   let vcd = Option.map (fun path -> Vcd.create ~path sim) vcd_path in
   let agents = setup_agents sim ~emitted ~inputs in
   let start = Sim.writer sim "t_start" in
@@ -194,9 +199,8 @@ let run_once ?(extra_cycles = 8) ~engine ?(partitions = 0) ?vcd_path
    traces show "sim.fallback_reference" instead of degrading silently.
    A [Sim_error] from the reference engine itself propagates: there is
    no lower rung. *)
-let run ?extra_cycles ?(engine = `Opcode) ?partitions ?vcd_path ~emitted ~inputs
-    ~cycles () =
-  match run_once ?extra_cycles ~engine ?partitions ?vcd_path ~emitted ~inputs ~cycles () with
+let run ?extra_cycles ?(engine = `Opcode) ?vcd_path ~emitted ~inputs ~cycles () =
+  match run_once ?extra_cycles ~engine ?vcd_path ~emitted ~inputs ~cycles () with
   | result -> result
   | exception Sim.Sim_error _ when engine <> `Reference ->
     Hir_ir.Pass.record_counter "sim.fallback_reference";
@@ -209,11 +213,10 @@ let run ?extra_cycles ?(engine = `Opcode) ?partitions ?vcd_path ~emitted ~inputs
    cycle.  Returns one [(result, agents)] per stimulus, in order.  The
    degradation ladder applies to the batch as a whole: any [Sim_error]
    re-runs every stimulus on the reference walker. *)
-let run_batch ?(extra_cycles = 8) ?(engine = `Opcode) ?(partitions = 0) ~emitted
-    ~stimuli ~cycles () =
+let run_batch ?(extra_cycles = 8) ?(engine = `Opcode) ~emitted ~stimuli ~cycles () =
   let attempt engine =
     let flat = Flatten.flatten (emitted : Emit.emitted).Emit.design in
-    let proto = Sim.create ~engine ~partitions flat in
+    let proto = Sim.create ~engine flat in
     let runs =
       List.mapi
         (fun i inputs ->

@@ -1242,15 +1242,6 @@ end
    word at a time, so the per-cycle cost is proportional to the work
    actually done, not to netlist size.
 
-   Partitioning: assigns are grouped into connected components of the
-   "reads the target of" relation (union-find), so combinational cones
-   never straddle a partition — partitions communicate only through
-   registers, inputs and memories, which are written and marked dirty
-   from the main domain between settles, never during one.  Each
-   partition owns a private, word-aligned range of the dirty bitset and
-   of the temporaries it writes, so a parallel settle touches disjoint
-   mutable state and needs no locks beyond the pool's barrier.
-
    Because the program is immutable and all mutable state lives in
    [state], [fork] is a deep copy of the register files — batched
    multi-stimulus runs (Harness.run_batch) elaborate and compile once
@@ -1284,11 +1275,9 @@ module Opcode = struct
      top-level always statement, entered at [p_clock_off.(b)].
      [p_marks]/[p_mark_off] give, per dependency id, the dirty-bitset
      positions of the readers — comb assigns and clock blocks alike —
-     each encoded as [(word lsl 6) lor bit].  [p_parts] gives each
-     partition's word range of the comb half of the dirty bitset;
-     global assign index [g] lives at word [g / 63], bit [g mod 63],
-     and partition bases are word-aligned so no word is shared between
-     partitions.  Clock block [b] lives after the comb words, at word
+     each encoded as [(word lsl 6) lor bit].  Assign [g] (its topo
+     index) lives in the comb half of the dirty bitset at word [g / 63],
+     bit [g mod 63]; clock block [b] lives after the comb words, at word
      [p_n_words + b / 63], bit [b mod 63]; [p_clock_pinned] masks the
      blocks that must run every cycle regardless of dirtiness. *)
   type prog = {
@@ -1306,7 +1295,6 @@ module Opcode = struct
     p_marks : int array;
     p_mark_off : int array;
     p_msgs : string array;
-    p_parts : (int * int) array;  (* base word, word count *)
     p_n_words : int;
     p_n_assigns : int;
     p_ninit : int array;
@@ -1318,14 +1306,7 @@ module Opcode = struct
     p_outputs : string list;
   }
 
-  (* All mutable run state, so [fork] is an array copy.  [s_evals] and
-     [s_fast] are per-partition counters: each partition increments
-     only its own cell during a parallel settle.  [s_cmarks] is
-     per-partition scratch for clock-block wake-ups discovered during a
-     parallel settle: a comb store may mark a clock block owned by a
-     word another partition is also marking, so each partition
-     accumulates clock marks privately and [settle] ORs them into the
-     real clock dirty words after the barrier. *)
+  (* All mutable run state, so [fork] is an array copy. *)
   type state = {
     s_n : int array;
     s_w : Bitvec.t array;
@@ -1334,9 +1315,6 @@ module Opcode = struct
     s_dirty : int array;
     s_buf : ubuf;
     s_rt : rt;
-    s_evals : int array;
-    s_fast : int array;
-    s_cmarks : int array array;
   }
 
   type t = { prog : prog; st : state }
@@ -1394,301 +1372,297 @@ module Opcode = struct
       dirty.(w) <- dirty.(w) lor (1 lsl (e land 63))
     done
 
-  (* Execute [code] from [pc0] until a terminator: NSTORE/WSTORE end an
+  (* Execute [code] from [i] until a terminator: NSTORE/WSTORE end an
      assign block (store with change detection, marking the target's
      readers dirty), HALT ends a clock block.  Returns 1 when the
      terminating store hit a narrow (unboxed) target, else 0.
 
-     [cm] is the caller's clock-mark scratch: reader marks that land in
-     the clock half of the dirty bitset (word >= [p_n_words]) are
-     accumulated there instead of in [s_dirty], so parallel settles of
-     different partitions never write the same word.  Clock-block code
-     contains no NSTORE/WSTORE, so [cm] is dead when executing it.
-
      Operand conventions: [dst]/[a]/[b]/[c] are register-file indices
      (narrow unless the opcode name says wide), [m] a precomputed mask,
      [w] a width or shift bound, [mem] a kind-specific memory index.
-     Comment format: OP dst operands... *)
-  let exec p st cm code pc0 =
+     Comment format: OP dst operands...
+
+     [exec] is itself the dispatch loop, one self tail call per opcode,
+     rather than a local loop closing over the register files: without
+     flambda such a closure would be allocated on every block
+     execution. *)
+  let rec exec p st code i =
     let module Array = Unchecked in
-    let nf = st.s_n and wf = st.s_w in
-    let nmem = st.s_nmem and wmem = st.s_wmem in
-    let marks = p.p_marks and dirty = st.s_dirty in
-    let ncw = p.p_n_words in
-    let rec go i =
-      match code.(i) with
-      | 0 (* NMASK dst a m *) ->
-        nf.(code.(i + 1)) <- nf.(code.(i + 2)) land code.(i + 3);
-        go (i + 4)
-      | 1 (* NNOT dst a m *) ->
-        nf.(code.(i + 1)) <- lnot nf.(code.(i + 2)) land code.(i + 3);
-        go (i + 4)
-      | 2 (* NAND dst a b *) ->
-        nf.(code.(i + 1)) <- nf.(code.(i + 2)) land nf.(code.(i + 3));
-        go (i + 4)
-      | 3 (* NOR dst a b *) ->
-        nf.(code.(i + 1)) <- nf.(code.(i + 2)) lor nf.(code.(i + 3));
-        go (i + 4)
-      | 4 (* NXOR dst a b *) ->
-        nf.(code.(i + 1)) <- nf.(code.(i + 2)) lxor nf.(code.(i + 3));
-        go (i + 4)
-      | 5 (* NADD dst a b m *) ->
-        nf.(code.(i + 1)) <- (nf.(code.(i + 2)) + nf.(code.(i + 3))) land code.(i + 4);
-        go (i + 5)
-      | 6 (* NSUB dst a b m *) ->
-        nf.(code.(i + 1)) <- (nf.(code.(i + 2)) - nf.(code.(i + 3))) land code.(i + 4);
-        go (i + 5)
-      | 7 (* NMUL dst a b m *) ->
-        nf.(code.(i + 1)) <- nf.(code.(i + 2)) * nf.(code.(i + 3)) land code.(i + 4);
-        go (i + 5)
-      | 8 (* NSHL dst a k w m *) ->
-        let k = nf.(code.(i + 3)) in
-        nf.(code.(i + 1)) <-
-          (if k < 0 || k >= code.(i + 4) then 0
-           else (nf.(code.(i + 2)) lsl k) land code.(i + 5));
-        go (i + 6)
-      | 9 (* NSHR dst a k w *) ->
-        let k = nf.(code.(i + 3)) in
-        nf.(code.(i + 1)) <-
-          (if k < 0 || k >= code.(i + 4) then 0 else nf.(code.(i + 2)) lsr k);
-        go (i + 5)
-      | 10 (* NLT dst a b *) ->
-        nf.(code.(i + 1)) <- (if ucmp nf.(code.(i + 2)) nf.(code.(i + 3)) < 0 then 1 else 0);
-        go (i + 4)
-      | 11 (* NLE dst a b *) ->
-        nf.(code.(i + 1)) <- (if ucmp nf.(code.(i + 2)) nf.(code.(i + 3)) <= 0 then 1 else 0);
-        go (i + 4)
-      | 12 (* NGT dst a b *) ->
-        nf.(code.(i + 1)) <- (if ucmp nf.(code.(i + 2)) nf.(code.(i + 3)) > 0 then 1 else 0);
-        go (i + 4)
-      | 13 (* NGE dst a b *) ->
-        nf.(code.(i + 1)) <- (if ucmp nf.(code.(i + 2)) nf.(code.(i + 3)) >= 0 then 1 else 0);
-        go (i + 4)
-      | 14 (* NEQ dst a b *) ->
-        nf.(code.(i + 1)) <- (if nf.(code.(i + 2)) = nf.(code.(i + 3)) then 1 else 0);
-        go (i + 4)
-      | 15 (* NNE dst a b *) ->
-        nf.(code.(i + 1)) <- (if nf.(code.(i + 2)) <> nf.(code.(i + 3)) then 1 else 0);
-        go (i + 4)
-      | 16 (* NLOGAND dst a b *) ->
-        nf.(code.(i + 1)) <- (if nf.(code.(i + 2)) <> 0 && nf.(code.(i + 3)) <> 0 then 1 else 0);
-        go (i + 4)
-      | 17 (* NLOGOR dst a b *) ->
-        nf.(code.(i + 1)) <- (if nf.(code.(i + 2)) <> 0 || nf.(code.(i + 3)) <> 0 then 1 else 0);
-        go (i + 4)
-      | 18 (* NNZ dst a *) ->
-        nf.(code.(i + 1)) <- (if nf.(code.(i + 2)) <> 0 then 1 else 0);
-        go (i + 3)
-      | 19 (* NREDAND dst a all *) ->
-        nf.(code.(i + 1)) <- (if nf.(code.(i + 2)) = code.(i + 3) then 1 else 0);
-        go (i + 4)
-      | 20 (* NSLICE dst a lo m *) ->
-        nf.(code.(i + 1)) <- (nf.(code.(i + 2)) lsr code.(i + 3)) land code.(i + 4);
-        go (i + 5)
-      | 21 (* NMUX dst c a b *) ->
-        nf.(code.(i + 1)) <-
-          (if nf.(code.(i + 2)) <> 0 then nf.(code.(i + 3)) else nf.(code.(i + 4)));
-        go (i + 5)
-      | 22 (* NSHLOR dst a k b *) ->
-        nf.(code.(i + 1)) <- (nf.(code.(i + 2)) lsl code.(i + 3)) lor nf.(code.(i + 4));
-        go (i + 5)
-      | 23 (* NMEMRD dst mem a m *) ->
-        let cells = nmem.(code.(i + 2)) in
-        let a = nf.(code.(i + 3)) in
-        nf.(code.(i + 1)) <-
-          (if a >= 0 && a < Array.length cells then cells.(a) land code.(i + 4) else 0);
-        go (i + 5)
-      | 24 (* NMEMRDW dst mem a m — wide memory, narrow context *) ->
-        let cells = wmem.(code.(i + 2)) in
-        let a = nf.(code.(i + 3)) in
-        nf.(code.(i + 1)) <-
-          (if a >= 0 && a < Array.length cells then
-             Bitvec.to_int_trunc cells.(a) land code.(i + 4)
-           else 0);
-        go (i + 5)
-      | 25 (* WRESIZE dst a w *) ->
-        wf.(code.(i + 1)) <- Bitvec.resize ~width:code.(i + 3) wf.(code.(i + 2));
-        go (i + 4)
-      | 26 (* N2W dst a sw w *) ->
-        wf.(code.(i + 1)) <-
-          Bitvec.resize ~width:code.(i + 4) (Bitvec.of_int ~width:code.(i + 3) nf.(code.(i + 2)));
-        go (i + 5)
-      | 27 (* W2N dst a m *) ->
-        nf.(code.(i + 1)) <- Bitvec.to_int_trunc wf.(code.(i + 2)) land code.(i + 3);
-        go (i + 4)
-      | 28 (* WNOT dst a *) ->
-        wf.(code.(i + 1)) <- Bitvec.lognot wf.(code.(i + 2));
-        go (i + 3)
-      | 29 (* WAND dst a b *) ->
-        wf.(code.(i + 1)) <- Bitvec.logand wf.(code.(i + 2)) wf.(code.(i + 3));
-        go (i + 4)
-      | 30 (* WOR dst a b *) ->
-        wf.(code.(i + 1)) <- Bitvec.logor wf.(code.(i + 2)) wf.(code.(i + 3));
-        go (i + 4)
-      | 31 (* WXOR dst a b *) ->
-        wf.(code.(i + 1)) <- Bitvec.logxor wf.(code.(i + 2)) wf.(code.(i + 3));
-        go (i + 4)
-      | 32 (* WADD dst a b *) ->
-        wf.(code.(i + 1)) <- Bitvec.add wf.(code.(i + 2)) wf.(code.(i + 3));
-        go (i + 4)
-      | 33 (* WSUB dst a b *) ->
-        wf.(code.(i + 1)) <- Bitvec.sub wf.(code.(i + 2)) wf.(code.(i + 3));
-        go (i + 4)
-      | 34 (* WMUL dst a b *) ->
-        wf.(code.(i + 1)) <- Bitvec.mul wf.(code.(i + 2)) wf.(code.(i + 3));
-        go (i + 4)
-      | 35 (* WSHL dst a k w *) ->
-        let k = nf.(code.(i + 3)) in
-        let w = code.(i + 4) in
-        let k = if k < 0 || k > w then w else k in
-        wf.(code.(i + 1)) <- Bitvec.shift_left wf.(code.(i + 2)) k;
-        go (i + 5)
-      | 36 (* WSHR dst a k w *) ->
-        let k = nf.(code.(i + 3)) in
-        let w = code.(i + 4) in
-        let k = if k < 0 || k > w then w else k in
-        wf.(code.(i + 1)) <- Bitvec.shift_right_logical wf.(code.(i + 2)) k;
-        go (i + 5)
-      | 37 (* WLT dst a b — narrow 0/1 result *) ->
-        nf.(code.(i + 1)) <-
-          (if Bitvec.compare wf.(code.(i + 2)) wf.(code.(i + 3)) < 0 then 1 else 0);
-        go (i + 4)
-      | 38 (* WLE dst a b *) ->
-        nf.(code.(i + 1)) <-
-          (if Bitvec.compare wf.(code.(i + 2)) wf.(code.(i + 3)) <= 0 then 1 else 0);
-        go (i + 4)
-      | 39 (* WGT dst a b *) ->
-        nf.(code.(i + 1)) <-
-          (if Bitvec.compare wf.(code.(i + 2)) wf.(code.(i + 3)) > 0 then 1 else 0);
-        go (i + 4)
-      | 40 (* WGE dst a b *) ->
-        nf.(code.(i + 1)) <-
-          (if Bitvec.compare wf.(code.(i + 2)) wf.(code.(i + 3)) >= 0 then 1 else 0);
-        go (i + 4)
-      | 41 (* WEQ dst a b *) ->
-        nf.(code.(i + 1)) <-
-          (if Bitvec.equal wf.(code.(i + 2)) wf.(code.(i + 3)) then 1 else 0);
-        go (i + 4)
-      | 42 (* WNE dst a b *) ->
-        nf.(code.(i + 1)) <-
-          (if Bitvec.equal wf.(code.(i + 2)) wf.(code.(i + 3)) then 0 else 1);
-        go (i + 4)
-      | 43 (* WNZ dst a *) ->
-        nf.(code.(i + 1)) <- (if Bitvec.is_zero wf.(code.(i + 2)) then 0 else 1);
-        go (i + 3)
-      | 44 (* WSLICE dst a hi lo w *) ->
-        wf.(code.(i + 1)) <-
-          Bitvec.resize ~width:code.(i + 5)
-            (Bitvec.extract ~hi:code.(i + 3) ~lo:code.(i + 4) wf.(code.(i + 2)));
-        go (i + 6)
-      | 45 (* NSLICEW dst a hi lo m — wide source, narrow result *) ->
-        nf.(code.(i + 1)) <-
-          Bitvec.to_int_trunc
-            (Bitvec.extract ~hi:code.(i + 3) ~lo:code.(i + 4) wf.(code.(i + 2)))
-          land code.(i + 5);
-        go (i + 6)
-      | 46 (* WCONCAT dst a b *) ->
-        wf.(code.(i + 1)) <- Bitvec.concat wf.(code.(i + 2)) wf.(code.(i + 3));
-        go (i + 4)
-      | 47 (* WMEMRDN dst mem a ew w — narrow memory, wide context *) ->
-        let cells = nmem.(code.(i + 2)) in
-        let a = nf.(code.(i + 3)) in
-        let w = code.(i + 5) in
-        wf.(code.(i + 1)) <-
-          (if a >= 0 && a < Array.length cells then
-             Bitvec.resize ~width:w (Bitvec.of_int ~width:code.(i + 4) cells.(a))
-           else Bitvec.zero w);
-        go (i + 6)
-      | 48 (* WMEMRD dst mem a w *) ->
-        let cells = wmem.(code.(i + 2)) in
-        let a = nf.(code.(i + 3)) in
-        let w = code.(i + 4) in
-        wf.(code.(i + 1)) <-
-          (if a >= 0 && a < Array.length cells then Bitvec.resize ~width:w cells.(a)
-           else Bitvec.zero w);
-        go (i + 5)
-      | 49 (* W2INT dst a — unsigned value or -1 if out of int range *) ->
-        nf.(code.(i + 1)) <-
-          (match Bitvec.to_int_opt wf.(code.(i + 2)) with Some k -> k | None -> -1);
-        go (i + 3)
-      | 50 (* NSTORE slot src lo hi — assign-block terminator *) ->
-        let dst = code.(i + 1) in
-        let v = nf.(code.(i + 2)) in
-        if nf.(dst) <> v then begin
-          nf.(dst) <- v;
-          for k = code.(i + 3) to code.(i + 4) - 1 do
-            let e = marks.(k) in
-            let w = e lsr 6 in
-            if w < ncw then dirty.(w) <- dirty.(w) lor (1 lsl (e land 63))
-            else cm.(w - ncw) <- cm.(w - ncw) lor (1 lsl (e land 63))
-          done
-        end;
-        1
-      | 51 (* WSTORE slot src lo hi *) ->
-        let dst = code.(i + 1) in
-        let v = wf.(code.(i + 2)) in
-        if not (Bitvec.equal wf.(dst) v) then begin
-          wf.(dst) <- v;
-          for k = code.(i + 3) to code.(i + 4) - 1 do
-            let e = marks.(k) in
-            let w = e lsr 6 in
-            if w < ncw then dirty.(w) <- dirty.(w) lor (1 lsl (e land 63))
-            else cm.(w - ncw) <- cm.(w - ncw) lor (1 lsl (e land 63))
-          done
-        end;
-        0
-      | 52 (* HALT *) -> 0
-      | 53 (* JZ c target *) -> go (if nf.(code.(i + 1)) = 0 then code.(i + 2) else i + 3)
-      | 54 (* JMP target *) -> go code.(i + 1)
-      | 55 (* PUSHN slot id src *) ->
-        push st.s_buf 0 code.(i + 1) code.(i + 2) nf.(code.(i + 3)) dummy_bv;
-        go (i + 4)
-      | 56 (* PUSHW slot id src *) ->
-        push st.s_buf 1 code.(i + 1) code.(i + 2) 0 wf.(code.(i + 3));
-        go (i + 4)
-      | 57 (* PUSHNM mem a v *) ->
-        push st.s_buf 2 code.(i + 1) nf.(code.(i + 2)) nf.(code.(i + 3)) dummy_bv;
-        go (i + 4)
-      | 58 (* PUSHWM mem a v *) ->
-        push st.s_buf 3 code.(i + 1) nf.(code.(i + 2)) 0 wf.(code.(i + 3));
-        go (i + 4)
-      | 59 (* ASSERT c msg *) ->
-        if nf.(code.(i + 1)) = 0 then
-          st.s_rt.failures <-
-            { at_cycle = st.s_rt.cycle; message = p.p_msgs.(code.(i + 2)) } :: st.s_rt.failures;
-        go (i + 3)
-      | 60 (* WMUX dst c a b — narrow condition *) ->
-        wf.(code.(i + 1)) <-
-          (if nf.(code.(i + 2)) <> 0 then wf.(code.(i + 3)) else wf.(code.(i + 4)));
-        go (i + 5)
-      | 62 (* NSTOREMUX slot c a b lo hi — NSTORE of an NMUX, fused *) ->
-        let dst = code.(i + 1) in
-        let v = if nf.(code.(i + 2)) <> 0 then nf.(code.(i + 3)) else nf.(code.(i + 4)) in
-        if nf.(dst) <> v then begin
-          nf.(dst) <- v;
-          for k = code.(i + 5) to code.(i + 6) - 1 do
-            let e = marks.(k) in
-            let w = e lsr 6 in
-            if w < ncw then dirty.(w) <- dirty.(w) lor (1 lsl (e land 63))
-            else cm.(w - ncw) <- cm.(w - ncw) lor (1 lsl (e land 63))
-          done
-        end;
-        1
-      | 61 (* ACONFLICT p1 p2 a1 a2 msg — fused port-conflict assert:
-              fails iff both enables are up and the addresses differ.
-              Arbiter/port-sharing checks are the bulk of woken clock
-              blocks, so they get a single-dispatch opcode. *) ->
-        if
-          nf.(code.(i + 1)) <> 0
-          && nf.(code.(i + 2)) <> 0
-          && nf.(code.(i + 3)) <> nf.(code.(i + 4))
-        then
-          st.s_rt.failures <-
-            { at_cycle = st.s_rt.cycle; message = p.p_msgs.(code.(i + 5)) } :: st.s_rt.failures;
-        go (i + 6)
-      | op -> fail "corrupt opcode program: opcode %d at %d" op i
-    in
-    go pc0
+    match code.(i) with
+    | 0 (* NMASK dst a m *) ->
+      st.s_n.(code.(i + 1)) <- st.s_n.(code.(i + 2)) land code.(i + 3);
+      exec p st code (i + 4)
+    | 1 (* NNOT dst a m *) ->
+      st.s_n.(code.(i + 1)) <- lnot st.s_n.(code.(i + 2)) land code.(i + 3);
+      exec p st code (i + 4)
+    | 2 (* NAND dst a b *) ->
+      st.s_n.(code.(i + 1)) <- st.s_n.(code.(i + 2)) land st.s_n.(code.(i + 3));
+      exec p st code (i + 4)
+    | 3 (* NOR dst a b *) ->
+      st.s_n.(code.(i + 1)) <- st.s_n.(code.(i + 2)) lor st.s_n.(code.(i + 3));
+      exec p st code (i + 4)
+    | 4 (* NXOR dst a b *) ->
+      st.s_n.(code.(i + 1)) <- st.s_n.(code.(i + 2)) lxor st.s_n.(code.(i + 3));
+      exec p st code (i + 4)
+    | 5 (* NADD dst a b m *) ->
+      st.s_n.(code.(i + 1)) <- (st.s_n.(code.(i + 2)) + st.s_n.(code.(i + 3))) land code.(i + 4);
+      exec p st code (i + 5)
+    | 6 (* NSUB dst a b m *) ->
+      st.s_n.(code.(i + 1)) <- (st.s_n.(code.(i + 2)) - st.s_n.(code.(i + 3))) land code.(i + 4);
+      exec p st code (i + 5)
+    | 7 (* NMUL dst a b m *) ->
+      st.s_n.(code.(i + 1)) <- st.s_n.(code.(i + 2)) * st.s_n.(code.(i + 3)) land code.(i + 4);
+      exec p st code (i + 5)
+    | 8 (* NSHL dst a k w m *) ->
+      let k = st.s_n.(code.(i + 3)) in
+      st.s_n.(code.(i + 1)) <-
+        (if k < 0 || k >= code.(i + 4) then 0
+         else (st.s_n.(code.(i + 2)) lsl k) land code.(i + 5));
+      exec p st code (i + 6)
+    | 9 (* NSHR dst a k w *) ->
+      let k = st.s_n.(code.(i + 3)) in
+      st.s_n.(code.(i + 1)) <-
+        (if k < 0 || k >= code.(i + 4) then 0 else st.s_n.(code.(i + 2)) lsr k);
+      exec p st code (i + 5)
+    | 10 (* NLT dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if ucmp st.s_n.(code.(i + 2)) st.s_n.(code.(i + 3)) < 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 11 (* NLE dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if ucmp st.s_n.(code.(i + 2)) st.s_n.(code.(i + 3)) <= 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 12 (* NGT dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if ucmp st.s_n.(code.(i + 2)) st.s_n.(code.(i + 3)) > 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 13 (* NGE dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if ucmp st.s_n.(code.(i + 2)) st.s_n.(code.(i + 3)) >= 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 14 (* NEQ dst a b *) ->
+      st.s_n.(code.(i + 1)) <- (if st.s_n.(code.(i + 2)) = st.s_n.(code.(i + 3)) then 1 else 0);
+      exec p st code (i + 4)
+    | 15 (* NNE dst a b *) ->
+      st.s_n.(code.(i + 1)) <- (if st.s_n.(code.(i + 2)) <> st.s_n.(code.(i + 3)) then 1 else 0);
+      exec p st code (i + 4)
+    | 16 (* NLOGAND dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if st.s_n.(code.(i + 2)) <> 0 && st.s_n.(code.(i + 3)) <> 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 17 (* NLOGOR dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if st.s_n.(code.(i + 2)) <> 0 || st.s_n.(code.(i + 3)) <> 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 18 (* NNZ dst a *) ->
+      st.s_n.(code.(i + 1)) <- (if st.s_n.(code.(i + 2)) <> 0 then 1 else 0);
+      exec p st code (i + 3)
+    | 19 (* NREDAND dst a all *) ->
+      st.s_n.(code.(i + 1)) <- (if st.s_n.(code.(i + 2)) = code.(i + 3) then 1 else 0);
+      exec p st code (i + 4)
+    | 20 (* NSLICE dst a lo m *) ->
+      st.s_n.(code.(i + 1)) <- (st.s_n.(code.(i + 2)) lsr code.(i + 3)) land code.(i + 4);
+      exec p st code (i + 5)
+    | 21 (* NMUX dst c a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if st.s_n.(code.(i + 2)) <> 0 then st.s_n.(code.(i + 3)) else st.s_n.(code.(i + 4)));
+      exec p st code (i + 5)
+    | 22 (* NSHLOR dst a k b *) ->
+      st.s_n.(code.(i + 1)) <- (st.s_n.(code.(i + 2)) lsl code.(i + 3)) lor st.s_n.(code.(i + 4));
+      exec p st code (i + 5)
+    | 23 (* NMEMRD dst mem a m *) ->
+      let cells = st.s_nmem.(code.(i + 2)) in
+      let a = st.s_n.(code.(i + 3)) in
+      st.s_n.(code.(i + 1)) <-
+        (if a >= 0 && a < Array.length cells then cells.(a) land code.(i + 4) else 0);
+      exec p st code (i + 5)
+    | 24 (* NMEMRDW dst mem a m — wide memory, narrow context *) ->
+      let cells = st.s_wmem.(code.(i + 2)) in
+      let a = st.s_n.(code.(i + 3)) in
+      st.s_n.(code.(i + 1)) <-
+        (if a >= 0 && a < Array.length cells then
+           Bitvec.to_int_trunc cells.(a) land code.(i + 4)
+         else 0);
+      exec p st code (i + 5)
+    | 25 (* WRESIZE dst a w *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.resize ~width:code.(i + 3) st.s_w.(code.(i + 2));
+      exec p st code (i + 4)
+    | 26 (* N2W dst a sw w *) ->
+      st.s_w.(code.(i + 1)) <-
+        Bitvec.resize ~width:code.(i + 4) (Bitvec.of_int ~width:code.(i + 3) st.s_n.(code.(i + 2)));
+      exec p st code (i + 5)
+    | 27 (* W2N dst a m *) ->
+      st.s_n.(code.(i + 1)) <- Bitvec.to_int_trunc st.s_w.(code.(i + 2)) land code.(i + 3);
+      exec p st code (i + 4)
+    | 28 (* WNOT dst a *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.lognot st.s_w.(code.(i + 2));
+      exec p st code (i + 3)
+    | 29 (* WAND dst a b *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.logand st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 30 (* WOR dst a b *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.logor st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 31 (* WXOR dst a b *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.logxor st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 32 (* WADD dst a b *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.add st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 33 (* WSUB dst a b *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.sub st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 34 (* WMUL dst a b *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.mul st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 35 (* WSHL dst a k w *) ->
+      let k = st.s_n.(code.(i + 3)) in
+      let w = code.(i + 4) in
+      let k = if k < 0 || k > w then w else k in
+      st.s_w.(code.(i + 1)) <- Bitvec.shift_left st.s_w.(code.(i + 2)) k;
+      exec p st code (i + 5)
+    | 36 (* WSHR dst a k w *) ->
+      let k = st.s_n.(code.(i + 3)) in
+      let w = code.(i + 4) in
+      let k = if k < 0 || k > w then w else k in
+      st.s_w.(code.(i + 1)) <- Bitvec.shift_right_logical st.s_w.(code.(i + 2)) k;
+      exec p st code (i + 5)
+    | 37 (* WLT dst a b — narrow 0/1 result *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if Bitvec.compare st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3)) < 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 38 (* WLE dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if Bitvec.compare st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3)) <= 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 39 (* WGT dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if Bitvec.compare st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3)) > 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 40 (* WGE dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if Bitvec.compare st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3)) >= 0 then 1 else 0);
+      exec p st code (i + 4)
+    | 41 (* WEQ dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if Bitvec.equal st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3)) then 1 else 0);
+      exec p st code (i + 4)
+    | 42 (* WNE dst a b *) ->
+      st.s_n.(code.(i + 1)) <-
+        (if Bitvec.equal st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3)) then 0 else 1);
+      exec p st code (i + 4)
+    | 43 (* WNZ dst a *) ->
+      st.s_n.(code.(i + 1)) <- (if Bitvec.is_zero st.s_w.(code.(i + 2)) then 0 else 1);
+      exec p st code (i + 3)
+    | 44 (* WSLICE dst a hi lo w *) ->
+      st.s_w.(code.(i + 1)) <-
+        Bitvec.resize ~width:code.(i + 5)
+          (Bitvec.extract ~hi:code.(i + 3) ~lo:code.(i + 4) st.s_w.(code.(i + 2)));
+      exec p st code (i + 6)
+    | 45 (* NSLICEW dst a hi lo m — wide source, narrow result *) ->
+      st.s_n.(code.(i + 1)) <-
+        Bitvec.to_int_trunc
+          (Bitvec.extract ~hi:code.(i + 3) ~lo:code.(i + 4) st.s_w.(code.(i + 2)))
+        land code.(i + 5);
+      exec p st code (i + 6)
+    | 46 (* WCONCAT dst a b *) ->
+      st.s_w.(code.(i + 1)) <- Bitvec.concat st.s_w.(code.(i + 2)) st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 47 (* WMEMRDN dst mem a ew w — narrow memory, wide context *) ->
+      let cells = st.s_nmem.(code.(i + 2)) in
+      let a = st.s_n.(code.(i + 3)) in
+      let w = code.(i + 5) in
+      st.s_w.(code.(i + 1)) <-
+        (if a >= 0 && a < Array.length cells then
+           Bitvec.resize ~width:w (Bitvec.of_int ~width:code.(i + 4) cells.(a))
+         else Bitvec.zero w);
+      exec p st code (i + 6)
+    | 48 (* WMEMRD dst mem a w *) ->
+      let cells = st.s_wmem.(code.(i + 2)) in
+      let a = st.s_n.(code.(i + 3)) in
+      let w = code.(i + 4) in
+      st.s_w.(code.(i + 1)) <-
+        (if a >= 0 && a < Array.length cells then Bitvec.resize ~width:w cells.(a)
+         else Bitvec.zero w);
+      exec p st code (i + 5)
+    | 49 (* W2INT dst a — unsigned value or -1 if out of int range *) ->
+      st.s_n.(code.(i + 1)) <-
+        (match Bitvec.to_int_opt st.s_w.(code.(i + 2)) with Some k -> k | None -> -1);
+      exec p st code (i + 3)
+    | 50 (* NSTORE slot src lo hi — assign-block terminator *) ->
+      let dst = code.(i + 1) in
+      let v = st.s_n.(code.(i + 2)) in
+      if st.s_n.(dst) <> v then begin
+        st.s_n.(dst) <- v;
+        for k = code.(i + 3) to code.(i + 4) - 1 do
+          let e = p.p_marks.(k) in
+          let w = e lsr 6 in
+          st.s_dirty.(w) <- st.s_dirty.(w) lor (1 lsl (e land 63))
+        done
+      end;
+      1
+    | 51 (* WSTORE slot src lo hi *) ->
+      let dst = code.(i + 1) in
+      let v = st.s_w.(code.(i + 2)) in
+      if not (Bitvec.equal st.s_w.(dst) v) then begin
+        st.s_w.(dst) <- v;
+        for k = code.(i + 3) to code.(i + 4) - 1 do
+          let e = p.p_marks.(k) in
+          let w = e lsr 6 in
+          st.s_dirty.(w) <- st.s_dirty.(w) lor (1 lsl (e land 63))
+        done
+      end;
+      0
+    | 52 (* HALT *) -> 0
+    | 53 (* JZ c target *) ->
+      exec p st code (if st.s_n.(code.(i + 1)) = 0 then code.(i + 2) else i + 3)
+    | 54 (* JMP target *) -> exec p st code code.(i + 1)
+    | 55 (* PUSHN slot id src *) ->
+      push st.s_buf 0 code.(i + 1) code.(i + 2) st.s_n.(code.(i + 3)) dummy_bv;
+      exec p st code (i + 4)
+    | 56 (* PUSHW slot id src *) ->
+      push st.s_buf 1 code.(i + 1) code.(i + 2) 0 st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 57 (* PUSHNM mem a v *) ->
+      push st.s_buf 2 code.(i + 1) st.s_n.(code.(i + 2)) st.s_n.(code.(i + 3)) dummy_bv;
+      exec p st code (i + 4)
+    | 58 (* PUSHWM mem a v *) ->
+      push st.s_buf 3 code.(i + 1) st.s_n.(code.(i + 2)) 0 st.s_w.(code.(i + 3));
+      exec p st code (i + 4)
+    | 59 (* ASSERT c msg *) ->
+      if st.s_n.(code.(i + 1)) = 0 then
+        st.s_rt.failures <-
+          { at_cycle = st.s_rt.cycle; message = p.p_msgs.(code.(i + 2)) } :: st.s_rt.failures;
+      exec p st code (i + 3)
+    | 60 (* WMUX dst c a b — narrow condition *) ->
+      st.s_w.(code.(i + 1)) <-
+        (if st.s_n.(code.(i + 2)) <> 0 then st.s_w.(code.(i + 3)) else st.s_w.(code.(i + 4)));
+      exec p st code (i + 5)
+    | 62 (* NSTOREMUX slot c a b lo hi — NSTORE of an NMUX, fused *) ->
+      let dst = code.(i + 1) in
+      let v = if st.s_n.(code.(i + 2)) <> 0 then st.s_n.(code.(i + 3)) else st.s_n.(code.(i + 4)) in
+      if st.s_n.(dst) <> v then begin
+        st.s_n.(dst) <- v;
+        for k = code.(i + 5) to code.(i + 6) - 1 do
+          let e = p.p_marks.(k) in
+          let w = e lsr 6 in
+          st.s_dirty.(w) <- st.s_dirty.(w) lor (1 lsl (e land 63))
+        done
+      end;
+      1
+    | 61 (* ACONFLICT p1 p2 a1 a2 msg — fused port-conflict assert:
+            fails iff both enables are up and the addresses differ.
+            Arbiter/port-sharing checks are the bulk of woken clock
+            blocks, so they get a single-dispatch opcode. *) ->
+      if
+        st.s_n.(code.(i + 1)) <> 0
+        && st.s_n.(code.(i + 2)) <> 0
+        && st.s_n.(code.(i + 3)) <> st.s_n.(code.(i + 4))
+      then
+        st.s_rt.failures <-
+          { at_cycle = st.s_rt.cycle; message = p.p_msgs.(code.(i + 5)) } :: st.s_rt.failures;
+      exec p st code (i + 6)
+    | op -> fail "corrupt opcode program: opcode %d at %d" op i
 
   (* ---------------------------------------------------------------- *)
   (* Compilation                                                       *)
@@ -1715,9 +1689,7 @@ module Opcode = struct
 
   (* Compile-time allocation state.  Slot indices below the signal
      counts are signals; constants (deduplicated for narrow values) and
-     per-use scratch temporaries are appended after them.  Temporaries
-     are never shared between blocks, so parallel partitions write
-     disjoint slots. *)
+     per-use scratch temporaries are appended after them. *)
   type cstate = {
     cs_signals : (string, sslot) Hashtbl.t;
     cs_mems : (string, omem) Hashtbl.t;
@@ -2212,7 +2184,6 @@ module Opcode = struct
   (* Construction                                                      *)
 
   let fresh_state p =
-    let n_parts = Array.length p.p_parts in
     {
       s_n = Array.copy p.p_ninit;
       s_w = Array.copy p.p_winit;
@@ -2221,12 +2192,9 @@ module Opcode = struct
       s_dirty = Array.copy p.p_dirty_init;
       s_buf = fresh_ubuf ();
       s_rt = fresh_rt ();
-      s_evals = Array.make (max 1 n_parts) 0;
-      s_fast = Array.make (max 1 n_parts) 0;
-      s_cmarks = Array.init (max 1 n_parts) (fun _ -> Array.make (max 1 p.p_n_clock_words) 0);
     }
 
-  let create ?(partitions = 0) (flat : Flatten.flat) =
+  let create (flat : Flatten.flat) =
     let decls = ref [] in
     let mem_decls = ref [] in
     let assigns_rev = ref [] in
@@ -2302,89 +2270,11 @@ module Opcode = struct
     in
     let sorted = Array.of_list (topo_sort_assigns ~is_comb assign_list) in
     let n_assigns = Array.length sorted in
-    (* Partitioning: union-find over "assign j reads assign i's comb
-       target" edges keeps each combinational cone in one component;
-       components are then greedily binned into the requested number of
-       partitions, largest first. *)
-    let requested = if partitions <= 0 then Pool.auto_partitions () else partitions in
-    let parent = Array.init (max 1 n_assigns) (fun i -> i) in
-    let rec find i =
-      let p = parent.(i) in
-      if p = i then i
-      else begin
-        let r = find p in
-        parent.(i) <- r;
-        r
-      end
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
-    in
-    let topo_of_target = Hashtbl.create 64 in
-    Array.iteri (fun j (tname, _) -> Hashtbl.replace topo_of_target tname j) sorted;
-    Array.iteri
-      (fun j (_, expr) ->
-        List.iter
-          (fun dep ->
-            if is_comb dep then
-              match Hashtbl.find_opt topo_of_target dep with
-              | Some i -> union i j
-              | None -> ())
-          (wire_deps expr []))
-      sorted;
-    let comp_members = Hashtbl.create 64 in
-    for j = n_assigns - 1 downto 0 do
-      let r = find j in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt comp_members r) in
-      Hashtbl.replace comp_members r (j :: cur)
-    done;
-    let comps = Hashtbl.fold (fun _ l acc -> l :: acc) comp_members [] in
-    let comps =
-      List.sort
-        (fun a b ->
-          match compare (List.length b) (List.length a) with
-          | 0 -> compare (List.hd a) (List.hd b)
-          | c -> c)
-        comps
-    in
-    let np = max 1 (min requested (List.length comps)) in
-    let bins = Array.make np [] in
-    let bin_sz = Array.make np 0 in
-    List.iter
-      (fun comp ->
-        let best = ref 0 in
-        for i = 1 to np - 1 do
-          if bin_sz.(i) < bin_sz.(!best) then best := i
-        done;
-        bins.(!best) <- comp :: bins.(!best);
-        bin_sz.(!best) <- bin_sz.(!best) + List.length comp)
-      comps;
-    (* Word-aligned global numbering: partition [p] owns dirty-bitset
-       words [base, base + words); the assigns it holds (in topo order)
-       occupy consecutive bit positions from [base * 63]. *)
-    let words_of = Array.map (fun c -> (c + 62) / 63) bin_sz in
-    let n_words = Array.fold_left ( + ) 0 words_of in
-    let parts = Array.make np (0, 0) in
-    let topo_at = Array.make (max 1 (n_words * 63)) (-1) in
-    let g_of_topo = Array.make (max 1 n_assigns) (-1) in
-    let wb = ref 0 in
-    for pi = 0 to np - 1 do
-      let members = List.sort compare (List.concat bins.(pi)) in
-      parts.(pi) <- (!wb, words_of.(pi));
-      List.iteri
-        (fun k tj ->
-          let g = (!wb * 63) + k in
-          topo_at.(g) <- tj;
-          g_of_topo.(tj) <- g)
-        members;
-      wb := !wb + words_of.(pi)
-    done;
+    let n_words = (n_assigns + 62) / 63 in
     (* Readers of each dependency id, as dirty-bitset positions. *)
     let dep_lists = Array.make (max 1 !n_ids) [] in
     Array.iteri
-      (fun tj (_, expr) ->
-        let g = g_of_topo.(tj) in
+      (fun g (_, expr) ->
         List.iter
           (fun name ->
             match Hashtbl.find_opt sig_tbl name with
@@ -2511,42 +2401,39 @@ module Opcode = struct
       }
     in
     let code = new_builder () in
-    let block_off = Array.make (max 1 (n_words * 63)) (-1) in
+    let block_off = Array.make (max 1 n_assigns) 0 in
     Array.iteri
-      (fun g tj ->
-        if tj >= 0 then begin
-          let target, expr = sorted.(tj) in
-          match Hashtbl.find_opt sig_tbl target with
-          | None -> fail "assign to undeclared signal %s" target
-          | Some s ->
-            block_off.(g) <- code.bl;
-            let lo = mark_off.(s.o_id) and hi = mark_off.(s.o_id + 1) in
-            if s.o_width <= 63 then begin
-              let src = comp_n cs code ~width:s.o_width expr in
-              (* Peephole: an assign whose value is a freshly-computed
-                 mux (the dominant comb shape — stall/enable muxes)
-                 fuses mux and change-detecting store into one
-                 dispatch.  The mux temp is dead after the store. *)
-              if
-                code.blast >= 0
-                && code.bl - code.blast = 5
-                && code.bb.(code.blast) = 21
-                && code.bb.(code.blast + 1) = src
-              then begin
-                let c = code.bb.(code.blast + 2)
-                and a = code.bb.(code.blast + 3)
-                and b = code.bb.(code.blast + 4) in
-                code.bl <- code.blast;
-                ins code [ 62; s.o_idx; c; a; b; lo; hi ]
-              end
-              else ins code [ 50; s.o_idx; src; lo; hi ]
+      (fun g (target, expr) ->
+        match Hashtbl.find_opt sig_tbl target with
+        | None -> fail "assign to undeclared signal %s" target
+        | Some s ->
+          block_off.(g) <- code.bl;
+          let lo = mark_off.(s.o_id) and hi = mark_off.(s.o_id + 1) in
+          if s.o_width <= 63 then begin
+            let src = comp_n cs code ~width:s.o_width expr in
+            (* Peephole: an assign whose value is a freshly-computed
+               mux (the dominant comb shape — stall/enable muxes)
+               fuses mux and change-detecting store into one
+               dispatch.  The mux temp is dead after the store. *)
+            if
+              code.blast >= 0
+              && code.bl - code.blast = 5
+              && code.bb.(code.blast) = 21
+              && code.bb.(code.blast + 1) = src
+            then begin
+              let c = code.bb.(code.blast + 2)
+              and a = code.bb.(code.blast + 3)
+              and b = code.bb.(code.blast + 4) in
+              code.bl <- code.blast;
+              ins code [ 62; s.o_idx; c; a; b; lo; hi ]
             end
-            else begin
-              let src = comp_w cs code ~width:s.o_width expr in
-              ins code [ 51; s.o_idx; src; lo; hi ]
-            end
-        end)
-      topo_at;
+            else ins code [ 50; s.o_idx; src; lo; hi ]
+          end
+          else begin
+            let src = comp_w cs code ~width:s.o_width expr in
+            ins code [ 51; s.o_idx; src; lo; hi ]
+          end)
+      sorted;
     let clock_b = new_builder () in
     let clock_off = Array.make (max 1 n_blocks) (-1) in
     Array.iteri
@@ -2564,21 +2451,18 @@ module Opcode = struct
       (List.fold_left (fun i w -> winit.(i) <- Bitvec.zero w; i - 1) (!n_wide - 1) !wide_widths
         : int);
     ignore (List.fold_left (fun i v -> winit.(i) <- v; i - 1) (cs.cs_nw - 1) cs.cs_wextra : int);
+    (* Every assign and every clock block starts dirty; for the clock
+       blocks, the first cycle establishes the "targets hold this
+       block's last pushes" invariant. *)
     let dirty_init = Array.make (max 1 (n_words + n_clock_words)) 0 in
-    Array.iteri
-      (fun pi (base, wcnt) ->
-        let count = bin_sz.(pi) in
-        for k = 0 to wcnt - 1 do
-          let remaining = count - (k * 63) in
-          dirty_init.(base + k) <- (if remaining >= 63 then -1 else mask remaining)
-        done)
-      parts;
-    (* Every clock block starts dirty: the first cycle establishes the
-       "targets hold this block's last pushes" invariant. *)
-    for k = 0 to n_clock_words - 1 do
-      let remaining = n_blocks - (k * 63) in
-      dirty_init.(n_words + k) <- (if remaining >= 63 then -1 else mask remaining)
-    done;
+    let fill base words count =
+      for k = 0 to words - 1 do
+        let remaining = count - (k * 63) in
+        dirty_init.(base + k) <- (if remaining >= 63 then -1 else mask remaining)
+      done
+    in
+    fill 0 n_words n_assigns;
+    fill n_words n_clock_words n_blocks;
     let prog =
       {
         p_signals = sig_tbl;
@@ -2595,7 +2479,6 @@ module Opcode = struct
         p_marks = finish marks_b;
         p_mark_off = mark_off;
         p_msgs = Array.of_list (List.rev cs.cs_msgs);
-        p_parts = parts;
         p_n_words = n_words;
         p_n_assigns = n_assigns;
         p_ninit = ninit;
@@ -2613,67 +2496,38 @@ module Opcode = struct
      elaborate/compile once, run many stimuli. *)
   let fork t = { prog = t.prog; st = fresh_state t.prog }
 
-  let partitions t = Array.length t.prog.p_parts
-
   (* ---------------------------------------------------------------- *)
   (* Cycle execution                                                   *)
 
-  (* Drain one partition's word range.  A block execution can mark
-     later bits of the word being drained (successors are always
-     forward in topo order within a component, and components never
-     span partitions), so the word is re-read after every block and the
-     lowest set bit processed next: blocks always run in ascending
-     index order with fully-updated predecessors, at most once per
-     settle — the same guarantee as the compiled engine's linear
-     scan. *)
-  let settle_range p st (base, wcnt) pi =
+  (* Drain the comb half of the dirty bitset in ascending order.  A
+     block execution only marks readers later in topo order — later
+     bits of the word being drained or later words — so the word is
+     re-read after every block and the lowest set bit processed next:
+     blocks always run in ascending index order with fully-updated
+     predecessors, at most once per settle — the same guarantee as the
+     compiled engine's linear scan.  Stores that wake clock blocks mark
+     the clock half directly; [clock] drains it. *)
+  let settle t =
+    !settle_fault_hook ();
     let module Array = Unchecked in
+    let p = t.prog and st = t.st in
+    let rt = st.s_rt in
+    rt.settles <- rt.settles + 1;
     let dirty = st.s_dirty in
     let code = p.p_code and block_off = p.p_block_off in
-    let cm = st.s_cmarks.(pi) in
     let ev = ref 0 and fe = ref 0 in
-    for w = base to base + wcnt - 1 do
+    for w = 0 to p.p_n_words - 1 do
       let gbase = w * 63 in
       while dirty.(w) <> 0 do
         let tz = ntz dirty.(w) in
         dirty.(w) <- dirty.(w) land lnot (1 lsl tz);
         incr ev;
-        fe := !fe + exec p st cm code block_off.(gbase + tz)
+        fe := !fe + exec p st code block_off.(gbase + tz)
       done
     done;
-    st.s_evals.(pi) <- st.s_evals.(pi) + !ev;
-    st.s_fast.(pi) <- st.s_fast.(pi) + !fe
-
-  let settle t =
-    !settle_fault_hook ();
-    let p = t.prog and st = t.st in
-    let rt = st.s_rt in
-    rt.settles <- rt.settles + 1;
-    let parts = p.p_parts in
-    let tot0 = Array.fold_left ( + ) 0 st.s_evals in
-    if Array.length parts = 1 then settle_range p st parts.(0) 0
-    else
-      Pool.run (List.init (Array.length parts) (fun i () -> settle_range p st parts.(i) i));
-    (* Merge the per-partition clock wake-ups gathered during the drain
-       into the real clock dirty words (single-writer: main domain,
-       after the barrier). *)
-    let cw = p.p_n_clock_words in
-    if cw > 0 then begin
-      let dirty = st.s_dirty and base = p.p_n_words in
-      Array.iter
-        (fun cm ->
-          for k = 0 to cw - 1 do
-            if cm.(k) <> 0 then begin
-              dirty.(base + k) <- dirty.(base + k) lor cm.(k);
-              cm.(k) <- 0
-            end
-          done)
-        st.s_cmarks
-    end;
-    let tot1 = Array.fold_left ( + ) 0 st.s_evals in
-    rt.evaluated <- tot1;
-    rt.fast_evaluated <- Array.fold_left ( + ) 0 st.s_fast;
-    rt.skipped <- rt.skipped + (p.p_n_assigns - (tot1 - tot0))
+    rt.evaluated <- rt.evaluated + !ev;
+    rt.fast_evaluated <- rt.fast_evaluated + !fe;
+    rt.skipped <- rt.skipped + (p.p_n_assigns - !ev)
 
   (* Commit in reverse push order — same first-statement-wins and
      out-of-range reporting semantics as the other engines. *)
@@ -2747,7 +2601,6 @@ module Opcode = struct
     let base = p.p_n_words in
     let code = p.p_clock_code and off = p.p_clock_off in
     let pinned = p.p_clock_pinned in
-    let cm = st.s_cmarks.(0) in
     for k = 0 to p.p_n_clock_words - 1 do
       let d = ref (dirty.(base + k) lor pinned.(k)) in
       dirty.(base + k) <- 0;
@@ -2756,7 +2609,7 @@ module Opcode = struct
         let tz = ntz !d in
         d := !d land lnot (1 lsl tz);
         let before = st.s_rt.failures in
-        ignore (exec p st cm code off.(bbase + tz) : int);
+        ignore (exec p st code off.(bbase + tz) : int);
         (* A failing assertion must re-fire every cycle it fails: a
            block that just recorded a failure re-marks itself. *)
         if st.s_rt.failures != before then
@@ -2821,6 +2674,15 @@ module Opcode = struct
         let file = t.st.s_w and idx = s.o_idx in
         fun () -> file.(idx)
     | None -> fail "unknown signal %s" name
+
+  let int_reader t name =
+    match Hashtbl.find_opt t.prog.p_signals name with
+    | Some s when s.o_width <= 62 ->
+      let file = t.st.s_n and idx = s.o_idx in
+      fun () -> file.(idx)
+    | _ ->
+      let r = reader t name in
+      fun () -> Bitvec.to_int (r ())
 
   (* Pre-resolved [set_input], same motivation. *)
   let writer t name =
@@ -2971,36 +2833,32 @@ let engine_of_string : string -> engine option = function
 
 type impl = O of Opcode.t | C of Compiled.t | R of Reference.t
 
-(* The flattened design is retained so [fork] of the non-forkable
-   engines can rebuild from scratch (the opcode engine shares its
-   compiled program instead). *)
-type t = { impl : impl; flat : Flatten.flat; engine : engine }
+(* [fresh] builds another simulator over the same design for [fork]:
+   the opcode engine shares its compiled program, the others rebuild
+   from the flattened design — only their closures keep it alive, so a
+   long-lived opcode simulator does not hold the netlist. *)
+type t = { impl : impl; fresh : unit -> impl; engine : engine }
 
-(* [partitions] only affects the opcode engine: 0 (the default) sizes
-   the partition count to the machine, 1 forces a sequential settle,
-   and larger values bound the number of register-delimited groups
-   settled in parallel. *)
-let create ?(engine = `Opcode) ?(partitions = 0) flat =
-  let impl =
+let create ?(engine = `Opcode) flat =
+  let impl, fresh =
     match engine with
-    | `Opcode -> O (Opcode.create ~partitions flat)
-    | `Compiled -> C (Compiled.create flat)
-    | `Reference -> R (Reference.create flat)
+    | `Opcode ->
+      let o = Opcode.create flat in
+      (O o, fun () -> O (Opcode.fork o))
+    | `Compiled -> (C (Compiled.create flat), fun () -> C (Compiled.create flat))
+    | `Reference -> (R (Reference.create flat), fun () -> R (Reference.create flat))
   in
-  { impl; flat; engine }
+  { impl; fresh; engine }
 
 let engine t = t.engine
 
-(* Actual partition count in use (1 for the non-partitioned engines). *)
-let partitions t = match t.impl with O o -> Opcode.partitions o | C _ | R _ -> 1
+(* Every engine settles on the calling domain, so this is always 1; it
+   remains because perfbench/sim_batch.ml reports it. *)
+let partitions (_ : t) = 1
 
 (* A fresh simulator over the same design: the opcode engine forks its
    state and shares the compiled program; the others recompile. *)
-let fork t =
-  match t.impl with
-  | O o -> { t with impl = O (Opcode.fork o) }
-  | C _ -> { t with impl = C (Compiled.create t.flat) }
-  | R _ -> { t with impl = R (Reference.create t.flat) }
+let fork t = { t with impl = t.fresh () }
 
 let signal_width t name =
   match t.impl with
@@ -3028,6 +2886,16 @@ let reader t name =
   | O o -> Opcode.reader o name
   | C c -> Compiled.reader c name
   | R r -> fun () -> Reference.peek r name
+
+(* [reader] as [Bitvec.to_int] of the value, for narrow control signals
+   sampled every cycle (memory-port enables and addresses): on the
+   opcode engine a read allocates nothing. *)
+let int_reader t name =
+  match t.impl with
+  | O o -> Opcode.int_reader o name
+  | C _ | R _ ->
+    let r = reader t name in
+    fun () -> Bitvec.to_int (r ())
 
 (* A pre-resolved [set_input]; same contract as [reader]. *)
 let writer t name =
@@ -3087,5 +2955,4 @@ let record_stats t =
   c "assigns_skipped" s.st_assigns_skipped;
   c "fastpath_evaluated" s.st_fastpath_evaluated;
   c "narrow_signals" s.st_narrow_signals;
-  c "wide_signals" s.st_wide_signals;
-  c "partitions" (partitions t)
+  c "wide_signals" s.st_wide_signals

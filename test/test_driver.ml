@@ -846,10 +846,9 @@ let test_sim_settle_fallback () =
   in
   let clean, clean_out = run_with ~engine:`Reference () in
   (* The ladder must cover both compiled engines — the closure engine
-     and the opcode engine (the default), including its partitioned
-     settle: [Sim.settle_fault_hook] fires on the main domain before
-     the partitions fan out, so the injected Sim_error surfaces the
-     same way regardless of partition count. *)
+     and the opcode engine (the default): [Sim.settle_fault_hook] fires
+     at the start of every settle, so the injected Sim_error surfaces
+     from either engine's first settle. *)
   List.iter
     (fun engine ->
       let cfg = { Faults.rules = [ ("sim.settle", Faults.Nth 1) ]; seed = 0 } in

@@ -223,7 +223,7 @@ let lockstep_boundary w () =
   in
   let flat = Flatten.flatten (design (simple_module ~ports (boundary_items w))) in
   let c = Sim.create ~engine:`Compiled flat in
-  let o = Sim.create ~engine:`Opcode ~partitions:2 flat in
+  let o = Sim.create ~engine:`Opcode flat in
   let r = Sim.create ~engine:`Reference flat in
   let names = Sim.signal_names c in
   let values = boundary_values w in

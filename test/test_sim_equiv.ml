@@ -1,18 +1,20 @@
 (* Equivalence of the three RTL simulation engines: the opcode engine
-   (the default, across partition counts and batched forks) and the
-   closure-compiled engine must produce bit-identical peek traces and
-   assertion-failure lists to the [Sim.Reference] tree walker — the
-   executable specification of the Verilog width semantics.
+   (the default, including batched forks) and the closure-compiled
+   engine must produce bit-identical peek traces and assertion-failure
+   lists to the [Sim.Reference] tree walker — the executable
+   specification of the Verilog width semantics.
 
    Two layers:
    - a qcheck property over randomly generated flat netlists (every
      operator class, widths straddling the 63-bit unboxed fast path,
      registers, memories with out-of-range writes, assertions),
      driven for many cycles with per-stimulus random input streams
-     through every engine × partitions {1,2,4} × batch {1,4};
+     through every engine × batch {1,4};
    - lockstep runs of real compiled kernels (via the harness) on all
      engines, plus a batched multi-stimulus run, comparing scalar
-     outputs, tensors, and failures. *)
+     outputs, tensors, and failures.
+   The opcode engine's schedule counters are pinned on two kernels, and
+   the harness's memory agents get an out-of-range address check. *)
 
 open Hir_dialect
 module V = Hir_verilog.Ast
@@ -175,18 +177,9 @@ let compare_failures ctx fc fr =
 let n_stimuli = 4
 let n_cycles = 30
 
-(* (engine, partitions, batch): partitions only affect the opcode
-   engine; batch > 1 exercises [Sim.fork] on every engine. *)
-let lockstep_grid : (Sim.engine * int * int) list =
-  [
-    (`Opcode, 1, 1);
-    (`Opcode, 1, 4);
-    (`Opcode, 2, 4);
-    (`Opcode, 4, 4);
-    (`Compiled, 1, 1);
-    (`Compiled, 1, 4);
-    (`Reference, 1, 4);
-  ]
+(* (engine, batch): batch > 1 exercises [Sim.fork] on every engine. *)
+let lockstep_grid : (Sim.engine * int) list =
+  [ (`Opcode, 1); (`Opcode, 4); (`Compiled, 1); (`Compiled, 4); (`Reference, 4) ]
 
 let lockstep_netlist (dseed, iseed) =
   let flat, inputs = gen_design dseed in
@@ -218,13 +211,13 @@ let lockstep_netlist (dseed, iseed) =
     run_sims (Array.init n_stimuli (fun _ -> Sim.create ~engine:`Reference flat))
   in
   List.iter
-    (fun (engine, partitions, batch) ->
-      let proto = Sim.create ~engine ~partitions flat in
+    (fun (engine, batch) ->
+      let proto = Sim.create ~engine flat in
       let sims = Array.init batch (fun i -> if i = 0 then proto else Sim.fork proto) in
       let traces, failures = run_sims sims in
       let ctx k =
-        Printf.sprintf "seed (%d,%d) engine %s p%d b%d stim %d" dseed iseed
-          (Sim.engine_name engine) partitions batch k
+        Printf.sprintf "seed (%d,%d) engine %s b%d stim %d" dseed iseed
+          (Sim.engine_name engine) batch k
       in
       for k = 0 to batch - 1 do
         for cyc = 0 to n_cycles - 1 do
@@ -243,7 +236,7 @@ let lockstep_netlist (dseed, iseed) =
 
 let netlist_equiv =
   QCheck.Test.make ~count:60
-    ~name:"every engine x partitions x batch == reference on random netlists"
+    ~name:"every engine x batch == reference on random netlists"
     QCheck.(pair small_nat small_nat)
     lockstep_netlist
 
@@ -308,9 +301,8 @@ let kernel_lockstep name build inputs ~out_arg () =
     [ `Compiled; `Opcode ]
 
 (* Batched multi-stimulus execution: four different input tensors
-   through one compiled opcode program (partitioned settle, forked
-   register files), each compared against an individual reference run
-   of the same stimulus. *)
+   through one compiled opcode program (forked register files), each
+   compared against an individual reference run of the same stimulus. *)
 let batch_lockstep () =
   let build = Hir_kernels.Transpose.build in
   let stimuli =
@@ -325,7 +317,7 @@ let batch_lockstep () =
   let m, f = build () in
   let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
   let batched =
-    Harness.run_batch ~engine:`Opcode ~partitions:2 ~emitted ~stimuli ~cycles ()
+    Harness.run_batch ~engine:`Opcode ~emitted ~stimuli ~cycles ()
   in
   Alcotest.(check int) "batch size" (List.length stimuli) (List.length batched);
   List.iteri
@@ -354,6 +346,89 @@ let histogram_lockstep () =
     [ Harness.Tensor input; Harness.Out_tensor ]
     ~out_arg:1 ()
 
+(* The opcode engine's event-driven schedule, pinned by its counters on
+   the transpose and convolution lockstep stimuli: a change meant only
+   to make the engine faster must leave every one of them unchanged.
+   Expected (settles, evaluated, skipped, fast-path) per kernel. *)
+let pinned_stats () =
+  List.iter
+    (fun (name, build, input, (settles, evaluated, skipped, fast)) ->
+      let r, _ =
+        run_engine ~engine:`Opcode ~build [ Harness.Tensor input; Harness.Out_tensor ]
+      in
+      let s = r.Harness.sim_stats in
+      let check what expected actual = Alcotest.(check int) (name ^ " " ^ what) expected actual in
+      check "settles" settles s.Sim.st_settles;
+      check "assigns evaluated" evaluated s.Sim.st_assigns_evaluated;
+      check "assigns skipped" skipped s.Sim.st_assigns_skipped;
+      check "fast-path evaluated" fast s.Sim.st_fastpath_evaluated)
+    [
+      ( "transpose",
+        Hir_kernels.Transpose.build,
+        Hir_kernels.Transpose.make_input ~seed:91,
+        (298, 1608, 2266, 1608) );
+      ( "convolution",
+        Hir_kernels.Convolution.build,
+        Hir_kernels.Convolution.make_input ~seed:92,
+        (84, 2383, 3749, 2383) );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Memory agents                                                       *)
+
+(* A 2-bank, depth-3 memref gets a 2-bit address port, so address 3 is
+   representable but names no element: a read of it must return zero
+   and a write must be dropped, not alias bank 1's first element. *)
+let agent_out_of_range () =
+  let info =
+    Types.memref_info
+      (Types.memref ~packing:(Some [ 1 ]) ~dims:[ 2; 3 ] ~elem:Hir_ir.Typ.i32
+         ~port:Types.Read_write ())
+  in
+  let mi = Emit.mem_iface_of ~base:"m" info in
+  Alcotest.(check int) "address width" 2 mi.Emit.mi_addr_width;
+  (* Every port signal as a top-level input, so the test drives the
+     design side of the interface directly. *)
+  let port_signals (en, addr, data) = [ (en, 1); (addr, mi.Emit.mi_addr_width); (data, 32) ] in
+  let signals =
+    Array.to_list mi.Emit.mi_banks
+    |> List.concat_map (fun (b : Emit.bank_names) ->
+           List.concat_map port_signals
+             (Option.to_list b.Emit.bn_rd @ Option.to_list b.Emit.bn_wr))
+  in
+  let ports =
+    List.map
+      (fun (port_name, width) -> { V.port_name; dir = V.Input; width })
+      (("clk", 1) :: signals)
+  in
+  let top = { V.mod_name = "top"; ports; items = [] } in
+  let sim = Sim.create (Flatten.flatten { V.modules = [ top ]; top = "top" }) in
+  let elem i = Bitvec.of_int ~width:32 (100 + i) in
+  let ag = Harness.build_agent sim mi (Some (Array.init 6 elem)) in
+  let set name w v = Sim.set_input sim name (Bitvec.of_int ~width:w v) in
+  let read addr =
+    set "m_rd_en_0" 1 1;
+    set "m_rd_addr_0" 2 addr;
+    Harness.agent_observe ag;
+    Harness.agent_drive ag;
+    Sim.settle_only sim;
+    Bitvec.to_int (Sim.peek sim "m_rd_data_0")
+  in
+  Alcotest.(check int) "in-range read on bank 0" 102 (read 2);
+  Alcotest.(check int) "out-of-range read on bank 0 returns zero" 0 (read 3);
+  set "m_rd_en_0" 1 0;
+  set "m_wr_en_0" 1 1;
+  set "m_wr_addr_0" 2 3;
+  set "m_wr_data_0" 32 7;
+  Harness.agent_observe ag;
+  Array.iteri
+    (fun i got ->
+      Alcotest.(check bool)
+        (Printf.sprintf "element %d unchanged by an out-of-range write" i)
+        true
+        (Option.equal Bitvec.equal got (Some (elem i))))
+    (Harness.agent_tensor ag)
+
 let () =
   Alcotest.run "sim_equiv"
     [
@@ -365,5 +440,7 @@ let () =
           Alcotest.test_case "convolution lockstep" `Quick convolution_lockstep;
           Alcotest.test_case "histogram lockstep" `Quick histogram_lockstep;
           Alcotest.test_case "batched multi-stimulus lockstep" `Quick batch_lockstep;
+          Alcotest.test_case "opcode statistics pinned" `Quick pinned_stats;
         ] );
+      ("harness", [ Alcotest.test_case "agent out-of-range address" `Quick agent_out_of_range ]);
     ]
