@@ -29,6 +29,10 @@ check: build test
 	@_build/default/bin/hirc.exe sim gemm --engine opcodee 2>&1 | grep -q "did you mean opcode" \
 	  || { echo "make check: FAILED (sim engine typo did not suggest an engine)"; exit 1; }
 	@echo "sim typo suggestion: OK"
+	@_build/default/bin/hirc.exe sim fifo --batch 4 --vcd _build/batch.vcd 2>&1 \
+	  | grep -q "^--vcd:1:1: error: --vcd dumps a single simulation" \
+	  || { echo "make check: FAILED (sim --batch 4 --vcd was not rejected)"; exit 1; }
+	@echo "sim --batch --vcd rejection: OK"
 	$(MAKE) faults
 	$(MAKE) serve-smoke
 	$(MAKE) crash

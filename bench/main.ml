@@ -10,7 +10,7 @@
      --figure 3   memref banking layout (Figure 3)
      --check      functional verification of every generated design
      --bechamel   Bechamel micro-benchmarks backing Table 6
-     --sim-scaling  compiled RTL simulator vs reference tree-walker
+     --sim-scaling  opcode RTL simulator vs reference tree-walker
      --incremental  edit-1-of-8-kernels warm recompile vs cold batch
      --emit-scaling flat vs shared-definition emission, bytes + time
      --stages     per-stage compile-time breakdown through lib/driver
@@ -523,11 +523,10 @@ let canonicalize_scaling () =
     exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Sim scaling: opcode buffer vs compiled closures vs reference        *)
+(* Sim scaling: opcode engine vs reference walker                      *)
 
-(* Three engines: the reference simulator re-walks every expression
-   tree per settle; the PR 4 compiled engine lowers to slot-indexed
-   closures; the opcode engine lowers one step further, to a flat
+(* Two engines: the reference simulator re-walks every expression tree
+   per settle; the opcode engine lowers the netlist once to a flat
    int-array opcode program interpreted by a single match loop, with
    batched multi-stimulus runs sharing one compiled program.
 
@@ -539,24 +538,32 @@ let canonicalize_scaling () =
    (Subtracting a separately measured elaboration time from the
    end-to-end figure gives the same quantity in expectation, but as
    the difference of two noisy measurements it is far too jittery to
-   gate on.)  make check requires on GEMM 16x16: the opcode engine's
-   steady-state rate at least 10x the compiled engine's end-to-end
-   rate (the PR 4 headline metric), the compiled engine keeping its
-   own 10x lead over the reference walker, a wall budget — and, on the
-   small designs, an end-to-end no-regression budget for opcode vs
-   compiled. *)
+   gate on.)  make check requires each design to beat the reference
+   walker's end-to-end rate by its floor below — on GEMM 16x16 with
+   the opcode engine's steady-state rate, on the small designs end to
+   end — and GEMM to finish within a wall budget.
+
+   The floors carry over gates once stated against the closure-compiled
+   engine, since deleted: 10x its end-to-end rate for GEMM steady state
+   and 0.8x it end to end on the small designs.  Each floor is that
+   factor times R_d, the deleted engine's end-to-end speed over the
+   reference walker on design d, taken as the larger median of two
+   sets of 12 runs of this bench on a 2-vCPU host (median [range]):
+                  set A                set B                floor
+     gemm         31.7x [29.4 - 43.0]  30.1x [21.2 - 35.1]  10 * 31.7  = 317x
+     convolution  10.1x [7.9 - 11.3]   10.4x                0.8 * 10.4 = 8.32x
+     transpose     5.9x [3.7 - 7.6]     5.9x                0.8 * 5.9  = 4.72x
+     histogram    11.6x [7.2 - 14.9]   12.4x                0.8 * 12.4 = 9.92x *)
 
 let sim_gemm_budget_s = 2.0
-let sim_gemm_min_speedup = 10.0
-let sim_small_regression = 0.8
 let sim_batch_k = 4
 
 let sim_scaling () =
   let module Sim = Hir_rtl.Sim in
   let module Flatten = Hir_rtl.Flatten in
-  header "Sim scaling: opcode / compiled / reference engines (cycles/second)";
-  Printf.printf "%-12s %6s %9s %9s %9s %10s %10s %8s\n" "benchmark" "cycles" "ref(c/s)"
-    "comp(c/s)" "op(c/s)" "steady c/s" "batch4 c/s" "speedup";
+  header "Sim scaling: opcode / reference engines (cycles/second)";
+  Printf.printf "%-12s %6s %9s %9s %10s %10s %8s\n" "benchmark" "cycles" "ref(c/s)" "op(c/s)"
+    "steady c/s" "batch4 c/s" "speedup";
   let gemm_inputs =
     let a, b = Hir_kernels.Gemm.make_inputs ~seed:34 in
     [ Harness.Tensor a; Harness.Tensor b; Harness.Out_tensor ]
@@ -586,62 +593,70 @@ let sim_scaling () =
   let violation = ref None in
   let violate fmt = Printf.ksprintf (fun m -> if !violation = None then violation := Some m) fmt in
   List.iter
-    (fun (name, build, inputs, small) ->
+    (fun (name, build, inputs, floor) ->
       let m, f = build () in
       let cycles = interp_cycles ~m ~f inputs in
       (* compile mutates the module (unroll etc.), so rebuild fresh. *)
       let m, f = build () in
       let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
       let run ~engine () = Harness.run ~engine ~emitted ~inputs ~cycles () in
-      let elab ~engine () =
-        best_seconds ~runs:3 (fun () ->
-            Sys.opaque_identity (Sim.create ~engine (Flatten.flatten emitted.Emit.design)))
-      in
+      let last_stats = ref None in
       (* Steady-state: elaborate once, then time per-stimulus work only
          (fork, agents, cycle loop) on forks of the shared program. *)
-      let steady_run ~engine ~runs () =
-        let proto = Sim.create ~engine (Flatten.flatten emitted.Emit.design) in
+      let proto = Sim.create (Flatten.flatten emitted.Emit.design) in
+      let steady_run () =
         let total = cycles + 8 in
-        best_seconds ~runs (fun () ->
-            let sim = Sim.fork proto in
-            let agents = Harness.setup_agents sim ~emitted ~inputs in
-            let start = Sim.writer sim "t_start" in
-            for c = 0 to total - 1 do
-              Harness.cycle_once sim ~start agents None ~is_first:(c = 0)
-            done;
-            Sys.opaque_identity (Harness.finish_run sim ~emitted ~total))
+        let sim = Sim.fork proto in
+        let agents = Harness.setup_agents sim ~emitted ~inputs in
+        let start = Sim.writer sim "t_start" in
+        for c = 0 to total - 1 do
+          Harness.cycle_once sim ~start agents None ~is_first:(c = 0)
+        done;
+        Harness.finish_run sim ~emitted ~total
       in
-      let last_stats = ref None in
-      let reference_t = best_seconds ~runs:3 (fun () -> run ~engine:`Reference ()) in
-      let compiled_t = best_seconds ~runs:5 (fun () -> run ~engine:`Compiled ()) in
-      let opcode_t =
-        best_seconds ~runs:5 (fun () ->
-            let result, _ = run ~engine:`Opcode () in
-            last_stats := Some result.Harness.sim_stats;
-            result)
+      let opcode_run () =
+        let result, _ = run ~engine:`Opcode () in
+        last_stats := Some result.Harness.sim_stats;
+        result
       in
+      (* The reference runs are interleaved with the opcode samples
+         each gate compares them with, so the minima on both sides of
+         a ratio come from the same stretch of time: a slow phase of
+         the host during a short opcode window would otherwise skew
+         the ratio (GEMM's reference runs take seconds, its steady
+         samples milliseconds). *)
+      let reference_t = ref infinity and opcode_t = ref infinity in
+      let opcode_steady_t = ref infinity in
+      let sample best f =
+        let t0 = Unix.gettimeofday () in
+        ignore (Sys.opaque_identity (f ()));
+        best := Float.min !best (Unix.gettimeofday () -. t0)
+      in
+      for i = 1 to 5 do
+        if i <= 3 then sample reference_t (fun () -> run ~engine:`Reference ());
+        sample opcode_t opcode_run;
+        sample opcode_steady_t steady_run
+      done;
+      let reference_t = !reference_t and opcode_t = !opcode_t in
+      let opcode_steady_t = !opcode_steady_t in
       let batch_t =
         best_seconds ~runs:3 (fun () ->
             Harness.run_batch ~engine:`Opcode ~emitted
               ~stimuli:(List.init sim_batch_k (fun _ -> inputs))
               ~cycles ())
       in
-      let compiled_elab_t = elab ~engine:`Compiled () in
-      let opcode_elab_t = elab ~engine:`Opcode () in
-      let compiled_steady_t = steady_run ~engine:`Compiled ~runs:5 () in
-      let opcode_steady_t = steady_run ~engine:`Opcode ~runs:5 () in
+      let opcode_elab_t =
+        best_seconds ~runs:3 (fun () ->
+            Sys.opaque_identity (Sim.create (Flatten.flatten emitted.Emit.design)))
+      in
       let stats = match !last_stats with Some s -> s | None -> assert false in
       let total_cycles = float_of_int stats.Sim.st_cycles in
       let cps t = total_cycles /. t in
       let reference_cps = cps reference_t in
-      let compiled_cps = cps compiled_t in
       let opcode_cps = cps opcode_t in
-      let compiled_steady_cps = cps compiled_steady_t in
       let opcode_steady_cps = cps opcode_steady_t in
       let batch_cps = float_of_int sim_batch_k *. total_cycles /. batch_t in
-      (* The headline: opcode steady-state over the PR 4 end-to-end
-         compiled rate. *)
-      let speedup = opcode_steady_cps /. compiled_cps in
+      let speedup = opcode_steady_cps /. reference_cps in
       let evaluated = stats.Sim.st_assigns_evaluated in
       let skipped = stats.Sim.st_assigns_skipped in
       let fast_rate =
@@ -656,52 +671,43 @@ let sim_scaling () =
         [
           ("cycles", total_cycles);
           ("reference_s", reference_t);
-          ("compiled_s", compiled_t);
           ("opcode_s", opcode_t);
           ("batch_s", batch_t);
           ("reference_cps", reference_cps);
-          ("compiled_cps", compiled_cps);
           ("opcode_cps", opcode_cps);
-          ("compiled_elab_s", compiled_elab_t);
           ("opcode_elab_s", opcode_elab_t);
-          ("compiled_steady_cps", compiled_steady_cps);
           ("opcode_steady_cps", opcode_steady_cps);
           ("batch_cps", batch_cps);
           ("batch_k", float_of_int sim_batch_k);
-          ("speedup_steady_vs_compiled", speedup);
+          ("speedup_steady_vs_reference", speedup);
           ("fastpath_rate", fast_rate);
           ("skip_rate", skip_rate);
         ];
-      Printf.printf "%-12s %6d %9.0f %9.0f %9.0f %10.0f %10.0f %7.1fx\n" name
-        stats.Sim.st_cycles reference_cps compiled_cps opcode_cps opcode_steady_cps batch_cps
-        speedup;
-      if name = "gemm" then begin
-        if speedup < sim_gemm_min_speedup then
-          violate
-            "opcode steady-state only %.1fx over compiled end-to-end on GEMM (need %.0fx)"
-            speedup sim_gemm_min_speedup;
-        if reference_t /. compiled_t < sim_gemm_min_speedup then
-          violate "compiled simulator only %.1fx over reference on GEMM (need %.0fx)"
-            (reference_t /. compiled_t) sim_gemm_min_speedup;
-        if opcode_t > sim_gemm_budget_s then
-          violate "opcode GEMM simulation took %.3fs (budget %.1fs)" opcode_t
-            sim_gemm_budget_s
-      end;
-      if small && opcode_cps < sim_small_regression *. compiled_cps then
-        violate "opcode end-to-end %.0f c/s < %.1fx compiled %.0f c/s on %s" opcode_cps
-          sim_small_regression compiled_cps name)
+      Printf.printf "%-12s %6d %9.0f %9.0f %10.0f %10.0f %7.1fx\n" name stats.Sim.st_cycles
+        reference_cps opcode_cps opcode_steady_cps batch_cps speedup;
+      (match floor with
+      | `Steady k ->
+        if speedup < k then
+          violate "opcode steady-state only %.0fx over reference end-to-end on %s (need %.0fx)"
+            speedup name k
+      | `End_to_end k ->
+        let e2e = opcode_cps /. reference_cps in
+        if e2e < k then
+          violate "opcode end-to-end only %.2fx over reference on %s (need %.2fx)" e2e name k);
+      if name = "gemm" && opcode_t > sim_gemm_budget_s then
+        violate "opcode GEMM simulation took %.3fs (budget %.1fs)" opcode_t sim_gemm_budget_s)
+    (* Each design's floor over the reference walker, derived above. *)
     [
-      ("gemm", (fun () -> Hir_kernels.Gemm.build ()), gemm_inputs, false);
-      ("convolution", Hir_kernels.Convolution.build, conv_inputs, true);
-      ("transpose", Hir_kernels.Transpose.build, transpose_inputs, true);
-      ("histogram", Hir_kernels.Histogram.build, histogram_inputs, true);
+      ("gemm", (fun () -> Hir_kernels.Gemm.build ()), gemm_inputs, `Steady 317.0);
+      ("convolution", Hir_kernels.Convolution.build, conv_inputs, `End_to_end 8.32);
+      ("transpose", Hir_kernels.Transpose.build, transpose_inputs, `End_to_end 4.72);
+      ("histogram", Hir_kernels.Histogram.build, histogram_inputs, `End_to_end 9.92);
     ];
   match !violation with
   | None ->
     Printf.printf
-      "\nsim budget OK (GEMM opcode steady >= %.0fx compiled end-to-end, compiled >= \
-       %.0fx reference, within %.1fs; small designs within %.1fx)\n"
-      sim_gemm_min_speedup sim_gemm_min_speedup sim_gemm_budget_s sim_small_regression
+      "\nsim budget OK (every design over its reference floor; GEMM within %.1fs)\n"
+      sim_gemm_budget_s
   | Some msg ->
     Printf.eprintf "\nSIM BUDGET VIOLATION: %s\n" msg;
     exit 1

@@ -25,12 +25,26 @@
      hirc cache <dir> [--verify] [--prune]
          check every cache entry against its content digest
          (quarantining damaged ones) and/or empty the quarantine
-     hirc sim <kernel> [--cycles N] [--engine opcode|compiled|reference]
+     hirc fuzz [N] [--seed S] [--full] [--corpus DIR] [--crash-dir DIR]
+               [--dump-last FILE]
+         mutation-fuzz the textual frontend (--full: also passes, codegen
+         and printing); exits 1 if any input crashes instead of failing
+         with a diagnostic
+     hirc sim <kernel> [--cycles N] [--engine opcode|reference]
               [--batch K] [--stats] [--vcd out.vcd] [--hls] [--inject SPEC]
          compile a built-in kernel and run it in the RTL simulator with
          generic inputs; --batch runs K interleaved stimuli through one
-         compiled program, --stats reports the simulator's own counters
-         (settles, assigns evaluated vs skipped, fast-path hit rate)
+         compiled program (--vcd needs K = 1), --stats reports the
+         simulator's own counters (settles, assigns evaluated vs
+         skipped, fast-path hit rate)
+     hirc serve (--socket PATH | --port P) [-j N] [--queue-depth N]
+                [--cache-dir D] [--journal DIR] [--deadline S] [--verbose]
+         persistent compile server: line-JSON compile/cancel/poll frames
+         and health/metrics probes, with an optional write-ahead job
+         journal for crash recovery and a graceful drain on SIGTERM
+     hirc journal <dir> [--verify] [--compact]
+         replay a serve journal and report pending and quarantined
+         records, and/or rewrite it down to its pending set
 
    The end-to-end flow (parse → verify → passes → emit) lives in
    [Hir_driver.Driver]; this file is only the command-line surface. *)
@@ -519,8 +533,8 @@ let sim_cmd =
       value & opt string "opcode"
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Simulation engine: $(b,opcode) (default), $(b,compiled) or \
-             $(b,reference)")
+            "Simulation engine: $(b,opcode) (default) or $(b,reference) (the \
+             tree-walking oracle)")
   in
   let batch_arg =
     Arg.(
@@ -534,7 +548,8 @@ let sim_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "vcd" ] ~docv:"OUT.vcd" ~doc:"Dump a VCD waveform to $(docv)")
+      & info [ "vcd" ] ~docv:"OUT.vcd"
+          ~doc:"Dump a VCD waveform to $(docv) (a single simulation: needs --batch 1)")
   in
   let hls_arg =
     Arg.(
@@ -554,6 +569,15 @@ let sim_cmd =
     in
     let* engine = parse_engine engine_s in
     let* batch = parse_batch batch_s in
+    let* () =
+      if batch > 1 && vcd_path <> None then
+        Error
+          (arg_diag ~flag:"--vcd"
+             (Printf.sprintf
+                "--vcd dumps a single simulation; drop it or use --batch 1 (got --batch %d)"
+                batch))
+      else Ok ()
+    in
     match fault_config_of inject inject_seed with
     | Error e ->
       prerr_endline e;
@@ -623,8 +647,6 @@ let sim_cmd =
                   [ Harness.run ~engine ?vcd_path ~emitted
                       ~inputs:harness_inputs ~cycles () ]
                 else
-                  (* --vcd samples a single simulation; batched runs
-                     skip waveform dumping. *)
                   Harness.run_batch ~engine ~emitted
                     ~stimuli:(List.init batch (fun _ -> harness_inputs))
                     ~cycles ()))

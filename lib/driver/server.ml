@@ -109,7 +109,7 @@ type job_ctx = {
 type conn = {
   co_id : int;
   co_fd : Unix.file_descr;
-  co_buf : Buffer.t;  (* bytes read, not yet split into lines *)
+  co_buf : Buffer.t;  (* an unterminated frame carried over from earlier reads *)
   co_jobs : (string, job_ctx Service.handle) Hashtbl.t;  (* in flight *)
   mutable co_closed : bool;
 }
@@ -823,26 +823,47 @@ let handle_line t conn line =
       send_frame t conn (Protocol.Json.Obj [ ("event", Protocol.Json.Str "shutdown") ]);
       start_drain t "shutdown frame"
 
+(* The longest unterminated frame a connection may buffer.  Real
+   requests are a few KB of HIR text; a client past this is answered
+   with a protocol error and disconnected, so one peer cannot grow
+   server memory without bound. *)
+let max_frame_bytes = 8 * 1024 * 1024
+
 let handle_readable t conn =
   let chunk = Bytes.create 65536 in
   match no_eintr (fun () -> Unix.read conn.co_fd chunk 0 (Bytes.length chunk)) with
   | 0 -> disconnect t conn
   | got ->
-    Buffer.add_subbytes conn.co_buf chunk 0 got;
-    (* Split off complete lines; a partial tail stays buffered. *)
-    let rec split () =
-      let contents = Buffer.contents conn.co_buf in
-      match String.index_opt contents '\n' with
-      | None -> ()
-      | Some i ->
-        let line = String.sub contents 0 i in
-        Buffer.clear conn.co_buf;
-        Buffer.add_string conn.co_buf
-          (String.sub contents (i + 1) (String.length contents - i - 1));
-        handle_line t conn line;
-        if not conn.co_closed then split ()
+    let data = Bytes.sub_string chunk 0 got in
+    (* Split complete lines out of this read at a moving offset.  Only
+       an unterminated tail is carried over, to prefix the first line of
+       a later read, so each byte is copied a bounded number of times
+       however many lines one read holds. *)
+    let rec split start =
+      if not conn.co_closed then
+        match String.index_from_opt data start '\n' with
+        | Some i ->
+          let line =
+            if Buffer.length conn.co_buf = 0 then String.sub data start (i - start)
+            else begin
+              Buffer.add_substring conn.co_buf data start (i - start);
+              let line = Buffer.contents conn.co_buf in
+              Buffer.reset conn.co_buf;
+              line
+            end
+          in
+          handle_line t conn line;
+          split (i + 1)
+        | None ->
+          Buffer.add_substring conn.co_buf data start (got - start);
+          if Buffer.length conn.co_buf > max_frame_bytes then begin
+            send_frame t conn
+              (Protocol.error_frame
+                 (Printf.sprintf "frame exceeds %d bytes without a newline" max_frame_bytes));
+            disconnect t conn
+          end
     in
-    split ()
+    split 0
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     disconnect t conn
 

@@ -122,8 +122,7 @@ type run_result = {
   output_values : (string * Bitvec.t) list;  (* scalar results at the end *)
   engine_used : Sim.engine;
       (* the engine that actually produced this result — [`Reference]
-         with a compiled engine requested means the degradation ladder
-         fired *)
+         with [`Opcode] requested means the degradation ladder fired *)
   sim_stats : Sim.stats;
 }
 
@@ -190,14 +189,13 @@ let run_once ?(extra_cycles = 8) ~engine ?vcd_path ~(emitted : Emit.emitted) ~in
   Option.iter Vcd.close vcd;
   (result, agents)
 
-(* Degradation ladder: an internal [Sim_error] from a compiled engine
+(* Degradation ladder: an internal [Sim_error] from the opcode engine
    (a compilation bug, or an injected "sim.settle" fault) falls back to
    a full re-run on the reference tree walker — slower, but the
-   executable specification.  Both compiled engines (opcode and
-   closure-based) sit on the same rung; the fallback is recorded
-   through [Pass.record_counter], so `hirc sim --stats` and Chrome
-   traces show "sim.fallback_reference" instead of degrading silently.
-   A [Sim_error] from the reference engine itself propagates: there is
+   executable specification.  The fallback is recorded through
+   [Pass.record_counter], so `hirc sim --stats` and Chrome traces show
+   "sim.fallback_reference" instead of degrading silently.  A
+   [Sim_error] from the reference engine itself propagates: there is
    no lower rung. *)
 let run ?extra_cycles ?(engine = `Opcode) ?vcd_path ~emitted ~inputs ~cycles () =
   match run_once ?extra_cycles ~engine ?vcd_path ~emitted ~inputs ~cycles () with

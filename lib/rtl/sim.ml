@@ -10,20 +10,21 @@
 
    Two engines share the same interface:
 
-   - [Compiled] (the default): a compile-once, run-many engine.  At
-     [create] time every signal name is resolved to an integer slot in
-     a dense state array, every expression is compiled to a closure
-     with its context width precomputed, and always-blocks are compiled
-     with a reusable update buffer.  [settle] is event-driven: the
-     assign dependency graph is built once and per cycle only assigns
-     whose source slots actually changed are re-evaluated (dirty-set
-     propagation in topological order).  Signals of width <= 63 live
-     unboxed on native OCaml ints with masking; wider signals fall back
-     to [Bitvec].
+   - [Opcode] (the default): a compile-once, run-many engine.  At
+     [create] time every signal name is resolved to a slot in a dense
+     register file, and every assign and always block is compiled to
+     a flat block of integer opcodes with its context widths
+     precomputed.  Both phases are event-driven: per cycle only
+     assigns whose sources actually changed are re-evaluated, in
+     topological order, and a clock edge skips the always blocks whose
+     inputs did not change (see [Opcode.create] for the exceptions).
+     Signals of width <= 63 live unboxed on native OCaml ints with
+     masking; wider signals fall back to [Bitvec].
 
    - [Reference]: the original tree-walking interpreter, kept as the
-     oracle for the compiled engine (see test_sim_equiv) and as the
-     executable specification of the width semantics. *)
+     oracle for the opcode engine (see test_sim_equiv), as the
+     executable specification of the width semantics, and as the
+     engine the harness falls back to on an internal [Sim_error]. *)
 
 open Hir_verilog.Ast
 
@@ -31,9 +32,9 @@ exception Sim_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Sim_error s)) fmt
 
-(* Fault-injection hook, called once per settle of the *compiled*
-   engine only — the reference walker stays clean because it is the
-   fallback the harness degrades to on [Sim_error].  The driver's fault
+(* Fault-injection hook, called once per settle of the *opcode* engine
+   only — the reference walker stays clean because it is the fallback
+   the harness degrades to on [Sim_error].  The driver's fault
    subsystem (lib/driver/faults.ml, which this library must not depend
    on) installs a callback that raises [Sim_error] on an injected
    "sim.settle" fault; the default is a no-op closure, so the cost when
@@ -60,7 +61,7 @@ let rec wire_deps expr acc =
   | Concat es -> List.fold_left (fun acc e -> wire_deps e acc) acc es
 
 (* Memories read by an expression — the state half of the dependency
-   story that [wire_deps] deliberately excludes.  The compiled engine
+   story that [wire_deps] deliberately excludes.  The opcode engine
    uses this to re-settle reads of a memory after a write commits. *)
 let rec mem_reads expr acc =
   match expr with
@@ -168,7 +169,7 @@ type stats = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Runtime pieces shared by the compiled engines                       *)
+(* Runtime pieces of the opcode engine                                 *)
 
 (* Low [w] bits of a native int; [mask 63] is all 63 OCaml int bits
    (-1), so width-63 values use bit 62 as the OCaml sign bit.  Every
@@ -491,756 +492,33 @@ module Reference = struct
 end
 
 (* ================================================================== *)
-(* Compiled engine                                                     *)
-
-module Compiled = struct
-  type slot = {
-    sl_name : string;
-    sl_width : int;
-    sl_is_reg : bool;
-    sl_idx : int;  (* index into the narrow or wide value array *)
-    sl_id : int;  (* dense id in the dependency graph *)
-  }
-
-  type mem_store = M_narrow of int array | M_wide of Bitvec.t array
-
-  type mem = {
-    m_name : string;
-    m_elem_width : int;
-    m_store : mem_store;
-    m_id : int;  (* dependency-graph id: memory contents are a source *)
-    m_pos : int;  (* index into the [mems] array, for update records *)
-  }
-
-  (* Compilation environment: name resolution plus the live state
-     arrays the compiled closures read and write. *)
-  type cenv = {
-    ce_signals : (string, slot) Hashtbl.t;
-    ce_mems : (string, mem) Hashtbl.t;
-    ce_narrow : int array;
-    ce_wide : Bitvec.t array;
-  }
-
-  type t = {
-    env : cenv;
-    rt : rt;
-    buf : ubuf;
-    mems : mem array;
-    assign_eval : (unit -> unit) array;  (* topo order: eval, store, mark *)
-    assign_fast : bool array;  (* target is narrow (unboxed) *)
-    dirty : bool array;  (* per assign, same indexing *)
-    deps : int array array;  (* slot id -> assign indices reading it *)
-    always : (unit -> unit) array;
-    inputs : string list;
-    outputs : string list;
-    n_narrow_signals : int;
-    n_wide_signals : int;
-  }
-
-  (* ---------------------------------------------------------------- *)
-  (* Expression compilation                                            *)
-
-  let sig_width env name =
-    match Hashtbl.find_opt env.ce_signals name with
-    | Some s -> s.sl_width
-    | None -> (
-      match Hashtbl.find_opt env.ce_mems name with
-      | Some m -> m.m_elem_width
-      | None -> fail "unknown signal %s" name)
-
-  let natural env expr = natural_width ~signal_width:(sig_width env) expr
-
-  (* [compile_int env ~width e] compiles [e] to a closure producing its
-     value at context [width] (1 <= width <= 63) as a masked native
-     int.  [compile_bv] is the general boxed path for any width; each
-     evaluation point picks a path by its own evaluation width, so a
-     narrow context can still dive into wide subexpressions and vice
-     versa. *)
-  let rec compile_int env ~width e : unit -> int =
-    let mw = mask width in
-    match e with
-    | Const b ->
-      let v = Bitvec.to_int_trunc (Bitvec.resize ~width b) in
-      fun () -> v
-    | Ref name -> (
-      match Hashtbl.find_opt env.ce_signals name with
-      | None -> fail "read of unknown signal %s" name
-      | Some s ->
-        let narrow = env.ce_narrow and wide = env.ce_wide in
-        let idx = s.sl_idx in
-        if s.sl_width > 63 then fun () -> Bitvec.to_int_trunc wide.(idx) land mw
-        else if s.sl_width <= width then fun () -> narrow.(idx)
-        else fun () -> narrow.(idx) land mw)
-    | Index (name, addr) -> (
-      match Hashtbl.find_opt env.ce_mems name with
-      | None -> fail "indexing non-memory %s" name
-      | Some m ->
-        let fa = compile_addr env addr in
-        (match m.m_store with
-        | M_narrow cells ->
-          let depth = Array.length cells in
-          if m.m_elem_width <= width then
-            fun () ->
-              let a = fa () in
-              if a >= 0 && a < depth then cells.(a) else 0
-          else
-            fun () ->
-              let a = fa () in
-              if a >= 0 && a < depth then cells.(a) land mw else 0
-        | M_wide cells ->
-          let depth = Array.length cells in
-          fun () ->
-            let a = fa () in
-            if a >= 0 && a < depth then Bitvec.to_int_trunc cells.(a) land mw
-            else 0))
-    | Slice (e1, hi, lo) ->
-      let wi = max (hi + 1) (natural env e1) in
-      let m = mask (min (hi - lo + 1) width) in
-      if wi <= 63 then
-        let f = compile_int env ~width:wi e1 in
-        fun () -> (f () lsr lo) land m
-      else
-        let f = compile_bv env ~width:wi e1 in
-        fun () -> Bitvec.to_int_trunc (Bitvec.extract ~hi ~lo (f ())) land m
-    | Unop (Not, e1) ->
-      let f = compile_int env ~width e1 in
-      fun () -> lnot (f ()) land mw
-    | Unop (Red_or, e1) ->
-      let f = compile_nonzero env e1 in
-      fun () -> if f () then 1 else 0
-    | Unop (Red_and, e1) -> (
-      let wn = max 1 (natural env e1) in
-      if wn <= 63 then
-        let f = compile_int env ~width:wn e1 in
-        let all = mask wn in
-        fun () -> if f () = all then 1 else 0
-      else
-        let f = compile_bv env ~width:wn e1 in
-        let all = Bitvec.ones wn in
-        fun () -> if Bitvec.equal (f ()) all then 1 else 0)
-    | Binop (((Add | Sub | Mul | And | Or | Xor) as op), a, b) -> (
-      let fa = compile_int env ~width a and fb = compile_int env ~width b in
-      match op with
-      | Add -> fun () -> (fa () + fb ()) land mw
-      | Sub -> fun () -> (fa () - fb ()) land mw
-      | Mul -> fun () -> fa () * fb () land mw
-      | And -> fun () -> fa () land fb ()
-      | Or -> fun () -> fa () lor fb ()
-      | Xor -> fun () -> fa () lxor fb ()
-      | _ -> assert false)
-    | Binop (Shl, a, b) ->
-      let fa = compile_int env ~width a and fk = compile_shift env b in
-      fun () ->
-        let k = fk () in
-        if k < 0 || k >= width then 0 else (fa () lsl k) land mw
-    | Binop (Shr, a, b) ->
-      let fa = compile_int env ~width a and fk = compile_shift env b in
-      fun () ->
-        let k = fk () in
-        if k < 0 || k >= width then 0 else fa () lsr k
-    | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) -> (
-      let cmp = compile_compare env a b in
-      match op with
-      | Lt -> fun () -> if cmp () < 0 then 1 else 0
-      | Le -> fun () -> if cmp () <= 0 then 1 else 0
-      | Gt -> fun () -> if cmp () > 0 then 1 else 0
-      | Ge -> fun () -> if cmp () >= 0 then 1 else 0
-      | Eq -> fun () -> if cmp () = 0 then 1 else 0
-      | Ne -> fun () -> if cmp () <> 0 then 1 else 0
-      | _ -> assert false)
-    | Binop (Log_and, a, b) ->
-      let fa = compile_nonzero env a and fb = compile_nonzero env b in
-      fun () -> if fa () && fb () then 1 else 0
-    | Binop (Log_or, a, b) ->
-      let fa = compile_nonzero env a and fb = compile_nonzero env b in
-      fun () -> if fa () || fb () then 1 else 0
-    | Ternary (c, a, b) ->
-      let fc = compile_nonzero env c in
-      let fa = compile_int env ~width a and fb = compile_int env ~width b in
-      fun () -> if fc () then fa () else fb ()
-    | Concat [] -> fail "empty concatenation"
-    | Concat es ->
-      let widths = List.map (fun e -> max 1 (natural env e)) es in
-      let total = List.fold_left ( + ) 0 widths in
-      if total <= 63 then begin
-        (* Part i occupies bits [shift_i, shift_i + w_i); a lone
-           width-63 part gets shift 0, so [lsl] stays in range. *)
-        let fs = Array.of_list (List.map2 (fun e w -> compile_int env ~width:w e) es widths) in
-        let ws = Array.of_list widths in
-        let n = Array.length fs in
-        let shifts = Array.make n 0 in
-        let acc = ref 0 in
-        for i = n - 1 downto 0 do
-          shifts.(i) <- !acc;
-          acc := !acc + ws.(i)
-        done;
-        let combine () =
-          let v = ref 0 in
-          for i = 0 to n - 1 do
-            v := !v lor (fs.(i) () lsl shifts.(i))
-          done;
-          !v
-        in
-        if width >= total then combine else fun () -> combine () land mw
-      end
-      else
-        let f = compile_concat_bv env es widths in
-        fun () -> Bitvec.to_int_trunc (f ()) land mw
-
-  and compile_bv env ~width e : unit -> Bitvec.t =
-    match e with
-    | Const b ->
-      let v = Bitvec.resize ~width b in
-      fun () -> v
-    | Ref name -> (
-      match Hashtbl.find_opt env.ce_signals name with
-      | None -> fail "read of unknown signal %s" name
-      | Some s ->
-        let narrow = env.ce_narrow and wide = env.ce_wide in
-        let idx = s.sl_idx in
-        if s.sl_width > 63 then
-          if s.sl_width = width then fun () -> wide.(idx)
-          else fun () -> Bitvec.resize ~width wide.(idx)
-        else
-          let sw = s.sl_width in
-          fun () -> Bitvec.resize ~width (Bitvec.of_int ~width:sw narrow.(idx)))
-    | Index (name, addr) -> (
-      match Hashtbl.find_opt env.ce_mems name with
-      | None -> fail "indexing non-memory %s" name
-      | Some m ->
-        let fa = compile_addr env addr in
-        let oob = Bitvec.zero width in
-        (match m.m_store with
-        | M_narrow cells ->
-          let depth = Array.length cells and ew = m.m_elem_width in
-          fun () ->
-            let a = fa () in
-            if a >= 0 && a < depth then
-              Bitvec.resize ~width (Bitvec.of_int ~width:ew cells.(a))
-            else oob
-        | M_wide cells ->
-          let depth = Array.length cells in
-          fun () ->
-            let a = fa () in
-            if a >= 0 && a < depth then Bitvec.resize ~width cells.(a) else oob))
-    | Slice (e1, hi, lo) ->
-      let wi = max (hi + 1) (natural env e1) in
-      if wi <= 63 then
-        let f = compile_int env ~width:wi e1 in
-        let sw = hi - lo + 1 in
-        let m = mask sw in
-        fun () -> Bitvec.resize ~width (Bitvec.of_int ~width:sw ((f () lsr lo) land m))
-      else
-        let f = compile_bv env ~width:wi e1 in
-        fun () -> Bitvec.resize ~width (Bitvec.extract ~hi ~lo (f ()))
-    | Unop (Not, e1) ->
-      let f = compile_bv env ~width e1 in
-      fun () -> Bitvec.lognot (f ())
-    | Unop (Red_or, e1) ->
-      let f = compile_nonzero env e1 in
-      let tru = Bitvec.resize ~width (Bitvec.of_bool true) and fls = Bitvec.zero width in
-      fun () -> if f () then tru else fls
-    | Unop (Red_and, e1) -> (
-      let wn = max 1 (natural env e1) in
-      let tru = Bitvec.resize ~width (Bitvec.of_bool true) and fls = Bitvec.zero width in
-      if wn <= 63 then
-        let f = compile_int env ~width:wn e1 in
-        let all = mask wn in
-        fun () -> if f () = all then tru else fls
-      else
-        let f = compile_bv env ~width:wn e1 in
-        let all = Bitvec.ones wn in
-        fun () -> if Bitvec.equal (f ()) all then tru else fls)
-    | Binop (((Add | Sub | Mul | And | Or | Xor) as op), a, b) ->
-      let fa = compile_bv env ~width a and fb = compile_bv env ~width b in
-      let g =
-        match op with
-        | Add -> Bitvec.add
-        | Sub -> Bitvec.sub
-        | Mul -> Bitvec.mul
-        | And -> Bitvec.logand
-        | Or -> Bitvec.logor
-        | Xor -> Bitvec.logxor
-        | _ -> assert false
-      in
-      fun () -> g (fa ()) (fb ())
-    | Binop (Shl, a, b) ->
-      let fa = compile_bv env ~width a and fk = compile_shift env b in
-      fun () ->
-        let k = fk () in
-        let k = if k < 0 || k > width then width else k in
-        Bitvec.shift_left (fa ()) k
-    | Binop (Shr, a, b) ->
-      let fa = compile_bv env ~width a and fk = compile_shift env b in
-      fun () ->
-        let k = fk () in
-        let k = if k < 0 || k > width then width else k in
-        Bitvec.shift_right_logical (fa ()) k
-    | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) ->
-      let cmp = compile_compare env a b in
-      let tru = Bitvec.resize ~width (Bitvec.of_bool true) and fls = Bitvec.zero width in
-      let test =
-        match op with
-        | Lt -> fun c -> c < 0
-        | Le -> fun c -> c <= 0
-        | Gt -> fun c -> c > 0
-        | Ge -> fun c -> c >= 0
-        | Eq -> fun c -> c = 0
-        | Ne -> fun c -> c <> 0
-        | _ -> assert false
-      in
-      fun () -> if test (cmp ()) then tru else fls
-    | Binop (Log_and, a, b) ->
-      let fa = compile_nonzero env a and fb = compile_nonzero env b in
-      let tru = Bitvec.resize ~width (Bitvec.of_bool true) and fls = Bitvec.zero width in
-      fun () -> if fa () && fb () then tru else fls
-    | Binop (Log_or, a, b) ->
-      let fa = compile_nonzero env a and fb = compile_nonzero env b in
-      let tru = Bitvec.resize ~width (Bitvec.of_bool true) and fls = Bitvec.zero width in
-      fun () -> if fa () || fb () then tru else fls
-    | Ternary (c, a, b) ->
-      let fc = compile_nonzero env c in
-      let fa = compile_bv env ~width a and fb = compile_bv env ~width b in
-      fun () -> if fc () then fa () else fb ()
-    | Concat [] -> fail "empty concatenation"
-    | Concat es ->
-      let widths = List.map (fun e -> max 1 (natural env e)) es in
-      let total = List.fold_left ( + ) 0 widths in
-      let f = compile_concat_bv env es widths in
-      if total = width then f else fun () -> Bitvec.resize ~width (f ())
-
-  (* Concatenation as a [Bitvec] of width = sum of part widths; the
-     first part occupies the high bits. *)
-  and compile_concat_bv env es widths =
-    let fs =
-      List.map2
-        (fun e w ->
-          if w <= 63 then
-            let f = compile_int env ~width:w e in
-            fun () -> Bitvec.of_int ~width:w (f ())
-          else compile_bv env ~width:w e)
-        es widths
-    in
-    match fs with
-    | [] -> fail "empty concatenation"
-    | f0 :: rest -> fun () -> List.fold_left (fun acc f -> Bitvec.concat acc (f ())) (f0 ()) rest
-
-  (* Nonzero test at the expression's natural width. *)
-  and compile_nonzero env e =
-    let wn = max 1 (natural env e) in
-    if wn <= 63 then
-      let f = compile_int env ~width:wn e in
-      fun () -> f () <> 0
-    else
-      let f = compile_bv env ~width:wn e in
-      fun () -> not (Bitvec.is_zero (f ()))
-
-  (* Unsigned comparison at the wider operand's natural width. *)
-  and compile_compare env a b =
-    let w0 = max 1 (max (natural env a) (natural env b)) in
-    if w0 <= 63 then
-      let fa = compile_int env ~width:w0 a and fb = compile_int env ~width:w0 b in
-      fun () -> ucmp (fa ()) (fb ())
-    else
-      let fa = compile_bv env ~width:w0 a and fb = compile_bv env ~width:w0 b in
-      fun () -> Bitvec.compare (fa ()) (fb ())
-
-  (* Shift amount / memory address as a non-negative int; a negative
-     result means "too large to represent" and is treated as
-     out-of-range by the callers (the reference walker raises on such
-     values instead — they are unreachable from generated designs). *)
-  and compile_shift env b =
-    let wb = max 1 (natural env b) in
-    if wb <= 63 then compile_int env ~width:wb b
-    else
-      let f = compile_bv env ~width:wb b in
-      fun () -> ( match Bitvec.to_int_opt (f ()) with Some k -> k | None -> -1)
-
-  and compile_addr env addr = compile_shift env addr
-
-  (* ---------------------------------------------------------------- *)
-  (* Statement compilation (always @(posedge clk) bodies)              *)
-
-  let rec compile_stmt env ~rt ~buf stmt : unit -> unit =
-    match stmt with
-    | Nonblocking (Lref name, e) -> (
-      match Hashtbl.find_opt env.ce_signals name with
-      | None -> fail "unknown signal %s" name
-      | Some s ->
-        let idx = s.sl_idx and id = s.sl_id in
-        if s.sl_width <= 63 then
-          let f = compile_int env ~width:s.sl_width e in
-          fun () -> push buf 0 idx id (f ()) dummy_bv
-        else
-          let f = compile_bv env ~width:s.sl_width e in
-          fun () -> push buf 1 idx id 0 (f ()))
-    | Nonblocking (Lindex (name, addr), e) -> (
-      match Hashtbl.find_opt env.ce_mems name with
-      | None -> fail "write to non-memory %s" name
-      | Some m -> (
-        let fa = compile_addr env addr in
-        let pos = m.m_pos in
-        match m.m_store with
-        | M_narrow _ ->
-          let f = compile_int env ~width:m.m_elem_width e in
-          fun () ->
-            let a = fa () in
-            push buf 2 pos a (f ()) dummy_bv
-        | M_wide _ ->
-          let f = compile_bv env ~width:m.m_elem_width e in
-          fun () ->
-            let a = fa () in
-            push buf 3 pos a 0 (f ())))
-    | If (c, then_s, else_s) ->
-      let fc = compile_nonzero env c in
-      let ft = Array.of_list (List.map (compile_stmt env ~rt ~buf) then_s) in
-      let fe = Array.of_list (List.map (compile_stmt env ~rt ~buf) else_s) in
-      fun () ->
-        let arm = if fc () then ft else fe in
-        for i = 0 to Array.length arm - 1 do
-          arm.(i) ()
-        done
-    | Assert_stmt { cond; message } ->
-      let fc = compile_nonzero env cond in
-      fun () ->
-        if not (fc ()) then
-          rt.failures <- { at_cycle = rt.cycle; message } :: rt.failures
-
-  (* ---------------------------------------------------------------- *)
-  (* Construction                                                      *)
-
-  let create (flat : Flatten.flat) =
-    let sig_tbl = Hashtbl.create 256 in
-    let mem_tbl = Hashtbl.create 16 in
-    let decls = ref [] in
-    let mem_decls = ref [] in
-    let assigns_rev = ref [] in
-    let always_rev = ref [] in
-    List.iter
-      (fun item ->
-        match item with
-        | Wire_decl { name; width } -> decls := (name, width, false) :: !decls
-        | Reg_decl { name; width } -> decls := (name, width, true) :: !decls
-        | Mem_decl { name; width; depth; _ } -> mem_decls := (name, width, depth) :: !mem_decls
-        | Assign { target; expr } -> assigns_rev := (target, expr) :: !assigns_rev
-        | Always_ff stmts -> always_rev := stmts :: !always_rev
-        | Comment _ -> ()
-        | Instance _ -> fail "simulator requires a flattened design")
-      flat.flat_items;
-    let decls = List.rev !decls in
-    let mem_decls = List.rev !mem_decls in
-    let assign_list = List.rev !assigns_rev in
-    let always_stmts = List.concat (List.rev !always_rev) in
-    (* Slot allocation: narrow signals share one int array, wide ones a
-       Bitvec array; every signal and memory also gets a dense id in
-       the dependency graph. *)
-    let n_narrow = ref 0 and n_wide = ref 0 and n_ids = ref 0 in
-    let wide_widths = ref [] in
-    List.iter
-      (fun (name, width, is_reg) ->
-        let idx =
-          if width <= 63 then (
-            let i = !n_narrow in
-            incr n_narrow;
-            i)
-          else (
-            let i = !n_wide in
-            incr n_wide;
-            wide_widths := width :: !wide_widths;
-            i)
-        in
-        let id = !n_ids in
-        incr n_ids;
-        Hashtbl.replace sig_tbl name
-          { sl_name = name; sl_width = width; sl_is_reg = is_reg; sl_idx = idx; sl_id = id })
-      decls;
-    let mems =
-      Array.of_list
-        (List.mapi
-           (fun pos (name, width, depth) ->
-             let id = !n_ids in
-             incr n_ids;
-             let store =
-               if width <= 63 then M_narrow (Array.make depth 0)
-               else M_wide (Array.make depth (Bitvec.zero width))
-             in
-             let m = { m_name = name; m_elem_width = width; m_store = store; m_id = id; m_pos = pos } in
-             Hashtbl.replace mem_tbl name m;
-             m)
-           mem_decls)
-    in
-    let narrow = Array.make (max 1 !n_narrow) 0 in
-    let wide = Array.of_list (List.rev_map (fun w -> Bitvec.zero w) !wide_widths) in
-    let env = { ce_signals = sig_tbl; ce_mems = mem_tbl; ce_narrow = narrow; ce_wide = wide } in
-    let is_comb name =
-      match Hashtbl.find_opt sig_tbl name with
-      | Some s -> not s.sl_is_reg
-      | None -> false
-    in
-    let sorted = Array.of_list (topo_sort_assigns ~is_comb assign_list) in
-    let n_assigns = Array.length sorted in
-    (* Dependency graph: which assigns (by topo index) read each slot.
-       Dependents of an assign's own target always sit later in topo
-       order, so one forward pass over the dirty set per settle is a
-       fixpoint. *)
-    let dep_lists = Array.make (max 1 !n_ids) [] in
-    Array.iteri
-      (fun j (_, expr) ->
-        List.iter
-          (fun name ->
-            match Hashtbl.find_opt sig_tbl name with
-            | Some s -> dep_lists.(s.sl_id) <- j :: dep_lists.(s.sl_id)
-            | None -> ())
-          (wire_deps expr []);
-        List.iter
-          (fun name ->
-            match Hashtbl.find_opt mem_tbl name with
-            | Some m -> dep_lists.(m.m_id) <- j :: dep_lists.(m.m_id)
-            | None -> ())
-          (mem_reads expr []))
-      sorted;
-    let deps = Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) dep_lists in
-    let dirty = Array.make (max 1 n_assigns) true in
-    let rt = fresh_rt () in
-    let buf = fresh_ubuf () in
-    let assign_fast =
-      Array.map
-        (fun (target, _) ->
-          match Hashtbl.find_opt sig_tbl target with
-          | Some s -> s.sl_width <= 63
-          | None -> false)
-        sorted
-    in
-    let assign_eval =
-      Array.map
-        (fun (target, expr) ->
-          match Hashtbl.find_opt sig_tbl target with
-          | None -> fail "assign to undeclared signal %s" target
-          | Some s ->
-            let succs = deps.(s.sl_id) in
-            let idx = s.sl_idx in
-            if s.sl_width <= 63 then begin
-              let f = compile_int env ~width:s.sl_width expr in
-              fun () ->
-                let v = f () in
-                if narrow.(idx) <> v then begin
-                  narrow.(idx) <- v;
-                  Array.iter (fun j -> dirty.(j) <- true) succs
-                end
-            end
-            else begin
-              let f = compile_bv env ~width:s.sl_width expr in
-              fun () ->
-                let v = f () in
-                if not (Bitvec.equal wide.(idx) v) then begin
-                  wide.(idx) <- v;
-                  Array.iter (fun j -> dirty.(j) <- true) succs
-                end
-            end)
-        sorted
-    in
-    let always = Array.of_list (List.map (compile_stmt env ~rt ~buf) always_stmts) in
-    {
-      env;
-      rt;
-      buf;
-      mems;
-      assign_eval;
-      assign_fast;
-      dirty;
-      deps;
-      always;
-      inputs = flat.flat_inputs;
-      outputs = flat.flat_outputs;
-      n_narrow_signals = !n_narrow;
-      n_wide_signals = !n_wide;
-    }
-
-  (* ---------------------------------------------------------------- *)
-  (* Cycle execution                                                   *)
-
-  let settle t =
-    !settle_fault_hook ();
-    let rt = t.rt in
-    rt.settles <- rt.settles + 1;
-    let dirty = t.dirty and evalf = t.assign_eval and fast = t.assign_fast in
-    for i = 0 to Array.length evalf - 1 do
-      if dirty.(i) then begin
-        dirty.(i) <- false;
-        rt.evaluated <- rt.evaluated + 1;
-        if fast.(i) then rt.fast_evaluated <- rt.fast_evaluated + 1;
-        evalf.(i) ()
-      end
-      else rt.skipped <- rt.skipped + 1
-    done
-
-  let mark_slot t id = Array.iter (fun j -> t.dirty.(j) <- true) t.deps.(id)
-
-  (* Commit in reverse push order, replicating the reference walker's
-     list-accumulated semantics exactly: with several updates to one
-     target in a cycle, the first statement executed wins, and
-     out-of-range memory writes report in that same order. *)
-  let commit t =
-    let b = t.buf and narrow = t.env.ce_narrow and wide = t.env.ce_wide in
-    for i = b.u_len - 1 downto 0 do
-      match b.u_kind.(i) with
-      | 0 ->
-        let idx = b.u_a.(i) and v = b.u_iv.(i) in
-        if narrow.(idx) <> v then begin
-          narrow.(idx) <- v;
-          mark_slot t b.u_b.(i)
-        end
-      | 1 ->
-        let idx = b.u_a.(i) and v = b.u_bv.(i) in
-        if not (Bitvec.equal wide.(idx) v) then begin
-          wide.(idx) <- v;
-          mark_slot t b.u_b.(i)
-        end
-      | k -> (
-        let m = t.mems.(b.u_a.(i)) and a = b.u_b.(i) in
-        let oob depth =
-          if a >= 0 && a < depth then false
-          else begin
-            t.rt.failures <-
-              { at_cycle = t.rt.cycle; message = Printf.sprintf "write past end of %s" m.m_name }
-              :: t.rt.failures;
-            true
-          end
-        in
-        match m.m_store with
-        | M_narrow cells ->
-          assert (k = 2);
-          let v = b.u_iv.(i) in
-          if (not (oob (Array.length cells))) && cells.(a) <> v then begin
-            cells.(a) <- v;
-            mark_slot t m.m_id
-          end
-        | M_wide cells ->
-          let v = b.u_bv.(i) in
-          if (not (oob (Array.length cells))) && not (Bitvec.equal cells.(a) v) then begin
-            cells.(a) <- v;
-            mark_slot t m.m_id
-          end)
-    done;
-    b.u_len <- 0
-
-  let clock t =
-    t.buf.u_len <- 0;
-    let always = t.always in
-    for i = 0 to Array.length always - 1 do
-      always.(i) ()
-    done;
-    commit t;
-    t.rt.cycle <- t.rt.cycle + 1
-
-  let step t =
-    settle t;
-    clock t
-
-  let settle_only t = settle t
-
-  let set_input t name v =
-    match Hashtbl.find_opt t.env.ce_signals name with
-    | None -> fail "unknown input %s" name
-    | Some s ->
-      if s.sl_width <= 63 then begin
-        let v = Bitvec.to_int_trunc (Bitvec.resize ~width:s.sl_width v) in
-        if t.env.ce_narrow.(s.sl_idx) <> v then begin
-          t.env.ce_narrow.(s.sl_idx) <- v;
-          mark_slot t s.sl_id
-        end
-      end
-      else begin
-        let v = Bitvec.resize ~width:s.sl_width v in
-        if not (Bitvec.equal t.env.ce_wide.(s.sl_idx) v) then begin
-          t.env.ce_wide.(s.sl_idx) <- v;
-          mark_slot t s.sl_id
-        end
-      end
-
-  let peek t name =
-    match Hashtbl.find_opt t.env.ce_signals name with
-    | Some s ->
-      if s.sl_width <= 63 then Bitvec.of_int ~width:s.sl_width t.env.ce_narrow.(s.sl_idx)
-      else t.env.ce_wide.(s.sl_idx)
-    | None -> fail "unknown signal %s" name
-
-  let reader t name =
-    match Hashtbl.find_opt t.env.ce_signals name with
-    | Some s ->
-      if s.sl_width <= 63 then
-        let file = t.env.ce_narrow and idx = s.sl_idx and w = s.sl_width in
-        fun () -> Bitvec.of_int ~width:w file.(idx)
-      else
-        let file = t.env.ce_wide and idx = s.sl_idx in
-        fun () -> file.(idx)
-    | None -> fail "unknown signal %s" name
-
-  let writer t name =
-    match Hashtbl.find_opt t.env.ce_signals name with
-    | None -> fail "unknown input %s" name
-    | Some s ->
-      let idx = s.sl_idx and w = s.sl_width and id = s.sl_id in
-      if w <= 63 then (fun v ->
-        let v = Bitvec.to_int_trunc (Bitvec.resize ~width:w v) in
-        if t.env.ce_narrow.(idx) <> v then begin
-          t.env.ce_narrow.(idx) <- v;
-          mark_slot t id
-        end)
-      else fun v ->
-        let v = Bitvec.resize ~width:w v in
-        if not (Bitvec.equal t.env.ce_wide.(idx) v) then begin
-          t.env.ce_wide.(idx) <- v;
-          mark_slot t id
-        end
-
-  let signal_width t name = sig_width t.env name
-
-  let failures t = List.rev t.rt.failures
-  let cycle t = t.rt.cycle
-
-  let signal_names t =
-    Hashtbl.fold (fun name s acc -> (name, s.sl_width) :: acc) t.env.ce_signals []
-    |> List.sort compare
-
-  let eval_bool t expr = compile_nonzero t.env expr ()
-
-  let stats t =
-    {
-      st_cycles = t.rt.cycle;
-      st_settles = t.rt.settles;
-      st_assigns_evaluated = t.rt.evaluated;
-      st_assigns_skipped = t.rt.skipped;
-      st_fastpath_evaluated = t.rt.fast_evaluated;
-      st_narrow_signals = t.n_narrow_signals;
-      st_wide_signals = t.n_wide_signals;
-    }
-end
-
-(* ================================================================== *)
 (* Opcode engine                                                       *)
 
-(* The next lowering step after [Compiled]: instead of a closure per
-   expression node, every assign is compiled once into a flat block of
-   integer opcodes over dense register files — narrow values (width <=
-   63) in one [int array], wide values in a [Bitvec.t array], with
-   constants and scratch temporaries materialized as extra slots of the
-   same files.  A settle is then one tight [exec] match loop with no
-   closure calls and no tree traversal.
+(* Every assign is compiled once into a flat block of integer opcodes
+   over dense register files — narrow values (width <= 63) in one
+   [int array], wide values in a [Bitvec.t array], with constants and
+   scratch temporaries materialized as extra slots of the same files.
+   A settle is then one tight [exec] match loop with no closure calls
+   and no tree traversal.
 
-   Width semantics are inherited by construction: the compiler below
-   mirrors [Compiled.compile_int]/[compile_bv] case by case, so every
-   opcode sequence computes exactly what the corresponding closure
-   would have (the qcheck lockstep suite in test_sim_equiv checks this
-   against both other engines).  The one intentional difference is that
-   a mux evaluates both arms before selecting — safe because
-   expressions are pure (memory reads out of range yield 0 and cannot
-   fail), and cheaper than a branch per node.
+   Width semantics are those of [Reference.eval], resolved at compile
+   time: every evaluation point gets its context width (assignment at
+   the target's width, comparisons at the wider operand's natural
+   width, self-determined shifts, slices and concatenations) and picks
+   the narrow or the wide opcode family by that width, so a narrow
+   context can still dive into wide subexpressions and vice versa.
+   The qcheck lockstep suite in test_sim_equiv checks the result
+   against the reference walker.  Two intentional differences: a mux
+   evaluates both arms before selecting — safe because expressions are
+   pure (memory reads out of range yield 0 and cannot fail), and
+   cheaper than a branch per node — and a shift amount or memory
+   address too large for an int, where the reference walker fails in
+   [Bitvec.to_int], zero-fills the shift and reads or writes out of
+   range.
 
-   Dirty tracking uses a bitset (63 assigns per word) instead of the
-   compiled engine's [bool array] scan: a settle skips clean regions a
-   word at a time, so the per-cycle cost is proportional to the work
-   actually done, not to netlist size.
+   Dirty tracking uses a bitset (63 assigns per word): a settle skips
+   clean regions a word at a time, so the per-cycle cost is
+   proportional to the work actually done, not to netlist size.
 
    Because the program is immutable and all mutable state lives in
    [state], [fork] is a deep copy of the register files — batched
@@ -1248,8 +526,9 @@ end
    and fork per stimulus. *)
 
 module Opcode = struct
-  (* Signals resolve to slots exactly as in [Compiled]; [o_id] is the
-     dense dependency id shared with memories. *)
+  (* A signal's slot: [o_idx] indexes the narrow or the wide register
+     file by width; [o_id] is the dense dependency id shared with
+     memories. *)
   type sslot = {
     o_name : string;
     o_width : int;
@@ -1742,8 +1021,8 @@ module Opcode = struct
 
   (* [comp_n cs b ~width e] appends opcodes evaluating [e] at narrow
      context [width] to [b] and returns the narrow slot holding the
-     result; [comp_w] is the wide/boxed path.  Both mirror
-     [Compiled.compile_int]/[compile_bv] case by case — any semantic
+     result; [comp_w] is the wide/boxed path.  Both follow
+     [Reference.eval]'s width rules case by case — any semantic
      divergence here is a bug, caught by the lockstep suite. *)
   let rec comp_n cs b ~width e : int =
     let mw = mask width in
@@ -2214,7 +1493,9 @@ module Opcode = struct
     let mem_decls = List.rev !mem_decls in
     let assign_list = List.rev !assigns_rev in
     let always_stmts = List.concat (List.rev !always_rev) in
-    (* Slot and dependency-id allocation, as in [Compiled]. *)
+    (* Slot allocation: narrow signals share one int register file,
+       wide ones a Bitvec file; every signal and memory also gets a
+       dense id in the dependency graph. *)
     let sig_tbl = Hashtbl.create 256 in
     let mem_tbl = Hashtbl.create 16 in
     let n_narrow = ref 0 and n_wide = ref 0 and n_ids = ref 0 in
@@ -2504,9 +1785,9 @@ module Opcode = struct
      bits of the word being drained or later words — so the word is
      re-read after every block and the lowest set bit processed next:
      blocks always run in ascending index order with fully-updated
-     predecessors, at most once per settle — the same guarantee as the
-     compiled engine's linear scan.  Stores that wake clock blocks mark
-     the clock half directly; [clock] drains it. *)
+     predecessors, at most once per settle, so one pass is a
+     fixpoint.  Stores that wake clock blocks mark the clock half
+     directly; [clock] drains it. *)
   let settle t =
     !settle_fault_hook ();
     let module Array = Unchecked in
@@ -2529,8 +1810,10 @@ module Opcode = struct
     rt.fast_evaluated <- rt.fast_evaluated + !fe;
     rt.skipped <- rt.skipped + (p.p_n_assigns - !ev)
 
-  (* Commit in reverse push order — same first-statement-wins and
-     out-of-range reporting semantics as the other engines. *)
+  (* Commit in reverse push order, replicating the reference walker's
+     list-accumulated semantics exactly: with several updates to one
+     target in a cycle, the first statement executed wins, and
+     out-of-range memory writes report in that same order. *)
   let commit t =
     (* Drain indices come from the update buffer and memory addresses
        are range-checked below, so unchecked indexing is safe here
@@ -2719,86 +2002,6 @@ module Opcode = struct
     Hashtbl.fold (fun name s acc -> (name, s.o_width) :: acc) t.prog.p_signals []
     |> List.sort compare
 
-  (* Cold path (assertion probes from tests): a tree walk mirroring
-     [Reference.eval] against the opcode state. *)
-  let eval_bool t expr =
-    let natural e = natural_width ~signal_width:(signal_width t) e in
-    let rec eval ~width e : Bitvec.t =
-      match e with
-      | Const b -> Bitvec.resize ~width b
-      | Ref name -> Bitvec.resize ~width (peek t name)
-      | Index (name, addr) -> (
-        match Hashtbl.find_opt t.prog.p_mem_tbl name with
-        | Some m -> (
-          let a = Bitvec.to_int (eval ~width:(max 1 (natural addr)) addr) in
-          if a >= m.om_depth then Bitvec.zero width
-          else if m.om_narrow then
-            Bitvec.resize ~width (Bitvec.of_int ~width:m.om_elem_width t.st.s_nmem.(m.om_idx).(a))
-          else Bitvec.resize ~width t.st.s_wmem.(m.om_idx).(a))
-        | None -> fail "indexing non-memory %s" name)
-      | Slice (e1, hi, lo) ->
-        let v = eval ~width:(max (hi + 1) (natural e1)) e1 in
-        Bitvec.resize ~width (Bitvec.extract ~hi ~lo v)
-      | Unop (Not, e1) -> Bitvec.lognot (eval ~width e1)
-      | Unop (Red_or, e1) ->
-        let v = eval ~width:(max 1 (natural e1)) e1 in
-        Bitvec.resize ~width (Bitvec.of_bool (not (Bitvec.is_zero v)))
-      | Unop (Red_and, e1) ->
-        let w = max 1 (natural e1) in
-        let v = eval ~width:w e1 in
-        Bitvec.resize ~width (Bitvec.of_bool (Bitvec.equal v (Bitvec.ones w)))
-      | Binop (((Add | Sub | Mul | And | Or | Xor) as op), a, b) ->
-        let x = eval ~width a and y = eval ~width b in
-        let f =
-          match op with
-          | Add -> Bitvec.add
-          | Sub -> Bitvec.sub
-          | Mul -> Bitvec.mul
-          | And -> Bitvec.logand
-          | Or -> Bitvec.logor
-          | Xor -> Bitvec.logxor
-          | _ -> assert false
-        in
-        f x y
-      | Binop (Shl, a, b) ->
-        let shift = Bitvec.to_int (eval ~width:(max 1 (natural b)) b) in
-        Bitvec.shift_left (eval ~width a) (min shift width)
-      | Binop (Shr, a, b) ->
-        let shift = Bitvec.to_int (eval ~width:(max 1 (natural b)) b) in
-        Bitvec.shift_right_logical (eval ~width a) (min shift width)
-      | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) ->
-        let w = max 1 (max (natural a) (natural b)) in
-        let c = Bitvec.compare (eval ~width:w a) (eval ~width:w b) in
-        let r =
-          match op with
-          | Lt -> c < 0
-          | Le -> c <= 0
-          | Gt -> c > 0
-          | Ge -> c >= 0
-          | Eq -> c = 0
-          | Ne -> c <> 0
-          | _ -> assert false
-        in
-        Bitvec.resize ~width (Bitvec.of_bool r)
-      | Binop (Log_and, a, b) ->
-        let x = eval ~width:(max 1 (natural a)) a in
-        let y = eval ~width:(max 1 (natural b)) b in
-        Bitvec.resize ~width (Bitvec.of_bool (not (Bitvec.is_zero x) && not (Bitvec.is_zero y)))
-      | Binop (Log_or, a, b) ->
-        let x = eval ~width:(max 1 (natural a)) a in
-        let y = eval ~width:(max 1 (natural b)) b in
-        Bitvec.resize ~width (Bitvec.of_bool (not (Bitvec.is_zero x) || not (Bitvec.is_zero y)))
-      | Ternary (c, a, b) ->
-        if Bitvec.is_zero (eval ~width:(max 1 (natural c)) c) then eval ~width b
-        else eval ~width a
-      | Concat [] -> fail "empty concatenation"
-      | Concat (e0 :: rest) ->
-        let part e = eval ~width:(max 1 (natural e)) e in
-        let v = List.fold_left (fun acc e -> Bitvec.concat acc (part e)) (part e0) rest in
-        Bitvec.resize ~width v
-    in
-    not (Bitvec.is_zero (eval ~width:(max 1 (natural expr)) expr))
-
   let stats t =
     {
       st_cycles = t.st.s_rt.cycle;
@@ -2813,135 +2016,87 @@ end
 
 (* ================================================================== *)
 (* Engine dispatch: the opcode engine is the default; callers pick the  *)
-(* closure-based engine with [create ~engine:`Compiled] or the          *)
 (* reference walker with [create ~engine:`Reference].                   *)
 
-type engine = [ `Opcode | `Compiled | `Reference ]
+type engine = [ `Opcode | `Reference ]
 
 let engine_name : engine -> string = function
   | `Opcode -> "opcode"
-  | `Compiled -> "compiled"
   | `Reference -> "reference"
 
-let engine_names = [ "opcode"; "compiled"; "reference" ]
+let engine_names = [ "opcode"; "reference" ]
 
 let engine_of_string : string -> engine option = function
   | "opcode" -> Some `Opcode
-  | "compiled" -> Some `Compiled
   | "reference" -> Some `Reference
   | _ -> None
 
-type impl = O of Opcode.t | C of Compiled.t | R of Reference.t
-
-(* [fresh] builds another simulator over the same design for [fork]:
-   the opcode engine shares its compiled program, the others rebuild
-   from the flattened design — only their closures keep it alive, so a
-   long-lived opcode simulator does not hold the netlist. *)
-type t = { impl : impl; fresh : unit -> impl; engine : engine }
+(* The reference walker keeps the flattened design to rebuild itself
+   on [fork]; the opcode engine forks its state over a shared program,
+   so a long-lived opcode simulator does not hold the netlist. *)
+type t = O of Opcode.t | R of Reference.t * Flatten.flat
 
 let create ?(engine = `Opcode) flat =
-  let impl, fresh =
-    match engine with
-    | `Opcode ->
-      let o = Opcode.create flat in
-      (O o, fun () -> O (Opcode.fork o))
-    | `Compiled -> (C (Compiled.create flat), fun () -> C (Compiled.create flat))
-    | `Reference -> (R (Reference.create flat), fun () -> R (Reference.create flat))
-  in
-  { impl; fresh; engine }
+  match engine with
+  | `Opcode -> O (Opcode.create flat)
+  | `Reference -> R (Reference.create flat, flat)
 
-let engine t = t.engine
+let engine : t -> engine = function O _ -> `Opcode | R _ -> `Reference
 
 (* Every engine settles on the calling domain, so this is always 1; it
    remains because perfbench/sim_batch.ml reports it. *)
 let partitions (_ : t) = 1
 
 (* A fresh simulator over the same design: the opcode engine forks its
-   state and shares the compiled program; the others recompile. *)
-let fork t = { t with impl = t.fresh () }
+   state and shares the compiled program; the reference walker
+   rebuilds. *)
+let fork = function
+  | O o -> O (Opcode.fork o)
+  | R (_, flat) -> R (Reference.create flat, flat)
 
 let signal_width t name =
-  match t.impl with
+  match t with
   | O o -> Opcode.signal_width o name
-  | C c -> Compiled.signal_width c name
-  | R r -> Reference.signal_width r name
+  | R (r, _) -> Reference.signal_width r name
 
 let set_input t name v =
-  match t.impl with
-  | O o -> Opcode.set_input o name v
-  | C c -> Compiled.set_input c name v
-  | R r -> Reference.set_input r name v
+  match t with O o -> Opcode.set_input o name v | R (r, _) -> Reference.set_input r name v
 
-let peek t name =
-  match t.impl with
-  | O o -> Opcode.peek o name
-  | C c -> Compiled.peek c name
-  | R r -> Reference.peek r name
+let peek t name = match t with O o -> Opcode.peek o name | R (r, _) -> Reference.peek r name
 
 (* A pre-resolved [peek]: the name lookup happens once, the returned
    closure reads the current value directly.  The VCD sampler uses this
    to avoid a hashtable probe per signal per cycle. *)
 let reader t name =
-  match t.impl with
-  | O o -> Opcode.reader o name
-  | C c -> Compiled.reader c name
-  | R r -> fun () -> Reference.peek r name
+  match t with O o -> Opcode.reader o name | R (r, _) -> fun () -> Reference.peek r name
 
 (* [reader] as [Bitvec.to_int] of the value, for narrow control signals
    sampled every cycle (memory-port enables and addresses): on the
    opcode engine a read allocates nothing. *)
 let int_reader t name =
-  match t.impl with
+  match t with
   | O o -> Opcode.int_reader o name
-  | C _ | R _ ->
-    let r = reader t name in
-    fun () -> Bitvec.to_int (r ())
+  | R (r, _) -> fun () -> Bitvec.to_int (Reference.peek r name)
 
 (* A pre-resolved [set_input]; same contract as [reader]. *)
 let writer t name =
-  match t.impl with
+  match t with
   | O o -> Opcode.writer o name
-  | C c -> Compiled.writer c name
-  | R r -> fun v -> Reference.set_input r name v
+  | R (r, _) -> fun v -> Reference.set_input r name v
 
-let clock t =
-  match t.impl with O o -> Opcode.clock o | C c -> Compiled.clock c | R r -> Reference.clock r
-
-let step t =
-  match t.impl with O o -> Opcode.step o | C c -> Compiled.step c | R r -> Reference.step r
+let clock t = match t with O o -> Opcode.clock o | R (r, _) -> Reference.clock r
+let step t = match t with O o -> Opcode.step o | R (r, _) -> Reference.step r
 
 let settle_only t =
-  match t.impl with
-  | O o -> Opcode.settle_only o
-  | C c -> Compiled.settle_only c
-  | R r -> Reference.settle_only r
+  match t with O o -> Opcode.settle_only o | R (r, _) -> Reference.settle_only r
 
-let failures t =
-  match t.impl with
-  | O o -> Opcode.failures o
-  | C c -> Compiled.failures c
-  | R r -> Reference.failures r
-
-let cycle t =
-  match t.impl with O o -> Opcode.cycle o | C c -> Compiled.cycle c | R r -> Reference.cycle r
+let failures t = match t with O o -> Opcode.failures o | R (r, _) -> Reference.failures r
+let cycle t = match t with O o -> Opcode.cycle o | R (r, _) -> Reference.cycle r
 
 let signal_names t =
-  match t.impl with
-  | O o -> Opcode.signal_names o
-  | C c -> Compiled.signal_names c
-  | R r -> Reference.signal_names r
+  match t with O o -> Opcode.signal_names o | R (r, _) -> Reference.signal_names r
 
-let eval_bool t expr =
-  match t.impl with
-  | O o -> Opcode.eval_bool o expr
-  | C c -> Compiled.eval_bool c expr
-  | R r -> Reference.eval_bool r expr
-
-let stats t =
-  match t.impl with
-  | O o -> Opcode.stats o
-  | C c -> Compiled.stats c
-  | R r -> Reference.stats r
+let stats t = match t with O o -> Opcode.stats o | R (r, _) -> Reference.stats r
 
 (* Report this run's statistics into the innermost [Pass.with_counters]
    collector (a no-op outside one), so `hirc --stats` and the Chrome

@@ -897,6 +897,64 @@ let test_server_journal_replays_on_restart () =
   Alcotest.(check int) "journal clean after the replay run" 0
     (List.length r.Journal.rr_pending)
 
+(* A client connection whose reads and writes give up after [secs]
+   with [Unix_error (EAGAIN, ...)] instead of blocking, so a server that
+   never answers fails the test instead of hanging it. *)
+let connect_with_deadline ?(secs = 20.) sock =
+  let c = Protocol.Client.connect_unix sock in
+  Unix.setsockopt_float c.Protocol.Client.fd Unix.SO_RCVTIMEO secs;
+  Unix.setsockopt_float c.Protocol.Client.fd Unix.SO_SNDTIMEO secs;
+  c
+
+let health_line = Protocol.Json.to_line (Protocol.Json.Obj [ ("op", Protocol.Json.Str "health") ])
+
+let test_server_frame_cap () =
+  with_server (fun sock ->
+      let other = connect_with_deadline sock in
+      let big = connect_with_deadline sock in
+      (match Protocol.Client.send_line big (String.make (Server.max_frame_bytes + 1) 'x') with
+      | () -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "oversized write failed: %s" (Unix.error_message e));
+      Protocol.Client.send_line other health_line;
+      Alcotest.(check (option string)) "other client still answered" (Some "health")
+        (field (recv_or_fail other "health") "event");
+      (match Protocol.Client.recv big with
+      | Some j ->
+        Alcotest.(check (option string)) "oversized frame gets an error frame" (Some "error")
+          (field j "event")
+      | None -> Alcotest.fail "oversized frame closed without an error frame"
+      | exception Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "no answer to an oversized frame: %s" (Unix.error_message e));
+      (match Protocol.Client.recv big with
+      | None -> ()
+      | Some j -> Alcotest.failf "still connected after the error: %s" (Protocol.Json.to_string j)
+      | exception Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "no EOF after the error frame: %s" (Unix.error_message e));
+      Protocol.Client.close big;
+      Protocol.Client.close other)
+
+let test_server_many_lines_one_write () =
+  with_server (fun sock ->
+      let c = connect_with_deadline sock in
+      let n = 1000 in
+      Protocol.Client.send_line c (String.concat "" (List.init n (fun _ -> health_line)));
+      let last_uptime = ref 0. in
+      for i = 1 to n do
+        let j = recv_or_fail c (Printf.sprintf "health reply %d" i) in
+        Alcotest.(check (option string)) "health reply" (Some "health") (field j "event");
+        match Protocol.Json.mem "uptime_seconds" j with
+        | Some (Protocol.Json.Num u) ->
+          if u < !last_uptime then Alcotest.failf "reply %d answered out of order" i;
+          last_uptime := u
+        | _ -> Alcotest.fail "health reply lacks uptime_seconds"
+      done;
+      (* Exactly [n] replies: the next frame answers the next request. *)
+      Protocol.Client.send c (Protocol.Json.Obj [ ("op", Protocol.Json.Str "metrics") ]);
+      Alcotest.(check (option string)) "no extra replies" (Some "metrics")
+        (field (recv_or_fail c "metrics") "event");
+      Protocol.Client.close c)
+
 let () =
   Alcotest.run "serve"
     [
@@ -959,5 +1017,8 @@ let () =
             test_server_watchdog_cancels_stuck;
           Alcotest.test_case "journal replays on restart" `Quick
             test_server_journal_replays_on_restart;
+          Alcotest.test_case "oversized frame rejected" `Quick test_server_frame_cap;
+          Alcotest.test_case "many lines in one write" `Quick
+            test_server_many_lines_one_write;
         ] );
     ]

@@ -1,8 +1,8 @@
-(* Equivalence of the three RTL simulation engines: the opcode engine
-   (the default, including batched forks) and the closure-compiled
-   engine must produce bit-identical peek traces and assertion-failure
-   lists to the [Sim.Reference] tree walker — the executable
-   specification of the Verilog width semantics.
+(* Equivalence of the two RTL simulation engines: the opcode engine
+   (the default, including batched forks) must produce bit-identical
+   peek traces and assertion-failure lists to the [Sim.Reference] tree
+   walker — the executable specification of the Verilog width
+   semantics.
 
    Two layers:
    - a qcheck property over randomly generated flat netlists (every
@@ -10,7 +10,7 @@
      registers, memories with out-of-range writes, assertions),
      driven for many cycles with per-stimulus random input streams
      through every engine × batch {1,4};
-   - lockstep runs of real compiled kernels (via the harness) on all
+   - lockstep runs of real compiled kernels (via the harness) on both
      engines, plus a batched multi-stimulus run, comparing scalar
      outputs, tensors, and failures.
    The opcode engine's schedule counters are pinned on two kernels, and
@@ -159,7 +159,7 @@ let gen_design seed =
 
 let compare_failures ctx fc fr =
   if List.length fc <> List.length fr then
-    QCheck.Test.fail_reportf "%s: %d compiled failures vs %d reference" ctx
+    QCheck.Test.fail_reportf "%s: %d failures vs %d reference" ctx
       (List.length fc) (List.length fr);
   List.iter2
     (fun (a : Sim.assertion_failure) (b : Sim.assertion_failure) ->
@@ -179,7 +179,7 @@ let n_cycles = 30
 
 (* (engine, batch): batch > 1 exercises [Sim.fork] on every engine. *)
 let lockstep_grid : (Sim.engine * int) list =
-  [ (`Opcode, 1); (`Opcode, 4); (`Compiled, 1); (`Compiled, 4); (`Reference, 4) ]
+  [ (`Opcode, 1); (`Opcode, 4); (`Reference, 4) ]
 
 let lockstep_netlist (dseed, iseed) =
   let flat, inputs = gen_design dseed in
@@ -292,13 +292,8 @@ let check_against_reference name ~(rr : Harness.run_result) ~ar
 
 let kernel_lockstep name build inputs ~out_arg () =
   let rr, ar = run_engine ~engine:`Reference ~build inputs in
-  List.iter
-    (fun engine ->
-      let rc, ac = run_engine ~engine ~build inputs in
-      check_against_reference
-        (Printf.sprintf "%s/%s" name (Sim.engine_name engine))
-        ~rr ~ar ~rc ~ac ~out_arg)
-    [ `Compiled; `Opcode ]
+  let rc, ac = run_engine ~engine:`Opcode ~build inputs in
+  check_against_reference (name ^ "/opcode") ~rr ~ar ~rc ~ac ~out_arg
 
 (* Batched multi-stimulus execution: four different input tensors
    through one compiled opcode program (forked register files), each
