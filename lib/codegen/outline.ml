@@ -155,8 +155,17 @@ type canon = {
   c_has_clk : bool;
 }
 
-let item_bytes it = String.length (Format.asprintf "%a" P.pp_item it) + 1
-let stmt_bytes st = String.length (Format.asprintf "%a" (P.pp_stmt ~indent:4) st) + 1
+(* Printed size of an item or ff statement with its newline, measured
+   by printing it into a scratch buffer. *)
+let item_bytes scratch it =
+  Buffer.clear scratch;
+  P.add_item scratch it;
+  Buffer.length scratch + 1
+
+let stmt_bytes scratch st =
+  Buffer.clear scratch;
+  P.add_stmt ~indent:4 scratch st;
+  Buffer.length scratch + 1
 
 let instance_for ~def_name ~inst_name c =
   let conns =
@@ -391,6 +400,7 @@ let run ~names ~registry ~(ports : V.port list) ~items ~ff =
       (List.rev !order);
     (* -- outline decision: repeats and actually shrinks ------------ *)
     let outlined : (int, string * canon) Hashtbl.t = Hashtbl.create 16 in
+    let scratch = Buffer.create 256 in
     List.iter
       (fun text ->
         let members = List.rev !(Hashtbl.find classes text) in
@@ -399,8 +409,8 @@ let run ~names ~registry ~(ports : V.port list) ~items ~ff =
             List.fold_left
               (fun acc (s, _) ->
                 acc
-                + List.fold_left (fun a it -> a + item_bytes it) 0 (List.rev s.s_items)
-                + List.fold_left (fun a st -> a + stmt_bytes st) 0 (List.rev s.s_ffs))
+                + List.fold_left (fun a it -> a + item_bytes scratch it) 0 (List.rev s.s_items)
+                + List.fold_left (fun a st -> a + stmt_bytes scratch st) 0 (List.rev s.s_ffs))
               0 members
           in
           let hier_bytes =
@@ -408,8 +418,8 @@ let run ~names ~registry ~(ports : V.port list) ~items ~ff =
             + List.fold_left
                 (fun acc (_, c) ->
                   acc
-                  + List.fold_left (fun a it -> a + item_bytes it) 0 (output_decls c)
-                  + item_bytes (instance_for ~def_name:placeholder ~inst_name:"h0" c))
+                  + List.fold_left (fun a it -> a + item_bytes scratch it) 0 (output_decls c)
+                  + item_bytes scratch (instance_for ~def_name:placeholder ~inst_name:"h0" c))
                 0 members
           in
           if hier_bytes < flat_bytes then begin

@@ -352,7 +352,10 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                     Trace.span trace ~cat:"verify" "verify" (fun () ->
                         run_verifiers m);
                     Guard.tick guard;
-                    (Incr.plan_of_module m, Ops.func_name f, None)
+                    ( Trace.span trace ~cat:"frontend" "plan" (fun () ->
+                          Incr.plan_of_module ~text m),
+                      Ops.func_name f,
+                      None )
                   | None ->
                     let src_key = Cache.stage_key ~kind:Cache.Src ~parts:[ text ] in
                     let plan =
@@ -364,7 +367,8 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                                   Parser.parse_string ~file:name e.Cache.e_verilog))
                         in
                         Guard.tick guard;
-                        Incr.plan_of_module m
+                        Trace.span trace ~cat:"frontend" "plan" (fun () ->
+                            Incr.plan_of_module m)
                       | None ->
                         let m =
                           Trace.span trace ~cat:"frontend" "parse" (fun () ->
@@ -375,8 +379,9 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                             run_verifiers m);
                         Guard.tick guard;
                         let plan =
-                          Ir.with_isolated_ids (fun () ->
-                              Incr.normalize ~file:name ~text m)
+                          Trace.span trace ~cat:"frontend" "plan" (fun () ->
+                              Ir.with_isolated_ids (fun () ->
+                                  Incr.normalize ~file:name ~text m))
                         in
                         store Cache.Src "normalized source" src_key
                           {
@@ -475,9 +480,10 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                             | Some e -> e.Cache.e_verilog
                             | None ->
                               let opt_text, stats =
-                                Incr.optimize_fn plan ~passes
-                                  ~instrument:(pass_instrument ~trace ~guard)
-                                  fn
+                                Trace.span trace "optimize" (fun () ->
+                                    Incr.optimize_fn plan ~passes
+                                      ~instrument:(pass_instrument ~trace ~guard)
+                                      fn)
                               in
                               all_stats := stats :: !all_stats;
                               store Cache.Fn "optimized function" fn_key
@@ -509,9 +515,11 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                           (fun (d : Hir_verilog.Ast.module_def) ->
                             let dn = d.Hir_verilog.Ast.mod_name in
                             if not (Hashtbl.mem def_texts dn) then begin
-                              let dtext = Hir_verilog.Pretty.module_to_string d in
-                              let dusage =
-                                Hir_resources.Model.module_usage ~instance_usage d
+                              let dtext, dusage =
+                                Trace.span trace ~cat:"backend" "pretty" (fun () ->
+                                    ( Hir_verilog.Pretty.module_to_string d,
+                                      Hir_resources.Model.module_usage ~instance_usage d
+                                    ))
                               in
                               Hashtbl.replace def_texts dn dtext;
                               Hashtbl.replace usages dn dusage;
@@ -523,9 +531,11 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                                 }
                             end)
                           defs;
-                        let mtext = Hir_verilog.Pretty.module_to_string vmodule in
-                        let usage =
-                          Hir_resources.Model.module_usage ~instance_usage vmodule
+                        let mtext, usage =
+                          Trace.span trace ~cat:"backend" "pretty" (fun () ->
+                              ( Hir_verilog.Pretty.module_to_string vmodule,
+                                Hir_resources.Model.module_usage ~instance_usage vmodule
+                              ))
                         in
                         Hashtbl.replace texts fn mtext;
                         Hashtbl.replace fn_defs fn def_names;

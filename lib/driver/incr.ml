@@ -56,7 +56,8 @@ let direct_callees func =
            Some name
          end)
 
-let plan_of_module module_op =
+(* [text], when given, must be [Printer.op_to_string module_op]. *)
+let plan_of_module ?text module_op =
   let fns =
     List.map
       (fun f ->
@@ -70,7 +71,10 @@ let plan_of_module module_op =
           } ))
       (Ops.module_funcs module_op)
   in
-  { pl_module = module_op; pl_text = Printer.op_to_string module_op; pl_fns = fns }
+  let pl_text =
+    match text with Some t -> t | None -> Printer.op_to_string module_op
+  in
+  { pl_module = module_op; pl_text; pl_fns = fns }
 
 (* Normalize a parsed module to the print∘parse fixed point.  Printing
    then re-parsing assigns every value a hint equal to its printed name
@@ -82,7 +86,7 @@ let plan_of_module module_op =
    trusted with it. *)
 let normalize ~file ~text module_op =
   let printed = Printer.op_to_string module_op in
-  if String.equal printed text then plan_of_module module_op
+  if String.equal printed text then plan_of_module ~text module_op
   else
     match Parser.parse_string ~file printed with
     | m -> plan_of_module m

@@ -17,6 +17,7 @@ open Hir_ir
 let buf_add = Buffer.add_string
 
 let value_name namer v = "%" ^ Printer.name_value namer v
+let type_name namer v = Printer.type_text namer (Ir.Value.typ v)
 
 let pp_at namer buf ~time ~offset =
   buf_add buf (Printf.sprintf " at %s" (value_name namer time));
@@ -43,7 +44,7 @@ let rec pp_op namer buf ~indent op =
       (Printf.sprintf "%s = hir.for %s : %s = %s to %s step %s iter_time(%s = %s offset %d) {"
          (name (Ir.Op.result op 0))
          (name iv)
-         (Typ.to_string (Ir.Value.typ iv))
+         (type_name namer iv)
          (name (Ops.for_lb op)) (name (Ops.for_ub op)) (name (Ops.for_step op))
          (name ti) (name (Ops.for_time op)) (Ops.for_offset op));
     buf_add buf "\n";
@@ -76,7 +77,7 @@ let rec pp_op namer buf ~indent op =
     pp_indices namer buf (Ops.mem_read_indices op);
     pp_at namer buf ~time:(Ops.mem_read_time op) ~offset:(Ops.mem_read_offset op);
     buf_add buf
-      (Printf.sprintf " : %s" (Typ.to_string (Ir.Value.typ (Ir.Op.result op 0))))
+      (Printf.sprintf " : %s" (type_name namer (Ir.Op.result op 0)))
   | "hir.mem_write" ->
     buf_add buf
       (Printf.sprintf "hir.mem_write %s to %s" (name (Ops.mem_write_value op))
@@ -89,7 +90,7 @@ let rec pp_op namer buf ~indent op =
          (name (Ops.delay_input op)) (Ops.delay_by op));
     pp_at namer buf ~time:(Ops.delay_time op) ~offset:(Ops.delay_offset op);
     buf_add buf
-      (Printf.sprintf " : %s" (Typ.to_string (Ir.Value.typ (Ir.Op.result op 0))))
+      (Printf.sprintf " : %s" (type_name namer (Ir.Op.result op 0)))
   | "hir.call" ->
     (match Ir.Op.results op with
     | [] -> ()
@@ -104,7 +105,7 @@ let rec pp_op namer buf ~indent op =
     (match (Ir.Op.results op, delays) with
     | [ r ], [ d ] ->
       buf_add buf
-        (Printf.sprintf " : (%s delay %d)" (Typ.to_string (Ir.Value.typ r)) d)
+        (Printf.sprintf " : (%s delay %d)" (type_name namer r) d)
     | _ -> ())
   | "hir.alloc" ->
     buf_add buf
@@ -113,7 +114,7 @@ let rec pp_op namer buf ~indent op =
       (Printf.sprintf " = hir.alloc() {%s} : %s"
          (Ops.mem_kind_to_string (Ops.alloc_kind op))
          (String.concat ", "
-            (List.map (fun r -> Typ.to_string (Ir.Value.typ r)) (Ir.Op.results op))))
+            (List.map (type_name namer) (Ir.Op.results op))))
   | "hir.select" ->
     buf_add buf
       (Printf.sprintf "%s = hir.select %s, %s, %s" (name (Ir.Op.result op 0))
@@ -128,12 +129,12 @@ let rec pp_op namer buf ~indent op =
          op_name
          (name (Ir.Op.operand op 0))
          (name (Ir.Op.operand op 1))
-         (Typ.to_string (Ir.Value.typ (Ir.Op.operand op 0)))
-         (Typ.to_string (Ir.Value.typ (Ir.Op.operand op 1)))
-         (Typ.to_string (Ir.Value.typ (Ir.Op.result op 0))))
+         (type_name namer (Ir.Op.operand op 0))
+         (type_name namer (Ir.Op.operand op 1))
+         (type_name namer (Ir.Op.result op 0)))
   | _ ->
     (* Fallback: generic syntax for anything without a custom form. *)
-    buf_add buf (Format.asprintf "%a" (Printer.pp_op ~indent namer) op));
+    Printer.add_op ~indent namer buf op);
   buf_add buf "\n"
 
 let pp_func namer buf func =
@@ -151,7 +152,7 @@ let pp_func namer buf func =
          (List.map
             (fun a ->
               Printf.sprintf "%s : %s" (value_name namer a)
-                (Typ.to_string (Ir.Value.typ a)))
+                (type_name namer a))
             (Ops.func_data_args func)));
     buf_add buf ") {\n";
     List.iter (pp_op namer buf ~indent:2) (Ir.Block.ops (Ops.func_body func));

@@ -76,31 +76,41 @@ let verify_port_conflicts engine analysis func =
       Some (Types.bank_of_indices info (List.map (Option.value ~default:0) dist_consts))
     else None
   in
+  (* Each access is paired only with the later accesses of its own
+     cycle, found by chaining the accesses per (root, delta); each bank
+     is computed at most once.  The diagnostics come out in the order a
+     scan of every pair would produce them. *)
   Hashtbl.iter
     (fun _ cell ->
-      let items = !cell in
-      let rec pairs = function
-        | [] -> ()
-        | (op_a, (root_a, d_a)) :: rest ->
-          List.iter
-            (fun (op_b, (root_b, d_b)) ->
-              if Ir.Value.equal root_a root_b && d_a = d_b then begin
-                let distinct_banks =
-                  match (static_bank op_a, static_bank op_b) with
-                  | Some x, Some y -> x <> y
-                  | _ -> false
-                in
-                if not distinct_banks then
-                  Diagnostic.Engine.error engine (Ir.Op.loc op_a)
-                    ~notes:
-                      [ Diagnostic.note ~loc:(Ir.Op.loc op_b) "Conflicting access here." ]
-                    "Schedule error: multiple accesses to the same memref port in the \
-                     same cycle"
-              end)
-            rest;
-          pairs rest
-      in
-      pairs items)
+      let items = Array.of_list !cell in
+      let n = Array.length items in
+      let banks = Array.map (fun (op, _) -> lazy (static_bank op)) items in
+      (* next.(i): the next access after i in i's cycle, or n. *)
+      let next = Array.make n n in
+      let later = Hashtbl.create 16 in
+      for i = n - 1 downto 0 do
+        let root, d = snd items.(i) in
+        let key = (Ir.Value.id root, d) in
+        Option.iter (fun j -> next.(i) <- j) (Hashtbl.find_opt later key);
+        Hashtbl.replace later key i
+      done;
+      for i = 0 to n - 1 do
+        let j = ref next.(i) in
+        while !j < n do
+          let distinct_banks =
+            match (Lazy.force banks.(i), Lazy.force banks.(!j)) with
+            | Some x, Some y -> x <> y
+            | _ -> false
+          in
+          if not distinct_banks then
+            Diagnostic.Engine.error engine
+              (Ir.Op.loc (fst items.(i)))
+              ~notes:
+                [ Diagnostic.note ~loc:(Ir.Op.loc (fst items.(!j))) "Conflicting access here." ]
+              "Schedule error: multiple accesses to the same memref port in the same cycle";
+          j := next.(!j)
+        done
+      done)
     accesses
 
 let verify_func engine func =

@@ -10,26 +10,46 @@ type t =
   | Array of t list
   | Dict of (string * t) list
 
-let rec pp fmt = function
-  | Unit -> Format.pp_print_string fmt "unit"
-  | Bool b -> Format.pp_print_bool fmt b
-  | Int n -> Format.pp_print_int fmt n
-  | String s -> Format.fprintf fmt "%S" s
-  | Symbol s -> Format.fprintf fmt "@%s" s
-  | Type t -> Format.fprintf fmt "!ty<%a>" Typ.pp t
+(* Append the textual form of an attribute to [buf]; [typ] renders the
+   payload of a type attribute. *)
+let rec add_to_buffer ~typ buf = function
+  | Unit -> Buffer.add_string buf "unit"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | String s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (String.escaped s);
+    Buffer.add_char buf '"'
+  | Symbol s ->
+    Buffer.add_char buf '@';
+    Buffer.add_string buf s
+  | Type t ->
+    Buffer.add_string buf "!ty<";
+    Buffer.add_string buf (typ t);
+    Buffer.add_char buf '>'
   | Array l ->
-    Format.fprintf fmt "[%a]"
-      (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ") pp)
-      l
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i a ->
+        if i > 0 then Buffer.add_string buf ", ";
+        add_to_buffer ~typ buf a)
+      l;
+    Buffer.add_char buf ']'
   | Dict l ->
-    let pp_entry fmt (k, v) = Format.fprintf fmt "%s = %a" k pp v in
-    Format.fprintf fmt "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         pp_entry)
-      l
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, a) ->
+        if i > 0 then Buffer.add_string buf ", ";
+        Buffer.add_string buf k;
+        Buffer.add_string buf " = ";
+        add_to_buffer ~typ buf a)
+      l;
+    Buffer.add_char buf '}'
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string a =
+  let buf = Buffer.create 32 in
+  add_to_buffer ~typ:Typ.to_string buf a;
+  Buffer.contents buf
 
 let equal (a : t) (b : t) = a = b
 

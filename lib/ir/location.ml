@@ -10,12 +10,12 @@ let unknown = Unknown
 let file ~file ~line ~col = File { file; line; col }
 let name ?(child = Unknown) n = Name { name = n; child }
 
-let rec pp fmt = function
-  | Unknown -> Format.pp_print_string fmt "loc(unknown)"
-  | File { file; line; col } -> Format.fprintf fmt "%s:%d:%d" file line col
-  | Name { name; child = Unknown } -> Format.fprintf fmt "%S" name
-  | Name { name; child } -> Format.fprintf fmt "%S(%a)" name pp child
+let rec to_string = function
+  | Unknown -> "loc(unknown)"
+  | File { file; line; col } -> Printf.sprintf "%s:%d:%d" file line col
+  | Name { name; child = Unknown } -> Printf.sprintf "%S" name
+  | Name { name; child } -> Printf.sprintf "%S(%s)" name (to_string child)
 
-let to_string t = Format.asprintf "%a" pp t
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let is_unknown = function Unknown -> true | File _ | Name _ -> false

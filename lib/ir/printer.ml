@@ -3,19 +3,31 @@
      %v0 = "hir.add"(%a, %b) {attrs} : (i32, i32) -> i32
 
    The output round-trips through [Parser].  Value names prefer the
-   hint recorded on the value, uniquified with a numeric suffix. *)
+   hint recorded on the value, uniquified with a numeric suffix.
+
+   Ops are written into one [Buffer.t]; the whole print is linear in
+   the size of the text it produces. *)
 
 open Ir
 
 type namer = {
   names : (int, string) Hashtbl.t;  (* value id -> printed name *)
-  used : (string, int) Hashtbl.t;  (* base name -> next suffix *)
+  used : (string, int) Hashtbl.t;  (* printed name -> next suffix to try as a base *)
+  types : (Typ.t, string) Hashtbl.t;  (* type -> its text *)
   canonical : bool;  (* sequential names, ignore hints and ids *)
   mutable next_seq : int;
 }
 
+(* A namer lives for one print: its tables are never shared, so
+   printers running on several domains do not contend. *)
 let create_namer ?(canonical = false) () =
-  { names = Hashtbl.create 64; used = Hashtbl.create 64; canonical; next_seq = 0 }
+  {
+    names = Hashtbl.create 64;
+    used = Hashtbl.create 64;
+    types = Hashtbl.create 16;
+    canonical;
+    next_seq = 0;
+  }
 
 let name_value namer v =
   match Hashtbl.find_opt namer.names v.v_id with
@@ -25,114 +37,156 @@ let name_value namer v =
        appearance, so two structurally identical modules print the same
        text regardless of the hints and ids their construction history
        left behind. *)
-    let n = Printf.sprintf "%d" namer.next_seq in
+    let n = string_of_int namer.next_seq in
     namer.next_seq <- namer.next_seq + 1;
     Hashtbl.replace namer.names v.v_id n;
     n
   | None ->
     let base =
-      match v.v_hint with Some h -> h | None -> Printf.sprintf "v%d" v.v_id
+      match v.v_hint with Some h -> h | None -> "v" ^ string_of_int v.v_id
     in
-    let rec unique candidate k =
-      if Hashtbl.mem namer.used candidate then
-        unique (Printf.sprintf "%s_%d" base k) (k + 1)
-      else candidate
+    (* The first free name among base, base_1, base_2, ….  [used] only
+       grows, so the suffixes below a base's recorded next suffix are
+       still taken and the search resumes there. *)
+    let n =
+      match Hashtbl.find_opt namer.used base with
+      | None -> base
+      | Some k ->
+        let rec unique k =
+          let candidate = base ^ "_" ^ string_of_int k in
+          if Hashtbl.mem namer.used candidate then unique (k + 1)
+          else begin
+            Hashtbl.replace namer.used base (k + 1);
+            candidate
+          end
+        in
+        unique k
     in
-    let n = unique base 1 in
-    Hashtbl.replace namer.used n 0;
+    Hashtbl.replace namer.used n 1;
     Hashtbl.replace namer.names v.v_id n;
     n
 
-let pp_value namer fmt v = Format.fprintf fmt "%%%s" (name_value namer v)
+(* Each distinct type is rendered once per print. *)
+let type_text namer t =
+  match Hashtbl.find_opt namer.types t with
+  | Some s -> s
+  | None ->
+    let s = Typ.to_string t in
+    Hashtbl.add namer.types t s;
+    s
 
-let pp_attrs fmt attrs =
-  match attrs with
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (String.escaped s);
+  Buffer.add_char buf '"'
+
+let add_value namer buf v =
+  Buffer.add_char buf '%';
+  Buffer.add_string buf (name_value namer v)
+
+let add_sep_array buf add a =
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      add x)
+    a
+
+let add_attrs namer buf = function
   | [] -> ()
-  | _ ->
+  | attrs ->
     let attrs = List.sort (fun (a, _) (b, _) -> String.compare a b) attrs in
-    let pp_entry fmt (k, v) = Format.fprintf fmt "%s = %a" k Attribute.pp v in
-    Format.fprintf fmt " {%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         pp_entry)
-      attrs
+    Buffer.add_string buf " {";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_string buf ", ";
+        Buffer.add_string buf k;
+        Buffer.add_string buf " = ";
+        Attribute.add_to_buffer ~typ:(type_text namer) buf v)
+      attrs;
+    Buffer.add_char buf '}'
 
 (* Locations are printed in the parseable quoted form, unlike the bare
    form [Location.pp] uses in diagnostics. *)
-let pp_loc fmt = function
+let add_loc buf = function
   | Location.Unknown -> ()
   | Location.File { file; line; col } ->
-    Format.fprintf fmt " loc(%S:%d:%d)" file line col
-  | Location.Name { name; _ } -> Format.fprintf fmt " loc(%S)" name
+    Buffer.add_string buf " loc(";
+    add_quoted buf file;
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (string_of_int line);
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (string_of_int col);
+    Buffer.add_char buf ')'
+  | Location.Name { name; _ } ->
+    Buffer.add_string buf " loc(";
+    add_quoted buf name;
+    Buffer.add_char buf ')'
 
-let rec pp_op ?(indent = 0) namer fmt op =
-  (* results *)
-  (match Array.to_list op.results with
-  | [] -> ()
-  | rs ->
-    Format.fprintf fmt "%a = "
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         (pp_value namer))
-      rs);
-  Format.fprintf fmt "%S(%a)" op.op_name
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-       (pp_value namer))
-    (Array.to_list op.operands);
-  (* regions *)
+let add_types namer buf values =
+  Buffer.add_char buf '(';
+  add_sep_array buf (fun v -> Buffer.add_string buf (type_text namer v.v_type)) values;
+  Buffer.add_char buf ')'
+
+let rec add_op ?(indent = 0) namer buf op =
+  if Array.length op.results > 0 then begin
+    add_sep_array buf (add_value namer buf) op.results;
+    Buffer.add_string buf " = "
+  end;
+  add_quoted buf op.op_name;
+  Buffer.add_char buf '(';
+  add_sep_array buf (add_value namer buf) op.operands;
+  Buffer.add_char buf ')';
   (match op.regions with
   | [] -> ()
   | regions ->
-    Format.fprintf fmt " (";
+    Buffer.add_string buf " (";
     List.iteri
       (fun i r ->
-        if i > 0 then Format.fprintf fmt ", ";
-        pp_region ~indent namer fmt r)
+        if i > 0 then Buffer.add_string buf ", ";
+        add_region ~indent namer buf r)
       regions;
-    Format.fprintf fmt ")");
-  pp_attrs fmt op.attrs;
-  (* type signature *)
-  Format.fprintf fmt " : (%a) -> (%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-       Typ.pp)
-    (List.map (fun v -> v.v_type) (Array.to_list op.operands))
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-       Typ.pp)
-    (List.map (fun v -> v.v_type) (Array.to_list op.results));
-  pp_loc fmt op.loc
+    Buffer.add_char buf ')');
+  add_attrs namer buf op.attrs;
+  Buffer.add_string buf " : ";
+  add_types namer buf op.operands;
+  Buffer.add_string buf " -> ";
+  add_types namer buf op.results;
+  add_loc buf op.loc
 
-and pp_region ~indent namer fmt r =
+and add_region ~indent namer buf r =
   let pad = String.make (indent + 2) ' ' in
-  Format.fprintf fmt "{";
+  Buffer.add_char buf '{';
   List.iter
     (fun b ->
-      Format.fprintf fmt "\n%s^bb(%a):" pad
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           (fun fmt a -> Format.fprintf fmt "%a: %a" (pp_value namer) a Typ.pp a.v_type))
-        (Block.args b);
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf pad;
+      Buffer.add_string buf "^bb(";
+      add_sep_array buf
+        (fun a ->
+          add_value namer buf a;
+          Buffer.add_string buf ": ";
+          Buffer.add_string buf (type_text namer a.v_type))
+        b.b_args;
+      Buffer.add_string buf "):";
       List.iter
         (fun op ->
-          Format.fprintf fmt "\n%s" pad;
-          pp_op ~indent:(indent + 2) namer fmt op)
+          Buffer.add_char buf '\n';
+          Buffer.add_string buf pad;
+          add_op ~indent:(indent + 2) namer buf op)
         (Block.ops b))
     r.blocks;
-  Format.fprintf fmt "\n%s}" (String.make indent ' ')
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf (String.make indent ' ');
+  Buffer.add_char buf '}'
 
-let op_to_string op =
-  let namer = create_namer () in
-  Format.asprintf "%a" (pp_op ~indent:0 namer) op
+let print_with namer op =
+  let buf = Buffer.create 4096 in
+  add_op namer buf op;
+  Buffer.contents buf
+
+let op_to_string op = print_with (create_namer ()) op
 
 (* Canonical text: identical for structurally identical modules even
    when value ids / hints differ (e.g. comparing the output of two
    different optimization pipelines).  Not intended to be parsed back. *)
-let op_to_canonical_string op =
-  let namer = create_namer ~canonical:true () in
-  Format.asprintf "%a" (pp_op ~indent:0 namer) op
-
-let pp fmt op =
-  let namer = create_namer () in
-  pp_op ~indent:0 namer fmt op
+let op_to_canonical_string op = print_with (create_namer ~canonical:true ()) op

@@ -1,4 +1,6 @@
-(* Verilog-2001 pretty printer. *)
+(* Verilog-2001 pretty printer.  Everything is appended to one
+   [Buffer.t]; [add_item] and [add_stmt] are exposed so callers can
+   measure what an item would print without building a module. *)
 
 open Ast
 
@@ -22,109 +24,216 @@ let binop_to_string = function
   | Log_and -> "&&"
   | Log_or -> "||"
 
-let pp_const fmt b =
-  Format.fprintf fmt "%d'h%s" (Bitvec.width b) (Bitvec.to_hex_string b)
+let add = Buffer.add_string
+let add_int buf n = add buf (string_of_int n)
 
-let rec pp_expr fmt = function
-  | Const b -> pp_const fmt b
-  | Ref name -> Format.pp_print_string fmt name
-  | Index (name, addr) -> Format.fprintf fmt "%s[%a]" name pp_expr addr
-  | Slice (e, hi, lo) -> Format.fprintf fmt "%a[%d:%d]" pp_atom e hi lo
-  | Unop (op, e) -> Format.fprintf fmt "%s%a" (unop_to_string op) pp_atom e
+let add_const buf b =
+  add_int buf (Bitvec.width b);
+  add buf "'h";
+  add buf (Bitvec.to_hex_string b)
+
+let rec add_expr buf = function
+  | Const b -> add_const buf b
+  | Ref name -> add buf name
+  | Index (name, addr) ->
+    add buf name;
+    Buffer.add_char buf '[';
+    add_expr buf addr;
+    Buffer.add_char buf ']'
+  | Slice (e, hi, lo) ->
+    add_atom buf e;
+    Buffer.add_char buf '[';
+    add_int buf hi;
+    Buffer.add_char buf ':';
+    add_int buf lo;
+    Buffer.add_char buf ']'
+  | Unop (op, e) ->
+    add buf (unop_to_string op);
+    add_atom buf e
   | Binop (op, a, b) ->
-    Format.fprintf fmt "(%a %s %a)" pp_expr a (binop_to_string op) pp_expr b
+    Buffer.add_char buf '(';
+    add_expr buf a;
+    Buffer.add_char buf ' ';
+    add buf (binop_to_string op);
+    Buffer.add_char buf ' ';
+    add_expr buf b;
+    Buffer.add_char buf ')'
   | Ternary (c, a, b) ->
-    Format.fprintf fmt "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
+    Buffer.add_char buf '(';
+    add_expr buf c;
+    add buf " ? ";
+    add_expr buf a;
+    add buf " : ";
+    add_expr buf b;
+    Buffer.add_char buf ')'
   | Concat es ->
-    Format.fprintf fmt "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         pp_expr)
-      es
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i e ->
+        if i > 0 then add buf ", ";
+        add_expr buf e)
+      es;
+    Buffer.add_char buf '}'
 
-and pp_atom fmt e =
+and add_atom buf e =
   match e with
-  | Const _ | Ref _ | Index _ -> pp_expr fmt e
-  | _ -> Format.fprintf fmt "(%a)" pp_expr e
+  | Const _ | Ref _ | Index _ -> add_expr buf e
+  | _ ->
+    Buffer.add_char buf '(';
+    add_expr buf e;
+    Buffer.add_char buf ')'
 
-let pp_lvalue fmt = function
-  | Lref name -> Format.pp_print_string fmt name
-  | Lindex (name, addr) -> Format.fprintf fmt "%s[%a]" name pp_expr addr
+let add_lvalue buf = function
+  | Lref name -> add buf name
+  | Lindex (name, addr) -> add_expr buf (Index (name, addr))
 
-let rec pp_stmt ~indent fmt stmt =
-  let pad = String.make indent ' ' in
+let rec add_stmt ~indent buf stmt =
+  let pad () = add buf (String.make indent ' ') in
+  pad ();
   match stmt with
   | Nonblocking (lv, e) ->
-    Format.fprintf fmt "%s%a <= %a;" pad pp_lvalue lv pp_expr e
-  | If (cond, then_s, []) ->
-    Format.fprintf fmt "%sif (%a) begin@\n%a@\n%send" pad pp_expr cond
-      (pp_stmts ~indent:(indent + 2))
-      then_s pad
+    add_lvalue buf lv;
+    add buf " <= ";
+    add_expr buf e;
+    Buffer.add_char buf ';'
   | If (cond, then_s, else_s) ->
-    Format.fprintf fmt "%sif (%a) begin@\n%a@\n%send else begin@\n%a@\n%send" pad
-      pp_expr cond
-      (pp_stmts ~indent:(indent + 2))
-      then_s pad
-      (pp_stmts ~indent:(indent + 2))
-      else_s pad
+    add buf "if (";
+    add_expr buf cond;
+    add buf ") begin\n";
+    add_stmts ~indent:(indent + 2) buf then_s;
+    Buffer.add_char buf '\n';
+    pad ();
+    add buf "end";
+    if else_s <> [] then begin
+      add buf " else begin\n";
+      add_stmts ~indent:(indent + 2) buf else_s;
+      Buffer.add_char buf '\n';
+      pad ();
+      add buf "end"
+    end
   | Assert_stmt { cond; message } ->
-    Format.fprintf fmt "%sif (!(%a)) $error(\"%s\");" pad pp_expr cond
-      (String.map (fun c -> if c = '"' then '\'' else c) message)
+    add buf "if (!(";
+    add_expr buf cond;
+    add buf ")) $error(\"";
+    add buf (String.map (fun c -> if c = '"' then '\'' else c) message);
+    add buf "\");"
 
-and pp_stmts ~indent fmt stmts =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "\n")
-    (pp_stmt ~indent) fmt stmts
+and add_stmts ~indent buf stmts =
+  List.iteri
+    (fun i st ->
+      if i > 0 then Buffer.add_char buf '\n';
+      add_stmt ~indent buf st)
+    stmts
 
-let width_spec width = if width = 1 then "" else Printf.sprintf "[%d:0] " (width - 1)
+let add_width buf width =
+  if width <> 1 then begin
+    Buffer.add_char buf '[';
+    add_int buf (width - 1);
+    add buf ":0] "
+  end
 
 let style_attr = function
   | Style_bram -> "(* ram_style = \"block\" *) "
   | Style_lutram -> "(* ram_style = \"distributed\" *) "
   | Style_reg -> ""
 
-let pp_item fmt = function
+(* A comment always ends at its own line break: line breaks and other
+   control characters inside the text are written as escapes, so text
+   from a source location cannot end the comment and inject Verilog. *)
+let add_comment_text buf text =
+  String.iter
+    (fun c ->
+      match c with
+      | '\n' -> add buf "\\n"
+      | '\r' -> add buf "\\r"
+      | '\t' -> add buf "\\t"
+      | '\000' .. '\031' | '\127' -> add buf (Printf.sprintf "\\x%02x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    text
+
+let add_item buf = function
   | Wire_decl { name; width } ->
-    Format.fprintf fmt "  wire %s%s;" (width_spec width) name
+    add buf "  wire ";
+    add_width buf width;
+    add buf name;
+    Buffer.add_char buf ';'
   | Reg_decl { name; width } ->
-    Format.fprintf fmt "  reg %s%s = 0;" (width_spec width) name
+    add buf "  reg ";
+    add_width buf width;
+    add buf name;
+    add buf " = 0;"
   | Mem_decl { name; width; depth; style } ->
-    Format.fprintf fmt "  %sreg %s%s [0:%d];" (style_attr style) (width_spec width)
-      name (depth - 1)
+    add buf "  ";
+    add buf (style_attr style);
+    add buf "reg ";
+    add_width buf width;
+    add buf name;
+    add buf " [0:";
+    add_int buf (depth - 1);
+    add buf "];"
   | Assign { target; expr } ->
-    Format.fprintf fmt "  assign %s = %a;" target pp_expr expr
+    add buf "  assign ";
+    add buf target;
+    add buf " = ";
+    add_expr buf expr;
+    Buffer.add_char buf ';'
   | Always_ff stmts ->
-    Format.fprintf fmt "  always @@(posedge clk) begin@\n%a@\n  end"
-      (pp_stmts ~indent:4) stmts
+    add buf "  always @(posedge clk) begin\n";
+    add_stmts ~indent:4 buf stmts;
+    add buf "\n  end"
   | Instance { module_name; instance_name; connections } ->
-    let pp_conn fmt (port, actual) =
-      Format.fprintf fmt ".%s(%a)" port pp_expr actual
-    in
-    Format.fprintf fmt "  %s %s (@\n    %a@\n  );" module_name instance_name
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.fprintf fmt ",@\n    ")
-         pp_conn)
-      connections
-  | Comment text -> Format.fprintf fmt "  // %s" text
+    add buf "  ";
+    add buf module_name;
+    Buffer.add_char buf ' ';
+    add buf instance_name;
+    add buf " (\n    ";
+    List.iteri
+      (fun i (port, actual) ->
+        if i > 0 then add buf ",\n    ";
+        Buffer.add_char buf '.';
+        add buf port;
+        Buffer.add_char buf '(';
+        add_expr buf actual;
+        Buffer.add_char buf ')')
+      connections;
+    add buf "\n  );"
+  | Comment text ->
+    add buf "  // ";
+    add_comment_text buf text
 
-let pp_port fmt p =
-  let dir = match p.dir with Input -> "input" | Output -> "output" in
-  Format.fprintf fmt "  %s wire %s%s" dir (width_spec p.width) p.port_name
+let add_port buf p =
+  add buf (match p.dir with Input -> "  input wire " | Output -> "  output wire ");
+  add_width buf p.width;
+  add buf p.port_name
 
-let pp_module fmt m =
-  Format.fprintf fmt "module %s (@\n%a@\n);@\n" m.mod_name
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",\n")
-       pp_port)
+let add_module buf m =
+  add buf "module ";
+  add buf m.mod_name;
+  add buf " (\n";
+  List.iteri
+    (fun i p ->
+      if i > 0 then add buf ",\n";
+      add_port buf p)
     m.ports;
-  List.iter (fun item -> Format.fprintf fmt "%a@\n" pp_item item) m.items;
-  Format.fprintf fmt "endmodule@\n"
+  add buf "\n);\n";
+  List.iter
+    (fun item ->
+      add_item buf item;
+      Buffer.add_char buf '\n')
+    m.items;
+  add buf "endmodule\n"
 
-let pp_design fmt d =
-  Format.fprintf fmt "// Generated by the HIR compiler@\n@\n";
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "\n")
-    pp_module fmt d.modules
+let design_to_string d =
+  let buf = Buffer.create 65536 in
+  add buf "// Generated by the HIR compiler\n\n";
+  List.iteri
+    (fun i m ->
+      if i > 0 then Buffer.add_char buf '\n';
+      add_module buf m)
+    d.modules;
+  Buffer.contents buf
 
-let design_to_string d = Format.asprintf "%a" pp_design d
-let module_to_string m = Format.asprintf "%a" pp_module m
+let module_to_string m =
+  let buf = Buffer.create 4096 in
+  add_module buf m;
+  Buffer.contents buf

@@ -226,6 +226,155 @@ let test_scalar_results () =
   | [ (_, v) ] -> check_int "7*6+100" 142 (Bitvec.to_int v)
   | _ -> Alcotest.fail "expected one result")
 
+(* ------------------------------------------------------------------ *)
+(* Names: the IR printer and the Verilog namer pick the same suffixes  *)
+
+(* Name a sequence of hints through both namers; they must agree with
+   each other and with [expected]. *)
+let check_naming label hints expected =
+  let block =
+    Ir.Block.create ~arg_hints:(List.map Option.some hints) (List.map (fun _ -> Typ.i32) hints)
+  in
+  let namer = Printer.create_namer () in
+  let printed = List.map (Printer.name_value namer) (Ir.Block.args block) in
+  let names = Hir_codegen.Names.create () in
+  let fresh = List.map (Hir_codegen.Names.fresh names) hints in
+  Alcotest.(check (list string)) (label ^ " (printer)") expected printed;
+  Alcotest.(check (list string)) (label ^ " (Names.fresh)") expected fresh
+
+let test_naming () =
+  check_naming "repeats" [ "x"; "x_1"; "x"; "x" ] [ "x"; "x_1"; "x_2"; "x_3" ];
+  check_naming "suffixed hint first" [ "x_1"; "x"; "x" ] [ "x_1"; "x"; "x_2" ];
+  check_naming "suffix of a suffix" [ "x"; "x"; "x_1" ] [ "x"; "x_1"; "x_1_1" ];
+  check_naming "2000 copies"
+    (List.init 2000 (fun _ -> "h"))
+    (List.init 2000 (fun i -> if i = 0 then "h" else Printf.sprintf "h_%d" i))
+
+(* ------------------------------------------------------------------ *)
+(* Legal Verilog from hostile names                                    *)
+
+let compile_text text =
+  let m = Parser.parse_string ~file:"test.hir" text in
+  let top = List.nth (Ops.module_funcs m) (List.length (Ops.module_funcs m) - 1) in
+  (Emit.compile ~module_op:m ~top ()).Emit.design
+
+(* fifo.hir with a location whose file name ends the comment it is
+   printed in and starts a module of its own. *)
+let fifo_with_newline_loc =
+  {|"builtin.module"() ({
+  ^bb():
+  "hir.func"() ({
+    ^bb(%in_stream: !hir.memref<64*i32, r>, %out_stream: !hir.memref<64*i32, w>, %t: !hir.time):
+    %c0 = "hir.constant"() {value = 0} : () -> (!hir.const)
+    %c1 = "hir.constant"() {value = 1} : () -> (!hir.const)
+    %c64 = "hir.constant"() {value = 64} : () -> (!hir.const)
+    %v124, %v125 = "hir.alloc"() {mem_kind = "bram"} : () -> (!hir.memref<256*i32, r>, !hir.memref<256*i32, w>)
+    %tf_i = "hir.for"(%c0, %c64, %c1, %t) ({
+      ^bb(%i: i32, %ti: !hir.time):
+      "hir.yield"(%ti) {offset = 1} : (!hir.time) -> ()
+      %v134 = "hir.mem_read"(%in_stream, %i, %ti) {latency = 1, offset = 0} : (!hir.memref<64*i32, r>, i32, !hir.time) -> (i32)
+      %v136 = "hir.delay"(%i, %ti) {by = 1, offset = 0} : (i32, !hir.time) -> (i32)
+      "hir.mem_write"(%v134, %v125, %v136, %ti) {offset = 1} : (i32, !hir.memref<256*i32, w>, i32, !hir.time) -> () loc("x\nendmodule\nmodule injected (input wire q);":3:4)
+      %v139 = "hir.delay"(%v136, %ti) {by = 1, offset = 1} : (i32, !hir.time) -> (i32)
+      %v141 = "hir.mem_read"(%v124, %v139, %ti) {latency = 1, offset = 2} : (!hir.memref<256*i32, r>, i32, !hir.time) -> (i32)
+      %v143 = "hir.delay"(%v139, %ti) {by = 1, offset = 2} : (i32, !hir.time) -> (i32)
+      "hir.mem_write"(%v141, %out_stream, %v143, %ti) {offset = 3} : (i32, !hir.memref<64*i32, w>, i32, !hir.time) -> ()
+    }) {offset = 1} : (!hir.const, !hir.const, !hir.const, !hir.time) -> (!hir.time)
+    "hir.return"() : () -> ()
+  }) {arg_delays = [0, 0], arg_names = ["in_stream", "out_stream"], arg_types = [!ty<!hir.memref<64*i32, r>>, !ty<!hir.memref<64*i32, w>>], result_delays = [], result_types = [], sym_name = @fifo} : () -> ()
+}) : () -> ()|}
+
+let test_comment_injection () =
+  let text = Hir_verilog.Pretty.design_to_string (compile_text fifo_with_newline_loc) in
+  let injected =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"module injected" l)
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check (list string)) "no line starts a module from a comment" [] injected
+
+(* stencil_1d.hir with Verilog keywords for two wires (%and, %initial),
+   a scalar port ("reg") and the callee's module name (@task). *)
+let stencil_with_keywords =
+  {|"builtin.module"() ({
+  ^bb():
+  "hir.func"() ({
+    ^bb(%v0: i32, %v1: i32, %t: !hir.time):
+    %c3 = "hir.constant"() {value = 3} : () -> (!hir.const)
+    %c5 = "hir.constant"() {value = 5} : () -> (!hir.const)
+    %initial = "hir.mult"(%v0, %c3) : (i32, !hir.const) -> (i32)
+    %v52 = "hir.mult"(%v1, %c5) : (i32, !hir.const) -> (i32)
+    %and = "hir.add"(%initial, %v52) : (i32, i32) -> (i32)
+    %v56 = "hir.delay"(%and, %t) {by = 1, offset = 0} : (i32, !hir.time) -> (i32)
+    "hir.return"(%v56) : (i32) -> ()
+  }) {arg_delays = [0, 0], arg_names = ["reg", "v1"], arg_types = [!ty<i32>, !ty<i32>], result_delays = [1], result_types = [!ty<i32>], sym_name = @task} : () -> ()
+  "hir.func"() ({
+    ^bb(%Ai: !hir.memref<64*i32, r>, %Bw: !hir.memref<64*i32, w>, %t_1: !hir.time):
+    %c0 = "hir.constant"() {value = 0} : () -> (!hir.const)
+    %c1 = "hir.constant"() {value = 1} : () -> (!hir.const)
+    %c0_1 = "hir.constant"() {value = 0} : () -> (!hir.const)
+    %c1_1 = "hir.constant"() {value = 1} : () -> (!hir.const)
+    %c63 = "hir.constant"() {value = 63} : () -> (!hir.const)
+    %v75, %v76 = "hir.alloc"() {mem_kind = "reg"} : () -> (!hir.memref<2*i32, packing=[], r>, !hir.memref<2*i32, packing=[], w>)
+    %v78 = "hir.mem_read"(%Ai, %c0_1, %t_1) {latency = 1, offset = 0} : (!hir.memref<64*i32, r>, !hir.const, !hir.time) -> (i32)
+    %v80 = "hir.delay"(%v78, %t_1) {by = 1, offset = 1} : (i32, !hir.time) -> (i32)
+    %v82 = "hir.mem_read"(%Ai, %c1_1, %t_1) {latency = 1, offset = 1} : (!hir.memref<64*i32, r>, !hir.const, !hir.time) -> (i32)
+    "hir.mem_write"(%v80, %v76, %c0, %t_1) {offset = 2} : (i32, !hir.memref<2*i32, packing=[], w>, !hir.const, !hir.time) -> ()
+    "hir.mem_write"(%v82, %v76, %c1, %t_1) {offset = 2} : (i32, !hir.memref<2*i32, packing=[], w>, !hir.const, !hir.time) -> ()
+    %tf_i = "hir.for"(%c1_1, %c63, %c1, %t_1) ({
+      ^bb(%i: i32, %ti: !hir.time):
+      "hir.yield"(%ti) {offset = 1} : (!hir.time) -> ()
+      %v93 = "hir.mem_read"(%v75, %c0, %ti) {latency = 0, offset = 1} : (!hir.memref<2*i32, packing=[], r>, !hir.const, !hir.time) -> (i32)
+      %v95 = "hir.mem_read"(%v75, %c1, %ti) {latency = 0, offset = 1} : (!hir.memref<2*i32, packing=[], r>, !hir.const, !hir.time) -> (i32)
+      %v97 = "hir.add"(%i, %c1) : (i32, !hir.const) -> (i32)
+      %v99 = "hir.mem_read"(%Ai, %v97, %ti) {latency = 1, offset = 0} : (!hir.memref<64*i32, r>, i32, !hir.time) -> (i32)
+      "hir.mem_write"(%v95, %v76, %c0, %ti) {offset = 1} : (i32, !hir.memref<2*i32, packing=[], w>, !hir.const, !hir.time) -> ()
+      "hir.mem_write"(%v99, %v76, %c1, %ti) {offset = 1} : (i32, !hir.memref<2*i32, packing=[], w>, !hir.const, !hir.time) -> ()
+      %v103 = "hir.call"(%v93, %v95, %ti) {arg_delays = [0, 0], callee = @task, offset = 1, result_delays = [1]} : (i32, i32, !hir.time) -> (i32)
+      %v105 = "hir.delay"(%i, %ti) {by = 2, offset = 0} : (i32, !hir.time) -> (i32)
+      "hir.mem_write"(%v103, %Bw, %v105, %ti) {offset = 2} : (i32, !hir.memref<64*i32, w>, i32, !hir.time) -> ()
+    }) {offset = 3} : (!hir.const, !hir.const, !hir.const, !hir.time) -> (!hir.time)
+    "hir.return"() : () -> ()
+  }) {arg_delays = [0, 0], arg_names = ["Ai", "Bw"], arg_types = [!ty<!hir.memref<64*i32, r>>, !ty<!hir.memref<64*i32, w>>], result_delays = [], result_types = [], sym_name = @stencil_1d} : () -> ()
+}) : () -> ()|}
+
+(* IEEE 1364-2005 reserved words (Annex B). *)
+let verilog_keywords =
+  String.split_on_char ' '
+    "always and assign automatic begin buf bufif0 bufif1 case casex casez cell cmos \
+     config deassign default defparam design disable edge else end endcase endconfig \
+     endfunction endgenerate endmodule endprimitive endspecify endtable endtask event \
+     for force forever fork function generate genvar highz0 highz1 if ifnone incdir \
+     include initial inout input instance integer join large liblist library localparam \
+     macromodule medium module nand negedge nmos nor noshowcancelled not notif0 notif1 or \
+     output parameter pmos posedge primitive pull0 pull1 pulldown pullup \
+     pulsestyle_ondetect pulsestyle_onevent rcmos real realtime reg release repeat rnmos \
+     rpmos rtran rtranif0 rtranif1 scalared showcancelled signed small specify specparam \
+     strong0 strong1 supply0 supply1 table task time tran tranif0 tranif1 tri tri0 tri1 \
+     triand trior trireg unsigned use uwire vectored wait wand weak0 weak1 while wire wor \
+     xnor xor"
+
+let test_keyword_identifiers () =
+  let design = compile_text stencil_with_keywords in
+  let declared =
+    List.concat_map
+      (fun (m : Hir_verilog.Ast.module_def) ->
+        (m.mod_name :: List.map (fun p -> p.Hir_verilog.Ast.port_name) m.ports)
+        @ List.filter_map
+            (function
+              | Hir_verilog.Ast.Wire_decl { name; _ }
+              | Hir_verilog.Ast.Reg_decl { name; _ }
+              | Hir_verilog.Ast.Mem_decl { name; _ } -> Some name
+              | Hir_verilog.Ast.Instance { module_name; instance_name; _ } ->
+                Some (module_name ^ " " ^ instance_name)
+              | _ -> None)
+            m.items)
+      design.Hir_verilog.Ast.modules
+    |> List.concat_map (String.split_on_char ' ')
+  in
+  Alcotest.(check (list string)) "no keyword declared" []
+    (List.filter (fun n -> List.mem n verilog_keywords) declared)
+
 let suite ~optimize =
   let tag name = if optimize then name ^ " (optimized)" else name in
   [
@@ -249,5 +398,8 @@ let () =
           Alcotest.test_case "verilog text" `Quick test_verilog_text;
           Alcotest.test_case "UB assertion fires" `Quick test_assertion_fires_on_conflict;
           Alcotest.test_case "scalar results (MAC)" `Quick test_scalar_results;
+          Alcotest.test_case "newline in a location comment" `Quick test_comment_injection;
+          Alcotest.test_case "keywords as identifiers" `Quick test_keyword_identifiers;
         ] );
+      ("naming", [ Alcotest.test_case "printer and Names suffixes" `Quick test_naming ]);
     ]

@@ -377,7 +377,10 @@ let test_trace_spans_and_json () =
   List.iter
     (fun expected ->
       check_bool (Printf.sprintf "span %s present" expected) true (List.mem expected names))
-    [ "parse"; "verify"; "pass:canonicalize"; "pass:unroll"; "emit"; "print" ];
+    [
+      "parse"; "verify"; "plan"; "optimize"; "pass:canonicalize"; "pass:unroll"; "emit";
+      "pretty"; "print";
+    ];
   let json = Trace.to_chrome_json [ trace ] in
   let contains needle =
     let lh = String.length json and ln = String.length needle in

@@ -165,6 +165,71 @@ let test_callee_edit_invalidates_cone () =
   check_int "edited callee + its caller re-optimize, nothing else" 2 fn_stores
 
 (* ------------------------------------------------------------------ *)
+(* Golden digests: printed optimized function and compiled Verilog     *)
+
+(* Each design as (name, builder): the built-in kernels ("gemm" is GEMM
+   at n = 16, "systolic" the systolic array at n = 8) plus GEMM and the
+   systolic array at the other sizes the benchmark compiles. *)
+let golden_designs =
+  List.map
+    (fun k -> (k.Hir_kernels.Kernels.name, k.Hir_kernels.Kernels.build))
+    Hir_kernels.Kernels.all
+  @ [
+      ("gemm4", fun () -> Hir_kernels.Gemm.build ~n:4 ());
+      ("systolic4", fun () -> Hir_kernels.Systolic.build ~n:4 ());
+      ("systolic16", fun () -> Hir_kernels.Systolic.build ~n:16 ());
+    ]
+
+(* (MD5 of the top's optimized printed form, MD5 of the job's Verilog),
+   recorded before the IR and Verilog printers moved from Format to
+   Buffer: every byte of both printers and both namers is pinned. *)
+let golden_digests =
+  [
+    ("transpose", ("6014ae95d4d880a3928459c8f13d9fb6", "efecdfa09f08085bb8475007eb7450a7"));
+    ("stencil_1d", ("61e20fda65572b26288cae214b7bd615", "bb5b75c7efeaa442428dbd1177eafdc0"));
+    ("histogram", ("a883ee90d5b5adf360ff26bcfa02873f", "9212238388226530812c6af77828ed54"));
+    ("gemm", ("ab9c69c2009f9613e456be80a2b79123", "17bae3ab7160b59fe57e3b9762bc0028"));
+    ("systolic", ("b6345954f8086136f0d8a15e9dfc08b2", "0d8e65eac4e00973b843bd1a1b0eb3ce"));
+    ("convolution", ("d1674d9e88122d569c164b9fc934bcc7", "71e84d6493f51707eba9a2f20309f63a"));
+    ("fifo", ("4fd6fc650e2534f34e46e8037a8b175f", "8b50d85d61a202ae1b0f597ca00c9ad8"));
+    ("elementwise_max", ("ed27296dc980489ad72a81d82bc527f4", "6d0b9c9a1f5f49e7671e0d890c9d1511"));
+    ("task_parallel", ("54ee8511b8c4db47e24274e2fe8cd643", "3d11a465a8d83fa4f5a3be71fd97c591"));
+    ("gemm4", ("7c281298722d353a610c97804efd2dfe", "5fb8a3b4b301d94916cffc34ebdd5510"));
+    ("systolic4", ("9c9c59038cd64e3c0073fda2522eb04e", "999a224f22a3d915fa4cac7d715d005a"));
+    ("systolic16", ("43388042aa312ca064e4ccd68bc1b5dd", "7c3fc806f8f76633e29067f3a51a7f6a"));
+  ]
+
+let test_golden_digests () =
+  let actual =
+    List.map
+      (fun (name, build) ->
+        let text, top =
+          Ir.with_isolated_ids (fun () ->
+              let m, f = build () in
+              (Printer.op_to_string m, Ops.func_name f))
+        in
+        let verilog =
+          match Driver.compile_job (Driver.job_of_text ~top ~pipeline ~name text) with
+          | Ok o -> o.Driver.verilog
+          | Error e -> Alcotest.failf "%s: %s" name (Driver.error_to_string e)
+        in
+        let opt_text =
+          Ir.with_isolated_ids (fun () ->
+              let plan = Incr.normalize ~file:name ~text (Parser.parse_string ~file:name text) in
+              fst (Incr.optimize_fn plan ~passes:(Pipeline.to_passes pipeline)
+                     ~instrument:(fun _ -> ()) top))
+        in
+        (name, (Digest.to_hex (Digest.string opt_text), Digest.to_hex (Digest.string verilog))))
+      golden_designs
+  in
+  if actual <> golden_digests then
+    Alcotest.failf "digests moved; now:\n%s"
+      (String.concat "\n"
+         (List.map
+            (fun (n, (i, v)) -> Printf.sprintf "    (%S, (%S, %S));" n i v)
+            actual))
+
+(* ------------------------------------------------------------------ *)
 (* Property: byte-identity and minimal recompute on random edits       *)
 
 (* Fast single-function kernels, so the property stays cheap. *)
@@ -215,6 +280,8 @@ let () =
           Alcotest.test_case "callee-edit-invalidates-cone" `Quick
             test_callee_edit_invalidates_cone;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "kernel digests" `Quick test_golden_digests ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest ~verbose:false incremental_reuse_prop ] );
     ]
