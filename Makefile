@@ -33,6 +33,12 @@ check: build test
 	  | grep -q "^--vcd:1:1: error: --vcd dumps a single simulation" \
 	  || { echo "make check: FAILED (sim --batch 4 --vcd was not rejected)"; exit 1; }
 	@echo "sim --batch --vcd rejection: OK"
+	@out=$$(timeout 10 _build/default/bin/hirc.exe compile examples/designs/err_call_cycle.hir 2>&1); \
+	  code=$$?; \
+	  if [ $$code -ne 1 ] || ! echo "$$out" | grep -q "call cycle through @"; then \
+	    echo "make check: FAILED (err_call_cycle.hir exited $$code, not 1 with a call-cycle diagnostic)"; exit 1; \
+	  fi
+	@echo "call-cycle rejection: OK"
 	$(MAKE) faults
 	$(MAKE) serve-smoke
 	$(MAKE) crash

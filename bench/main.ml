@@ -451,15 +451,13 @@ let scaling () =
     [ 4; 8; 12; 16 ]
 
 (* ------------------------------------------------------------------ *)
-(* Canonicalize scaling: greedy worklist driver vs the legacy loop     *)
+(* Canonicalize scaling: the greedy worklist driver                   *)
 
-(* The legacy canonicalizer re-scans the whole module every round
-   (use-counting is itself a module walk, so each round is quadratic in
-   the op count); the worklist driver touches an op only when it or one
-   of its operands changed.  Fully-unrolled GEMM grids give a family of
-   inputs whose size grows with n², making the asymptotic gap visible.
-   Each sample rebuilds and re-unrolls a fresh module (untimed) so both
-   canonicalizers start from identical IR. *)
+(* The worklist driver touches an op only when it or one of its
+   operands changed, so its cost tracks the rewrites, not rounds x
+   module size.  Fully-unrolled GEMM grids give a family of inputs
+   whose size grows with n².  Each sample rebuilds and re-unrolls a
+   fresh module (untimed) so every run starts from identical IR. *)
 
 let count_all_ops m =
   let n = ref 0 in
@@ -482,9 +480,9 @@ let time_fresh ~runs ~prepare f =
 let gemm16_budget_s = 2.0
 
 let canonicalize_scaling () =
-  header "Canonicalize scaling: worklist driver vs legacy pass loop (unrolled GEMM)";
-  Printf.printf "%-8s %8s %12s %12s %9s %10s %7s\n" "n (PEs)" "ops" "driver(s)"
-    "legacy(s)" "speedup" "processed" "rounds";
+  header "Canonicalize scaling: worklist driver (unrolled GEMM)";
+  Printf.printf "%-8s %8s %12s %10s %7s\n" "n (PEs)" "ops" "driver(s)" "processed"
+    "rounds";
   let violation = ref None in
   List.iter
     (fun n ->
@@ -502,21 +500,17 @@ let canonicalize_scaling () =
             rounds := stats.Rewrite.ds_rounds;
             stats.Rewrite.ds_changed)
       in
-      let legacy_t = time_fresh ~runs:3 ~prepare Passes.Legacy.run_canonicalize in
-      let speedup = legacy_t /. driver_t in
       record ~section:"canonicalize-scaling"
         ~name:(Printf.sprintf "gemm-%dx%d" n n)
         [
           ("ops", float_of_int ops);
           ("driver_s", driver_t);
-          ("legacy_s", legacy_t);
-          ("speedup", speedup);
           ("ops_processed", float_of_int !processed);
           ("rounds", float_of_int !rounds);
         ];
-      Printf.printf "%-8s %8d %12.4f %12.4f %8.1fx %10d %7d\n"
+      Printf.printf "%-8s %8d %12.4f %10d %7d\n"
         (Printf.sprintf "%dx%d" n n)
-        ops driver_t legacy_t speedup !processed !rounds;
+        ops driver_t !processed !rounds;
       if n = 16 && driver_t > gemm16_budget_s then
         violation :=
           Some
@@ -838,7 +832,7 @@ module Server = Hir_driver.Server
 module Protocol = Hir_driver.Protocol
 module Cache = Hir_driver.Cache
 module Faults = Hir_driver.Faults
-module Scheduler = Hir_driver.Scheduler
+module Service = Hir_driver.Service
 
 (* N concurrent clients hammer one `hirc serve` instance (run
    in-process on its own domain) over a Unix socket with mixed kernel
@@ -885,7 +879,7 @@ let serve_swarm () =
     |> Array.of_list
   in
   let stored, hits, warm_failures =
-    Driver.warm_cache ~cache ~workers:(Scheduler.default_workers ()) warm_jobs
+    Driver.warm_cache ~cache ~workers:(Service.default_workers ()) warm_jobs
   in
   Printf.printf "warm: %d kernels -> %d stored, %d already cached, %d failed\n%!"
     (Array.length warm_jobs) stored hits warm_failures;
@@ -897,7 +891,7 @@ let serve_swarm () =
   let cfg =
     {
       (Server.default_config ~listen:(Server.Unix_path sock) ()) with
-      Server.cfg_workers = max 2 (Scheduler.default_workers ());
+      Server.cfg_workers = max 2 (Service.default_workers ());
       cfg_max_depth = 48;
       cfg_cache = Some (Cache.create ~dir:cache_dir ());
       cfg_trace_path = Some trace_path;

@@ -73,15 +73,6 @@ let load_module path =
     Error (Printf.sprintf "%s: lex error: %s" (Location.to_string loc) msg)
   | Sys_error e -> Error e
 
-let run_verifiers module_op =
-  let engine = Diagnostic.Engine.create () in
-  (match Verify.verify module_op with
-  | Ok () -> ()
-  | Error e -> List.iter (Diagnostic.Engine.emit engine) (Diagnostic.Engine.to_list e));
-  if not (Diagnostic.Engine.has_errors engine) then
-    Verify_schedule.verify_module engine module_op;
-  engine
-
 let output_text out text =
   match out with
   | None -> print_string text
@@ -222,7 +213,7 @@ let verify_cmd =
       prerr_endline e;
       1
     | Ok m ->
-      let engine = run_verifiers m in
+      let engine = Driver.verifier_engine m in
       if Diagnostic.Engine.has_errors engine then begin
         prerr_endline (Diagnostic.Engine.to_string engine);
         1
@@ -715,7 +706,7 @@ let cache_cmd =
   let warm_jobs_arg =
     Arg.(
       value
-      & opt int (Scheduler.default_workers ())
+      & opt int (Service.default_workers ())
       & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for --warm")
   in
   let cache_stats_arg =
@@ -886,7 +877,7 @@ let batch_cmd =
   let jobs_arg =
     Arg.(
       value
-      & opt int (Scheduler.default_workers ())
+      & opt int (Service.default_workers ())
       & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Number of worker domains")
   in
   let all_kernels_arg =
@@ -1084,7 +1075,7 @@ let serve_cmd =
   let workers_arg =
     Arg.(
       value
-      & opt int (Scheduler.default_workers ())
+      & opt int (Service.default_workers ())
       & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Number of worker domains")
   in
   let depth_arg =

@@ -1125,24 +1125,30 @@ let emit_module_for ?(hier = true) ~module_op func =
     Outline.defs ctx.registry,
     ifc )
 
-let rec callees_of ~module_op func acc =
+(* Transitive callees of a function, depth first.  [path] holds the
+   functions on the current call chain: a callee already on it is a
+   call cycle, which has no finite hardware (a module would have to
+   instantiate itself). *)
+let rec callees_of ~module_op ~path func acc =
   let calls = Ir.Walk.find_all func "hir.call" in
   List.fold_left
     (fun acc call ->
       let name = Ops.call_callee call in
-      if List.mem_assoc name acc then acc
+      if List.mem name path then fail "call cycle through @%s" name
+      else if List.mem_assoc name acc then acc
       else
         match Ops.lookup_func module_op name with
         | None -> fail "call to unknown function @%s" name
         | Some callee ->
           let acc = (name, callee) :: acc in
-          if Ops.is_extern_func callee then acc else callees_of ~module_op callee acc)
+          if Ops.is_extern_func callee then acc
+          else callees_of ~module_op ~path:(name :: path) callee acc)
     acc calls
 
 let emit ?(hier = true) ~module_op ~top () =
   if Ops.is_extern_func top then
     fail "top function @%s is extern (it has no body to emit)" (Ops.func_name top);
-  let callees = callees_of ~module_op top [] in
+  let callees = callees_of ~module_op ~path:[ Ops.func_name top ] top [] in
   let modules = ref [] in
   let ifaces = ref [] in
   (* Shared definitions are deduplicated design-wide by name (the name

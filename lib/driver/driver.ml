@@ -6,7 +6,7 @@
      - a content-addressed cache (module [Cache]) consulted before any
        work is done and filled after a successful compile, with hit-path
        integrity verification and quarantine of damaged entries;
-     - a multicore batch mode (module [Scheduler]) that compiles many
+     - a multicore batch mode (module [Service]) that compiles many
        jobs concurrently on OCaml 5 domains, with results returned in
        input order and byte-identical to a sequential run (each job
        compiles under [Ir.with_isolated_ids], so the id-derived names
@@ -42,8 +42,8 @@ type output = {
   note : string option;  (* e.g. implicit top-function choice *)
   degradations : string list;
       (* fallbacks taken while still producing this output: cache
-         faults survived, corrupt entries quarantined, legacy-pass
-         fallbacks, retries.  Empty = clean compile. *)
+         faults survived, corrupt entries quarantined, retries.
+         Empty = clean compile. *)
   pass_stats : Pass.stat list;  (* empty on a cache hit *)
   seconds : float;  (* total job wall time *)
 }
@@ -99,13 +99,20 @@ exception Compile_failed of Diagnostic.t list
 
 let fail_msg msg = raise (Compile_failed [ Diagnostic.error Location.unknown msg ])
 
-let run_verifiers module_op =
+(* Structural verification, then schedule verification if that was
+   clean: the schedule verifier's accessors assume a structurally sound
+   module.  The engine holds every diagnostic either reported. *)
+let verifier_engine module_op =
   let engine = Diagnostic.Engine.create () in
   (match Verify.verify module_op with
   | Ok () -> ()
   | Error e -> List.iter (Diagnostic.Engine.emit engine) (Diagnostic.Engine.to_list e));
   if not (Diagnostic.Engine.has_errors engine) then
     Verify_schedule.verify_module engine module_op;
+  engine
+
+let run_verifiers module_op =
+  let engine = verifier_engine module_op in
   if Diagnostic.Engine.has_errors engine then
     raise (Compile_failed (Diagnostic.Engine.to_list engine))
 
@@ -137,10 +144,10 @@ let pick_top module_op top =
     in
     (f, Some note)
 
-(* The instrument shared by the whole-module pipeline and the staged
-   per-function mini-pipelines: pass spans in the Chrome trace, and a
-   guard checkpoint between passes so a pipeline that overruns its
-   deadline stops at the next pass boundary. *)
+(* The instrument of the per-function mini-pipelines: pass spans in
+   the Chrome trace, and a guard checkpoint between passes so a
+   pipeline that overruns its deadline stops at the next pass
+   boundary. *)
 let pass_instrument ~trace ~guard = function
   | Pass.Pass_begin _ -> ()
   | Pass.Pass_end { pass_name; seconds; changed; counters; _ } ->
@@ -152,39 +159,6 @@ let pass_instrument ~trace ~guard = function
       ~args:(("changed", string_of_bool changed) :: counter_args)
       ~name:("pass:" ^ pass_name) ~start:(stop -. seconds) ~stop ();
     Guard.tick guard
-
-let run_pipeline ~trace ~guard spec module_op =
-  let mgr =
-    Pass.Manager.create ~instrument:(pass_instrument ~trace ~guard)
-      (Pipeline.to_passes spec)
-  in
-  let result = Pass.Manager.run mgr module_op in
-  if not result.Pass.succeeded then begin
-    match Diagnostic.Engine.to_list result.Pass.engine with
-    | [] -> fail_msg "pass pipeline failed"
-    | diags -> raise (Compile_failed diags)
-  end;
-  result.Pass.stats
-
-(* Degradations a pass reports about itself (e.g. canonicalize falling
-   back to the legacy fixpoint on a backstop trip) surface as counters
-   whose name contains "fallback"; lift them into the job's degradation
-   list so the batch report shows them without trace spelunking. *)
-let fallback_degradations pass_stats =
-  let has_sub hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
-  List.concat_map
-    (fun (s : Pass.stat) ->
-      List.filter_map
-        (fun (name, n) ->
-          if has_sub name "fallback" then
-            Some (Printf.sprintf "pass %s: %s (x%d)" s.Pass.pass_name name n)
-          else None)
-        s.Pass.counters)
-    pass_stats
 
 let zero_usage = Hir_resources.Model.zero
 
@@ -280,320 +254,253 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
               (* The compile itself as an injection point: models a
                  worker crashing mid-job. *)
               Faults.point "job.compile";
-              (* The pre-staged whole-module flow, kept as the fallback
-                 for modules the per-function decomposition cannot
-                 represent (see [Incr.Fallback]).  Whether a module
-                 falls back is a deterministic property of its text, so
-                 cold and warm compiles of the same source always take
-                 the same path — and the fallback recompiles from
-                 scratch under an isolated id counter, so its bytes do
-                 not depend on how far the staged attempt got. *)
-              let monolithic () =
-                let compile () =
-                  let module_op, top_func, note =
-                    match built with
-                    | Some (m, f) -> (m, f, None)
+              (* Src stage: parse + verify, memoized on the raw source
+                 text.  The payload is the normalized module text (the
+                 print∘parse fixed point), so a hit proves this source
+                 parsed and verified before and skips both. *)
+              let plan, top_name, note =
+                match built with
+                | Some (m, f) ->
+                  (* Builder text is print(m): already normalized, and
+                     rebuilt fresh on every compile — not worth a Src
+                     entry. *)
+                  Guard.tick guard;
+                  Trace.span trace ~cat:"verify" "verify" (fun () ->
+                      run_verifiers m);
+                  Guard.tick guard;
+                  ( Trace.span trace ~cat:"frontend" "plan" (fun () ->
+                        Incr.plan_of_module ~text m),
+                    Ops.func_name f,
+                    None )
+                | None ->
+                  let src_key = Cache.stage_key ~kind:Cache.Src ~parts:[ text ] in
+                  let plan =
+                    match consult Cache.Src "source" src_key with
+                    | Some e ->
+                      let m =
+                        Trace.span trace ~cat:"frontend" "parse" (fun () ->
+                            Ir.with_isolated_ids (fun () ->
+                                Parser.parse_string ~file:name e.Cache.e_verilog))
+                      in
+                      Guard.tick guard;
+                      Trace.span trace ~cat:"frontend" "plan" (fun () ->
+                          Incr.plan_of_module m)
                     | None ->
                       let m =
                         Trace.span trace ~cat:"frontend" "parse" (fun () ->
                             Parser.parse_string ~file:name text)
                       in
-                      let f, note = pick_top m job.top in
-                      (m, f, note)
-                  in
-                  Guard.tick guard;
-                  Trace.span trace ~cat:"verify" "verify" (fun () ->
-                      run_verifiers module_op);
-                  Guard.tick guard;
-                  let pass_stats = run_pipeline ~trace ~guard job.pipeline module_op in
-                  List.iter degrade (fallback_degradations pass_stats);
-                  let emitted =
-                    Trace.span trace ~cat:"backend" "emit" (fun () ->
-                        Hir_codegen.Emit.emit ~module_op ~top:top_func ())
-                  in
-                  Guard.tick guard;
-                  let verilog =
-                    Trace.span trace ~cat:"backend" "print" (fun () ->
-                        Hir_verilog.Pretty.design_to_string
-                          emitted.Hir_codegen.Emit.design)
-                  in
-                  let usage =
-                    Trace.span trace ~cat:"backend" "resource-model" (fun () ->
-                        Hir_resources.Model.design_usage emitted.Hir_codegen.Emit.design)
-                  in
-                  Guard.tick guard;
-                  let top_name = Ops.func_name top_func in
-                  store Cache.Job "result" key
-                    { Cache.e_verilog = verilog; e_top = top_name; e_usage = usage };
-                  finish ~top_name ~verilog ~usage ~from_cache:false ~note ~pass_stats
-                in
-                match built with
-                | Some _ ->
-                  (* Builder modules are used in place: the id counter
-                     state after [build] is the same on every path. *)
-                  compile ()
-                | None ->
-                  (* Text sources re-parse from scratch so the fallback
-                     sees ids 0.. wherever the staged attempt aborted. *)
-                  Ir.with_isolated_ids compile
-              in
-              let staged () =
-                (* Src stage: parse + verify, memoized on the raw source
-                   text.  The payload is the normalized module text (the
-                   print∘parse fixed point), so a hit proves this source
-                   parsed and verified before and skips both. *)
-                let plan, top_name, note =
-                  match built with
-                  | Some (m, f) ->
-                    (* Builder text is print(m): already normalized, and
-                       rebuilt fresh on every compile — not worth a Src
-                       entry. *)
-                    Guard.tick guard;
-                    Trace.span trace ~cat:"verify" "verify" (fun () ->
-                        run_verifiers m);
-                    Guard.tick guard;
-                    ( Trace.span trace ~cat:"frontend" "plan" (fun () ->
-                          Incr.plan_of_module ~text m),
-                      Ops.func_name f,
-                      None )
-                  | None ->
-                    let src_key = Cache.stage_key ~kind:Cache.Src ~parts:[ text ] in
-                    let plan =
-                      match consult Cache.Src "source" src_key with
-                      | Some e ->
-                        let m =
-                          Trace.span trace ~cat:"frontend" "parse" (fun () ->
-                              Ir.with_isolated_ids (fun () ->
-                                  Parser.parse_string ~file:name e.Cache.e_verilog))
-                        in
-                        Guard.tick guard;
-                        Trace.span trace ~cat:"frontend" "plan" (fun () ->
-                            Incr.plan_of_module m)
-                      | None ->
-                        let m =
-                          Trace.span trace ~cat:"frontend" "parse" (fun () ->
-                              Parser.parse_string ~file:name text)
-                        in
-                        Guard.tick guard;
-                        Trace.span trace ~cat:"verify" "verify" (fun () ->
-                            run_verifiers m);
-                        Guard.tick guard;
-                        let plan =
-                          Trace.span trace ~cat:"frontend" "plan" (fun () ->
-                              Ir.with_isolated_ids (fun () ->
-                                  Incr.normalize ~file:name ~text m))
-                        in
-                        store Cache.Src "normalized source" src_key
-                          {
-                            Cache.e_verilog = plan.Incr.pl_text;
-                            e_top = "";
-                            e_usage = zero_usage;
-                          };
-                        plan
-                    in
-                    let f, note = pick_top plan.Incr.pl_module job.top in
-                    (plan, Ops.func_name f, note)
-                in
-                if (Incr.fn_info plan top_name).Incr.fi_extern then
-                  (* The monolithic emitter reports this as the codegen
-                     error it is; reproduce its exact behaviour. *)
-                  raise (Incr.Fallback "extern top function");
-                let hash = Incr.cone_hashes plan ~pipeline:pipeline_str in
-                let link_key =
-                  Cache.stage_key ~kind:Cache.Link ~parts:[ hash top_name ]
-                in
-                match consult Cache.Link "link" link_key with
-                | Some entry ->
-                  (* Every function of the design is unchanged: re-link
-                     from cache, and promote to a whole-job entry so the
-                     next compile of this exact source skips even the
-                     hashing. *)
-                  Trace.incr trace "cache-link-hit";
-                  store Cache.Job "result" key entry;
-                  finish ~top_name:entry.Cache.e_top ~verilog:entry.Cache.e_verilog
-                    ~usage:entry.Cache.e_usage ~from_cache:true ~note ~pass_stats:[]
-                | None ->
-                  let passes = Pipeline.to_passes job.pipeline in
-                  (* Per-function Verilog texts (by function name) and
-                     inclusive usages (by *emitted module* name, the key
-                     instances carry), filled bottom-up so every
-                     instance resolves to an already-computed usage. *)
-                  let texts = Hashtbl.create 16 in
-                  let usages = Hashtbl.create 16 in
-                  (* Shared definitions ([hirdef_*] modules) pulled in by
-                     the functions of this design: name -> printed text,
-                     plus each function's manifest (which definitions its
-                     module needs, in registration order). *)
-                  let def_texts = Hashtbl.create 16 in
-                  let fn_defs = Hashtbl.create 16 in
-                  let def_key dn =
-                    Cache.stage_key ~kind:Cache.Vmod ~parts:[ "def"; dn ]
-                  in
-                  (* Restore every named definition from its own Vmod
-                     entry; a missing one (evicted independently of the
-                     function entry) turns the function hit into a miss. *)
-                  let restore_defs names =
-                    List.for_all
-                      (fun dn ->
-                        Hashtbl.mem def_texts dn
-                        ||
-                        match consult Cache.Vmod "definition-verilog" (def_key dn) with
-                        | Some de ->
-                          Hashtbl.replace def_texts dn de.Cache.e_verilog;
-                          Hashtbl.replace usages dn de.Cache.e_usage;
-                          true
-                        | None -> false)
-                      names
-                  in
-                  let all_stats = ref [] in
-                  List.iter
-                    (fun fn ->
                       Guard.tick guard;
-                      let h = hash fn in
-                      let vmod_key = Cache.stage_key ~kind:Cache.Vmod ~parts:[ h ] in
-                      let hit =
-                        match consult Cache.Vmod "function-verilog" vmod_key with
-                        | Some e ->
-                          let def_names, mtext =
-                            Incr.split_manifest e.Cache.e_verilog
-                          in
-                          restore_defs def_names
-                          && begin
-                               Hashtbl.replace texts fn mtext;
-                               Hashtbl.replace fn_defs fn def_names;
-                               Hashtbl.replace usages
-                                 (Incr.emitted_module_name fn)
-                                 e.Cache.e_usage;
-                               true
-                             end
-                        | None -> false
+                      Trace.span trace ~cat:"verify" "verify" (fun () ->
+                          run_verifiers m);
+                      Guard.tick guard;
+                      let plan =
+                        Trace.span trace ~cat:"frontend" "plan" (fun () ->
+                            Ir.with_isolated_ids (fun () ->
+                                Incr.normalize ~file:name ~text m))
                       in
-                      if not hit then begin
-                        let fi = Incr.fn_info plan fn in
-                        let opt_text =
-                          if fi.Incr.fi_extern then ""
-                          else
-                            let fn_key =
-                              Cache.stage_key ~kind:Cache.Fn ~parts:[ h ]
-                            in
-                            match consult Cache.Fn "function-ir" fn_key with
-                            | Some e -> e.Cache.e_verilog
-                            | None ->
-                              let opt_text, stats =
-                                Trace.span trace "optimize" (fun () ->
-                                    Incr.optimize_fn plan ~passes
-                                      ~instrument:(pass_instrument ~trace ~guard)
-                                      fn)
-                              in
-                              all_stats := stats :: !all_stats;
-                              store Cache.Fn "optimized function" fn_key
-                                {
-                                  Cache.e_verilog = opt_text;
-                                  e_top = fn;
-                                  e_usage = zero_usage;
-                                };
-                              opt_text
-                        in
-                        let vmodule, defs =
-                          Trace.span trace ~cat:"backend" "emit" (fun () ->
-                              Incr.emit_fn plan ~opt_text fn)
-                        in
-                        let instance_usage mname =
-                          match Hashtbl.find_opt usages mname with
-                          | Some u -> u
-                          | None ->
-                            raise
-                              (Incr.Fallback ("instance of unknown module " ^ mname))
-                        in
-                        (* Register the definitions first: the function
-                           module instantiates them, so its own usage
-                           lookup below must already resolve their names. *)
-                        let def_names =
-                          List.map (fun d -> d.Hir_verilog.Ast.mod_name) defs
-                        in
-                        List.iter
-                          (fun (d : Hir_verilog.Ast.module_def) ->
-                            let dn = d.Hir_verilog.Ast.mod_name in
-                            if not (Hashtbl.mem def_texts dn) then begin
-                              let dtext, dusage =
-                                Trace.span trace ~cat:"backend" "pretty" (fun () ->
-                                    ( Hir_verilog.Pretty.module_to_string d,
-                                      Hir_resources.Model.module_usage ~instance_usage d
-                                    ))
-                              in
-                              Hashtbl.replace def_texts dn dtext;
-                              Hashtbl.replace usages dn dusage;
-                              store Cache.Vmod "definition Verilog" (def_key dn)
-                                {
-                                  Cache.e_verilog = dtext;
-                                  e_top = dn;
-                                  e_usage = dusage;
-                                }
-                            end)
-                          defs;
-                        let mtext, usage =
-                          Trace.span trace ~cat:"backend" "pretty" (fun () ->
-                              ( Hir_verilog.Pretty.module_to_string vmodule,
-                                Hir_resources.Model.module_usage ~instance_usage vmodule
-                              ))
-                        in
-                        Hashtbl.replace texts fn mtext;
-                        Hashtbl.replace fn_defs fn def_names;
-                        Hashtbl.replace usages (Incr.emitted_module_name fn) usage;
-                        store Cache.Vmod "function Verilog" vmod_key
-                          {
-                            Cache.e_verilog = Incr.with_manifest ~def_names mtext;
-                            e_top = fn;
-                            e_usage = usage;
-                          }
-                      end)
-                    (Incr.usage_order plan ~top:top_name);
-                  let verilog =
-                    Trace.span trace ~cat:"backend" "print" (fun () ->
-                        (* Interleave each function's not-yet-placed
-                           definitions before its module, exactly as
-                           [Emit.emit] orders a monolithic design. *)
-                        let placed = Hashtbl.create 16 in
-                        Incr.link_design
-                          (List.concat_map
-                             (fun fn ->
-                               let defs =
-                                 List.filter_map
-                                   (fun dn ->
-                                     if Hashtbl.mem placed dn then None
-                                     else begin
-                                       Hashtbl.replace placed dn ();
-                                       Some (Hashtbl.find def_texts dn)
-                                     end)
-                                   (Option.value ~default:[]
-                                      (Hashtbl.find_opt fn_defs fn))
-                               in
-                               defs @ [ Hashtbl.find texts fn ])
-                             (Incr.emit_order plan ~top:top_name)))
+                      store Cache.Src "normalized source" src_key
+                        {
+                          Cache.e_verilog = plan.Incr.pl_text;
+                          e_top = "";
+                          e_usage = zero_usage;
+                        };
+                      plan
                   in
-                  Guard.tick guard;
-                  let usage =
-                    Hashtbl.find usages (Incr.emitted_module_name top_name)
-                  in
-                  let entry =
-                    { Cache.e_verilog = verilog; e_top = top_name; e_usage = usage }
-                  in
-                  store Cache.Link "linked design" link_key entry;
-                  store Cache.Job "result" key entry;
-                  let pass_stats = List.concat (List.rev !all_stats) in
-                  List.iter degrade (fallback_degradations pass_stats);
-                  finish ~top_name ~verilog ~usage ~from_cache:false ~note ~pass_stats
+                  let f, note = pick_top plan.Incr.pl_module job.top in
+                  (plan, Ops.func_name f, note)
               in
-              (try staged () with
-              | Incr.Fallback reason ->
-                Trace.instant trace ~cat:"fault"
-                  ~args:[ ("job", name); ("reason", reason) ]
-                  "staged-fallback";
-                Trace.incr trace "staged-fallback";
-                monolithic ()
-              | Incr.Pass_failed diags -> raise (Compile_failed diags))))
+              if (Incr.fn_info plan top_name).Incr.fi_extern then
+                raise
+                  (Hir_codegen.Emit.Codegen_error
+                     (Printf.sprintf "top function @%s is extern (it has no body to emit)"
+                        top_name));
+              let hash = Incr.cone_hashes plan ~pipeline:pipeline_str in
+              let link_key =
+                Cache.stage_key ~kind:Cache.Link ~parts:[ hash top_name ]
+              in
+              match consult Cache.Link "link" link_key with
+              | Some entry ->
+                (* Every function of the design is unchanged: re-link
+                   from cache, and promote to a whole-job entry so the
+                   next compile of this exact source skips even the
+                   hashing. *)
+                Trace.incr trace "cache-link-hit";
+                store Cache.Job "result" key entry;
+                finish ~top_name:entry.Cache.e_top ~verilog:entry.Cache.e_verilog
+                  ~usage:entry.Cache.e_usage ~from_cache:true ~note ~pass_stats:[]
+              | None ->
+                let passes = Pipeline.to_passes job.pipeline in
+                (* Per-function Verilog texts (by function name) and
+                   inclusive usages (by *emitted module* name, the key
+                   instances carry), filled bottom-up so every
+                   instance resolves to an already-computed usage. *)
+                let texts = Hashtbl.create 16 in
+                let usages = Hashtbl.create 16 in
+                (* Shared definitions ([hirdef_*] modules) pulled in by
+                   the functions of this design: name -> printed text,
+                   plus each function's manifest (which definitions its
+                   module needs, in registration order). *)
+                let def_texts = Hashtbl.create 16 in
+                let fn_defs = Hashtbl.create 16 in
+                let def_key dn =
+                  Cache.stage_key ~kind:Cache.Vmod ~parts:[ "def"; dn ]
+                in
+                (* Restore every named definition from its own Vmod
+                   entry; a missing one (evicted independently of the
+                   function entry) turns the function hit into a miss. *)
+                let restore_defs names =
+                  List.for_all
+                    (fun dn ->
+                      Hashtbl.mem def_texts dn
+                      ||
+                      match consult Cache.Vmod "definition-verilog" (def_key dn) with
+                      | Some de ->
+                        Hashtbl.replace def_texts dn de.Cache.e_verilog;
+                        Hashtbl.replace usages dn de.Cache.e_usage;
+                        true
+                      | None -> false)
+                    names
+                in
+                let all_stats = ref [] in
+                List.iter
+                  (fun fn ->
+                    Guard.tick guard;
+                    let h = hash fn in
+                    let vmod_key = Cache.stage_key ~kind:Cache.Vmod ~parts:[ h ] in
+                    let hit =
+                      match consult Cache.Vmod "function-verilog" vmod_key with
+                      | Some e ->
+                        let def_names, mtext =
+                          Incr.split_manifest e.Cache.e_verilog
+                        in
+                        restore_defs def_names
+                        && begin
+                             Hashtbl.replace texts fn mtext;
+                             Hashtbl.replace fn_defs fn def_names;
+                             Hashtbl.replace usages
+                               (Incr.emitted_module_name fn)
+                               e.Cache.e_usage;
+                             true
+                           end
+                      | None -> false
+                    in
+                    if not hit then begin
+                      let fi = Incr.fn_info plan fn in
+                      let opt_text =
+                        if fi.Incr.fi_extern then ""
+                        else
+                          let fn_key =
+                            Cache.stage_key ~kind:Cache.Fn ~parts:[ h ]
+                          in
+                          match consult Cache.Fn "function-ir" fn_key with
+                          | Some e -> e.Cache.e_verilog
+                          | None ->
+                            let opt_text, stats =
+                              Trace.span trace "optimize" (fun () ->
+                                  Incr.optimize_fn plan ~passes
+                                    ~instrument:(pass_instrument ~trace ~guard)
+                                    fn)
+                            in
+                            all_stats := stats :: !all_stats;
+                            store Cache.Fn "optimized function" fn_key
+                              {
+                                Cache.e_verilog = opt_text;
+                                e_top = fn;
+                                e_usage = zero_usage;
+                              };
+                            opt_text
+                      in
+                      let vmodule, defs =
+                        Trace.span trace ~cat:"backend" "emit" (fun () ->
+                            Incr.emit_fn plan ~opt_text fn)
+                      in
+                      let instance_usage mname =
+                        match Hashtbl.find_opt usages mname with
+                        | Some u -> u
+                        | None ->
+                          raise
+                            (Incr.Fallback ("instance of unknown module " ^ mname))
+                      in
+                      (* Register the definitions first: the function
+                         module instantiates them, so its own usage
+                         lookup below must already resolve their names. *)
+                      let def_names =
+                        List.map (fun d -> d.Hir_verilog.Ast.mod_name) defs
+                      in
+                      List.iter
+                        (fun (d : Hir_verilog.Ast.module_def) ->
+                          let dn = d.Hir_verilog.Ast.mod_name in
+                          if not (Hashtbl.mem def_texts dn) then begin
+                            let dtext, dusage =
+                              Trace.span trace ~cat:"backend" "pretty" (fun () ->
+                                  ( Hir_verilog.Pretty.module_to_string d,
+                                    Hir_resources.Model.module_usage ~instance_usage d
+                                  ))
+                            in
+                            Hashtbl.replace def_texts dn dtext;
+                            Hashtbl.replace usages dn dusage;
+                            store Cache.Vmod "definition Verilog" (def_key dn)
+                              {
+                                Cache.e_verilog = dtext;
+                                e_top = dn;
+                                e_usage = dusage;
+                              }
+                          end)
+                        defs;
+                      let mtext, usage =
+                        Trace.span trace ~cat:"backend" "pretty" (fun () ->
+                            ( Hir_verilog.Pretty.module_to_string vmodule,
+                              Hir_resources.Model.module_usage ~instance_usage vmodule
+                            ))
+                      in
+                      Hashtbl.replace texts fn mtext;
+                      Hashtbl.replace fn_defs fn def_names;
+                      Hashtbl.replace usages (Incr.emitted_module_name fn) usage;
+                      store Cache.Vmod "function Verilog" vmod_key
+                        {
+                          Cache.e_verilog = Incr.with_manifest ~def_names mtext;
+                          e_top = fn;
+                          e_usage = usage;
+                        }
+                    end)
+                  (Incr.usage_order plan ~top:top_name);
+                let verilog =
+                  Trace.span trace ~cat:"backend" "print" (fun () ->
+                      (* Interleave each function's not-yet-placed
+                         definitions before its module, exactly as
+                         [Emit.emit] orders a whole design. *)
+                      let placed = Hashtbl.create 16 in
+                      Incr.link_design
+                        (List.concat_map
+                           (fun fn ->
+                             let defs =
+                               List.filter_map
+                                 (fun dn ->
+                                   if Hashtbl.mem placed dn then None
+                                   else begin
+                                     Hashtbl.replace placed dn ();
+                                     Some (Hashtbl.find def_texts dn)
+                                   end)
+                                 (Option.value ~default:[]
+                                    (Hashtbl.find_opt fn_defs fn))
+                             in
+                             defs @ [ Hashtbl.find texts fn ])
+                           (Incr.emit_order plan ~top:top_name)))
+                in
+                Guard.tick guard;
+                let usage =
+                  Hashtbl.find usages (Incr.emitted_module_name top_name)
+                in
+                let entry =
+                  { Cache.e_verilog = verilog; e_top = top_name; e_usage = usage }
+                in
+                store Cache.Link "linked design" link_key entry;
+                store Cache.Job "result" key entry;
+                let pass_stats = List.concat (List.rev !all_stats) in
+                finish ~top_name ~verilog ~usage ~from_cache:false ~note ~pass_stats))
   with
-  | Compile_failed diags ->
+  | Compile_failed diags | Incr.Pass_failed diags ->
     (* Diagnostics with no location of their own are attributed to the
        job, so batch output still says which input failed. *)
     let diags =
@@ -634,7 +541,10 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
       { err_job = name;
         err_class = Permanent;
         err_diags = [ Diagnostic.error loc ("lex error: " ^ msg) ] }
-  | Hir_codegen.Emit.Codegen_error msg ->
+  | Hir_codegen.Emit.Codegen_error msg | Incr.Fallback msg ->
+    (* A module the staged path cannot compile (unknown callee, call
+       cycle, ...) is an input the emitter rejects for the same
+       reason. *)
     Error
       { err_job = name;
         err_class = Permanent;

@@ -12,21 +12,21 @@
    same bytes, which is what makes an incremental recompile
    byte-identical to a cold one — the property the qcheck suite pins.
 
-   Modules that this textual decomposition cannot represent — a
-   function whose printed form does not re-parse standalone (e.g. an
-   SSA value referenced across function boundaries), or a cyclic call
-   graph — raise [Fallback]; the driver then compiles the module
-   monolithically (the pre-incremental whole-module path), which is
-   equally deterministic, just not function-cacheable. *)
+   Modules that this decomposition cannot compile raise [Fallback]
+   with the reason: a call to an unknown function, a call cycle (no
+   finite hardware instantiates itself), or a function whose printed
+   form does not re-parse standalone.  The driver reports the reason as
+   the job's codegen diagnostic. *)
 
 open Hir_ir
 open Hir_dialect
 
-(* The staged path cannot decompose this module; compile it whole. *)
+(* The staged path cannot compile this module; the driver reports the
+   reason. *)
 exception Fallback of string
 
-(* A pass pipeline rejected a mini-module: an input failure, not a
-   reason to fall back (the monolithic path would reject it too). *)
+(* A pass pipeline rejected a mini-module: the pass diagnostics are the
+   job's error. *)
 exception Pass_failed of Diagnostic.t list
 
 type fn_info = {
@@ -105,7 +105,7 @@ let fn_info plan name =
    changing a function's body, its pipeline, or anything any transitive
    callee's hash covers changes h(f); editing a sibling function does
    not.  The version salt lives in [Cache.stage_key], not here.  Call
-   cycles cannot be hashed this way; they fall back. *)
+   cycles cannot be hashed this way (nor emitted); they are rejected. *)
 let cone_hashes plan ~pipeline =
   let memo = Hashtbl.create 16 in
   let visiting = Hashtbl.create 8 in
@@ -139,8 +139,8 @@ let cone_hashes plan ~pipeline =
 
 (* Transitive callees of [top] in the discovery order [Emit.callees_of]
    uses, so the staged design concatenates its modules in the same
-   order the monolithic emitter would list them: callees first (reverse
-   discovery), top last. *)
+   order [Emit.emit] lists them: callees first (reverse discovery), top
+   last. *)
 let emit_order plan ~top =
   let acc = ref [] in
   let rec go name =

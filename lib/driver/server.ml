@@ -78,7 +78,7 @@ type config = {
 let default_config ~listen () =
   {
     cfg_listen = listen;
-    cfg_workers = Scheduler.default_workers ();
+    cfg_workers = Service.default_workers ();
     cfg_max_depth = 64;
     cfg_cache = None;
     cfg_default_deadline = None;

@@ -28,13 +28,13 @@
    job has its cancel flag set, which [Guard] checkpoints observe at
    stage/pass boundaries — the worker slot frees at the next tick.
 
-   Fault tolerance mirrors the batch scheduler it replaces: worker
-   spawns go through the "worker.spawn" injection point and a failed
-   spawn degrades the pool to the survivors; with no survivors the
-   caller drains inline ([shutdown] does this automatically).  A job
-   runner that *raises* (a bug past the driver's own backstop) is
-   converted to a completion via [crashed] — the pool never loses a
-   job and never leaves a domain unjoined. *)
+   Fault tolerance: worker spawns go through the "worker.spawn"
+   injection point and a failed spawn degrades the pool to the
+   survivors; with no survivors the caller drains inline ([shutdown]
+   does this automatically).  A job runner that *raises* (a bug past
+   the driver's own backstop) is converted to a completion via
+   [crashed] — the pool never loses a job and never leaves a domain
+   unjoined. *)
 
 type state = Queued | Running | Finished
 
@@ -83,6 +83,11 @@ type ('a, 'r) t = {
 }
 
 let now () = Unix.gettimeofday ()
+
+(* Worker-pool size when the caller does not choose one: every core but
+   the one running the caller (the server's select loop, or batch's
+   submitting domain). *)
+let default_workers () = max 1 (Domain.recommended_domain_count () - 1)
 
 let served_count t client = Option.value ~default:0 (Hashtbl.find_opt t.served client)
 

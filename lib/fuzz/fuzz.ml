@@ -48,24 +48,13 @@ let verdict_to_string = function
   | Reject_backend -> "backend-reject"
   | Compiled_ok -> "ok"
 
-(* Structural verification gates schedule verification, exactly as the
-   driver does: the schedule verifier's accessors assume a structurally
-   sound module. *)
-let verifier_diags module_op =
-  let engine = Diagnostic.Engine.create () in
-  (match Verify.verify module_op with
-  | Ok () -> ()
-  | Error e -> List.iter (Diagnostic.Engine.emit engine) (Diagnostic.Engine.to_list e));
-  if not (Diagnostic.Engine.has_errors engine) then
-    Verify_schedule.verify_module engine module_op;
-  engine
-
 let classify ~mode input =
   match Parser.parse_string ~file:"<fuzz>" input with
   | exception Lexer.Lex_error _ -> Reject_lex
   | exception Parser.Parse_error _ -> Reject_parse
   | module_op -> (
-    if Diagnostic.Engine.has_errors (verifier_diags module_op) then Reject_verify
+    if Diagnostic.Engine.has_errors (Hir_driver.Driver.verifier_engine module_op) then
+      Reject_verify
     else
       match mode with
       | Frontend -> Compiled_ok

@@ -12,19 +12,11 @@
    the registered fold hooks, strength reduction is the registered
    rewrite patterns (see [Ops.register]), DCE is use-list-driven
    erasure, and CSE is a scoped-table sweep.  [canonicalize] is one
-   driver invocation that runs all four to a worklist fixpoint.  The
-   [Legacy] module below keeps the original whole-module fixpoint
-   implementations for the before/after benchmark and the differential
-   test. *)
+   driver invocation that runs all four to a worklist fixpoint. *)
 
 open Hir_ir
 
 let is_pure op = Dialect.op_has_trait (Ir.Op.name op) Dialect.Pure
-
-(* Re-exported: the (shift-guarded) constant evaluator now lives next
-   to the op definitions. *)
-let fold_binary = Ops.fold_binary
-let log2_exact = Ops.log2_exact
 
 (* ------------------------------------------------------------------ *)
 (* Dead code elimination                                               *)
@@ -278,21 +270,21 @@ let delay_elim =
 
 (* Backstop against a non-convergent rewrite combination: real modules
    converge by worklist exhaustion, so hitting the bound means a
-   rewrite bug — degrade rather than hang.  The driver reports it
-   through [ds_backstop] and a "backstop" counter, and the
-   [canonicalize] pass falls back to the [Legacy] fixpoint below (see
-   [canonicalize]). *)
+   rewrite bug — stop rather than hang.  The driver reports it through
+   [ds_backstop] and a "backstop" counter, and the [canonicalize] pass
+   turns it into an error (see [canonicalize]). *)
 let max_canonicalize_rounds = 64
 
 (* Mutable so the fault-tolerance tests can trip the backstop on a
    well-behaved module (set to 0: the driver gives up before its first
-   drain) and observe the legacy fallback; production code never writes
+   drain) and observe the diagnostic; production code never writes
    it. *)
 let canonicalize_rounds = ref max_canonicalize_rounds
 
 (* One greedy driver invocation: fold hooks + strength-reduction
    patterns + trivial-DCE on the worklist, with the scoped CSE sweep
-   between drains.  Replaces the legacy 4-pass x 64-round loop. *)
+   between drains.  The differential tests check its normal form
+   against the whole-module fixpoint in test/legacy_canon.ml. *)
 let canonicalize_config () =
   {
     Rewrite.default_config with
@@ -307,261 +299,18 @@ let run_canonicalize_stats module_op =
 let run_canonicalize module_op =
   (run_canonicalize_stats module_op).Rewrite.ds_changed
 
-(* The [canonicalize] pass itself is defined at the end of the file,
-   after [Legacy]: its degradation ladder falls back to the legacy
-   whole-module fixpoint when the greedy driver trips its backstop. *)
-
-(* ------------------------------------------------------------------ *)
-(* Legacy whole-module fixpoint implementations                        *)
-
-(* The pre-use-list pass bodies: every query and rewrite re-walks the
-   whole module, and canonicalize loops all four passes to fixpoint.
-   Kept (a) as the baseline for the canonicalize-scaling benchmark and
-   (b) as the reference semantics for the driver-vs-legacy differential
-   test.  Mutations route through [Ir.Op.set_operand] / [Ir.erase_op],
-   so use lists stay consistent even on the legacy path — only the
-   query complexity is legacy. *)
-module Legacy = struct
-  let replace_uses ~root ~old_v ~new_v =
-    Ir.Walk.ops_pre root ~f:(fun op ->
-        Array.iteri
-          (fun i v -> if Ir.Value.equal v old_v then Ir.Op.set_operand op i new_v)
-          op.Ir.operands)
-
-  let count_uses ~root v =
-    let n = ref 0 in
-    Ir.Walk.ops_pre root ~f:(fun op ->
-        Array.iter (fun u -> if Ir.Value.equal u v then incr n) op.Ir.operands);
-    !n
-
-  let has_uses ~root v = count_uses ~root v > 0
-
-  let run_dce module_op =
-    let changed = ref false in
-    let rec fixpoint () =
-      let removed = ref false in
-      let candidates = ref [] in
-      Ir.Walk.ops_post module_op ~f:(fun op ->
-          if dce_removable op then candidates := op :: !candidates);
-      List.iter
-        (fun op ->
-          let used =
-            List.exists (fun r -> has_uses ~root:module_op r) (Ir.Op.results op)
-          in
-          if not used then begin
-            Ir.erase_op op;
-            removed := true;
-            changed := true
-          end)
-        !candidates;
-      if !removed then fixpoint ()
-    in
-    fixpoint ();
-    !changed
-
-  let run_const_fold module_op =
-    let changed = ref false in
-    let worklist = ref [] in
-    Ir.Walk.ops_pre module_op ~f:(fun op ->
-        if is_pure op && Ir.Op.name op <> "hir.constant" then
-          worklist := op :: !worklist);
-    (* Program order, so a folded def feeds folds of its users in the
-       same pass. *)
-    let worklist = ref (List.rev !worklist) in
-    List.iter
-      (fun op ->
-        let const_operands = List.map Ops.as_constant (Ir.Op.operands op) in
-        if List.for_all Option.is_some const_operands then begin
-          let vals = List.map (Option.value ~default:0) const_operands in
-          let folded =
-            match (Ir.Op.name op, vals) with
-            | name, [ a; b ] -> fold_binary name a b
-            | "hir.not", [ a ] -> Some (lnot a)
-            | ("hir.zext" | "hir.sext" | "hir.trunc"), [ a ] -> Some a
-            | "hir.select", [ c; x; y ] -> Some (if c <> 0 then x else y)
-            | _ -> None
-          in
-          match folded with
-          | None -> ()
-          | Some value ->
-            (match Ir.Op.parent op with
-            | None -> ()
-            | Some block ->
-              let new_const =
-                Ir.Op.create ~loc:(Ir.Op.loc op)
-                  ~attrs:[ ("value", Attribute.Int value) ]
-                  "hir.constant" ~operands:[] ~result_types:[ Types.Const ]
-              in
-              Ir.Block.insert_before block ~anchor:op new_const;
-              replace_uses ~root:module_op
-                ~old_v:(Ir.Op.result op 0)
-                ~new_v:(Ir.Op.result new_const 0);
-              Ir.erase_op op;
-              changed := true)
-        end)
-      !worklist;
-    !changed
-
-  let run_cse module_op =
-    let changed = ref false in
-    let table : (string * int list * (string * Attribute.t) list, Ir.value) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let rec walk_block block =
-      let added = ref [] in
-      List.iter
-        (fun op ->
-          if is_pure op && Ir.Op.num_results op = 1 then begin
-            let key = cse_key op in
-            match Hashtbl.find_opt table key with
-            | Some existing ->
-              replace_uses ~root:module_op ~old_v:(Ir.Op.result op 0)
-                ~new_v:existing;
-              (* The op itself is now dead; leave removal to DCE so we
-                 don't mutate the list we are iterating. *)
-              changed := true
-            | None ->
-              Hashtbl.add table key (Ir.Op.result op 0);
-              added := key :: !added
-          end;
-          List.iter
-            (fun r -> List.iter (fun b -> walk_block b) (Ir.Region.blocks r))
-            (Ir.Op.regions op))
-        (Ir.Block.ops block);
-      List.iter (Hashtbl.remove table) !added
-    in
-    (match Ir.Op.regions module_op with
-    | [ r ] -> List.iter walk_block (Ir.Region.blocks r)
-    | _ -> ());
-    if !changed then ignore (run_dce module_op);
-    !changed
-
-  let run_strength_reduction module_op =
-    let changed = ref false in
-    let worklist = ref [] in
-    Ir.Walk.ops_pre module_op ~f:(fun op -> worklist := op :: !worklist);
-    List.iter
-      (fun op ->
-        let replace_with_value v =
-          (* Keep the IR typed: only forward a value that has the same
-             type as the result. *)
-          let type_ok =
-            Typ.equal (Ir.Value.typ v) (Ir.Value.typ (Ir.Op.result op 0))
-          in
-          match Ir.Op.parent op with
-          | Some _ when type_ok ->
-            replace_uses ~root:module_op ~old_v:(Ir.Op.result op 0) ~new_v:v;
-            Ir.erase_op op;
-            changed := true
-          | _ -> ()
-        in
-        let rewrite_to name operands =
-          match Ir.Op.parent op with
-          | None -> ()
-          | Some block ->
-            let new_op =
-              Ir.Op.create ~loc:(Ir.Op.loc op) name ~operands
-                ~result_types:[ Ir.Value.typ (Ir.Op.result op 0) ]
-            in
-            Ir.Block.insert_before block ~anchor:op new_op;
-            replace_uses ~root:module_op ~old_v:(Ir.Op.result op 0)
-              ~new_v:(Ir.Op.result new_op 0);
-            Ir.erase_op op;
-            changed := true
-        in
-        let mk_const value =
-          match Ir.Op.parent op with
-          | None -> None
-          | Some block ->
-            let c =
-              Ir.Op.create ~loc:(Ir.Op.loc op)
-                ~attrs:[ ("value", Attribute.Int value) ]
-                "hir.constant" ~operands:[] ~result_types:[ Types.Const ]
-            in
-            Ir.Block.insert_before block ~anchor:op c;
-            Some (Ir.Op.result c 0)
-        in
-        match Ir.Op.name op with
-        | "hir.mult" -> (
-          let x = Ir.Op.operand op 0 and y = Ir.Op.operand op 1 in
-          let with_const x c =
-            match c with
-            | 0 ->
-              (* x*0 -> 0 only when the result is itself !hir.const;
-                 see [Ops.pat_mult_strength]. *)
-              if Typ.equal (Ir.Value.typ (Ir.Op.result op 0)) Types.Const then (
-                match mk_const 0 with Some z -> replace_with_value z | None -> ())
-            | 1 -> replace_with_value x
-            | c -> (
-              match log2_exact c with
-              | Some k when 0 <= k && k < Sys.int_size -> (
-                match mk_const k with
-                | Some shift -> rewrite_to "hir.shl" [ x; shift ]
-                | None -> ())
-              | _ -> ())
-          in
-          match (Ops.as_constant x, Ops.as_constant y) with
-          | _, Some c -> with_const x c
-          | Some c, _ -> with_const y c
-          | None, None -> ())
-        | "hir.add" | "hir.sub" -> (
-          let x = Ir.Op.operand op 0 and y = Ir.Op.operand op 1 in
-          match Ops.as_constant y with
-          | Some 0 -> replace_with_value x
-          | _ ->
-            if Ir.Op.name op = "hir.add" then
-              match Ops.as_constant x with
-              | Some 0 -> replace_with_value y
-              | _ -> ())
-        | _ -> ())
-      !worklist;
-    if !changed then ignore (run_dce module_op);
-    !changed
-
-  let run_canonicalize module_op =
-    let changed = ref false in
-    (* DCE runs before CSE within a round (matching the driver, which
-       erases trivially-dead ops as it drains, before its CSE sweep):
-       otherwise a dead op's operand could be chosen as a CSE
-       representative and survive at its early position, yielding a
-       different — though semantically equal — normal form. *)
-    let step () =
-      let c1 = run_const_fold module_op in
-      let c2 = run_strength_reduction module_op in
-      let c3 = run_dce module_op in
-      let c4 = run_cse module_op in
-      c1 || c2 || c3 || c4
-    in
-    let rounds = ref 0 in
-    while !rounds < max_canonicalize_rounds && step () do
-      incr rounds;
-      changed := true
-    done;
-    !changed
-end
-
-(* ------------------------------------------------------------------ *)
-(* Canonicalize, with its degradation ladder                           *)
-
-(* A backstop trip means the greedy driver did not converge (a rewrite
-   bug, not an input property — real modules converge by worklist
-   exhaustion).  Rather than ship a half-rewritten module, fall back to
-   the legacy whole-module fixpoint — the executable specification the
-   driver is differentially tested against (both converge to the same
-   normal form) — and record the fallback through [Pass.record_counter]
-   so it is observable in --stats, Chrome traces and the batch
-   degradation report instead of silent. *)
+(* A backstop trip means the greedy driver did not converge: a rewrite
+   bug, not an input property (real modules converge by worklist
+   exhaustion).  Rather than ship a half-rewritten module, the pass
+   fails with a located error, and the job with it. *)
 let canonicalize =
   Pass.make ~name:"canonicalize"
     ~description:"Fold, reduce, CSE and DCE to a worklist fixpoint"
-    (fun module_op _engine ->
+    (fun module_op engine ->
       let stats = run_canonicalize_stats module_op in
       record_driver_stats stats;
-      if stats.Rewrite.ds_backstop then begin
-        Pass.record_counter "canonicalize.fallback_legacy";
-        let legacy_changed = Legacy.run_canonicalize module_op in
-        stats.Rewrite.ds_changed || legacy_changed
-      end
-      else stats.Rewrite.ds_changed)
-
-let standard_pipeline () = [ canonicalize; delay_elim ]
+      if stats.Rewrite.ds_backstop then
+        Diagnostic.Engine.errorf engine (Ir.Op.loc module_op)
+          "canonicalize did not converge within %d rounds (rewrite backstop)"
+          !canonicalize_rounds;
+      stats.Rewrite.ds_changed)

@@ -226,6 +226,41 @@ let test_scalar_results () =
   | [ (_, v) ] -> check_int "7*6+100" 142 (Bitvec.to_int v)
   | _ -> Alcotest.fail "expected one result")
 
+(* A call cycle has no finite hardware: a module would have to
+   instantiate itself.  The emitter rejects it instead of emitting a
+   self-instantiating module, both when the top calls itself and when
+   the cycle sits below the top. *)
+let test_call_cycle_rejected () =
+  (* An i32 -> i32 function returning the result of one call. *)
+  let func name callee =
+    Printf.sprintf
+      {|  "hir.func"() ({
+    ^bb(%%%s_x: i32, %%%s_t: !hir.time):
+    %%%s_r = "hir.call"(%%%s_x, %%%s_t) {arg_delays = [0], callee = @%s, offset = 0, result_delays = [1]} : (i32, !hir.time) -> (i32)
+    "hir.return"(%%%s_r) : (i32) -> ()
+  }) {arg_delays = [0], arg_names = ["x"], arg_types = [!ty<i32>], result_delays = [1], result_types = [!ty<i32>], sym_name = @%s} : () -> ()
+|}
+      name name name name name callee name name
+  in
+  let expect_cycle label funcs ~top =
+    let text =
+      "\"builtin.module\"() ({\n  ^bb():\n"
+      ^ String.concat "" (List.map (fun (f, callee) -> func f callee) funcs)
+      ^ "}) : () -> ()\n"
+    in
+    let module_op = Parser.parse_string ~file:"cycle.hir" text in
+    let top = Option.get (Ops.lookup_func module_op top) in
+    match Emit.emit ~module_op ~top () with
+    | _ -> Alcotest.failf "%s: emitted a design with a call cycle" label
+    | exception Emit.Codegen_error msg -> msg
+  in
+  Alcotest.(check string) "top calls itself" "call cycle through @f"
+    (expect_cycle "top calls itself" [ ("f", "f") ] ~top:"f");
+  Alcotest.(check string) "cycle below the top" "call cycle through @g"
+    (expect_cycle "cycle below the top"
+       [ ("g", "h"); ("h", "g"); ("top", "g") ]
+       ~top:"top")
+
 (* ------------------------------------------------------------------ *)
 (* Names: the IR printer and the Verilog namer pick the same suffixes  *)
 
@@ -398,6 +433,7 @@ let () =
           Alcotest.test_case "verilog text" `Quick test_verilog_text;
           Alcotest.test_case "UB assertion fires" `Quick test_assertion_fires_on_conflict;
           Alcotest.test_case "scalar results (MAC)" `Quick test_scalar_results;
+          Alcotest.test_case "call cycle rejected" `Quick test_call_cycle_rejected;
           Alcotest.test_case "newline in a location comment" `Quick test_comment_injection;
           Alcotest.test_case "keywords as identifiers" `Quick test_keyword_identifiers;
         ] );

@@ -519,7 +519,7 @@ let driver_vs_legacy build recipe =
   let stats = Passes.run_canonicalize_stats m1 in
   if stats.Rewrite.ds_backstop then
     QCheck.Test.fail_report "driver hit the round backstop";
-  ignore (Passes.Legacy.run_canonicalize m2);
+  ignore (Legacy_canon.run_canonicalize m2);
   let a = Printer.op_to_canonical_string m1 in
   let b = Printer.op_to_canonical_string m2 in
   if a <> b then

@@ -282,23 +282,6 @@ let test_cache_key () =
 (* ------------------------------------------------------------------ *)
 (* Batch scheduler                                                     *)
 
-let test_scheduler_order () =
-  let jobs = Array.init 64 Fun.id in
-  let out = Scheduler.map_ordered ~workers:4 ~f:(fun i x -> (i, x * 2)) jobs in
-  Array.iteri
-    (fun i (idx, doubled) ->
-      check_int "index" i idx;
-      check_int "value" (i * 2) doubled)
-    out
-
-let test_scheduler_exception () =
-  let jobs = Array.init 8 Fun.id in
-  match
-    Scheduler.map_ordered ~workers:4 ~f:(fun _ x -> if x = 5 then failwith "boom" else x) jobs
-  with
-  | _ -> Alcotest.fail "expected the job exception to re-raise"
-  | exception Failure msg -> check_string "payload" "boom" msg
-
 let kernel_jobs pipeline =
   Hir_kernels.Kernels.all
   |> List.map (fun k ->
@@ -771,69 +754,100 @@ let test_cache_budget_eviction () =
     cold_b.Driver.verilog again_b.Driver.verilog
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler fault paths                                               *)
+(* Input errors through compile_job                                   *)
 
-let test_scheduler_collects_all_failures () =
-  let jobs = Array.init 8 Fun.id in
-  match
-    Scheduler.map_ordered ~workers:2
-      ~f:(fun _ x -> if x mod 2 = 1 then failwith (string_of_int x) else x)
-      jobs
-  with
-  | _ -> Alcotest.fail "expected the job exceptions to re-raise"
-  | exception Scheduler.Job_failures failures ->
-    check_int "all four raising jobs reported" 4 (List.length failures);
-    List.iter
-      (fun (i, e) ->
-        check_bool "odd index" true (i mod 2 = 1);
-        match e with
-        | Failure msg -> check_string "payload matches index" (string_of_int i) msg
-        | e -> Alcotest.failf "unexpected exception: %s" (Printexc.to_string e))
-      failures
+(* The job failed Permanent (never retried) with exactly this
+   diagnostic text. *)
+let expect_permanent outcome expected =
+  match outcome with
+  | Ok _ -> Alcotest.failf "expected the job to fail with %S" expected
+  | Error e ->
+    check_bool "classified as permanent" true (e.Driver.err_class = Driver.Permanent);
+    check_string "diagnostic" expected (Driver.error_to_string e)
 
-let test_scheduler_spawn_fault_degrades_inline () =
-  (* With every worker spawn failing, the scheduler's last ladder rung
-     runs the jobs inline — nothing is lost. *)
-  let cfg = { Faults.rules = [ ("worker.spawn", Faults.Prob 1.) ]; seed = 0 } in
-  let spawn_failures = ref 0 in
-  let out =
-    Faults.with_config cfg (fun () ->
-        Scheduler.map_ordered ~workers:4
-          ~on_spawn_failure:(fun _ -> incr spawn_failures)
-          ~f:(fun _ x -> x * 2)
-          (Array.init 16 Fun.id))
+let read_design name =
+  let ic = open_in_bin (Filename.concat "../examples/designs" name) in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
+let compile_design ?top ~name text =
+  Driver.compile_job
+    (Driver.job_of_text ?top ~pipeline:(Pipeline.default ~optimize:true) ~name text)
+
+(* stencil_1d.hir with @stencil_1d_op calling itself: it verifies, but a
+   module cannot instantiate itself. *)
+let test_call_cycle () =
+  expect_permanent
+    (compile_design ~name:"cycle.hir" (read_design "err_call_cycle.hir"))
+    "\"cycle.hir\": error: codegen: call cycle through @stencil_1d_op"
+
+(* The MAC of Figure 2 over an extern @mult, compiled with the extern
+   as its top: there is no body to emit. *)
+let test_extern_top () =
+  let text =
+    Ir.with_isolated_ids (fun () ->
+        let m = Builder.create_module () in
+        let mult =
+          Builder.extern_func m ~name:"mult"
+            ~args:[ Builder.arg "a" Typ.i32; Builder.arg "b" Typ.i32 ]
+            ~results:[ (Typ.i32, 2) ]
+        in
+        ignore
+          (Builder.func m ~name:"mac"
+             ~args:[ Builder.arg "a" Typ.i32; Builder.arg "b" Typ.i32; Builder.arg "c" Typ.i32 ]
+             ~results:[ (Typ.i32, 2) ]
+             (fun bld args t ->
+               match args with
+               | [ a; b; c ] ->
+                 let p =
+                   List.hd (Builder.call bld ~callee:mult [ a; b ] ~at:Builder.(t @>> 0))
+                 in
+                 let c2 = Builder.delay bld c ~by:2 ~at:Builder.(t @>> 0) in
+                 Builder.return_ bld [ Builder.add bld p c2 ]
+               | _ -> assert false));
+        Printer.op_to_string m)
   in
-  check_int "all spawns failed" 4 !spawn_failures;
-  Array.iteri (fun i v -> check_int "job ran inline" (i * 2) v) out
+  expect_permanent
+    (compile_design ~top:"mult" ~name:"mac.hir" text)
+    "\"mac.hir\": error: codegen: top function @mult is extern (it has no body to emit)"
+
+(* stencil_1d.hir with its one call retargeted at a missing function. *)
+let test_unknown_callee () =
+  let text = read_design "stencil_1d.hir" in
+  let needle = "callee = @stencil_1d_op" in
+  let n = String.length needle in
+  let rec find i = if String.sub text i n = needle then i else find (i + 1) in
+  let i = find 0 in
+  let text =
+    String.sub text 0 i ^ "callee = @nope"
+    ^ String.sub text (i + n) (String.length text - i - n)
+  in
+  expect_permanent
+    (compile_design ~name:"nope.hir" text)
+    "\"nope.hir\": error: codegen: call to unknown function @nope"
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladders                                                 *)
 
-let test_canonicalize_legacy_fallback () =
+(* A backstop trip means the rewrite driver did not converge (a rewrite
+   bug).  The job fails with a located diagnostic; it is not retried and
+   no half-rewritten module reaches the emitter. *)
+let test_canonicalize_backstop_diagnostic () =
   let pipeline = Pipeline.default ~optimize:true in
   let text = transpose_text () in
-  let clean = compile_text ~pipeline text in
-  let degraded =
+  let outcome =
     Fun.protect
       ~finally:(fun () ->
         Hir_dialect.Passes.canonicalize_rounds := Hir_dialect.Passes.max_canonicalize_rounds)
       (fun () ->
         (* Zero rounds trips the greedy driver's backstop before its
-           first drain; the pass must fall back to the legacy fixpoint
-           and still converge. *)
+           first drain. *)
         Hir_dialect.Passes.canonicalize_rounds := 0;
-        compile_text ~pipeline text)
+        Driver.compile_job (Driver.job_of_text ~pipeline ~name:"t.hir" text))
   in
-  check_string "legacy fallback produces identical Verilog" clean.Driver.verilog
-    degraded.Driver.verilog;
-  check_bool "fallback surfaced as a degradation" true
-    (List.exists
-       (fun d ->
-         let needle = "fallback" in
-         let n = String.length needle and l = String.length d in
-         let rec go i = i + n <= l && (String.sub d i n = needle || go (i + 1)) in
-         go 0)
-       degraded.Driver.degradations)
+  expect_permanent outcome
+    "\"t.hir\": error: canonicalize did not converge within 0 rounds (rewrite backstop)"
 
 let test_sim_settle_fallback () =
   let module Emit = Hir_codegen.Emit in
@@ -902,6 +916,24 @@ let fast_kernel_jobs pipeline =
          let k = Option.get (Hir_kernels.Kernels.find name) in
          Driver.job_of_builder ~pipeline ~name k.Hir_kernels.Kernels.build)
   |> Array.of_list
+
+(* Every worker spawn fails: the pool has no survivors, so the batch
+   drains inline on the calling domain.  No job is lost or degraded,
+   and the batch says why it ran on fewer workers. *)
+let test_batch_spawn_faults_degrade_inline () =
+  let pipeline = Pipeline.default ~optimize:true in
+  let cfg = { Faults.rules = [ ("worker.spawn", Faults.Prob 1.) ]; seed = 0 } in
+  let result =
+    Faults.with_config cfg (fun () -> Driver.batch ~workers:4 (fast_kernel_jobs pipeline))
+  in
+  Alcotest.(check (list string))
+    "statuses" [ "ok"; "ok"; "ok" ]
+    (Array.to_list result.Driver.reports
+    |> List.map (fun rp -> Driver.status_to_string (Driver.report_status rp)));
+  Alcotest.(check (list string))
+    "batch note"
+    [ "3 of 3 worker spawns failed; batch degraded to the surviving workers" ]
+    result.Driver.batch_notes
 
 let test_batch_partial_results () =
   let pipeline = Pipeline.default ~optimize:true in
@@ -1029,8 +1061,6 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "scheduler-order" `Quick test_scheduler_order;
-          Alcotest.test_case "scheduler-exception" `Quick test_scheduler_exception;
           Alcotest.test_case "deterministic-4-workers" `Quick test_batch_deterministic;
           Alcotest.test_case "warm-cache" `Quick test_batch_warm_cache;
         ] );
@@ -1065,15 +1095,19 @@ let () =
         ] );
       ( "scheduler-faults",
         [
-          Alcotest.test_case "collects-all-failures" `Quick
-            test_scheduler_collects_all_failures;
           Alcotest.test_case "spawn-fault-degrades-inline" `Quick
-            test_scheduler_spawn_fault_degrades_inline;
+            test_batch_spawn_faults_degrade_inline;
+        ] );
+      ( "input-errors",
+        [
+          Alcotest.test_case "call-cycle" `Quick test_call_cycle;
+          Alcotest.test_case "extern-top" `Quick test_extern_top;
+          Alcotest.test_case "unknown-callee" `Quick test_unknown_callee;
         ] );
       ( "degradation",
         [
-          Alcotest.test_case "canonicalize-legacy-fallback" `Quick
-            test_canonicalize_legacy_fallback;
+          Alcotest.test_case "canonicalize-backstop-diagnostic" `Quick
+            test_canonicalize_backstop_diagnostic;
           Alcotest.test_case "sim-settle-fallback" `Quick test_sim_settle_fallback;
           Alcotest.test_case "sim-batch-fallback" `Quick test_sim_batch_fallback;
         ] );

@@ -166,14 +166,14 @@ let test_shift_fold_guard () =
   (* The folder must refuse shift counts OCaml's lsl/lsr/asr leave
      undefined (negative or >= Sys.int_size); hardware semantics for
      those belong to the RTL, not to an int-level fold. *)
-  check_bool "shl in range folds" true (Passes.fold_binary "hir.shl" 1 3 = Some 8);
-  check_bool "shl count 70" true (Passes.fold_binary "hir.shl" 1 70 = None);
+  check_bool "shl in range folds" true (Ops.fold_binary "hir.shl" 1 3 = Some 8);
+  check_bool "shl count 70" true (Ops.fold_binary "hir.shl" 1 70 = None);
   check_bool "shl count int_size" true
-    (Passes.fold_binary "hir.shl" 1 Sys.int_size = None);
-  check_bool "shl negative count" true (Passes.fold_binary "hir.shl" 1 (-1) = None);
-  check_bool "shrl out of range" true (Passes.fold_binary "hir.shrl" 4 (-2) = None);
-  check_bool "shra out of range" true (Passes.fold_binary "hir.shra" 4 100 = None);
-  check_bool "shrl in range folds" true (Passes.fold_binary "hir.shrl" 8 2 = Some 2);
+    (Ops.fold_binary "hir.shl" 1 Sys.int_size = None);
+  check_bool "shl negative count" true (Ops.fold_binary "hir.shl" 1 (-1) = None);
+  check_bool "shrl out of range" true (Ops.fold_binary "hir.shrl" 4 (-2) = None);
+  check_bool "shra out of range" true (Ops.fold_binary "hir.shra" 4 100 = None);
+  check_bool "shrl in range folds" true (Ops.fold_binary "hir.shrl" 8 2 = Some 2);
   (* In IR: canonicalize must leave the unfoldable shift alone rather
      than crash or materialize an undefined value. *)
   let m = Builder.create_module () in
