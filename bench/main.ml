@@ -1377,10 +1377,34 @@ let serve_crash ~seed ~hirc () =
   in
   wait_sock2 400;
   let c = Protocol.Client.connect_unix sock2 in
+  (* The control connection: health probes tell when the pool is busy
+     and when the drain has begun, so the steps below wait on server
+     state rather than on the clock. *)
+  let ctl = Protocol.Client.connect_unix sock2 in
+  let health () =
+    Protocol.Client.send ctl (Protocol.Json.Obj [ ("op", Protocol.Json.Str "health") ]);
+    match Protocol.Client.recv ctl with
+    | Some j -> j
+    | None -> failwith "phase C: the server closed the control connection"
+  in
+  (* Poll every 5 ms; 30 s without the awaited state is a hang. *)
+  let await what ok =
+    let deadline = Unix.gettimeofday () +. 30. in
+    let rec go () =
+      if not (ok (health ())) then
+        if Unix.gettimeofday () > deadline then
+          failwith ("phase C: timed out waiting for " ^ what)
+        else begin
+          Unix.sleepf 0.005;
+          go ()
+        end
+    in
+    go ()
+  in
   (* gemm is the slowest cold compile by far; one per worker pins the
-     whole pool, so the SIGTERM is guaranteed to land with the pool
-     genuinely mid-flight and the drain window stays open long enough
-     for the late-client rejection. *)
+     whole pool, so the SIGTERM lands with the pool genuinely
+     mid-flight and the drain window stays open for the late-client
+     rejection. *)
   let drain_kernels =
     "gemm" :: "gemm" :: List.filteri (fun i _ -> i < 4) kernel_names
   in
@@ -1396,9 +1420,9 @@ let serve_crash ~seed ~hirc () =
              ("kernel", Protocol.Json.Str kernel);
            ]))
     drain_kernels;
-  Unix.sleepf 0.1;  (* cold compiles: the pool is mid-flight now *)
+  await "both workers busy" (fun j -> Protocol.Json.field_int j "running" = Some 2);
   Unix.kill pid Sys.sigterm;
-  Unix.sleepf 0.1;
+  await "the drain" (fun j -> Protocol.Json.field_str j "status" = Some "draining");
   (* A late client must get an explicit shutting-down rejection (the
      listener stays open during the drain precisely for this). *)
   (match Protocol.Client.connect_unix sock2 with
@@ -1421,6 +1445,7 @@ let serve_crash ~seed ~hirc () =
         (Protocol.Json.to_string j)
     | None -> violate "phase C: no response to the late compile");
     try Protocol.Client.close late with _ -> ());
+  (try Protocol.Client.close ctl with _ -> ());
   (* The in-flight jobs must still finish (or be cancelled at the drain
      deadline — with 60s to spare they finish). *)
   let terminal = ref 0 in

@@ -108,8 +108,11 @@ type t = {
 
 (* Bump whenever the emitted Verilog or the meta format changes.
    (v2: digest line in the sidecar; v3: sharded directory layout;
-   v4: staged per-function compilation and multi-kind entries.) *)
-let driver_version = "hir-driver/5"
+   v4: staged per-function compilation and multi-kind entries;
+   v5: shared definitions as their own entries; v6: a builder job
+   compiles its module's printed fixed point, so it emits what a text
+   job of the same printed module emits under the same Job key.) *)
+let driver_version = "hir-driver/6"
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin

@@ -183,9 +183,12 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
               match job.src with
               | Text { text; _ } -> (text, None)
               | Builder { build; _ } ->
+                (* Printing also brings [m] to the print∘parse fixed
+                   point, so each function's own print is its slice of
+                   this text, as it is for a text job. *)
                 Trace.span trace ~cat:"frontend" "build" (fun () ->
                     let m, f = build () in
-                    (Printer.op_to_string m, Some (m, f)))
+                    (Printer.op_to_string_fixed m, Some (m, f)))
             in
             let pipeline_str = Pipeline.to_string job.pipeline in
             let key = Cache.key ~pipeline:pipeline_str ~top:job.top ~source:text in
@@ -261,9 +264,9 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
               let plan, top_name, note =
                 match built with
                 | Some (m, f) ->
-                  (* Builder text is print(m): already normalized, and
-                     rebuilt fresh on every compile — not worth a Src
-                     entry. *)
+                  (* Builder text is print(m) and [m] its fixed point:
+                     already normalized, and rebuilt fresh on every
+                     compile — not worth a Src entry. *)
                   Guard.tick guard;
                   Trace.span trace ~cat:"verify" "verify" (fun () ->
                       run_verifiers m);
@@ -277,14 +280,17 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                   let plan =
                     match consult Cache.Src "source" src_key with
                     | Some e ->
+                      let text = e.Cache.e_verilog in
                       let m =
                         Trace.span trace ~cat:"frontend" "parse" (fun () ->
                             Ir.with_isolated_ids (fun () ->
-                                Parser.parse_string ~file:name e.Cache.e_verilog))
+                                Parser.parse_string ~file:name text))
                       in
                       Guard.tick guard;
+                      (* The payload is a printed fixed point, so it is
+                         its own parse's print. *)
                       Trace.span trace ~cat:"frontend" "plan" (fun () ->
-                          Incr.plan_of_module m)
+                          Incr.plan_of_module ~text m)
                     | None ->
                       let m =
                         Trace.span trace ~cat:"frontend" "parse" (fun () ->
@@ -310,14 +316,19 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                   let f, note = pick_top plan.Incr.pl_module job.top in
                   (plan, Ops.func_name f, note)
               in
-              if (Incr.fn_info plan top_name).Incr.fi_extern then
-                raise
-                  (Hir_codegen.Emit.Codegen_error
-                     (Printf.sprintf "top function @%s is extern (it has no body to emit)"
-                        top_name));
-              let hash = Incr.cone_hashes plan ~pipeline:pipeline_str in
-              let link_key =
-                Cache.stage_key ~kind:Cache.Link ~parts:[ hash top_name ]
+              (* The plan prints a function on first use: hashing the
+                 top's cone prints exactly the functions this job
+                 compiles, so it is planning time. *)
+              let hash, link_key =
+                Trace.span trace ~cat:"frontend" "plan" (fun () ->
+                    if (Incr.fn_info plan top_name).Incr.fi_extern then
+                      raise
+                        (Hir_codegen.Emit.Codegen_error
+                           (Printf.sprintf
+                              "top function @%s is extern (it has no body to emit)"
+                              top_name));
+                    let hash = Incr.cone_hashes plan ~pipeline:pipeline_str in
+                    (hash, Cache.stage_key ~kind:Cache.Link ~parts:[ hash top_name ]))
               in
               match consult Cache.Link "link" link_key with
               | Some entry ->
@@ -386,19 +397,21 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                       | None -> false
                     in
                     if not hit then begin
-                      let fi = Incr.fn_info plan fn in
-                      let opt_text =
-                        if fi.Incr.fi_extern then ""
+                      let emit =
+                        if (Incr.fn_info plan fn).Incr.fi_extern then
+                          Incr.emit_extern plan
                         else
                           let fn_key =
                             Cache.stage_key ~kind:Cache.Fn ~parts:[ h ]
                           in
+                          (* Emit parses a cached optimized function; a
+                             fresh one is still in memory. *)
                           match consult Cache.Fn "function-ir" fn_key with
-                          | Some e -> e.Cache.e_verilog
+                          | Some e -> Incr.emit_fn plan ~opt:(Incr.Text e.Cache.e_verilog)
                           | None ->
-                            let opt_text, stats =
+                            let opt_fn, opt_text, stats =
                               Trace.span trace "optimize" (fun () ->
-                                  Incr.optimize_fn plan ~passes
+                                  Incr.optimize plan ~passes
                                     ~instrument:(pass_instrument ~trace ~guard)
                                     fn)
                             in
@@ -409,11 +422,10 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                                 e_top = fn;
                                 e_usage = zero_usage;
                               };
-                            opt_text
+                            Incr.emit_fn plan ~opt:(Incr.Clone opt_fn)
                       in
                       let vmodule, defs =
-                        Trace.span trace ~cat:"backend" "emit" (fun () ->
-                            Incr.emit_fn plan ~opt_text fn)
+                        Trace.span trace ~cat:"backend" "emit" (fun () -> emit fn)
                       in
                       let instance_usage mname =
                         match Hashtbl.find_opt usages mname with

@@ -6,17 +6,29 @@
    normalized to the print∘parse fixed point; each function's
    normalized printed form (plus the recursive hashes of its callees
    and the pass-pipeline spec) is its *cone hash*; optimizing or
-   emitting a function happens in a fresh mini-module rebuilt from
-   those texts under an isolated id counter.  Cold compiles and warm
-   recompiles therefore run the exact same construction from the exact
-   same bytes, which is what makes an incremental recompile
-   byte-identical to a cold one — the property the qcheck suite pins.
+   emitting a function happens in a fresh mini-module built under an
+   isolated id counter, holding exactly what those texts parse to.
+   Cold compiles and warm recompiles therefore run the exact same
+   construction on the exact same IR, which is what makes an
+   incremental recompile byte-identical to a cold one — the property
+   the qcheck suite pins.
+
+   Only the warm path parses per-function text (an optimized function
+   read back from its Fn entry).  A cold compile builds its
+   mini-modules in memory: it clones the functions of the normalized
+   module, and the optimized function the optimizer has just printed
+   with [Printer.op_to_string_fixed].  Both are at the print∘parse
+   fixed point, and [Ir.Clone] allocates ids in the parser's order, so
+   a clone is the IR its text would parse to, id for id.  A qcheck
+   property in test_incremental pins clone ≡ parse on random designs
+   and every kernel: same printed text, same id sequences, same
+   Verilog.
 
    Modules that this decomposition cannot compile raise [Fallback]
    with the reason: a call to an unknown function, a call cycle (no
-   finite hardware instantiates itself), or a function whose printed
-   form does not re-parse standalone.  The driver reports the reason as
-   the job's codegen diagnostic. *)
+   finite hardware instantiates itself), or a function that is not
+   self-contained (its printed form would not re-parse standalone).
+   The driver reports the reason as the job's codegen diagnostic. *)
 
 open Hir_ir
 open Hir_dialect
@@ -39,7 +51,9 @@ type fn_info = {
 type plan = {
   pl_module : Ir.op;  (* the normalized module *)
   pl_text : string;  (* its printed form (the print∘parse fixed point) *)
-  pl_fns : (string * fn_info) list;  (* in module order *)
+  pl_fns : (string, fn_info Lazy.t) Hashtbl.t;
+      (* the first function of each name; built on first use, so a job
+         prints only the functions in its top's cone *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -56,21 +70,23 @@ let direct_callees func =
            Some name
          end)
 
-(* [text], when given, must be [Printer.op_to_string module_op]. *)
+(* [module_op] must be at the print∘parse fixed point; [text], when
+   given, must be [Printer.op_to_string module_op]. *)
 let plan_of_module ?text module_op =
-  let fns =
-    List.map
-      (fun f ->
-        let name = Ops.func_name f in
-        ( name,
-          {
-            fi_func = f;
-            fi_text = Printer.op_to_string f;
-            fi_callees = direct_callees f;
-            fi_extern = Ops.is_extern_func f;
-          } ))
-      (Ops.module_funcs module_op)
-  in
+  let fns = Hashtbl.create 16 in
+  List.iter
+    (fun f ->
+      let name = Ops.func_name f in
+      if not (Hashtbl.mem fns name) then
+        Hashtbl.add fns name
+          (lazy
+            {
+              fi_func = f;
+              fi_text = Printer.op_to_string f;
+              fi_callees = direct_callees f;
+              fi_extern = Ops.is_extern_func f;
+            }))
+    (Ops.module_funcs module_op);
   let pl_text =
     match text with Some t -> t | None -> Printer.op_to_string module_op
   in
@@ -94,8 +110,8 @@ let normalize ~file ~text module_op =
       raise (Fallback "module print does not re-parse")
 
 let fn_info plan name =
-  match List.assoc_opt name plan.pl_fns with
-  | Some fi -> fi
+  match Hashtbl.find_opt plan.pl_fns name with
+  | Some fi -> Lazy.force fi
   | None -> raise (Fallback (Printf.sprintf "call to unknown function @%s" name))
 
 (* ------------------------------------------------------------------ *)
@@ -176,6 +192,10 @@ let usage_order plan ~top =
 (* ------------------------------------------------------------------ *)
 (* Mini-modules                                                        *)
 
+(* One function of a mini-module: an op at the print∘parse fixed point
+   to clone, or a printed form to parse. *)
+type member = Clone of Ir.op | Text of string
+
 (* Parse one function's printed text back into an op.  Each text is a
    single "hir.func" op, so [Parser.parse_string] consumes it whole;
    a text that does not re-parse (a value captured across function
@@ -187,34 +207,61 @@ let parse_fn_text ~what text =
   | exception (Parser.Parse_error _ | Lexer.Lex_error _) ->
     raise (Fallback (Printf.sprintf "%s does not re-parse standalone" what))
 
-(* A fresh module holding the given function texts, in order, built
-   under an isolated id counter: ids run 0..n in text order, so the
-   construction is a pure function of the texts. *)
-let module_of_texts texts f =
+(* Clone one function with a mapping table of its own: the plan's ids
+   and an optimizer mini-module's ids come from different counters, so
+   one table shared across functions could confuse them.  An operand
+   the function does not define before its use is what the parser would
+   reject as an undefined value. *)
+let clone_fn ~what f =
+  Ir.Clone.clone_op ~mapping:(Hashtbl.create 64)
+    ~unmapped:(fun _ ->
+      raise
+        (Fallback (Printf.sprintf "%s uses a value it does not define first" what)))
+    f
+
+(* A fresh module holding the given functions, in order, built under an
+   isolated id counter: ids run 0..n in member order, the same whether
+   a member is cloned or parsed, so the construction is a pure function
+   of the members' printed texts. *)
+let mini_module members f =
   Ir.with_isolated_ids (fun () ->
       let m = Builder.create_module () in
       let block = Builder.module_block m in
       List.iter
-        (fun (name, text) ->
-          Ir.Block.append block (parse_fn_text ~what:("@" ^ name) text))
-        texts;
+        (fun (name, member) ->
+          let what = "@" ^ name in
+          Ir.Block.append block
+            (match member with
+            | Clone op -> clone_fn ~what op
+            | Text text -> parse_fn_text ~what text))
+        members;
       f m)
 
-(* The pre-optimization cone texts of [name]: its transitive callees in
-   dependency order, itself last.  This is the mini-module layout both
-   the optimizer and (for interface lookups) the emitter rebuild. *)
+let module_of_texts texts f =
+  mini_module (List.map (fun (name, text) -> (name, Text text)) texts) f
+
+(* The pre-optimization cone of [name]: its transitive callees in
+   dependency order, itself last.  This is the mini-module layout the
+   optimizer builds. *)
 let cone_texts plan name =
   List.map (fun n -> (n, (fn_info plan n).fi_text)) (usage_order plan ~top:name)
+
+let cone_members plan name =
+  List.map (fun n -> (n, Clone (fn_info plan n).fi_func)) (usage_order plan ~top:name)
+
+let lookup mini name =
+  match Ops.lookup_func mini name with Some f -> f | None -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Per-function optimize                                               *)
 
-(* Optimize [name] in a fresh mini-module holding its pre-opt cone and
-   return its optimized printed form plus the pass statistics.  The
-   result depends only on the cone texts and the pipeline — exactly
-   what the cone hash covers. *)
-let optimize_fn plan ~passes ~instrument name =
-  module_of_texts (cone_texts plan name) (fun mini ->
+(* Optimize [name] in a fresh mini-module holding a clone of its
+   pre-opt cone.  Returns the optimized function, left at the
+   print∘parse fixed point by printing it, its printed form and the
+   pass statistics.  The result depends only on the cone texts and the
+   pipeline — exactly what the cone hash covers. *)
+let optimize plan ~passes ~instrument name =
+  mini_module (cone_members plan name) (fun mini ->
       let mgr = Pass.Manager.create ~instrument passes in
       let result = Pass.Manager.run mgr mini in
       if not result.Pass.succeeded then begin
@@ -229,39 +276,37 @@ let optimize_fn plan ~passes ~instrument name =
         | Some f -> f
         | None -> raise (Fallback (Printf.sprintf "@%s vanished during optimization" name))
       in
-      (Printer.op_to_string f, result.Pass.stats))
+      (f, Printer.op_to_string_fixed f, result.Pass.stats))
+
+let optimize_fn plan ~passes ~instrument name =
+  let _, text, stats = optimize plan ~passes ~instrument name in
+  (text, stats)
 
 (* ------------------------------------------------------------------ *)
 (* Per-function emit                                                    *)
 
-(* Emit one function's Verilog module from its optimized printed form.
-   The mini-module holds the *pre-opt* texts of the direct callees
-   (instantiation only reads their interfaces, which optimization
-   never changes) and the optimized text of the function itself —
-   re-parsed even when the in-memory op is at hand, so the emitter
-   always runs on the same bytes the Fn snapshot would reproduce. *)
-let emit_fn plan ~opt_text name =
-  let fi = fn_info plan name in
-  if fi.fi_extern then
-    module_of_texts [ (name, fi.fi_text) ] (fun mini ->
-        let f =
-          match Ops.lookup_func mini name with Some f -> f | None -> assert false
-        in
-        ignore mini;
-        (Hir_codegen.Emit.emit_extern_module f, []))
-  else
-    let texts =
-      List.map (fun c -> (c, (fn_info plan c).fi_text)) fi.fi_callees
-      @ [ (name, opt_text) ]
-    in
-    module_of_texts texts (fun mini ->
-        let f =
-          match Ops.lookup_func mini name with Some f -> f | None -> assert false
-        in
-        let vmodule, defs, _iface =
-          Hir_codegen.Emit.emit_module_for ~module_op:mini f
-        in
-        (vmodule, defs))
+(* Emit one function's Verilog module.  The mini-module holds the
+   *pre-opt* direct callees (instantiation only reads their interfaces,
+   which optimization never changes) and the optimized function
+   itself: the op [optimize] returned on a cold compile, or the text of
+   the Fn entry on a warm one — the same IR either way, so the emitter
+   runs on what the Fn snapshot reproduces. *)
+let emit_members plan ~opt name =
+  List.map (fun c -> (c, Clone (fn_info plan c).fi_func)) (fn_info plan name).fi_callees
+  @ [ (name, opt) ]
+
+let emit_fn plan ~opt name =
+  mini_module (emit_members plan ~opt name) (fun mini ->
+      let vmodule, defs, _iface =
+        Hir_codegen.Emit.emit_module_for ~module_op:mini (lookup mini name)
+      in
+      (vmodule, defs))
+
+(* An extern function has no body to optimize: its module is a black
+   box emitted from the declaration itself. *)
+let emit_extern plan name =
+  mini_module [ (name, Clone (fn_info plan name).fi_func) ] (fun mini ->
+      (Hir_codegen.Emit.emit_extern_module (lookup mini name), []))
 
 (* The Verilog module name [name] emits as — the key instances use. *)
 let emitted_module_name name = Hir_codegen.Names.sanitize name

@@ -522,14 +522,21 @@ module Clone = struct
   (* Deep-clone an op.  [mapping] seeds value substitutions (e.g. to
      substitute a block arg with a constant when unrolling); the
      returned table includes mappings for all cloned results and block
-     args.  Cloned ops link their operand slots as they are created, so
-     the clone's use lists are consistent from the start. *)
-  let rec clone_op ?(mapping = Hashtbl.create 16) op =
+     args.  An operand with no mapping yet — defined outside [op], or
+     later in program order — becomes [unmapped v], by default [v]
+     itself.  Cloned ops link their operand slots as they are created,
+     so the clone's use lists are consistent from the start.
+
+     Ids are allocated in the order [Parser] allocates them for the
+     printed form of [op]: a block, then its arguments, then its ops;
+     an op's regions before the op and its results; a region after its
+     blocks. *)
+  let rec clone_op ?(mapping = Hashtbl.create 16) ?(unmapped = Fun.id) op =
     let map_value v =
-      match Hashtbl.find_opt mapping v.v_id with Some v' -> v' | None -> v
+      match Hashtbl.find_opt mapping v.v_id with Some v' -> v' | None -> unmapped v
     in
     let operands = Array.to_list (Array.map map_value op.operands) in
-    let regions = List.map (clone_region ~mapping) op.regions in
+    let regions = List.map (clone_region ~mapping ~unmapped) op.regions in
     let cloned =
       Op.create ~attrs:op.attrs ~regions ~loc:op.loc op.op_name ~operands
         ~result_types:(List.map (fun r -> r.v_type) (Array.to_list op.results))
@@ -541,11 +548,11 @@ module Clone = struct
       op.results;
     cloned
 
-  and clone_region ~mapping r =
-    let blocks = List.map (clone_block ~mapping) r.blocks in
+  and clone_region ~mapping ~unmapped r =
+    let blocks = List.map (clone_block ~mapping ~unmapped) r.blocks in
     Region.create ~blocks ()
 
-  and clone_block ~mapping b =
+  and clone_block ~mapping ?(unmapped = Fun.id) b =
     let nb = Block.create (List.map (fun a -> a.v_type) (Block.args b)) in
     Array.iteri
       (fun i a ->
@@ -555,6 +562,6 @@ module Clone = struct
         if not (Hashtbl.mem mapping a.v_id) then
           Hashtbl.replace mapping a.v_id nb.b_args.(i))
       b.b_args;
-    List.iter (fun op -> Block.append nb (clone_op ~mapping op)) (Block.ops b);
+    List.iter (fun op -> Block.append nb (clone_op ~mapping ~unmapped op)) (Block.ops b);
     nb
 end

@@ -15,6 +15,7 @@ type namer = {
   used : (string, int) Hashtbl.t;  (* printed name -> next suffix to try as a base *)
   types : (Typ.t, string) Hashtbl.t;  (* type -> its text *)
   canonical : bool;  (* sequential names, ignore hints and ids *)
+  fix : bool;  (* write what the parse would read back into the IR *)
   mutable next_seq : int;
 }
 
@@ -26,6 +27,7 @@ let create_namer ?(canonical = false) () =
     used = Hashtbl.create 64;
     types = Hashtbl.create 16;
     canonical;
+    fix = false;
     next_seq = 0;
   }
 
@@ -64,6 +66,8 @@ let name_value namer v =
     in
     Hashtbl.replace namer.used n 1;
     Hashtbl.replace namer.names v.v_id n;
+    (* Later lookups of [v] hit [names], so the hint can change now. *)
+    if namer.fix then v.v_hint <- Some n;
     n
 
 (* Each distinct type is rendered once per print. *)
@@ -106,8 +110,10 @@ let add_attrs namer buf = function
     Buffer.add_char buf '}'
 
 (* Locations are printed in the parseable quoted form, unlike the bare
-   form [Location.pp] uses in diagnostics. *)
-let add_loc buf = function
+   form [Location.pp] uses in diagnostics.  A named location prints
+   without its child, so the parse reads the child back as unknown. *)
+let add_loc namer buf op =
+  match op.loc with
   | Location.Unknown -> ()
   | Location.File { file; line; col } ->
     Buffer.add_string buf " loc(";
@@ -117,7 +123,8 @@ let add_loc buf = function
     Buffer.add_char buf ':';
     Buffer.add_string buf (string_of_int col);
     Buffer.add_char buf ')'
-  | Location.Name { name; _ } ->
+  | Location.Name { name; child } ->
+    if namer.fix && child <> Location.Unknown then op.loc <- Location.name name;
     Buffer.add_string buf " loc(";
     add_quoted buf name;
     Buffer.add_char buf ')'
@@ -151,7 +158,7 @@ let rec add_op ?(indent = 0) namer buf op =
   add_types namer buf op.operands;
   Buffer.add_string buf " -> ";
   add_types namer buf op.results;
-  add_loc buf op.loc
+  add_loc namer buf op
 
 and add_region ~indent namer buf r =
   let pad = String.make (indent + 2) ' ' in
@@ -185,6 +192,17 @@ let print_with namer op =
   Buffer.contents buf
 
 let op_to_string op = print_with (create_namer ()) op
+
+(* [op_to_string], and leave [op] as [Parser.parse_string] would read
+   the text back, ids and attribute order aside: each value's hint
+   becomes its printed name, and a named location drops the child the
+   text does not carry.  This is the print∘parse fixed point computed
+   in place.  Printing [op] again gives the same text, and so does
+   printing any op nested in it on its own, since the names are now
+   unique within [op].  [Ir.Clone] of [op], or of a function nested in
+   it, therefore builds the IR that parsing its printed form builds, in
+   the same id order. *)
+let op_to_string_fixed op = print_with { (create_namer ()) with fix = true } op
 
 (* Canonical text: identical for structurally identical modules even
    when value ids / hints differ (e.g. comparing the output of two

@@ -279,6 +279,36 @@ let test_cache_key () =
   check_bool "pipeline-sensitive" false (k () = k ~pipeline:"unroll,dce" ());
   check_bool "top-sensitive" false (k () = k ~top:"f" ())
 
+(* A builder job and a text job of the kernel's printed module share a
+   Job cache key, so they must compile to the same Verilog: otherwise
+   whichever of them runs first decides what a shared cache serves the
+   other. *)
+let test_builder_matches_text () =
+  let pipeline = Pipeline.default ~optimize:true in
+  let cache = Cache.create ~dir:(fresh_dir ()) () in
+  let compile ?cache job =
+    match Driver.compile_job ?cache job with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "compile failed: %s" (Driver.error_to_string e)
+  in
+  List.iter
+    (fun k ->
+      let name = k.Hir_kernels.Kernels.name in
+      let text =
+        Ir.with_isolated_ids (fun () ->
+            Printer.op_to_string (fst (k.Hir_kernels.Kernels.build ())))
+      in
+      let builder_job = Driver.job_of_builder ~pipeline ~name k.Hir_kernels.Kernels.build in
+      let text_job = Driver.job_of_text ~pipeline ~name text in
+      let expected = (compile text_job).Driver.verilog in
+      check_string (name ^ ": builder = text") expected (compile builder_job).Driver.verilog;
+      check_string (name ^ ": builder, shared cache") expected
+        (compile ~cache builder_job).Driver.verilog;
+      let hit = compile ~cache text_job in
+      check_bool (name ^ ": text job hits the builder's entry") true hit.Driver.from_cache;
+      check_string (name ^ ": text, shared cache") expected hit.Driver.verilog)
+    Hir_kernels.Kernels.all
+
 (* ------------------------------------------------------------------ *)
 (* Batch scheduler                                                     *)
 
@@ -1054,6 +1084,7 @@ let () =
         [
           Alcotest.test_case "hit-and-invalidation" `Quick test_cache_hit_and_invalidation;
           Alcotest.test_case "key" `Quick test_cache_key;
+          Alcotest.test_case "builder-matches-text" `Quick test_builder_matches_text;
           Alcotest.test_case "damaged-entry-degrades-to-miss" `Quick
             test_cache_damaged_entry_degrades_to_miss;
           Alcotest.test_case "errors-are-diagnostics" `Quick

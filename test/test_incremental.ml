@@ -266,6 +266,235 @@ let incremental_reuse_prop =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Clone ≡ parse: an in-memory mini-module is what its texts parse to  *)
+
+(* Every id in [root]'s tree, in pre-order and by kind; values carry
+   their hints. *)
+type id_sequences = {
+  op_ids : int list;
+  value_ids : (int * string option) list;
+  block_ids : int list;
+  region_ids : int list;
+}
+
+let id_sequences root =
+  let ops = ref [] and values = ref [] and blocks = ref [] and regions = ref [] in
+  let value v = values := (v.Ir.v_id, v.Ir.v_hint) :: !values in
+  let rec op o =
+    ops := o.Ir.op_id :: !ops;
+    Array.iter value o.Ir.results;
+    List.iter
+      (fun r ->
+        regions := r.Ir.r_id :: !regions;
+        List.iter
+          (fun b ->
+            blocks := b.Ir.b_id :: !blocks;
+            Array.iter value b.Ir.b_args;
+            List.iter op (Ir.Block.ops b))
+          r.Ir.blocks)
+      o.Ir.regions
+  in
+  op root;
+  {
+    op_ids = List.rev !ops;
+    value_ids = List.rev !values;
+    block_ids = List.rev !blocks;
+    region_ids = List.rev !regions;
+  }
+
+let lookup mini name = Option.get (Ops.lookup_func mini name)
+
+let verilog_of_modules modules =
+  String.concat "\n" (List.map Hir_verilog.Pretty.module_to_string modules)
+
+let emitted mini name =
+  let vm, defs, _ = Hir_codegen.Emit.emit_module_for ~module_op:mini (lookup mini name) in
+  verilog_of_modules (defs @ [ vm ])
+
+(* What a compile can observe of a mini-module: its text and ids, and
+   the Verilog [name] emits from it. *)
+let observe_emit name mini = (Printer.op_to_string mini, id_sequences mini, emitted mini name)
+
+(* The optimize layout, run the way [Incr.optimize] runs it: what the
+   pipeline saw and left behind, the Verilog emitted in place from the
+   result (or the emitter's error, which both sides must then share),
+   and the optimized function (at the print∘parse fixed point) with
+   its text. *)
+let observe_optimize name mini =
+  let before = (Printer.op_to_string mini, id_sequences mini) in
+  let result = Pass.Manager.run (Pass.Manager.create (Pipeline.to_passes pipeline)) mini in
+  if not result.Pass.succeeded then failwith (Printf.sprintf "@%s: pipeline failed" name);
+  let after = (Printer.op_to_string mini, id_sequences mini) in
+  let verilog =
+    match emitted mini name with
+    | v -> Ok v
+    | exception Hir_codegen.Emit.Codegen_error msg -> Error msg
+  in
+  let f = lookup mini name in
+  ((before, after, verilog, Printer.op_to_string_fixed f), f)
+
+(* For every function of the module [build] returns, the mini-modules
+   a cold compile clones and the ones the parse of the same texts
+   builds must be indistinguishable, in the optimize layout and in the
+   emit layout.  The clone side plans the built module as a builder job
+   does; the text side plans the parse of its printed form as a text
+   job does, so a function whose hints collide with another function's
+   shows up as a difference. *)
+let clone_matches_parse build =
+  Ir.with_isolated_ids (fun () ->
+      let m, _ = build () in
+      let text = Printer.op_to_string_fixed m in
+      let cplan = Incr.plan_of_module ~text m in
+      let tplan = Incr.normalize ~file:"t.hir" ~text (Parser.parse_string text) in
+      (* A side's result, or [None] when it rejects the function as not
+         self-contained: the sides must agree on that too. *)
+      let attempt f = match f () with v -> Some v | exception Incr.Fallback _ -> None in
+      let expect what name c t =
+        if c <> t then failwith (Printf.sprintf "@%s: clone and parse differ in the %s" name what)
+      in
+      List.iter
+        (fun f ->
+          let name = Ops.func_name f in
+          let fi = Incr.fn_info cplan name and ti = Incr.fn_info tplan name in
+          expect "printed function" name fi.Incr.fi_text ti.Incr.fi_text;
+          if fi.Incr.fi_extern then begin
+            let observe mini =
+              ( Printer.op_to_string mini,
+                id_sequences mini,
+                verilog_of_modules [ Hir_codegen.Emit.emit_extern_module (lookup mini name) ] )
+            in
+            expect "extern layout" name
+              (attempt (fun () -> Incr.mini_module [ (name, Incr.Clone fi.Incr.fi_func) ] observe))
+              (attempt (fun () -> Incr.module_of_texts [ (name, ti.Incr.fi_text) ] observe))
+          end
+          else begin
+            let c =
+              attempt (fun () ->
+                  Incr.mini_module (Incr.cone_members cplan name) (observe_optimize name))
+            in
+            let t =
+              attempt (fun () ->
+                  Incr.module_of_texts (Incr.cone_texts tplan name) (observe_optimize name))
+            in
+            expect "optimize layout" name (Option.map fst c) (Option.map fst t);
+            match (c, t) with
+            | Some (_, c_fn), Some ((_, _, _, t_text), _) ->
+              let callee_texts =
+                List.map (fun c -> (c, (Incr.fn_info tplan c).Incr.fi_text)) ti.Incr.fi_callees
+              in
+              expect "emit layout" name
+                (attempt (fun () ->
+                     Incr.mini_module
+                       (Incr.emit_members cplan ~opt:(Incr.Clone c_fn) name)
+                       (observe_emit name)))
+                (attempt (fun () ->
+                     Incr.module_of_texts (callee_texts @ [ (name, t_text) ]) (observe_emit name)))
+            | _ -> ()
+          end)
+        (Ops.module_funcs m))
+
+type random_design =
+  | Straight of Random_designs.recipe
+  | Loop of Random_designs.loop_recipe
+  | Unrolled of Random_designs.unroll_recipe
+
+let build_random = function
+  | Straight r -> Random_designs.build_design r
+  | Loop r -> Random_designs.build_loop_design r
+  | Unrolled r -> Random_designs.build_unroll_design r
+
+let arb_random_design =
+  let open Random_designs in
+  QCheck.make
+    ~print:(function
+      | Straight r -> "straight " ^ recipe_to_string r
+      | Loop r -> "loop " ^ loop_recipe_to_string r
+      | Unrolled r -> "unrolled " ^ unroll_recipe_to_string r)
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun r -> Straight r) gen_recipe;
+          map (fun r -> Loop r) gen_loop_recipe;
+          map (fun r -> Unrolled r) gen_unroll_recipe;
+        ])
+
+let clone_parse_prop =
+  QCheck.Test.make ~count:60 ~name:"clone == parse on random designs" arb_random_design
+    (fun d ->
+      QCheck.assume
+        (Ir.with_isolated_ids (fun () ->
+             Random_designs.verifier_accepts (fst (build_random d))));
+      match clone_matches_parse (fun () -> build_random d) with
+      | () -> true
+      | exception Failure msg -> QCheck.Test.fail_report msg)
+
+(* Does some function of the built module print differently on its own
+   than as a slice of the module's print?  Only then does a builder
+   job's plan differ from a text job's when the printer stops storing
+   hints. *)
+let slices_differ build =
+  Ir.with_isolated_ids (fun () ->
+      let m, _ = build () in
+      let own () = List.map Printer.op_to_string (Ops.module_funcs m) in
+      let before = own () in
+      ignore (Printer.op_to_string_fixed m);
+      before <> own ())
+
+(* Every kernel, and GEMM and the systolic array at n = 4, 8 and 16.
+   task_parallel builds stencilA and stencilB with the same builder, so
+   its functions reuse hints and stencilB's own print differs from its
+   slice of the module's.  One more transpose carries named
+   locations with a child, which the text does not print but the
+   emitter writes into Verilog comments. *)
+let test_clone_matches_parse_kernels () =
+  let named_locs () =
+    let m, f = Hir_kernels.Transpose.build () in
+    let loc = Location.name ~child:(Location.file ~file:"t.c" ~line:3 ~col:7) "site" in
+    Ir.Walk.ops_pre f ~f:(fun o -> o.Ir.loc <- loc);
+    (m, f)
+  in
+  let designs =
+    List.map
+      (fun k -> (k.Hir_kernels.Kernels.name, k.Hir_kernels.Kernels.build))
+      Hir_kernels.Kernels.all
+    @ List.concat_map
+        (fun n ->
+          [
+            (Printf.sprintf "gemm%d" n, fun () -> Hir_kernels.Gemm.build ~n ());
+            (Printf.sprintf "systolic%d" n, fun () -> Hir_kernels.Systolic.build ~n ());
+          ])
+        [ 4; 8; 16 ]
+    @ [ ("transpose with named locations", named_locs) ]
+  in
+  check_bool "some function prints differently from its slice" true
+    (List.exists (fun (_, build) -> slices_differ build) designs);
+  List.iter
+    (fun (name, build) ->
+      match clone_matches_parse build with
+      | () -> ()
+      | exception Failure msg -> Alcotest.failf "%s: %s" name msg)
+    designs
+
+(* A function that uses a value it does not define cannot be compiled
+   on its own: the clone rejects it as the parse of its text does. *)
+let test_clone_rejects_foreign_value () =
+  Ir.with_isolated_ids (fun () ->
+      let _, f = Hir_kernels.Transpose.build () in
+      let foreign =
+        Ir.Op.create "hir.constant" ~attrs:[ ("value", Attribute.Int 0) ] ~operands:[]
+          ~result_types:[ Typ.i32 ]
+      in
+      let user = List.hd (Ir.Walk.collect f ~pred:(fun o -> Ir.Op.num_operands o > 0)) in
+      Ir.Op.set_operand user 0 (Ir.Op.result foreign 0);
+      let rejects what member =
+        match Incr.mini_module [ ("transpose", member) ] ignore with
+        | () -> Alcotest.failf "the %s accepted a value defined outside the function" what
+        | exception Incr.Fallback _ -> ()
+      in
+      rejects "clone" (Incr.Clone f);
+      rejects "parse" (Incr.Text (Printer.op_to_string f)))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "incremental"
@@ -284,4 +513,10 @@ let () =
         [ Alcotest.test_case "kernel digests" `Quick test_golden_digests ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest ~verbose:false incremental_reuse_prop ] );
+      ( "clone",
+        [
+          Alcotest.test_case "kernels" `Quick test_clone_matches_parse_kernels;
+          Alcotest.test_case "foreign-value-rejected" `Quick test_clone_rejects_foreign_value;
+          QCheck_alcotest.to_alcotest ~verbose:false clone_parse_prop;
+        ] );
     ]
