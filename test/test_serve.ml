@@ -955,6 +955,133 @@ let test_server_many_lines_one_write () =
         (field (recv_or_fail c "metrics") "event");
       Protocol.Client.close c)
 
+(* ------------------------------------------------------------------ *)
+(* Probe inventory and the server's Chrome trace                       *)
+
+(* Every key path of the health and metrics frames: a rename or a
+   dropped key fails here rather than in a dashboard or a bench. *)
+let health_inventory =
+  [ "event"; "status"; "uptime_seconds"; "workers"; "queue_depth"; "running"; "connections" ]
+
+let metrics_inventory =
+  let group g keys = List.map (fun k -> g ^ "." ^ k) keys in
+  let hist = [ "count"; "mean_s"; "p50_s"; "p90_s"; "p99_s"; "max_s" ] in
+  [ "event" ]
+  @ group "jobs"
+      [ "submitted"; "rejected"; "completed"; "ok"; "degraded"; "failed"; "cancelled";
+        "watchdog"; "idempotent"; "queue_depth"; "running"; "workers"; "spawn_failures" ]
+  @ group "cache" [ "hits"; "misses"; "stores"; "corrupt"; "faults" ]
+  @ group "journal" [ "appends"; "marks"; "faults"; "replayed"; "backlog" ]
+  @ group "counters" [ "cache-hit"; "cache-miss" ]
+  @ group "latency.queue" hist
+  @ group "latency.total" hist
+
+let json_path j path =
+  List.fold_left
+    (fun acc k -> Option.bind acc (Protocol.Json.mem k))
+    (Some j) (String.split_on_char '.' path)
+
+let probe c op =
+  Protocol.Client.send c (Protocol.Json.Obj [ ("op", Protocol.Json.Str op) ]);
+  recv_or_fail c op
+
+(* One kernel compiled twice through a cached, journaled server: a miss,
+   then a whole-job hit. *)
+let test_server_probe_inventory () =
+  let cache_dir = fresh_dir "serve-inventory-cache" in
+  let journal_dir = fresh_dir "serve-inventory-journal" in
+  with_server
+    ~tweak:(fun cfg ->
+      {
+        cfg with
+        Server.cfg_cache = Some (Hir_driver.Cache.create ~dir:cache_dir ());
+        cfg_journal = Some journal_dir;
+      })
+    (fun sock ->
+      let c = Protocol.Client.connect_unix sock in
+      List.iter
+        (fun id ->
+          send_compile c ~id ~kernel:"transpose";
+          Alcotest.(check (option string)) (id ^ " compiled") (Some "ok")
+            (field (recv_or_fail c id) "status"))
+        [ "miss"; "hit" ];
+      let m = probe c "metrics" and h = probe c "health" in
+      let present frame what path =
+        if json_path frame path = None then Alcotest.failf "%s frame lacks %s" what path
+      in
+      List.iter (present h "health") health_inventory;
+      List.iter (present m "metrics") metrics_inventory;
+      List.iter
+        (fun (path, v) ->
+          match json_path m path with
+          | Some (Protocol.Json.Num n) -> Alcotest.(check int) path v (int_of_float n)
+          | _ -> Alcotest.failf "metrics %s is not a number" path)
+        [
+          ("jobs.submitted", 2); ("jobs.completed", 2); ("jobs.ok", 2);
+          ("cache.hits", 1); ("cache.misses", 1); ("cache.stores", 1);
+          ("journal.appends", 2); ("journal.marks", 2);
+          ("counters.cache-hit", 1); ("counters.cache-miss", 1);
+          ("latency.total.count", 2);
+        ];
+      (match Protocol.Json.mem "counters" m with
+      | Some (Protocol.Json.Obj fields) ->
+        Alcotest.(check bool) "per-pass counters aggregated" true
+          (List.exists
+             (fun (k, _) -> String.starts_with ~prefix:"pass:canonicalize/" k)
+             fields)
+      | _ -> Alcotest.fail "metrics counters is not an object");
+      Protocol.Client.close c)
+
+(* The lifetime trace a server writes at shutdown: one Chrome row per
+   job, pass spans among them, and the summed cache counters. *)
+let test_server_chrome_trace () =
+  let dir = fresh_dir "serve-trace" in
+  let path = Filename.concat dir "trace.json" in
+  let kernels = [ "transpose"; "transpose"; "fifo" ] in
+  with_server
+    ~tweak:(fun cfg ->
+      {
+        cfg with
+        Server.cfg_cache = Some (Hir_driver.Cache.create ~dir:(Filename.concat dir "cache") ());
+        cfg_trace_path = Some path;
+      })
+    (fun sock ->
+      let c = Protocol.Client.connect_unix sock in
+      List.iteri
+        (fun i kernel ->
+          let id = Printf.sprintf "t%d" i in
+          send_compile c ~id ~kernel;
+          Alcotest.(check (option string)) (id ^ " compiled") (Some "ok")
+            (field (recv_or_fail c id) "status"))
+        kernels;
+      Protocol.Client.close c);
+  let events =
+    match Protocol.Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Error e -> Alcotest.failf "trace does not parse: %s" e
+    | Ok j -> (
+      match Protocol.Json.mem "traceEvents" j with
+      | Some (Protocol.Json.Arr events) -> events
+      | _ -> Alcotest.fail "trace has no traceEvents array")
+  in
+  let phase ph = List.filter (fun e -> field e "ph" = Some ph) events in
+  let spans = phase "X" in
+  let tids =
+    List.sort_uniq compare (List.filter_map (fun e -> Protocol.Json.field_num e "tid") spans)
+  in
+  Alcotest.(check int) "one row of spans per job" (List.length kernels) (List.length tids);
+  Alcotest.(check bool) "pass spans present" true
+    (List.exists
+       (fun e ->
+         match field e "name" with
+         | Some n -> String.starts_with ~prefix:"pass:" n
+         | None -> false)
+       spans);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counter event") true
+        (List.exists (fun e -> field e "name" = Some name) (phase "C")))
+    [ "cache-hit"; "cache-miss" ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -1020,5 +1147,7 @@ let () =
           Alcotest.test_case "oversized frame rejected" `Quick test_server_frame_cap;
           Alcotest.test_case "many lines in one write" `Quick
             test_server_many_lines_one_write;
+          Alcotest.test_case "probe inventory" `Quick test_server_probe_inventory;
+          Alcotest.test_case "chrome trace" `Quick test_server_chrome_trace;
         ] );
     ]
