@@ -3,7 +3,7 @@
 # built-in kernels.
 
 SMOKE_DESIGNS := examples/designs/transpose.hir examples/designs/stencil_1d.hir \
-                 examples/designs/fifo.hir
+                 examples/designs/fifo.hir examples/designs/delay_order.hir
 
 .PHONY: all build test check faults crash fuzz serve-smoke serve-swarm bench-json clean
 

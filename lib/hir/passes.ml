@@ -190,12 +190,19 @@ let strength_reduction =
      same depth) collapse to one;
    - a deeper delay of the same (input, time, offset) reuses the
      shallower one as its input:  delay(x, m) = delay(delay(x, k), m-k)
-     for the largest available k < m. *)
+     for the largest available k < m.
+   Either way the survivor must come earlier in the same block, so
+   that its result is defined before the delay that now reads it. *)
 let run_delay_elim_rw rw =
   let module_op = Rewrite.Rewriter.root rw in
-  (* Group delays by (input value, time value, offset). *)
-  let groups : (int * int * int, (int * Ir.op) list ref) Hashtbl.t = Hashtbl.create 32 in
+  (* Group delays by (input value, time value, offset); each entry
+     carries its pre-order position, which orders ops of one block. *)
+  let groups : (int * int * int, (int * int * Ir.op) list ref) Hashtbl.t =
+    Hashtbl.create 32
+  in
+  let pos = ref 0 in
   Ir.Walk.ops_pre module_op ~f:(fun op ->
+      incr pos;
       if Ir.Op.name op = "hir.delay" then begin
         let key =
           ( Ir.Value.id (Ops.delay_input op),
@@ -210,24 +217,27 @@ let run_delay_elim_rw rw =
             Hashtbl.add groups key c;
             c
         in
-        cell := (Ops.delay_by op, op) :: !cell
+        cell := (Ops.delay_by op, !pos, op) :: !cell
       end);
   Hashtbl.iter
     (fun _ cell ->
       (* Restore textual order (the walk prepended) so that the stable
          sort keeps the textually-first delay as the survivor: only it
          dominates every user of its duplicates. *)
-      let sorted = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev !cell) in
+      let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare a b) (List.rev !cell) in
       (* Walk shallow to deep; collapse duplicates, re-root deeper ones
-         onto the previous stage.  Only delays in the same block may be
-         chained (same time domain is guaranteed by the key, but a
-         delay in a nested block cannot feed an outer one). *)
+         onto the previous stage.  Only a delay earlier in the same
+         block may be reused (same time domain is guaranteed by the
+         key, but a delay in a nested block cannot feed an outer one,
+         and a later one is not yet defined); otherwise a new chain
+         starts at this delay. *)
       let rec go prev = function
         | [] -> ()
-        | (by, op) :: rest -> (
+        | (by, at, op) :: rest -> (
           match prev with
-          | Some (prev_by, prev_op)
-            when Option.equal Ir.Block.equal (Ir.Op.parent op) (Ir.Op.parent prev_op) ->
+          | Some (prev_by, prev_at, prev_op)
+            when prev_at < at
+                 && Option.equal Ir.Block.equal (Ir.Op.parent op) (Ir.Op.parent prev_op) ->
             if by = prev_by then begin
               (* Exact duplicate: forward all uses to the survivor. *)
               Rewrite.Rewriter.replace_op_with_value rw op (Ir.Op.result prev_op 0);
@@ -243,9 +253,9 @@ let run_delay_elim_rw rw =
               Rewrite.Rewriter.set_attr rw op "offset"
                 (Attribute.Int (Ops.delay_offset op + prev_by));
               Rewrite.Rewriter.bump rw "delay-elim.chain";
-              go (Some (by, op)) rest
+              go (Some (by, at, op)) rest
             end
-          | _ -> go (Some (by, op)) rest)
+          | _ -> go (Some (by, at, op)) rest)
       in
       go None sorted)
     groups;

@@ -85,6 +85,38 @@ let prop_optimizer_preserves =
       let after = interp_outputs m2 f2 in
       agree expected after)
 
+(* A recipe the optimizer once broke: delay(#0,by 3) is defined after
+   the first delay(#0,by 1) but before the second, and delay-elim
+   rewired it onto the later of the two.  The optimized design must
+   still emit, and its RTL must agree with the unoptimized interpreter. *)
+let test_delay_order_recipe () =
+  let recipe =
+    {
+      steps =
+        [
+          S_read (0, 0); S_read (6, 4); S_bin ("hir.mult", 0, 1); S_delay (0, 1);
+          S_bin ("hir.or", 2, 0); S_delay (0, 1); S_delay (0, 3);
+          S_bin_const ("hir.sub", 3, 599); S_read (3, 3); S_bin_const ("hir.and", 0, 235);
+          S_bin_const ("hir.and", 8, 651); S_bin ("hir.xor", 9, 5); S_bin ("hir.or", 7, 0);
+          S_bin ("hir.xor", 9, 7); S_read (0, 1);
+        ];
+      outputs = [ 7; 4; 12 ];
+    }
+  in
+  let m, f = build_design recipe in
+  Alcotest.(check bool) "verifier accepts the recipe" true (verifier_accepts m);
+  let expected = interp_outputs m f in
+  let m2, f2 = build_design recipe in
+  let emitted = Emit.compile ~optimize:true ~module_op:m2 ~top:f2 () in
+  let result, agents =
+    Harness.run ~emitted
+      ~inputs:[ Harness.Tensor input_data; Harness.Out_tensor ]
+      ~cycles:40 ()
+  in
+  Alcotest.(check int) "no UB assertion fired" 0 (List.length result.Harness.failures);
+  Alcotest.(check bool) "optimized RTL == interp" true
+    (agree expected (Harness.nth_tensor agents 1))
+
 let rtl_loop_outputs r m f =
   let emitted = Emit.emit ~module_op:m ~top:f () in
   let result, agents =
@@ -302,6 +334,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_driver_matches_legacy;
           QCheck_alcotest.to_alcotest prop_loop_driver_matches_legacy;
           Alcotest.test_case "generator acceptance rate" `Quick test_acceptance_rate;
+          Alcotest.test_case "delay order recipe" `Quick test_delay_order_recipe;
         ] );
       ( "hierarchy",
         [

@@ -857,6 +857,39 @@ let test_unknown_callee () =
     (compile_design ~name:"nope.hir" text)
     "\"nope.hir\": error: codegen: call to unknown function @nope"
 
+(* delay_order.hir defines a 3-cycle delay of %a before a 1-cycle one
+   and returns both.  delay-elim must not rewire the deeper delay onto
+   the shallower one defined after it: the default pipeline compiles
+   the design, and the RTL returns what the interpreter returns. *)
+let test_delay_order_design () =
+  let text = read_design "delay_order.hir" in
+  (match compile_design ~name:"delay_order.hir" text with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "default pipeline failed: %s" (Driver.error_to_string e));
+  let a = Bitvec.of_int ~width:32 1234 in
+  let parse () =
+    let m = Parser.parse_string ~file:"delay_order.hir" text in
+    (m, Option.get (Ops.lookup_func m "f"))
+  in
+  let expected =
+    let m, f = parse () in
+    (fst (Interp.run ~module_op:m ~func:f [ Interp.Scalar a ])).Interp.return_values
+  in
+  let m, _ = parse () in
+  let passes = Pipeline.to_passes (Pipeline.default ~optimize:true) in
+  check_bool "pipeline succeeded" true
+    (Pass.Manager.run (Pass.Manager.create passes) m).Pass.succeeded;
+  let emitted =
+    Hir_codegen.Emit.emit ~module_op:m ~top:(Option.get (Ops.lookup_func m "f")) ()
+  in
+  let r, _ =
+    Hir_rtl.Harness.run ~emitted ~inputs:[ Hir_rtl.Harness.Scalar a ] ~cycles:8 ()
+  in
+  let actual = List.map snd r.Hir_rtl.Harness.output_values in
+  check_bool "RTL returns what the interpreter returns" true
+    (List.length actual = List.length expected
+    && List.for_all2 Bitvec.equal expected actual)
+
 (* ------------------------------------------------------------------ *)
 (* Degradation ladders                                                 *)
 
@@ -1134,6 +1167,7 @@ let () =
           Alcotest.test_case "call-cycle" `Quick test_call_cycle;
           Alcotest.test_case "extern-top" `Quick test_extern_top;
           Alcotest.test_case "unknown-callee" `Quick test_unknown_callee;
+          Alcotest.test_case "delay-order" `Quick test_delay_order_design;
         ] );
       ( "degradation",
         [
