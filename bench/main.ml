@@ -43,14 +43,16 @@ let json_results : (string * string * (string * float) list) list ref = ref []
 let record ~section ~name fields = json_results := (section, name, fields) :: !json_results
 
 let write_json path =
-  let oc = open_out path in
+  let module Json = Hir_driver.Json in
   let entry (section, name, fields) =
-    Printf.sprintf "    {\"section\":\"%s\",\"name\":\"%s\",%s}" section name
-      (String.concat ","
-         (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%.6f" k v) fields))
+    Json.Obj
+      (("section", Json.Str section) :: ("name", Json.Str name)
+      :: List.map (fun (k, v) -> (k, Json.Num v)) fields)
   in
-  Printf.fprintf oc "{\n  \"results\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !json_results)));
+  let oc = open_out path in
+  output_string oc
+    (Json.to_string (Json.Obj [ ("results", Json.Arr (List.map entry (List.rev !json_results))) ]));
+  output_char oc '\n';
   close_out oc;
   Printf.eprintf "wrote %s\n" path
 

@@ -90,17 +90,8 @@ let run_job ?cache ?stats ~out job =
     1
   | Ok o ->
     Option.iter (Printf.eprintf "note: %s\n") o.Driver.note;
-    (match stats with
-    | Some true ->
-      List.iter
-        (fun (s : Pass.stat) ->
-          Printf.eprintf "%-28s %8.3f ms %s\n" s.Pass.pass_name (s.Pass.seconds *. 1000.)
-            (if s.Pass.changed then "(changed)" else "");
-          List.iter
-            (fun (name, n) -> Printf.eprintf "    %-32s %6d\n" name n)
-            s.Pass.counters)
-        o.Driver.pass_stats
-    | _ -> ());
+    if stats = Some true then
+      Format.eprintf "%a%!" Pass.Manager.pp_stats o.Driver.pass_stats;
     (match (stats, cache) with
     | Some true, Some c ->
       Printf.eprintf "cache: %d hits / %d misses / %d stores\n" (Cache.hits c)
@@ -295,15 +286,7 @@ let demo_cmd =
         1
       | Ok o ->
         if stats then begin
-          List.iter
-            (fun (s : Pass.stat) ->
-              Printf.eprintf "%-28s %8.3f ms %s\n" s.Pass.pass_name
-                (s.Pass.seconds *. 1000.)
-                (if s.Pass.changed then "(changed)" else "");
-              List.iter
-                (fun (cname, n) -> Printf.eprintf "    %-32s %6d\n" cname n)
-                s.Pass.counters)
-            o.Driver.pass_stats;
+          Format.eprintf "%a%!" Pass.Manager.pp_stats o.Driver.pass_stats;
           if no_share then
             (* Flat accounting: every instance charged in full. *)
             Printf.eprintf "%s: %s\n" name
@@ -632,7 +615,7 @@ let sim_cmd =
           r.Interp.cycles
       in
       let results, counters =
-        Pass.with_counters (fun () ->
+        Metrics.with_scope (fun () ->
             with_faults fault_cfg (fun () ->
                 if batch = 1 then
                   [ Harness.run ~engine ?vcd_path ~emitted
@@ -810,11 +793,8 @@ let cache_cmd =
    consumers rely on (see README): one object per job plus aggregate
    counts.  Kept deliberately flat — no nested trace data. *)
 let write_batch_json path ~workers (result : Driver.batch_result) =
-  let str s = "\"" ^ Trace.json_escape s ^ "\"" in
-  let arr items = "[" ^ String.concat "," items ^ "]" in
-  let obj fields =
-    "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
-  in
+  let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+  let num n = Json.Num (float_of_int n) in
   let ok = ref 0 and degraded = ref 0 and failed = ref 0 in
   let jobs =
     Array.to_list result.Driver.reports
@@ -826,44 +806,38 @@ let write_batch_json path ~workers (result : Driver.batch_result) =
            | `Failed | `Cancelled -> incr failed);
            let common =
              [
-               ("name", str r.Driver.rp_job);
-               ("status", str (Driver.status_to_string status));
-               ("attempts", string_of_int r.Driver.rp_attempts);
+               ("name", Json.Str r.Driver.rp_job);
+               ("status", Json.Str (Driver.status_to_string status));
+               ("attempts", num r.Driver.rp_attempts);
              ]
            in
            let rest =
              match r.Driver.rp_outcome with
              | Ok o ->
                [
-                 ("from_cache", string_of_bool o.Driver.from_cache);
-                 ("seconds", Printf.sprintf "%.6f" o.Driver.seconds);
-                 ("degradations", arr (List.map str o.Driver.degradations));
+                 ("from_cache", Json.Bool o.Driver.from_cache);
+                 ("seconds", Json.Num o.Driver.seconds);
+                 ("degradations", strs o.Driver.degradations);
                ]
              | Error e ->
-               [
-                 ( "diagnostics",
-                   arr
-                     (List.map
-                        (fun d -> str (Diagnostic.to_string d))
-                        e.Driver.err_diags) );
-               ]
+               [ ("diagnostics", strs (List.map Diagnostic.to_string e.Driver.err_diags)) ]
            in
-           obj (common @ rest))
+           Json.Obj (common @ rest))
   in
   let summary =
-    obj
+    Json.Obj
       [
-        ("total", string_of_int (Array.length result.Driver.reports));
-        ("ok", string_of_int !ok);
-        ("degraded", string_of_int !degraded);
-        ("failed", string_of_int !failed);
-        ("wall_seconds", Printf.sprintf "%.6f" result.Driver.wall_seconds);
-        ("workers", string_of_int workers);
-        ("notes", arr (List.map str result.Driver.batch_notes));
+        ("total", num (Array.length result.Driver.reports));
+        ("ok", num !ok);
+        ("degraded", num !degraded);
+        ("failed", num !failed);
+        ("wall_seconds", Json.Num result.Driver.wall_seconds);
+        ("workers", num workers);
+        ("notes", strs result.Driver.batch_notes);
       ]
   in
   let oc = open_out path in
-  output_string oc (obj [ ("jobs", arr jobs); ("summary", summary) ]);
+  output_string oc (Json.to_string (Json.Obj [ ("jobs", Json.Arr jobs); ("summary", summary) ]));
   output_string oc "\n";
   close_out oc
 

@@ -90,21 +90,21 @@ let kind_ext = function
   | Fn -> ".fn"
   | Vmod -> ".vm"
 
-let kind_index = function Job -> 0 | Link -> 1 | Src -> 2 | Fn -> 3 | Vmod -> 4
-
 type kind_stat = { k_hits : int; k_misses : int; k_stores : int }
 
 type t = {
   dir : string;
   budget_bytes : int option;
   bytes : int Atomic.t;  (* estimated payload+sidecar population *)
-  khits : int Atomic.t array;  (* per kind, indexed by [kind_index] *)
-  kmisses : int Atomic.t array;
-  kstores : int Atomic.t array;
-  corrupt : int Atomic.t;  (* entries quarantined by lookups, all kinds *)
-  faults : int Atomic.t;  (* read/write IO failures survived, all kinds *)
-  evictions : int Atomic.t;  (* entries removed by the LRU sweep *)
+  metrics : Hir_ir.Metrics.t;
+      (* shared by every worker domain: "<kind>.hits", "<kind>.misses"
+         and "<kind>.stores" per kind; "corrupt" (entries quarantined by
+         lookups), "faults" (read/write IO failures survived) and
+         "evictions" (entries removed by the LRU sweep) over all kinds *)
 }
+
+let count t name = Hir_ir.Metrics.incr t.metrics name
+let count_kind t kind what = count t (kind_to_string kind ^ "." ^ what)
 
 (* Bump whenever the emitted Verilog or the meta format changes.
    (v2: digest line in the sidecar; v3: sharded directory layout;
@@ -153,12 +153,7 @@ let create ?budget_bytes ~dir () =
       dir;
       budget_bytes;
       bytes = Atomic.make 0;
-      khits = Array.init 5 (fun _ -> Atomic.make 0);
-      kmisses = Array.init 5 (fun _ -> Atomic.make 0);
-      kstores = Array.init 5 (fun _ -> Atomic.make 0);
-      corrupt = Atomic.make 0;
-      faults = Atomic.make 0;
-      evictions = Atomic.make 0;
+      metrics = Hir_ir.Metrics.create ~shared:true ();
     }
   in
   (* Only pay the population scan when a budget will actually use it. *)
@@ -353,23 +348,22 @@ let probe ?(kind = Job) t k =
 
 let consult ?(kind = Job) t k =
   let verdict = probe ~kind t k in
-  let i = kind_index kind in
   (match verdict with
   | Hit _ ->
-    Atomic.incr t.khits.(i);
+    count_kind t kind "hits";
     (* Touch the payload so file mtimes order the LRU sweep; both times
        0.0 means "set to now".  Best-effort: a concurrent eviction may
        have removed the file. *)
     if t.budget_bytes <> None then (
       try Unix.utimes (payload_path t kind k) 0.0 0.0
       with Unix.Unix_error _ | Sys_error _ -> ())
-  | Miss -> Atomic.incr t.kmisses.(i)
+  | Miss -> count_kind t kind "misses"
   | Read_fault _ ->
-    Atomic.incr t.kmisses.(i);
-    Atomic.incr t.faults
+    count_kind t kind "misses";
+    count t "faults"
   | Corrupt _ ->
-    Atomic.incr t.kmisses.(i);
-    Atomic.incr t.corrupt);
+    count_kind t kind "misses";
+    count t "corrupt");
   verdict
 
 let lookup t k = match consult t k with Hit e -> Some e | _ -> None
@@ -418,7 +412,7 @@ let evict_to_budget t budget =
         (try Sys.remove payload with Sys_error _ -> ());
         (try Sys.remove (meta_path t k) with Sys_error _ -> ());
         remaining := !remaining - size;
-        Atomic.incr t.evictions
+        count t "evictions"
       end)
     victims;
   Atomic.set t.bytes !remaining
@@ -440,7 +434,7 @@ let store ?(kind = Job) t k entry =
     in
     write_file_atomic ~dir:shard (payload_path t kind k) entry.e_verilog;
     write_file_atomic ~dir:shard (meta_path t k) meta;
-    Atomic.incr t.kstores.(kind_index kind);
+    count_kind t kind "stores";
     (match t.budget_bytes with
     | None -> ()
     | Some budget ->
@@ -450,13 +444,13 @@ let store ?(kind = Job) t k entry =
     Ok ()
   with
   | Faults.Injected p ->
-    Atomic.incr t.faults;
+    count t "faults";
     Error ("injected fault at " ^ p)
   | Sys_error msg ->
-    Atomic.incr t.faults;
+    count t "faults";
     Error msg
   | Unix.Unix_error (e, _, _) ->
-    Atomic.incr t.faults;
+    count t "faults";
     Error (Unix.error_message e)
 
 (* ------------------------------------------------------------------ *)
@@ -466,23 +460,19 @@ let store ?(kind = Job) t k entry =
    whole-job fast path — so "8 hits / 0 misses" on a warm batch keeps
    meaning what it always meant.  The staged kinds are reported
    separately by [kind_stats]. *)
-let hits t = Atomic.get t.khits.(kind_index Job)
-let misses t = Atomic.get t.kmisses.(kind_index Job)
-let store_count t = Atomic.get t.kstores.(kind_index Job)
-let corrupt_count t = Atomic.get t.corrupt
-let fault_count t = Atomic.get t.faults
-let eviction_count t = Atomic.get t.evictions
+let get t name = Hir_ir.Metrics.get t.metrics name
+let hits t = get t "job.hits"
+let misses t = get t "job.misses"
+let store_count t = get t "job.stores"
+let corrupt_count t = get t "corrupt"
+let fault_count t = get t "faults"
+let eviction_count t = get t "evictions"
 
 let kind_stats t =
   List.map
     (fun kind ->
-      let i = kind_index kind in
-      ( kind,
-        {
-          k_hits = Atomic.get t.khits.(i);
-          k_misses = Atomic.get t.kmisses.(i);
-          k_stores = Atomic.get t.kstores.(i);
-        } ))
+      let get what = get t (kind_to_string kind ^ "." ^ what) in
+      (kind, { k_hits = get "hits"; k_misses = get "misses"; k_stores = get "stores" }))
     kinds
 
 (* ------------------------------------------------------------------ *)
@@ -602,7 +592,8 @@ let prune t =
 (* On-disk population by kind, for `hirc cache DIR --stats`:
    (kind, entry count, payload+sidecar bytes). *)
 let stats_by_kind t =
-  let counts = Array.make 5 0 and sizes = Array.make 5 0 in
+  let m = Hir_ir.Metrics.create () in
+  let name kind what = kind_to_string kind ^ "." ^ what in
   List.iter
     (fun s ->
       let dir = Filename.concat t.dir s in
@@ -614,15 +605,18 @@ let stats_by_kind t =
             | exception Sys_error _ -> ()
             | None -> ()
             | Some (kind, _, _, _) ->
-              let i = kind_index kind in
-              counts.(i) <- counts.(i) + 1;
               let size path =
                 try (Unix.stat path).Unix.st_size
                 with Unix.Unix_error _ | Sys_error _ -> 0
               in
-              sizes.(i) <-
-                sizes.(i) + size (Filename.concat dir f) + size (payload_path t kind k)
+              Hir_ir.Metrics.incr m (name kind "entries");
+              Hir_ir.Metrics.incr m (name kind "bytes")
+                ~by:(size (Filename.concat dir f) + size (payload_path t kind k))
           end)
         (Sys.readdir dir))
     (shards t);
-  List.map (fun kind -> (kind, counts.(kind_index kind), sizes.(kind_index kind))) kinds
+  List.map
+    (fun kind ->
+      let get what = Hir_ir.Metrics.get m (name kind what) in
+      (kind, get "entries", get "bytes"))
+    kinds

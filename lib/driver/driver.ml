@@ -17,8 +17,9 @@
        and quarantine of repeat offenders — a batch always terminates
        with exactly one outcome per job, and partial results are
        returned, never discarded;
-     - per-stage timing spans, counters and fault/degradation instants
-       (module [Trace]) exportable as Chrome trace JSON. *)
+     - per-stage timing spans, fault/degradation instants and the
+       job's counter table (module [Trace]) exportable as Chrome trace
+       JSON. *)
 
 open Hir_ir
 open Hir_dialect
@@ -145,19 +146,24 @@ let pick_top module_op top =
     (f, Some note)
 
 (* The instrument of the per-function mini-pipelines: pass spans in
-   the Chrome trace, and a guard checkpoint between passes so a
-   pipeline that overruns its deadline stops at the next pass
-   boundary. *)
+   the Chrome trace, the pass's counters in the job's table (as
+   "pass:<pass>/<counter>", summed over functions), and a guard
+   checkpoint between passes so a pipeline that overruns its deadline
+   stops at the next pass boundary. *)
 let pass_instrument ~trace ~guard = function
   | Pass.Pass_begin _ -> ()
   | Pass.Pass_end { pass_name; seconds; changed; counters; _ } ->
     let stop = Trace.now () in
-    (* Pattern/fold application counts ride on the pass span, so the
-       Chrome trace shows which rewrites fired and how often. *)
+    let name = "pass:" ^ pass_name in
+    (* Pattern/fold application counts also ride on the pass span, so
+       the Chrome trace shows which rewrites fired in which function. *)
     let counter_args = List.map (fun (k, n) -> (k, string_of_int n)) counters in
     Trace.add_span trace ~cat:"pass"
       ~args:(("changed", string_of_bool changed) :: counter_args)
-      ~name:("pass:" ^ pass_name) ~start:(stop -. seconds) ~stop ();
+      ~name ~start:(stop -. seconds) ~stop ();
+    List.iter
+      (fun (k, n) -> Metrics.incr ~by:n (Trace.metrics trace) (name ^ "/" ^ k))
+      counters;
     Guard.tick guard
 
 let zero_usage = Hir_resources.Model.zero
@@ -168,10 +174,11 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
   let guard = Guard.create ~job:name ?cancel limits in
   let started = Trace.now () in
   let degradations = ref [] in
+  let count name = Metrics.incr (Trace.metrics trace) name in
   let degrade reason =
     degradations := reason :: !degradations;
     Trace.instant trace ~cat:"fault" ~args:[ ("job", name) ] reason;
-    Trace.incr trace "degradations"
+    count "degradations"
   in
   try
     Faults.with_scope name (fun () ->
@@ -211,13 +218,13 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                 | Cache.Read_fault reason ->
                   degrade
                     (Printf.sprintf "%s cache read fault, recompiling: %s" what reason);
-                  Trace.incr trace "cache-read-fault";
+                  count "cache-read-fault";
                   None
                 | Cache.Corrupt reason ->
                   degrade
                     (Printf.sprintf "corrupt %s cache entry quarantined, recompiling: %s"
                        what reason);
-                  Trace.incr trace "cache-quarantined";
+                  count "cache-quarantined";
                   None)
             in
             let store kind what k entry =
@@ -231,7 +238,7 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                       degrade
                         (Printf.sprintf "cache write fault, %s not cached: %s" what
                            reason);
-                      Trace.incr trace "cache-write-fault")
+                      count "cache-write-fault")
             in
             let finish ~top_name ~verilog ~usage ~from_cache ~note ~pass_stats =
               Ok
@@ -249,11 +256,11 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
             in
             match consult Cache.Job "job" key with
             | Some entry ->
-              Trace.incr trace "cache-hit";
+              count "cache-hit";
               finish ~top_name:entry.Cache.e_top ~verilog:entry.Cache.e_verilog
                 ~usage:entry.Cache.e_usage ~from_cache:true ~note:None ~pass_stats:[]
             | None ->
-              if cache <> None then Trace.incr trace "cache-miss";
+              if cache <> None then count "cache-miss";
               (* The compile itself as an injection point: models a
                  worker crashing mid-job. *)
               Faults.point "job.compile";
@@ -336,7 +343,7 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                    from cache, and promote to a whole-job entry so the
                    next compile of this exact source skips even the
                    hashing. *)
-                Trace.incr trace "cache-link-hit";
+                count "cache-link-hit";
                 store Cache.Job "result" key entry;
                 finish ~top_name:entry.Cache.e_top ~verilog:entry.Cache.e_verilog
                   ~usage:entry.Cache.e_usage ~from_cache:true ~note ~pass_stats:[]
@@ -675,7 +682,7 @@ let run_with_retry ?cache ?cancel ~trace ~limits ~retry job =
         | d :: _ -> d.Diagnostic.msg
         | [] -> "transient failure"
       in
-      Trace.incr trace "retries";
+      Metrics.incr (Trace.metrics trace) "retries";
       Trace.instant trace ~cat:"fault"
         ~args:[ ("job", name); ("attempt", string_of_int attempt) ]
         "retry";
@@ -791,17 +798,3 @@ let warm_cache ~cache ?(workers = 1) ?(limits = Guard.no_limits)
       | Ok _ -> (stored + 1, hits, failures)
       | Error _ -> (stored, hits, failures + 1))
     (0, 0, 0) result.reports
-
-(* Per-stage wall-time totals across a set of traces, for compile-time
-   breakdown tables (the shape of the paper's Table 6). *)
-let stage_totals traces =
-  let stages = Hashtbl.create 16 in
-  List.iter
-    (fun t ->
-      List.iter
-        (fun (s : Trace.span) ->
-          let prev = Option.value ~default:0. (Hashtbl.find_opt stages s.Trace.sp_name) in
-          Hashtbl.replace stages s.Trace.sp_name (prev +. (s.Trace.sp_dur_us /. 1e6)))
-        (Trace.spans t))
-    traces;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) stages [] |> List.sort compare

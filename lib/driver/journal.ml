@@ -88,8 +88,6 @@ let crc32 s =
 (* ------------------------------------------------------------------ *)
 (* Record codec                                                        *)
 
-module Json = Protocol.Json
-
 let admit_to_json a =
   let opt k = function None -> [] | Some v -> [ (k, Json.Str v) ] in
   Json.Obj

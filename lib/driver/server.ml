@@ -50,11 +50,14 @@
 
    Probes: line-JSON {"op":"health"} / {"op":"metrics"} frames, or
    plain HTTP `GET /health` / `GET /metrics` on the same socket for
-   curl-style monitoring.  Metrics surface queue depth, worker and
-   cache counters, journal and watchdog counters, aggregated per-pass
-   trace counters, and log-bucket latency histograms.  A Chrome trace
-   of every job's spans over the whole server lifetime (bounded by
-   [cfg_max_traces]) is written on shutdown. *)
+   curl-style monitoring.  Metrics render the server's [Metrics]
+   table — job outcomes, journal and watchdog counters, every completed
+   job's counters (cache, retries, "pass:<pass>/<counter>") and
+   log-bucket latency histograms — with the pool's queue depth and the
+   cache's headline counters.  With [cfg_trace_path] set, a Chrome
+   trace of every job's spans over the whole server lifetime (bounded
+   by [cfg_max_traces]) is written on shutdown; without it no trace is
+   kept. *)
 
 type listen = Unix_path of string | Tcp of string * int
 
@@ -124,7 +127,7 @@ type pending_job = {
 type finished_job = {
   fj_digest : string;
   fj_status : string;  (* ok | degraded | failed | cancelled *)
-  fj_frame : Protocol.Json.t;  (* the full result frame, as delivered *)
+  fj_frame : Json.t;  (* the full result frame, as delivered *)
 }
 
 type t = {
@@ -149,26 +152,16 @@ type t = {
   mutable drain_cancelled : bool;  (* stragglers already cancelled *)
   mutable next_conn : int;
   mutable next_tid : int;
-  (* metrics *)
-  mutable submitted : int;
-  mutable rejected : int;
-  mutable completed : int;
-  mutable n_ok : int;
-  mutable n_degraded : int;
-  mutable n_failed : int;
-  mutable n_cancelled : int;
-  mutable watchdog_fired : int;
-  mutable idempotent_hits : int;
-  mutable journal_appends : int;
-  mutable journal_marks : int;
-  mutable journal_faults : int;
-  mutable journal_replayed : int;
-  queue_hist : Service.Histogram.t;  (* admission -> start *)
-  total_hist : Service.Histogram.t;  (* admission -> completion *)
-  agg_counters : (string, int) Hashtbl.t;  (* trace counters, all jobs *)
-  mutable traces : Trace.t list;  (* newest first, capped *)
+  metrics : Hir_ir.Metrics.t;
+      (* "jobs.*" and "journal.*" counters, "counters.*" summed over
+         completed jobs, and the "latency.queue" (admission -> start)
+         and "latency.total" (admission -> completion) histograms *)
+  mutable traces : Trace.t list;  (* newest first, capped; traced servers only *)
   mutable n_traces : int;
 }
+
+let count t name = Hir_ir.Metrics.incr t.metrics name
+let jobs t name = Hir_ir.Metrics.get t.metrics ("jobs." ^ name)
 
 let logf t fmt =
   if t.cfg.cfg_verbose then Printf.eprintf ("serve: " ^^ fmt ^^ "\n%!")
@@ -234,7 +227,7 @@ let write_all fd s =
    as EPIPE/ECONNRESET: a per-connection error, not a dead server. *)
 let send_frame t conn j =
   if not conn.co_closed then
-    try write_all conn.co_fd (Protocol.Json.to_line j)
+    try write_all conn.co_fd (Json.to_line j)
     with Unix.Unix_error _ -> disconnect t conn
 
 (* ------------------------------------------------------------------ *)
@@ -245,106 +238,75 @@ let health_json t =
   let status =
     if t.stopping then "stopping" else if t.draining then "draining" else "ok"
   in
-  Protocol.Json.Obj
+  Json.Obj
     [
-      ("event", Protocol.Json.Str "health");
-      ("status", Protocol.Json.Str status);
-      ("uptime_seconds", Protocol.Json.Num (Unix.gettimeofday () -. t.epoch));
-      ("workers", Protocol.Json.Num (float_of_int s.Service.st_workers));
-      ("queue_depth", Protocol.Json.Num (float_of_int s.Service.st_depth));
-      ("running", Protocol.Json.Num (float_of_int s.Service.st_running));
-      ("connections", Protocol.Json.Num (float_of_int (Hashtbl.length t.conns)));
+      ("event", Json.Str "health");
+      ("status", Json.Str status);
+      ("uptime_seconds", Json.Num (Unix.gettimeofday () -. t.epoch));
+      ("workers", Json.Num (float_of_int s.Service.st_workers));
+      ("queue_depth", Json.Num (float_of_int s.Service.st_depth));
+      ("running", Json.Num (float_of_int s.Service.st_running));
+      ("connections", Json.Num (float_of_int (Hashtbl.length t.conns)));
     ]
 
-let hist_json h =
-  let s = Service.Histogram.summarize h in
-  Protocol.Json.Obj
-    [
-      ("count", Protocol.Json.Num (float_of_int s.Service.Histogram.count));
-      ("mean_s", Protocol.Json.Num s.Service.Histogram.mean);
-      ("p50_s", Protocol.Json.Num s.Service.Histogram.p50);
-      ("p90_s", Protocol.Json.Num s.Service.Histogram.p90);
-      ("p99_s", Protocol.Json.Num s.Service.Histogram.p99);
-      ("max_s", Protocol.Json.Num s.Service.Histogram.max);
-    ]
+(* The counters /metrics lists even at zero; completed jobs' counters
+   appear as they first occur. *)
+let job_counters =
+  [ "submitted"; "rejected"; "completed"; "ok"; "degraded"; "failed"; "cancelled";
+    "watchdog"; "idempotent" ]
+
+let journal_counters = [ "appends"; "marks"; "faults"; "replayed" ]
 
 let metrics_json t =
   let s = Service.stats t.svc in
-  let num n = Protocol.Json.Num (float_of_int n) in
-  let jobs =
-    Protocol.Json.Obj
-      [
-        ("submitted", num t.submitted);
-        ("rejected", num t.rejected);
-        ("completed", num t.completed);
-        ("ok", num t.n_ok);
-        ("degraded", num t.n_degraded);
-        ("failed", num t.n_failed);
-        ("cancelled", num t.n_cancelled);
-        ("watchdog", num t.watchdog_fired);
-        ("idempotent", num t.idempotent_hits);
-        ("queue_depth", num s.Service.st_depth);
-        ("running", num s.Service.st_running);
-        ("workers", num s.Service.st_workers);
-        ("spawn_failures", num (Service.spawn_failure_count t.svc));
-      ]
+  let num n = Json.Num (float_of_int n) in
+  let nums = List.map (fun (k, n) -> (k, num n)) in
+  let group prefix names gauges =
+    ( prefix,
+      Json.Obj
+        (nums (List.map (fun k -> (k, Hir_ir.Metrics.get t.metrics (prefix ^ "." ^ k))) names)
+        @ nums gauges) )
   in
-  let cache =
-    match t.cfg.cfg_cache with
-    | None -> []
-    | Some c ->
-      [
-        ( "cache",
-          Protocol.Json.Obj
-            [
-              ("hits", num (Cache.hits c));
-              ("misses", num (Cache.misses c));
-              ("stores", num (Cache.store_count c));
-              ("corrupt", num (Cache.corrupt_count c));
-              ("faults", num (Cache.fault_count c));
-            ] );
-      ]
+  let hist name =
+    let h = Hir_ir.Metrics.summary t.metrics ("latency." ^ name) in
+    ( name,
+      Json.Obj
+        [
+          ("count", num h.count); ("mean_s", Json.Num h.mean); ("p50_s", Json.Num h.p50);
+          ("p90_s", Json.Num h.p90); ("p99_s", Json.Num h.p99); ("max_s", Json.Num h.max);
+        ] )
   in
-  let journal =
-    match t.journal with
-    | None -> []
-    | Some _ ->
-      [
-        ( "journal",
-          Protocol.Json.Obj
-            [
-              ("appends", num t.journal_appends);
-              ("marks", num t.journal_marks);
-              ("faults", num t.journal_faults);
-              ("replayed", num t.journal_replayed);
-              ("backlog", num (List.length t.backlog));
-            ] );
-      ]
+  let cache c =
+    [ ("hits", Cache.hits c); ("misses", Cache.misses c); ("stores", Cache.store_count c);
+      ("corrupt", Cache.corrupt_count c); ("faults", Cache.fault_count c) ]
   in
-  (* Aggregated trace counters: pass/pattern/cache/retry/degradation
-     counts summed over every completed job. *)
-  let counters =
-    Hashtbl.fold (fun k v acc -> (k, num v) :: acc) t.agg_counters []
-    |> List.sort compare
-  in
-  Protocol.Json.Obj
-    ([ ("event", Protocol.Json.Str "metrics"); ("jobs", jobs) ]
-    @ cache @ journal
+  Json.Obj
+    ([
+       ("event", Json.Str "metrics");
+       group "jobs" job_counters
+         [
+           ("queue_depth", s.Service.st_depth); ("running", s.Service.st_running);
+           ("workers", s.Service.st_workers);
+           ("spawn_failures", Service.spawn_failure_count t.svc);
+         ];
+     ]
+    @ Option.to_list (Option.map (fun c -> ("cache", Json.Obj (nums (cache c)))) t.cfg.cfg_cache)
+    @ Option.to_list
+        (Option.map
+           (fun _ -> group "journal" journal_counters [ ("backlog", List.length t.backlog) ])
+           t.journal)
     @ [
-        ("counters", Protocol.Json.Obj counters);
-        ( "latency",
-          Protocol.Json.Obj
-            [ ("queue", hist_json t.queue_hist); ("total", hist_json t.total_hist) ]
-        );
+        ("counters", Json.Obj (nums (Hir_ir.Metrics.counters ~prefix:"counters." t.metrics)));
+        ("latency", Json.Obj [ hist "queue"; hist "total" ]);
       ])
 
 (* One-shot HTTP for curl-style probes on the same socket. *)
 let http_response t conn path =
   let status, body =
     match path with
-    | "/health" -> ("200 OK", Protocol.Json.to_string (health_json t) ^ "\n")
-    | "/metrics" -> ("200 OK", Protocol.Json.to_string (metrics_json t) ^ "\n")
-    | _ -> ("404 Not Found", "{\"event\":\"error\",\"message\":\"unknown path\"}\n")
+    | "/health" -> ("200 OK", Json.to_line (health_json t))
+    | "/metrics" -> ("200 OK", Json.to_line (metrics_json t))
+    | _ -> ("404 Not Found", Json.to_line (Protocol.error_frame "unknown path"))
   in
   let resp =
     Printf.sprintf
@@ -403,12 +365,12 @@ let job_of_req (req : Protocol.compile_req) =
     | None, None -> Error "compile: needs \"kernel\" or \"source\"")
 
 let failed_frame ~id msg =
-  Protocol.Json.Obj
+  Json.Obj
     [
-      ("event", Protocol.Json.Str "result");
-      ("id", Protocol.Json.Str id);
-      ("status", Protocol.Json.Str "failed");
-      ("diagnostics", Protocol.Json.Arr [ Protocol.Json.Str msg ]);
+      ("event", Json.Str "result");
+      ("id", Json.Str id);
+      ("status", Json.Str "failed");
+      ("diagnostics", Json.Arr [ Json.Str msg ]);
     ]
 
 let request_digest (req : Protocol.compile_req) =
@@ -451,9 +413,9 @@ let journal_admit t admit =
   | None -> ()
   | Some j -> (
     match Journal.append_admit j admit with
-    | Ok () -> t.journal_appends <- t.journal_appends + 1
+    | Ok () -> count t "journal.appends"
     | Error e ->
-      t.journal_faults <- t.journal_faults + 1;
+      count t "journal.faults";
       logf t "journal append failed: %s" e)
 
 let journal_done t ~client ~id ~status =
@@ -461,9 +423,9 @@ let journal_done t ~client ~id ~status =
   | None -> ()
   | Some j -> (
     match Journal.append_done j ~client ~id ~status with
-    | Ok () -> t.journal_marks <- t.journal_marks + 1
+    | Ok () -> count t "journal.marks"
     | Error e ->
-      t.journal_faults <- t.journal_faults + 1;
+      count t "journal.faults";
       logf t "journal mark failed: %s" e)
 
 (* Submit one resolved request to the pool.  [journal_new] is false for
@@ -502,7 +464,7 @@ let admit_request t ~conn_id ~client ~ephemeral ~digest ~journal_new
         ~priority:req.Protocol.cr_priority ctx
     with
     | Service.Accepted h ->
-      t.submitted <- t.submitted + 1;
+      count t "jobs.submitted";
       if journal_new then journal_admit t (admit_of_req ~client ~digest req);
       Hashtbl.replace t.pending (client, req.Protocol.cr_id)
         { pj_handle = h; pj_watchdog = false };
@@ -519,7 +481,7 @@ let handle_compile t conn (req : Protocol.compile_req) =
   let digest = request_digest req in
   let key = (client, id) in
   let reject reason =
-    t.rejected <- t.rejected + 1;
+    count t "jobs.rejected";
     send_frame t conn (Protocol.rejected_frame ~id reason)
   in
   if t.draining || t.stopping then reject "shutting-down"
@@ -530,7 +492,7 @@ let handle_compile t conn (req : Protocol.compile_req) =
     | Some fj when fj.fj_status <> "cancelled" && fj.fj_digest = digest ->
       (* Idempotent resubmission: same id, same request — replay the
          retained result instead of recompiling or rejecting. *)
-      t.idempotent_hits <- t.idempotent_hits + 1;
+      count t "jobs.idempotent";
       logf t "conn %d: idempotent resubmission of %s/%s" conn.co_id client id;
       send_frame t conn fj.fj_frame
     | Some fj when fj.fj_status <> "cancelled" -> reject "duplicate-id"
@@ -565,11 +527,11 @@ let handle_cancel t conn id =
 (* Poll: reconnecting clients fetch results they missed                 *)
 
 let poll_state_frame ~id state =
-  Protocol.Json.Obj
+  Json.Obj
     [
-      ("event", Protocol.Json.Str "poll");
-      ("id", Protocol.Json.Str id);
-      ("state", Protocol.Json.Str state);
+      ("event", Json.Str "poll");
+      ("id", Json.Str id);
+      ("state", Json.Str state);
     ]
 
 let handle_poll t conn (p : Protocol.poll_req) =
@@ -592,29 +554,29 @@ let handle_poll t conn (p : Protocol.poll_req) =
       (fun (c, id) _ ->
         if c = client then
           jobs :=
-            Protocol.Json.Obj
-              [ ("id", Protocol.Json.Str id); ("state", Protocol.Json.Str "pending") ]
+            Json.Obj
+              [ ("id", Json.Str id); ("state", Json.Str "pending") ]
             :: !jobs)
       t.pending;
     Hashtbl.iter
       (fun (c, id) fj ->
         if c = client then
           jobs :=
-            Protocol.Json.Obj
+            Json.Obj
               [
-                ("id", Protocol.Json.Str id);
-                ("state", Protocol.Json.Str "done");
-                ("status", Protocol.Json.Str fj.fj_status);
+                ("id", Json.Str id);
+                ("state", Json.Str "done");
+                ("status", Json.Str fj.fj_status);
               ]
             :: !jobs)
       t.finished;
     let jobs = List.sort compare !jobs in
     send_frame t conn
-      (Protocol.Json.Obj
+      (Json.Obj
          [
-           ("event", Protocol.Json.Str "poll");
-           ("client", Protocol.Json.Str client);
-           ("jobs", Protocol.Json.Arr jobs);
+           ("event", Json.Str "poll");
+           ("client", Json.Str client);
+           ("jobs", Json.Arr jobs);
          ])
 
 (* ------------------------------------------------------------------ *)
@@ -633,34 +595,13 @@ let record_completion t (c : (job_ctx, Driver.report) Service.completion) =
   let ctx = Service.data c.Service.c_handle in
   let r = c.Service.c_result in
   let status = Driver.status_to_string (Driver.report_status r) in
-  t.completed <- t.completed + 1;
-  (match Driver.report_status r with
-  | `Ok -> t.n_ok <- t.n_ok + 1
-  | `Degraded -> t.n_degraded <- t.n_degraded + 1
-  | `Failed -> t.n_failed <- t.n_failed + 1
-  | `Cancelled -> t.n_cancelled <- t.n_cancelled + 1);
-  Service.Histogram.record t.queue_hist c.Service.c_queue_seconds;
-  Service.Histogram.record t.total_hist
+  count t "jobs.completed";
+  count t ("jobs." ^ status);
+  Hir_ir.Metrics.observe t.metrics "latency.queue" c.Service.c_queue_seconds;
+  Hir_ir.Metrics.observe t.metrics "latency.total"
     (c.Service.c_queue_seconds +. c.Service.c_run_seconds);
-  let bump k n =
-    Hashtbl.replace t.agg_counters k
-      (n + Option.value ~default:0 (Hashtbl.find_opt t.agg_counters k))
-  in
-  List.iter (fun (k, n) -> bump k n) (Trace.counters ctx.jc_trace);
-  (* Pass counters (pattern/fold application counts) ride on the pass
-     spans as stringified args; lift the numeric ones into the
-     server-lifetime aggregate so /metrics surfaces them. *)
-  List.iter
-    (fun (s : Trace.span) ->
-      if s.Trace.sp_cat = "pass" then
-        List.iter
-          (fun (k, v) ->
-            match int_of_string_opt v with
-            | Some n -> bump (s.Trace.sp_name ^ "/" ^ k) n
-            | None -> ())
-          s.Trace.sp_args)
-    (Trace.spans ctx.jc_trace);
-  if t.n_traces < t.cfg.cfg_max_traces then begin
+  Hir_ir.Metrics.merge ~prefix:"counters." ~into:t.metrics (Trace.metrics ctx.jc_trace);
+  if t.cfg.cfg_trace_path <> None && t.n_traces < t.cfg.cfg_max_traces then begin
     t.traces <- ctx.jc_trace :: t.traces;
     t.n_traces <- t.n_traces + 1
   end;
@@ -705,7 +646,7 @@ let admit_replayed t (a : Journal.admit) =
       ~digest:a.Journal.a_digest ~journal_new:false req
   with
   | `Admitted _ ->
-    t.journal_replayed <- t.journal_replayed + 1;
+    count t "journal.replayed";
     `Done
   | `Failed frame ->
     journal_done t ~client:a.Journal.a_client ~id:a.Journal.a_id ~status:"failed";
@@ -771,7 +712,7 @@ let watchdog_step t =
             match Service.running_since t.svc pj.pj_handle with
             | Some started when now -. started > factor *. d ->
               pj.pj_watchdog <- true;
-              t.watchdog_fired <- t.watchdog_fired + 1;
+              count t "jobs.watchdog";
               logf t "watchdog: cancelling %s/%s (ran %.1fs, deadline %.1fs)"
                 ctx.jc_client ctx.jc_id (now -. started) d;
               ignore (Service.cancel t.svc pj.pj_handle)
@@ -820,7 +761,7 @@ let handle_line t conn line =
     | Ok Protocol.Health -> send_frame t conn (health_json t)
     | Ok Protocol.Metrics -> send_frame t conn (metrics_json t)
     | Ok Protocol.Shutdown ->
-      send_frame t conn (Protocol.Json.Obj [ ("event", Protocol.Json.Str "shutdown") ]);
+      send_frame t conn (Json.Obj [ ("event", Json.Str "shutdown") ]);
       start_drain t "shutdown frame"
 
 (* The longest unterminated frame a connection may buffer.  Real
@@ -933,22 +874,7 @@ let create cfg =
          drain_cancelled = false;
          next_conn = 0;
          next_tid = 0;
-         submitted = 0;
-         rejected = 0;
-         completed = 0;
-         n_ok = 0;
-         n_degraded = 0;
-         n_failed = 0;
-         n_cancelled = 0;
-         watchdog_fired = 0;
-         idempotent_hits = 0;
-         journal_appends = 0;
-         journal_marks = 0;
-         journal_faults = 0;
-         journal_replayed = 0;
-         queue_hist = Service.Histogram.create ();
-         total_hist = Service.Histogram.create ();
-         agg_counters = Hashtbl.create 32;
+         metrics = Hir_ir.Metrics.create ();
          traces = [];
          n_traces = 0;
        })
@@ -1060,10 +986,10 @@ let run cfg =
      Unix.close t.wake_w
    with Unix.Unix_error _ -> ());
   Option.iter (Sys.set_signal Sys.sigterm) old_sigterm;
-  let tot = Service.Histogram.summarize t.total_hist in
   Printf.printf
     "hirc serve: done: %d submitted, %d completed (%d ok, %d degraded, %d failed, \
      %d cancelled), %d rejected, p99 %.1f ms\n%!"
-    t.submitted t.completed t.n_ok t.n_degraded t.n_failed t.n_cancelled t.rejected
-    (tot.Service.Histogram.p99 *. 1000.);
-  if t.completed = t.submitted then 0 else 1
+    (jobs t "submitted") (jobs t "completed") (jobs t "ok") (jobs t "degraded")
+    (jobs t "failed") (jobs t "cancelled") (jobs t "rejected")
+    ((Hir_ir.Metrics.summary t.metrics "latency.total").p99 *. 1000.);
+  if jobs t "completed" = jobs t "submitted" then 0 else 1

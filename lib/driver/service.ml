@@ -342,82 +342,3 @@ let shutdown t =
   Mutex.unlock t.mu;
   List.iter Domain.join t.domains;
   t.domains <- []
-
-(* ------------------------------------------------------------------ *)
-(* Latency histogram                                                   *)
-
-(* Fixed log-scale buckets (≈30% resolution) from 10µs up: cheap to
-   record from any domain, and good enough for p50/p90/p99 over a
-   server lifetime without retaining per-job samples. *)
-module Histogram = struct
-  let buckets = 80
-  let lo = 1e-5
-  let ratio = 1.3
-  let log_ratio = Float.log ratio
-
-  type t = {
-    mu : Mutex.t;
-    counts : int array;
-    mutable n : int;
-    mutable sum : float;
-    mutable max : float;
-  }
-
-  let create () =
-    { mu = Mutex.create (); counts = Array.make buckets 0; n = 0; sum = 0.; max = 0. }
-
-  let bucket_of v =
-    if v <= lo then 0
-    else min (buckets - 1) (1 + int_of_float (Float.log (v /. lo) /. log_ratio))
-
-  (* Upper bound of a bucket: the value reported for percentiles. *)
-  let bound i = lo *. (ratio ** float_of_int i)
-
-  let record t v =
-    Mutex.lock t.mu;
-    let i = bucket_of v in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.n <- t.n + 1;
-    t.sum <- t.sum +. v;
-    if v > t.max then t.max <- v;
-    Mutex.unlock t.mu
-
-  type summary = {
-    count : int;
-    mean : float;
-    p50 : float;
-    p90 : float;
-    p99 : float;
-    max : float;
-  }
-
-  let summarize t =
-    Mutex.lock t.mu;
-    let n = t.n in
-    let percentile q =
-      if n = 0 then 0.
-      else begin
-        let target = int_of_float (Float.ceil (q *. float_of_int n)) in
-        let target = max 1 (min n target) in
-        let rec go i acc =
-          if i >= buckets then t.max
-          else
-            let acc = acc + t.counts.(i) in
-            if acc >= target then Float.min (bound i) t.max else go (i + 1) acc
-        in
-        go 0 0
-      end
-    in
-    let s =
-      {
-        count = n;
-        mean = (if n = 0 then 0. else t.sum /. float_of_int n);
-        p50 = percentile 0.50;
-        p90 = percentile 0.90;
-        p99 = percentile 0.99;
-        max = t.max;
-      }
-    in
-    Mutex.unlock t.mu;
-    s
-end

@@ -1,12 +1,12 @@
 (* Observability for the compilation service: per-stage timing spans,
-   named counters, and a Chrome-trace-format JSON exporter (load the
-   file in chrome://tracing or https://ui.perfetto.dev).
+   the job's counter table, and a Chrome-trace-format JSON exporter
+   (load the file in chrome://tracing or https://ui.perfetto.dev).
 
    A [t] is a single-threaded collector: the batch scheduler gives each
-   compile job its own trace (one Chrome "thread" per job) and merges
-   them in the coordinating domain afterwards, so no locking is needed
-   on the hot path.  All timestamps are relative to a shared [epoch] so
-   merged traces share one timeline. *)
+   compile job its own trace (one Chrome "thread" per job) and exports
+   them together from the coordinating domain afterwards, so no locking
+   is needed on the hot path.  All timestamps are relative to a shared
+   [epoch] so the exported traces share one timeline. *)
 
 type span = {
   sp_name : string;
@@ -32,16 +32,17 @@ type t = {
   mutable tid : int;  (* Chrome trace "thread" id *)
   mutable spans : span list;  (* reverse chronological *)
   mutable instants : instant list;  (* reverse chronological *)
-  counters : (string, int) Hashtbl.t;
+  metrics : Hir_ir.Metrics.t;  (* the job's counters *)
 }
 
 let now () = Unix.gettimeofday ()
 
 let create ?epoch () =
   let epoch = match epoch with Some e -> e | None -> now () in
-  { epoch; tid = 0; spans = []; instants = []; counters = Hashtbl.create 8 }
+  { epoch; tid = 0; spans = []; instants = []; metrics = Hir_ir.Metrics.create () }
 
 let epoch t = t.epoch
+let metrics t = t.metrics
 let set_tid t tid = t.tid <- tid
 
 let add_span t ?(cat = "compile") ?(args = []) ~name ~start ~stop () =
@@ -74,17 +75,7 @@ let instant t ?(cat = "fault") ?(args = []) name =
 
 let instants t = List.rev t.instants
 
-let incr t ?(by = 1) name =
-  Hashtbl.replace t.counters name
-    (by + Option.value ~default:0 (Hashtbl.find_opt t.counters name))
-
-let counter t name = Option.value ~default:0 (Hashtbl.find_opt t.counters name)
-
 let spans t = List.rev t.spans
-
-let counters t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters []
-  |> List.sort compare
 
 (* Total duration in seconds of all spans with the given name. *)
 let total_seconds t name =
@@ -92,97 +83,58 @@ let total_seconds t name =
     (fun acc s -> if s.sp_name = name then acc +. (s.sp_dur_us /. 1e6) else acc)
     0. (spans t)
 
-(* Merge [src] into [dst] (spans and counters); [src]'s timestamps are
-   rebased onto [dst]'s epoch. *)
-let merge ~into:dst src =
-  let shift_us = (src.epoch -. dst.epoch) *. 1e6 in
-  List.iter
-    (fun s -> dst.spans <- { s with sp_start_us = s.sp_start_us +. shift_us } :: dst.spans)
-    src.spans;
-  List.iter
-    (fun i -> dst.instants <- { i with in_ts_us = i.in_ts_us +. shift_us } :: dst.instants)
-    src.instants;
-  List.iter (fun (k, v) -> incr dst ~by:v k) (counters src)
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace JSON                                                   *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let span_json ~tid s =
-  let args =
-    s.sp_args
-    |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-    (json_escape s.sp_name) (json_escape s.sp_cat) s.sp_start_us s.sp_dur_us tid args
+let args_json kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)
 
 (* Export one or more traces as a complete Chrome trace document.  Each
    trace keeps its own tid so concurrent jobs render as parallel rows;
    counters are summed across traces and attached as Chrome counter
    ("C"-phase) events at the end of the timeline. *)
 let to_chrome_json traces =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf s
-  in
+  let num v = Json.Num v in
   let end_ts = ref 0. in
-  List.iter
-    (fun t ->
-      List.iter
-        (fun s ->
-          end_ts := Float.max !end_ts (s.sp_start_us +. s.sp_dur_us);
-          emit (span_json ~tid:t.tid s))
-        (spans t);
-      List.iter
-        (fun i ->
-          end_ts := Float.max !end_ts i.in_ts_us;
-          let args =
-            i.in_args
-            |> List.map (fun (k, v) ->
-                   Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-            |> String.concat ","
-          in
-          emit
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.1f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-               (json_escape i.in_name) (json_escape i.in_cat) i.in_ts_us t.tid args))
-        (instants t))
-    traces;
-  let totals = Hashtbl.create 8 in
-  List.iter
-    (fun t ->
-      List.iter
-        (fun (k, v) ->
-          Hashtbl.replace totals k (v + Option.value ~default:0 (Hashtbl.find_opt totals k)))
-        (counters t))
-    traces;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []
-  |> List.sort compare
-  |> List.iter (fun (k, v) ->
-         emit
-           (Printf.sprintf
-              "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.1f,\"pid\":1,\"args\":{\"value\":%d}}"
-              (json_escape k) !end_ts v));
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
+  let totals = Hir_ir.Metrics.create () in
+  let events =
+    List.concat_map
+      (fun t ->
+        Hir_ir.Metrics.merge ~into:totals t.metrics;
+        let tid = ("tid", num (float_of_int t.tid)) in
+        List.map
+          (fun s ->
+            end_ts := Float.max !end_ts (s.sp_start_us +. s.sp_dur_us);
+            Json.Obj
+              [
+                ("name", Json.Str s.sp_name); ("cat", Json.Str s.sp_cat); ("ph", Json.Str "X");
+                ("ts", num s.sp_start_us); ("dur", num s.sp_dur_us); ("pid", num 1.); tid;
+                ("args", args_json s.sp_args);
+              ])
+          (spans t)
+        @ List.map
+            (fun i ->
+              end_ts := Float.max !end_ts i.in_ts_us;
+              Json.Obj
+                [
+                  ("name", Json.Str i.in_name); ("cat", Json.Str i.in_cat); ("ph", Json.Str "i");
+                  ("s", Json.Str "t"); ("ts", num i.in_ts_us); ("pid", num 1.); tid;
+                  ("args", args_json i.in_args);
+                ])
+            (instants t))
+      traces
+  in
+  let counters =
+    List.map
+      (fun (k, v) ->
+        Json.Obj
+          [
+            ("name", Json.Str k); ("ph", Json.Str "C"); ("ts", num !end_ts); ("pid", num 1.);
+            ("args", Json.Obj [ ("value", num (float_of_int v)) ]);
+          ])
+      (Hir_ir.Metrics.counters totals)
+  in
+  Json.to_string
+    (Json.Obj [ ("traceEvents", Json.Arr (events @ counters)); ("displayTimeUnit", Json.Str "ms") ])
 
 let write_chrome_json path traces =
   let oc = open_out path in

@@ -47,7 +47,7 @@ let run_dce module_op =
          let feeders = Ir.Op.operands op in
          Ir.erase_op op;
          changed := true;
-         Pass.record_counter "dce";
+         Metrics.record "dce";
          List.iter
            (fun v ->
              match Ir.Value.defining_op v with
@@ -76,12 +76,11 @@ let run_const_fold_stats module_op =
 
 let run_const_fold module_op = (run_const_fold_stats module_op).Rewrite.ds_changed
 
+(* The driver's applications are already in the pass's table (its
+   rewriter writes there); add how long it took to converge. *)
 let record_driver_stats (stats : Rewrite.driver_stats) =
-  List.iter
-    (fun (name, n) -> Pass.record_counter ~n name)
-    stats.Rewrite.ds_applications;
-  Pass.record_counter ~n:stats.Rewrite.ds_rounds "driver.rounds";
-  Pass.record_counter ~n:stats.Rewrite.ds_processed "driver.ops-processed"
+  Metrics.record ~n:stats.Rewrite.ds_rounds "driver.rounds";
+  Metrics.record ~n:stats.Rewrite.ds_processed "driver.ops-processed"
 
 let const_fold =
   Pass.make ~name:"const-fold"
@@ -144,11 +143,7 @@ let cse_sweep rw =
   !changed
 
 let run_cse module_op =
-  let rw = Rewrite.Rewriter.create ~root:module_op () in
-  let changed = cse_sweep rw in
-  List.iter
-    (fun (name, n) -> Pass.record_counter ~n name)
-    (Rewrite.Rewriter.counters rw);
+  let changed = cse_sweep (Rewrite.Rewriter.create ~root:module_op ()) in
   if changed then ignore (run_dce module_op);
   changed
 
@@ -193,8 +188,8 @@ let strength_reduction =
      for the largest available k < m.
    Either way the survivor must come earlier in the same block, so
    that its result is defined before the delay that now reads it. *)
-let run_delay_elim_rw rw =
-  let module_op = Rewrite.Rewriter.root rw in
+let run_delay_elim module_op =
+  let rw = Rewrite.Rewriter.create ~root:module_op () in
   (* Group delays by (input value, time value, offset); each entry
      carries its pre-order position, which orders ops of one block. *)
   let groups : (int * int * int, (int * int * Ir.op) list ref) Hashtbl.t =
@@ -261,19 +256,10 @@ let run_delay_elim_rw rw =
     groups;
   Rewrite.Rewriter.changed rw
 
-let run_delay_elim module_op =
-  run_delay_elim_rw (Rewrite.Rewriter.create ~root:module_op ())
-
 let delay_elim =
   Pass.make ~name:"delay-elim"
     ~description:"Share and chain shift registers (Section 6.4)"
-    (fun module_op _engine ->
-      let rw = Rewrite.Rewriter.create ~root:module_op () in
-      let changed = run_delay_elim_rw rw in
-      List.iter
-        (fun (name, n) -> Pass.record_counter ~n name)
-        (Rewrite.Rewriter.counters rw);
-      changed)
+    (fun module_op _engine -> run_delay_elim module_op)
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization                                                    *)

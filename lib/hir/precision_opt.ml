@@ -146,21 +146,14 @@ let narrow_func rw func =
   in
   walk_block (Ops.func_body func)
 
-let run_rw rw =
+let run module_op =
+  let rw = Rewrite.Rewriter.create ~root:module_op () in
   List.iter
     (fun f -> if not (Ops.is_extern_func f) then narrow_func rw f)
-    (Ops.module_funcs (Rewrite.Rewriter.root rw));
+    (Ops.module_funcs module_op);
   Rewrite.Rewriter.changed rw
-
-let run module_op = run_rw (Rewrite.Rewriter.create ~root:module_op ())
 
 let pass =
   Pass.make ~name:"precision-opt"
     ~description:"Narrow integer widths from value ranges (Section 6.3)"
-    (fun module_op _engine ->
-      let rw = Rewrite.Rewriter.create ~root:module_op () in
-      let changed = run_rw rw in
-      List.iter
-        (fun (name, n) -> Pass.record_counter ~n name)
-        (Rewrite.Rewriter.counters rw);
-      changed)
+    (fun module_op _engine -> run module_op)

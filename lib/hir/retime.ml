@@ -29,8 +29,8 @@ let delay_key d =
     Ops.delay_offset d,
     Ops.delay_by d )
 
-let run_rw rw =
-  let module_op = Rewrite.Rewriter.root rw in
+let run module_op =
+  let rw = Rewrite.Rewriter.create ~root:module_op () in
   let candidates = ref [] in
   Ir.Walk.ops_pre module_op ~f:(fun op ->
       if is_pure op && Ir.Op.name op <> "hir.constant" && Ir.Op.num_results op = 1 then
@@ -105,15 +105,7 @@ let run_rw rw =
     !candidates;
   Rewrite.Rewriter.changed rw
 
-let run module_op = run_rw (Rewrite.Rewriter.create ~root:module_op ())
-
 let pass =
   Pass.make ~name:"retime"
     ~description:"Sink registers through combinational ops (Section 7.4)"
-    (fun module_op _engine ->
-      let rw = Rewrite.Rewriter.create ~root:module_op () in
-      let changed = run_rw rw in
-      List.iter
-        (fun (name, n) -> Pass.record_counter ~n name)
-        (Rewrite.Rewriter.counters rw);
-      changed)
+    (fun module_op _engine -> run module_op)

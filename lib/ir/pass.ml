@@ -11,11 +11,11 @@
    is built from the very same events, so an external tracer (see
    lib/driver) and [pp_stats] observe identical timings.
 
-   Counters: while a pass runs it may call [record_counter] (directly
-   or through the rewrite driver) to report named application counts —
-   e.g. how often each rewrite pattern fired.  The counts ride on
-   [Pass_end] and [stat], so they reach both the textual stats and the
-   Chrome traces. *)
+   Counters: the manager runs each pass in its own [Metrics] scope, so
+   whatever the pass records ([Metrics.record], or a rewriter's bumps)
+   lands in that pass's table — e.g. how often each rewrite pattern
+   fired.  A snapshot of the table rides on [Pass_end] and [stat], so
+   it reaches both the textual stats and the Chrome traces. *)
 
 type t = {
   name : string;
@@ -48,34 +48,6 @@ type result = {
   succeeded : bool;
 }
 
-(* Domain-local stack of counter collectors: the manager pushes a fresh
-   table around each pass; [record_counter] adds to the innermost one
-   and is a no-op outside any pass (so passes stay runnable standalone).
-   Domain-local because compile jobs run concurrently on domains. *)
-let collector_stack : (string, int) Hashtbl.t list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let record_counter ?(n = 1) name =
-  match !(Domain.DLS.get collector_stack) with
-  | [] -> ()
-  | tbl :: _ ->
-    Hashtbl.replace tbl name (n + Option.value ~default:0 (Hashtbl.find_opt tbl name))
-
-let with_counters f =
-  let stack = Domain.DLS.get collector_stack in
-  let tbl = Hashtbl.create 16 in
-  stack := tbl :: !stack;
-  let pop () =
-    (match !stack with _ :: rest -> stack := rest | [] -> ());
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  match f () with
-  | v -> (v, pop ())
-  | exception e ->
-    ignore (pop ());
-    raise e
-
 module Manager = struct
   type manager = {
     passes : t list;
@@ -106,7 +78,7 @@ module Manager = struct
       | pass :: rest ->
         emit_event (Pass_begin { pass_name = pass.name; index });
         let t0 = Unix.gettimeofday () in
-        let changed, counters = with_counters (fun () -> pass.run root engine) in
+        let changed, counters = Metrics.with_scope (fun () -> pass.run root engine) in
         let seconds = Unix.gettimeofday () -. t0 in
         emit_event
           (Pass_end { pass_name = pass.name; index; seconds; changed; counters });
@@ -124,7 +96,8 @@ module Manager = struct
     in
     go 0 mgr.passes
 
-  let pp_stats fmt result =
+  (* The `--stats` table: one line per pass, then its counters. *)
+  let pp_stats fmt stats =
     List.iter
       (fun s ->
         Format.fprintf fmt "%-28s %8.3f ms %s@\n" s.pass_name (s.seconds *. 1000.)
@@ -132,5 +105,5 @@ module Manager = struct
         List.iter
           (fun (name, n) -> Format.fprintf fmt "    %-32s %6d@\n" name n)
           s.counters)
-      result.stats
+      stats
 end

@@ -29,7 +29,7 @@ type mutation =
 type t = {
   rw_root : Ir.op;
   mutable rw_changed : bool;
-  rw_counters : (string, int) Hashtbl.t;
+  rw_metrics : Metrics.t;  (* the enclosing pass's table, else its own *)
   rw_log : mutation list ref option;  (* full log only when requested *)
   mutable rw_worklist : Ir.op list;  (* LIFO *)
   rw_on_list : (int, unit) Hashtbl.t;  (* op ids currently enqueued *)
@@ -42,7 +42,8 @@ module Rewriter = struct
     {
       rw_root = root;
       rw_changed = false;
-      rw_counters = Hashtbl.create 16;
+      rw_metrics =
+        (match Metrics.scope () with Some m -> m | None -> Metrics.create ());
       rw_log = (if log then Some (ref []) else None);
       rw_worklist = [];
       rw_on_list = Hashtbl.create 64;
@@ -51,15 +52,11 @@ module Rewriter = struct
   let root rw = rw.rw_root
   let changed rw = rw.rw_changed
 
-  let counters rw =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) rw.rw_counters []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let counters rw = Metrics.counters rw.rw_metrics
 
   let mutations rw = match rw.rw_log with Some l -> List.rev !l | None -> []
 
-  let bump ?(n = 1) rw name =
-    Hashtbl.replace rw.rw_counters name
-      (n + Option.value ~default:0 (Hashtbl.find_opt rw.rw_counters name))
+  let bump ?(n = 1) rw name = Metrics.incr ~by:n rw.rw_metrics name
 
   let record rw m =
     rw.rw_changed <- true;
@@ -233,7 +230,9 @@ type driver_stats = {
   ds_changed : bool;
   ds_rounds : int;  (* drain+sweep cycles until convergence *)
   ds_processed : int;  (* ops popped and examined *)
-  ds_applications : (string * int) list;  (* per-pattern/fold/dce counts *)
+  ds_applications : (string * int) list;
+      (* per-pattern/fold/dce counts: the rewriter's table, which inside
+         a pass is that pass's [Metrics] scope *)
   ds_backstop : bool;  (* true iff the round backstop fired: a bug *)
 }
 

@@ -193,7 +193,7 @@ let run_once ?(extra_cycles = 8) ~engine ?vcd_path ~(emitted : Emit.emitted) ~in
    (a compilation bug, or an injected "sim.settle" fault) falls back to
    a full re-run on the reference tree walker — slower, but the
    executable specification.  The fallback is recorded through
-   [Pass.record_counter], so `hirc sim --stats` and Chrome traces show
+   [Metrics.record], so `hirc sim --stats` and Chrome traces show
    "sim.fallback_reference" instead of degrading silently.  A
    [Sim_error] from the reference engine itself propagates: there is
    no lower rung. *)
@@ -201,7 +201,7 @@ let run ?extra_cycles ?(engine = `Opcode) ?vcd_path ~emitted ~inputs ~cycles () 
   match run_once ?extra_cycles ~engine ?vcd_path ~emitted ~inputs ~cycles () with
   | result -> result
   | exception Sim.Sim_error _ when engine <> `Reference ->
-    Hir_ir.Pass.record_counter "sim.fallback_reference";
+    Hir_ir.Metrics.record "sim.fallback_reference";
     run_once ?extra_cycles ~engine:`Reference ?vcd_path ~emitted ~inputs ~cycles ()
 
 (* Batched multi-stimulus execution: flatten and compile once, then run
@@ -233,7 +233,7 @@ let run_batch ?(extra_cycles = 8) ?(engine = `Opcode) ~emitted ~stimuli ~cycles 
   match attempt engine with
   | results -> results
   | exception Sim.Sim_error _ when engine <> `Reference ->
-    Hir_ir.Pass.record_counter "sim.fallback_reference";
+    Hir_ir.Metrics.record "sim.fallback_reference";
     attempt `Reference
 
 (* Snapshot of the [i]-th memref argument after a run (memref args

@@ -156,7 +156,7 @@ let topo_sort_assigns ~is_comb assign_list =
   List.iter (fun (t, _) -> visit ~stack:[] t) assign_list;
   List.rev !sorted
 
-(* Per-run statistics, surfaced through [Pass.record_counter] so
+(* Per-run statistics, surfaced through [Metrics.record] so
    [hirc --stats] and the Chrome traces cover simulation too. *)
 type stats = {
   st_cycles : int;
@@ -2098,12 +2098,12 @@ let signal_names t =
 
 let stats t = match t with O o -> Opcode.stats o | R (r, _) -> Reference.stats r
 
-(* Report this run's statistics into the innermost [Pass.with_counters]
-   collector (a no-op outside one), so `hirc --stats` and the Chrome
-   traces cover simulation alongside the compiler passes. *)
+(* Report this run's statistics into the innermost [Metrics] scope (a
+   no-op outside one), so `hirc --stats` and the Chrome traces cover
+   simulation alongside the compiler passes. *)
 let record_stats t =
   let s = stats t in
-  let c n v = Hir_ir.Pass.record_counter ~n:v ("sim." ^ n) in
+  let c n v = Hir_ir.Metrics.record ~n:v ("sim." ^ n) in
   c "cycles" s.st_cycles;
   c "settles" s.st_settles;
   c "assigns_evaluated" s.st_assigns_evaluated;

@@ -930,7 +930,7 @@ let test_sim_settle_fallback () =
      from its first settle. *)
   let cfg = { Faults.rules = [ ("sim.settle", Faults.Nth 1) ]; seed = 0 } in
   let (degraded, degraded_out), counters =
-    Pass.with_counters (fun () -> Faults.with_config cfg (run_with ~engine:`Opcode))
+    Metrics.with_scope (fun () -> Faults.with_config cfg (run_with ~engine:`Opcode))
   in
   check_bool "ladder fell back to the reference engine" true
     (degraded.Harness.engine_used = `Reference);
@@ -957,7 +957,7 @@ let test_sim_batch_fallback () =
   let clean = run_with ~engine:`Reference () in
   let cfg = { Faults.rules = [ ("sim.settle", Faults.Nth 1) ]; seed = 0 } in
   let degraded, counters =
-    Pass.with_counters (fun () -> Faults.with_config cfg (run_with ~engine:`Opcode))
+    Metrics.with_scope (fun () -> Faults.with_config cfg (run_with ~engine:`Opcode))
   in
   check_bool "batch fallback counter recorded" true
     (List.mem_assoc "sim.fallback_reference" counters);

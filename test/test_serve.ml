@@ -16,6 +16,7 @@ module Guard = Hir_driver.Guard
 module Pipeline = Hir_driver.Pipeline
 module Journal = Hir_driver.Journal
 module Faults = Hir_driver.Faults
+module Metrics = Hir_ir.Metrics
 
 let () = Hir_dialect.Ops.register ()
 
@@ -242,22 +243,22 @@ let test_driver_cancel_flag () =
 (* Latency histogram                                                   *)
 
 let test_histogram_percentiles () =
-  let h = Service.Histogram.create () in
+  let h = Metrics.Histogram.create () in
   (* 100 samples: 90 at ~1ms, 9 at ~10ms, 1 at ~100ms. *)
-  for _ = 1 to 90 do Service.Histogram.record h 0.001 done;
-  for _ = 1 to 9 do Service.Histogram.record h 0.010 done;
-  Service.Histogram.record h 0.100;
-  let s = Service.Histogram.summarize h in
-  Alcotest.(check int) "count" 100 s.Service.Histogram.count;
+  for _ = 1 to 90 do Metrics.Histogram.record h 0.001 done;
+  for _ = 1 to 9 do Metrics.Histogram.record h 0.010 done;
+  Metrics.Histogram.record h 0.100;
+  let s = Metrics.Histogram.summarize h in
+  Alcotest.(check int) "count" 100 s.Metrics.Histogram.count;
   let close ~what ~actual v =
     (* Log buckets have ~30% resolution; accept a factor of 1.5. *)
     if actual < v /. 1.5 || actual > v *. 1.5 then
       Alcotest.failf "%s: %g not within 1.5x of %g" what actual v
   in
-  close ~what:"p50" ~actual:s.Service.Histogram.p50 0.001;
+  close ~what:"p50" ~actual:s.Metrics.Histogram.p50 0.001;
   (* Rank 99 of 100 lands on the 10ms cohort; only max sees the outlier. *)
-  close ~what:"p99" ~actual:s.Service.Histogram.p99 0.010;
-  close ~what:"max" ~actual:s.Service.Histogram.max 0.100
+  close ~what:"p99" ~actual:s.Metrics.Histogram.p99 0.010;
+  close ~what:"max" ~actual:s.Metrics.Histogram.max 0.100
 
 (* ------------------------------------------------------------------ *)
 (* Protocol codec                                                      *)
