@@ -91,50 +91,56 @@ let args_json kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)
 (* Export one or more traces as a complete Chrome trace document.  Each
    trace keeps its own tid so concurrent jobs render as parallel rows;
    counters are summed across traces and attached as Chrome counter
-   ("C"-phase) events at the end of the timeline. *)
+   ("C"-phase) events at the end of the timeline.  Events are printed
+   one at a time, so a server's lifetime trace is never held as one
+   JSON tree. *)
 let to_chrome_json traces =
+  let buf = Buffer.create 4096 in
+  let sep = ref "" in
+  let emit fields =
+    Buffer.add_string buf !sep;
+    sep := ",\n";
+    Json.print buf (Json.Obj fields)
+  in
   let num v = Json.Num v in
   let end_ts = ref 0. in
   let totals = Hir_ir.Metrics.create () in
-  let events =
-    List.concat_map
-      (fun t ->
-        Hir_ir.Metrics.merge ~into:totals t.metrics;
-        let tid = ("tid", num (float_of_int t.tid)) in
-        List.map
-          (fun s ->
-            end_ts := Float.max !end_ts (s.sp_start_us +. s.sp_dur_us);
-            Json.Obj
-              [
-                ("name", Json.Str s.sp_name); ("cat", Json.Str s.sp_cat); ("ph", Json.Str "X");
-                ("ts", num s.sp_start_us); ("dur", num s.sp_dur_us); ("pid", num 1.); tid;
-                ("args", args_json s.sp_args);
-              ])
-          (spans t)
-        @ List.map
-            (fun i ->
-              end_ts := Float.max !end_ts i.in_ts_us;
-              Json.Obj
-                [
-                  ("name", Json.Str i.in_name); ("cat", Json.Str i.in_cat); ("ph", Json.Str "i");
-                  ("s", Json.Str "t"); ("ts", num i.in_ts_us); ("pid", num 1.); tid;
-                  ("args", args_json i.in_args);
-                ])
-            (instants t))
-      traces
-  in
-  let counters =
-    List.map
-      (fun (k, v) ->
-        Json.Obj
-          [
-            ("name", Json.Str k); ("ph", Json.Str "C"); ("ts", num !end_ts); ("pid", num 1.);
-            ("args", Json.Obj [ ("value", num (float_of_int v)) ]);
-          ])
-      (Hir_ir.Metrics.counters totals)
-  in
-  Json.to_string
-    (Json.Obj [ ("traceEvents", Json.Arr (events @ counters)); ("displayTimeUnit", Json.Str "ms") ])
+  Buffer.add_string buf "{\"traceEvents\":[";
+  List.iter
+    (fun t ->
+      Hir_ir.Metrics.merge ~into:totals t.metrics;
+      let tid = ("tid", num (float_of_int t.tid)) in
+      List.iter
+        (fun s ->
+          end_ts := Float.max !end_ts (s.sp_start_us +. s.sp_dur_us);
+          emit
+            [
+              ("name", Json.Str s.sp_name); ("cat", Json.Str s.sp_cat); ("ph", Json.Str "X");
+              ("ts", num s.sp_start_us); ("dur", num s.sp_dur_us); ("pid", num 1.); tid;
+              ("args", args_json s.sp_args);
+            ])
+        (spans t);
+      List.iter
+        (fun i ->
+          end_ts := Float.max !end_ts i.in_ts_us;
+          emit
+            [
+              ("name", Json.Str i.in_name); ("cat", Json.Str i.in_cat); ("ph", Json.Str "i");
+              ("s", Json.Str "t"); ("ts", num i.in_ts_us); ("pid", num 1.); tid;
+              ("args", args_json i.in_args);
+            ])
+        (instants t))
+    traces;
+  List.iter
+    (fun (k, v) ->
+      emit
+        [
+          ("name", Json.Str k); ("ph", Json.Str "C"); ("ts", num !end_ts); ("pid", num 1.);
+          ("args", Json.Obj [ ("value", num (float_of_int v)) ]);
+        ])
+    (Hir_ir.Metrics.counters totals);
+  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
+  Buffer.contents buf
 
 let write_chrome_json path traces =
   let oc = open_out path in

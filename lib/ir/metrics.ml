@@ -81,14 +81,14 @@ end
 type t = {
   lock : Mutex.t option;  (* [Some] for a table shared across domains *)
   counters : (string, int ref) Hashtbl.t;
-  histograms : (string, Histogram.t) Hashtbl.t;
+  mutable histograms : (string * Histogram.t) list;  (* the server has two; most tables none *)
 }
 
 let create ?(shared = false) () =
   {
     lock = (if shared then Some (Mutex.create ()) else None);
     counters = Hashtbl.create 16;
-    histograms = Hashtbl.create 2;
+    histograms = [];
   }
 
 let locked t f = match t.lock with None -> f () | Some mu -> Mutex.protect mu f
@@ -122,11 +122,11 @@ let merge ?(prefix = "") ~into src =
 let observe t name v =
   locked t (fun () ->
       let h =
-        match Hashtbl.find_opt t.histograms name with
+        match List.assoc_opt name t.histograms with
         | Some h -> h
         | None ->
           let h = Histogram.create () in
-          Hashtbl.add t.histograms name h;
+          t.histograms <- (name, h) :: t.histograms;
           h
       in
       Histogram.record h v)
@@ -134,7 +134,7 @@ let observe t name v =
 let summary t name =
   locked t (fun () ->
       Histogram.summarize
-        (match Hashtbl.find_opt t.histograms name with
+        (match List.assoc_opt name t.histograms with
         | Some h -> h
         | None -> Histogram.create ()))
 

@@ -342,6 +342,31 @@ let test_pass_manager () =
   check_bool "failed" false result.Pass.succeeded;
   check_bool "later pass skipped" false (List.mem "c" !ran)
 
+(* A shared table counts exactly while two domains insert and bump the
+   same names; scopes nest, and [record] outside any scope is dropped. *)
+let test_metrics () =
+  let m = Metrics.create ~shared:true () in
+  let bump () =
+    for i = 1 to 100_000 do
+      Metrics.incr m (Printf.sprintf "c%d" (i mod 50))
+    done
+  in
+  let d = Domain.spawn bump in
+  bump ();
+  Domain.join d;
+  let counters = Metrics.counters m in
+  check_int "one entry per name" 50 (List.length counters);
+  check_int "no lost increments" 200_000 (List.fold_left (fun acc (_, n) -> acc + n) 0 counters);
+  Metrics.record "dropped";
+  let ((), inner), outer =
+    Metrics.with_scope (fun () ->
+        Metrics.record ~n:2 "outer";
+        Metrics.with_scope (fun () -> Metrics.record "inner"))
+  in
+  check_bool "inner scope" true (inner = [ ("inner", 1) ]);
+  check_bool "outer scope" true (outer = [ ("outer", 2) ]);
+  check_bool "every scope closed" true (Option.is_none (Metrics.scope ()))
+
 let test_dialect_registry () =
   check_bool "hir.for registered" true (Dialect.lookup_op "hir.for" <> None);
   check_bool "terminator trait" true (Dialect.op_has_trait "hir.yield" Dialect.Terminator);
@@ -386,5 +411,6 @@ let () =
         [
           Alcotest.test_case "pass manager" `Quick test_pass_manager;
           Alcotest.test_case "dialect registry" `Quick test_dialect_registry;
+          Alcotest.test_case "metrics" `Quick test_metrics;
         ] );
     ]
