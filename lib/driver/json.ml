@@ -1,7 +1,7 @@
 (* JSON: the one printer and parser of the driver.  The server's wire
    protocol, its journal records, the Chrome traces, `/metrics`,
    `hirc batch --json` and the bench's `--json` all print through
-   [to_string], so strings are escaped in exactly one place.
+   [print], so strings are escaped in exactly one place.
 
    Hand-rolled (the repo has no JSON dependency): a strict
    recursive-descent parser with a depth limit, and a printer that
