@@ -85,10 +85,10 @@ let prop_optimizer_preserves =
       let after = interp_outputs m2 f2 in
       agree expected after)
 
-(* A recipe the optimizer once broke: delay(#0,by 3) is defined after
-   the first delay(#0,by 1) but before the second, and delay-elim
-   rewired it onto the later of the two.  The optimized design must
-   still emit, and its RTL must agree with the unoptimized interpreter. *)
+(* delay(#0,by 3) is defined after the first delay(#0,by 1) but before
+   the second, so delay-elim may chain it only onto the first.  The
+   optimized design must emit, and its RTL must agree with the
+   unoptimized interpreter. *)
 let test_delay_order_recipe () =
   let recipe =
     {
