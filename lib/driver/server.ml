@@ -290,11 +290,10 @@ let metrics_json t =
            ("spawn_failures", Service.spawn_failure_count t.svc);
          ];
      ]
-    @ Option.to_list (Option.map (fun c -> ("cache", Json.Obj (nums (cache c)))) t.cfg.cfg_cache)
-    @ Option.to_list
-        (Option.map
-           (fun _ -> group "journal" journal_counters [ ("backlog", List.length t.backlog) ])
-           t.journal)
+    @ (match t.cfg.cfg_cache with Some c -> [ ("cache", Json.Obj (nums (cache c))) ] | None -> [])
+    @ (match t.journal with
+      | Some _ -> [ group "journal" journal_counters [ ("backlog", List.length t.backlog) ] ]
+      | None -> [])
     @ [
         ("counters", Json.Obj (nums (Hir_ir.Metrics.counters ~prefix:"counters." t.metrics)));
         ("latency", Json.Obj [ hist "queue"; hist "total" ]);
