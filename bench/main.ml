@@ -9,14 +9,21 @@
      --figure 2   pipeline-imbalance diagnostic (Figure 2)
      --figure 3   memref banking layout (Figure 3)
      --check      functional verification of every generated design
-     --bechamel   Bechamel micro-benchmarks backing Table 6
+     --ablation   loop pipelining, precision, delay-elim and retiming ablations
+     --scaling    GEMM PE grid size vs HIR and HLS compile time
+     --canonicalize-scaling  canonicalize on unrolled GEMM n = 4..16
      --sim-scaling  opcode RTL simulator vs reference tree-walker
      --incremental  edit-1-of-8-kernels warm recompile vs cold batch
      --emit-scaling flat vs shared-definition emission, bytes + time
      --stages     per-stage compile-time breakdown through lib/driver
-     --serve-swarm  client-swarm stress test of `hirc serve` (explicit
-                  only: not part of the no-argument run)
+     --serve-swarm  client-swarm stress test of `hirc serve`
+     --serve-crash [--crash-seed N] [--hirc PATH]
+                  kill -9 and journal recovery of `hirc serve` (default
+                  seed 1, binary _build/default/bin/hirc.exe)
      --json PATH  additionally dump all recorded numbers as JSON
+
+   --serve-swarm and --serve-crash run only when named: they are not
+   part of the no-argument run.
 
    With no arguments, everything runs.  Absolute resource numbers come
    from the analytical model in [Hir_resources.Model], not Vivado; the
@@ -531,8 +538,8 @@ let canonicalize_scaling () =
 
 (* Two engines: the reference simulator re-walks every expression tree
    per settle; the opcode engine lowers the netlist once to a flat
-   int-array opcode program interpreted by a single match loop, with
-   batched multi-stimulus runs sharing one compiled program.
+   int-array opcode program interpreted by a single match loop, which
+   [Sim.fork] shares between stimuli.
 
    End-to-end cycles/sec charges each engine its own elaboration
    (flatten + Sim.create, i.e. the opcode engine pays for its
@@ -560,14 +567,13 @@ let canonicalize_scaling () =
      histogram    11.6x [7.2 - 14.9]   12.4x                0.8 * 12.4 = 9.92x *)
 
 let sim_gemm_budget_s = 2.0
-let sim_batch_k = 4
 
 let sim_scaling () =
   let module Sim = Hir_rtl.Sim in
   let module Flatten = Hir_rtl.Flatten in
   header "Sim scaling: opcode / reference engines (cycles/second)";
-  Printf.printf "%-12s %6s %9s %9s %10s %10s %8s\n" "benchmark" "cycles" "ref(c/s)" "op(c/s)"
-    "steady c/s" "batch4 c/s" "speedup";
+  Printf.printf "%-12s %6s %9s %9s %10s %8s\n" "benchmark" "cycles" "ref(c/s)" "op(c/s)"
+    "steady c/s" "speedup";
   let gemm_inputs =
     let a, b = Hir_kernels.Gemm.make_inputs ~seed:34 in
     [ Harness.Tensor a; Harness.Tensor b; Harness.Out_tensor ]
@@ -643,12 +649,6 @@ let sim_scaling () =
       done;
       let reference_t = !reference_t and opcode_t = !opcode_t in
       let opcode_steady_t = !opcode_steady_t in
-      let batch_t =
-        best_seconds ~runs:3 (fun () ->
-            Harness.run_batch ~engine:`Opcode ~emitted
-              ~stimuli:(List.init sim_batch_k (fun _ -> inputs))
-              ~cycles ())
-      in
       let opcode_elab_t =
         best_seconds ~runs:3 (fun () ->
             Sys.opaque_identity (Sim.create (Flatten.flatten emitted.Emit.design)))
@@ -659,7 +659,6 @@ let sim_scaling () =
       let reference_cps = cps reference_t in
       let opcode_cps = cps opcode_t in
       let opcode_steady_cps = cps opcode_steady_t in
-      let batch_cps = float_of_int sim_batch_k *. total_cycles /. batch_t in
       let speedup = opcode_steady_cps /. reference_cps in
       let evaluated = stats.Sim.st_assigns_evaluated in
       let skipped = stats.Sim.st_assigns_skipped in
@@ -676,19 +675,16 @@ let sim_scaling () =
           ("cycles", total_cycles);
           ("reference_s", reference_t);
           ("opcode_s", opcode_t);
-          ("batch_s", batch_t);
           ("reference_cps", reference_cps);
           ("opcode_cps", opcode_cps);
           ("opcode_elab_s", opcode_elab_t);
           ("opcode_steady_cps", opcode_steady_cps);
-          ("batch_cps", batch_cps);
-          ("batch_k", float_of_int sim_batch_k);
           ("speedup_steady_vs_reference", speedup);
           ("fastpath_rate", fast_rate);
           ("skip_rate", skip_rate);
         ];
-      Printf.printf "%-12s %6d %9.0f %9.0f %10.0f %10.0f %7.1fx\n" name stats.Sim.st_cycles
-        reference_cps opcode_cps opcode_steady_cps batch_cps speedup;
+      Printf.printf "%-12s %6d %9.0f %9.0f %10.0f %7.1fx\n" name stats.Sim.st_cycles
+        reference_cps opcode_cps opcode_steady_cps speedup;
       (match floor with
       | `Steady k ->
         if speedup < k then
@@ -1722,55 +1718,6 @@ let emit_scaling () =
     emit_hier_floor
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-
-let bechamel () =
-  header "Bechamel micro-benchmarks (one test per table)";
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      (* Table 4: the optimization pipeline on the transpose design. *)
-      Test.make ~name:"table4/precision-pipeline"
-        (Staged.stage (fun () ->
-             let m, _ = Hir_kernels.Transpose.build () in
-             ignore (Unroll.run m);
-             ignore (Passes.run_canonicalize m);
-             ignore (Precision_opt.run m)));
-      (* Table 5: resource estimation of a compiled design. *)
-      Test.make ~name:"table5/resource-model"
-        (Staged.stage (fun () ->
-             ignore (hir_usage ~optimize:true Hir_kernels.Transpose.build)));
-      (* Table 6: the two compile pipelines. *)
-      Test.make ~name:"table6/hir-compile"
-        (Staged.stage (fun () -> ignore (hir_compile_once Hir_kernels.Transpose.build)));
-      Test.make ~name:"table6/hls-compile"
-        (Staged.stage (fun () -> ignore (hls_compile_once Hls.Suite.transpose)));
-      (* Figures 1-2: the schedule verifier. *)
-      Test.make ~name:"figures/schedule-verifier"
-        (Staged.stage (fun () ->
-             let m, _ = Hir_kernels.Stencil1d.build () in
-             let engine = Diagnostic.Engine.create () in
-             Verify_schedule.verify_module engine m));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.4) () in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] -> Printf.printf "  %-32s %12.1f ns/run\n" name ns
-          | _ -> Printf.printf "  %-32s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
 let () =
@@ -1821,6 +1768,5 @@ let () =
        ~seed:(int_of_string (opt_val "--crash-seed" "1"))
        ~hirc:(opt_val "--hirc" "_build/default/bin/hirc.exe")
        ());
-  if all || List.mem "--bechamel" args then bechamel ();
   Option.iter write_json json_path;
   line ()

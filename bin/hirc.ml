@@ -31,14 +31,13 @@
          and printing); exits 1 if any input crashes instead of failing
          with a diagnostic
      hirc sim <kernel> [--cycles N] [--engine opcode|reference]
-              [--batch K] [--stats] [--vcd out.vcd] [--hls] [--inject SPEC]
+              [--stats] [--vcd out.vcd] [--hls]
          compile a built-in kernel and run it in the RTL simulator with
-         generic inputs; --batch runs K interleaved stimuli through one
-         compiled program (--vcd needs K = 1), --stats reports the
-         simulator's own counters (settles, assigns evaluated vs
-         skipped, fast-path hit rate)
+         generic inputs; --stats reports the simulator's own counters
+         (settles, assigns evaluated vs skipped, fast-path hit rate)
      hirc serve (--socket PATH | --port P) [-j N] [--queue-depth N]
                 [--cache-dir D] [--journal DIR] [--deadline S] [--verbose]
+                [--inject SPEC] [--inject-seed N]
          persistent compile server: line-JSON compile/cancel/poll frames
          and health/metrics probes, with an optional write-ahead job
          journal for crash recovery and a graceful drain on SIGTERM
@@ -166,8 +165,8 @@ let inject_arg =
           "Deterministic fault injection: comma-separated rules \
            $(i,point)=$(i,prob) (fire each hit with that probability) or \
            $(i,point)@$(i,n) (fire on exactly the n-th hit per job). Points: \
-           cache.read, cache.write, worker.spawn, job.compile, sim.settle, or \
-           $(b,*) for all.")
+           cache.read, cache.write, worker.spawn, job.compile, journal.append, \
+           journal.mark, journal.replay, or $(b,*) for all.")
 
 let inject_seed_arg =
   Arg.(
@@ -176,7 +175,7 @@ let inject_seed_arg =
         ~doc:"Seed for --inject decisions; the same seed reproduces the same faults")
 
 (* Parse --inject/--inject-seed into a [Faults.config], or None when
-   injection is off.  Shared by `hirc batch` and `hirc sim`. *)
+   injection is off.  Shared by `hirc batch` and `hirc serve`. *)
 let fault_config_of inject inject_seed =
   match inject with
   | None -> Ok None
@@ -479,16 +478,6 @@ let parse_engine s =
                (Hir_kernels.Kernels.suggest_from ~candidates:Hir_rtl.Sim.engine_names s))
             (String.concat ", " Hir_rtl.Sim.engine_names)))
 
-let parse_batch s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 -> Ok n
-  | Some n ->
-    Error (arg_diag ~flag:"--batch" (Printf.sprintf "batch size must be >= 1 (got %d)" n))
-  | None ->
-    Error
-      (arg_diag ~flag:"--batch"
-         (Printf.sprintf "invalid batch size %s (expected a positive integer)" s))
-
 let sim_cmd =
   let kernel_arg =
     Arg.(
@@ -510,20 +499,11 @@ let sim_cmd =
             "Simulation engine: $(b,opcode) (default) or $(b,reference) (the \
              tree-walking oracle)")
   in
-  let batch_arg =
-    Arg.(
-      value & opt string "1"
-      & info [ "batch" ] ~docv:"K"
-          ~doc:
-            "Run $(docv) interleaved copies of the stimulus through one \
-             compiled program (elaboration is paid once)")
-  in
   let vcd_arg =
     Arg.(
       value
       & opt (some string) None
-      & info [ "vcd" ] ~docv:"OUT.vcd"
-          ~doc:"Dump a VCD waveform to $(docv) (a single simulation: needs --batch 1)")
+      & info [ "vcd" ] ~docv:"OUT.vcd" ~doc:"Dump a VCD waveform to $(docv)")
   in
   let hls_arg =
     Arg.(
@@ -533,30 +513,12 @@ let sim_cmd =
             "Simulate the HLS-compiled variant from the evaluation suite instead of \
              the native HIR kernel")
   in
-  let run name cycles engine_s batch_s stats vcd_path use_hls inject inject_seed =
-    let ( let* ) r f =
-      match r with
-      | Error d ->
-        Printf.eprintf "%s\n" (Diagnostic.to_string d);
-        1
-      | Ok v -> f v
-    in
-    let* engine = parse_engine engine_s in
-    let* batch = parse_batch batch_s in
-    let* () =
-      if batch > 1 && vcd_path <> None then
-        Error
-          (arg_diag ~flag:"--vcd"
-             (Printf.sprintf
-                "--vcd dumps a single simulation; drop it or use --batch 1 (got --batch %d)"
-                batch))
-      else Ok ()
-    in
-    match fault_config_of inject inject_seed with
-    | Error e ->
-      prerr_endline e;
+  let run name cycles engine_s stats vcd_path use_hls =
+    match parse_engine engine_s with
+    | Error d ->
+      Printf.eprintf "%s\n" (Diagnostic.to_string d);
       1
-    | Ok fault_cfg ->
+    | Ok engine ->
     let build_r =
       if use_hls then
         match Hir_hls.Suite.find name with
@@ -614,29 +576,13 @@ let sim_cmd =
           let r, _ = Interp.run ~module_op:m ~func:f (List.map snd inputs) in
           r.Interp.cycles
       in
-      let results, counters =
+      let (result, _agents), counters =
         Metrics.with_scope (fun () ->
-            with_faults fault_cfg (fun () ->
-                if batch = 1 then
-                  [ Harness.run ~engine ?vcd_path ~emitted
-                      ~inputs:harness_inputs ~cycles () ]
-                else
-                  Harness.run_batch ~engine ~emitted
-                    ~stimuli:(List.init batch (fun _ -> harness_inputs))
-                    ~cycles ()))
+            Harness.run ~engine ?vcd_path ~emitted ~inputs:harness_inputs ~cycles ())
       in
-      let result, _agents = List.hd results in
-      let total_failures =
-        List.fold_left (fun acc (r, _) -> acc + List.length r.Harness.failures) 0 results
-      in
-      Printf.printf "%s: %d cycles%s on the %s engine%s, %d assertion failure(s)\n" name
-        result.Harness.cycles_run
-        (if batch > 1 then Printf.sprintf " x %d stimuli" batch else "")
-        (Hir_rtl.Sim.engine_name result.Harness.engine_used)
-        (if result.Harness.engine_used <> engine then
-           Printf.sprintf " (degraded from %s)" (Hir_rtl.Sim.engine_name engine)
-         else "")
-        total_failures;
+      let failures = List.length result.Harness.failures in
+      Printf.printf "%s: %d cycles on the %s engine, %d assertion failure(s)\n" name
+        result.Harness.cycles_run (Hir_rtl.Sim.engine_name engine) failures;
       List.iter
         (fun (fl : Hir_rtl.Sim.assertion_failure) ->
           Printf.printf "  assertion at cycle %d: %s\n" fl.Hir_rtl.Sim.at_cycle
@@ -647,13 +593,12 @@ let sim_cmd =
         result.Harness.output_values;
       if stats then
         List.iter (fun (cname, n) -> Printf.printf "  %-28s %10d\n" cname n) counters;
-      if total_failures = 0 then 0 else 1
+      if failures = 0 then 0 else 1
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Run a built-in kernel in the RTL simulator")
     Term.(
-      const run $ kernel_arg $ cycles_arg $ engine_arg $ batch_arg $ stats_arg $ vcd_arg
-      $ hls_arg $ inject_arg $ inject_seed_arg)
+      const run $ kernel_arg $ cycles_arg $ engine_arg $ stats_arg $ vcd_arg $ hls_arg)
 
 (* ------------------------------------------------------------------ *)
 (* hirc cache                                                          *)
@@ -945,7 +890,7 @@ let batch_cmd =
               (fun dir -> Cache.create ?budget_bytes:cache_budget ~dir ())
               cache_dir
           in
-          let limits = { Guard.deadline_s = deadline; work_budget = None } in
+          let limits = { Guard.deadline_s = deadline } in
           let retry = { Driver.default_retry with Driver.max_attempts = max 1 retries } in
           let result =
             with_faults fault_cfg (fun () ->

@@ -592,18 +592,16 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
 (* Batch mode                                                          *)
 
 (* Retry policy for transient failures: capped exponential backoff with
-   seeded jitter (deterministic — see [Faults.uniform]), then
+   jitter hashed from the job name (see [Faults.uniform]), then
    quarantine: a job still failing transiently after [max_attempts] is
    reported as failed and not retried again within the batch. *)
 type retry_policy = {
   max_attempts : int;  (* total attempts, including the first *)
   base_backoff_s : float;
   max_backoff_s : float;
-  retry_seed : int;  (* jitter seed *)
 }
 
-let default_retry =
-  { max_attempts = 3; base_backoff_s = 0.002; max_backoff_s = 0.05; retry_seed = 0 }
+let default_retry = { max_attempts = 3; base_backoff_s = 0.002; max_backoff_s = 0.05 }
 
 (* One per job, always: the scheduler invariant the fault-injection
    tests pin down is that a batch of n jobs yields exactly n reports,
@@ -686,14 +684,12 @@ let run_with_retry ?cache ?cancel ~trace ~limits ~retry job =
       Trace.instant trace ~cat:"fault"
         ~args:[ ("job", name); ("attempt", string_of_int attempt) ]
         "retry";
-      (* Capped exponential backoff with seeded jitter in [0.5x, 1.5x]. *)
+      (* Capped exponential backoff with jitter in [0.5x, 1.5x]. *)
       let backoff =
         Float.min retry.max_backoff_s
           (retry.base_backoff_s *. (2. ** float_of_int (attempt - 1)))
       in
-      let jitter =
-        0.5 +. Faults.uniform ~seed:retry.retry_seed ~key:name ~index:attempt
-      in
+      let jitter = 0.5 +. Faults.uniform ~seed:0 ~key:name ~index:attempt in
       let delay = backoff *. jitter in
       if delay > 0. then Unix.sleepf delay;
       go (attempt + 1)

@@ -1,7 +1,7 @@
 (* Deterministic fault injection for the compilation service.
 
    The service's failure paths — cache IO errors, worker-spawn
-   failures, mid-compile crashes, simulator faults — are exactly the
+   failures, mid-compile crashes, journal IO errors — are exactly the
    paths ordinary test runs never take.  This module makes them
    reachable on demand: code under test declares named *injection
    points* ([point "cache.read"] etc.), and a test or `hirc batch
@@ -26,8 +26,8 @@ exception Injected of string  (* the point that fired *)
    unknown names so a typo in --inject fails fast. *)
 let known_points =
   [
-    "cache.read"; "cache.write"; "worker.spawn"; "job.compile"; "sim.settle";
-    "journal.append"; "journal.mark"; "journal.replay";
+    "cache.read"; "cache.write"; "worker.spawn"; "job.compile"; "journal.append";
+    "journal.mark"; "journal.replay";
   ]
 
 type trigger =
@@ -145,31 +145,13 @@ let dls : dstate Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { ds_epoch = -1; ds_scope = ""; ds_tables = Hashtbl.create 8 })
 
-(* Forward reference to [point], needed by the sim hook installed
-   before [point] is defined. *)
-let point_ref = ref (fun (_ : string) -> ())
-
-(* The RTL simulator cannot raise this module's exception across its
-   own API boundary (lib/rtl must not depend on lib/driver), so its
-   injection point is a hook: when faults are installed we translate
-   [Injected "sim.settle"] into the simulator's native [Sim_error],
-   which the harness's degradation ladder already handles. *)
-let wire_sim_hook on =
-  Hir_rtl.Sim.settle_fault_hook :=
-    if on then (fun () ->
-      try !point_ref "sim.settle"
-      with Injected p -> raise (Hir_rtl.Sim.Sim_error ("injected fault at " ^ p)))
-    else fun () -> ()
-
 let install cfg =
   Atomic.set current (Some cfg);
-  Atomic.incr epoch;
-  wire_sim_hook true
+  Atomic.incr epoch
 
 let uninstall () =
   Atomic.set current None;
-  Atomic.incr epoch;
-  wire_sim_hook false
+  Atomic.incr epoch
 
 let active () = Atomic.get current <> None
 
@@ -220,5 +202,3 @@ let point name =
           uniform ~seed:cfg.seed ~key:(st.ds_scope ^ "\x00" ^ name) ~index:c < p
       in
       if fire then raise (Injected name))
-
-let () = point_ref := point

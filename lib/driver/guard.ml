@@ -1,4 +1,4 @@
-(* Per-job guards: wall-clock deadlines and work budgets.
+(* Per-job guards: wall-clock deadlines and cancellation.
 
    OCaml domains cannot be interrupted asynchronously, so the guard is
    cooperative: the driver calls [tick] at stage boundaries (after
@@ -10,16 +10,13 @@
    Granularity: a single pass that never returns cannot be preempted —
    the rewrite driver's round/application backstops (lib/ir/rewrite)
    bound that layer, and the guard bounds everything stitched together
-   above it.  Work budgets count checkpoints (≈ pipeline stages), a
-   scheduling-independent measure for tests that want determinism
-   without wall clocks. *)
+   above it. *)
 
 type limits = {
   deadline_s : float option;  (* wall-clock budget for one attempt *)
-  work_budget : int option;  (* max checkpoints for one attempt *)
 }
 
-let no_limits = { deadline_s = None; work_budget = None }
+let no_limits = { deadline_s = None }
 
 exception Exhausted of { job : string; reason : string }
 
@@ -34,25 +31,18 @@ type t = {
   g_limits : limits;
   g_cancel : bool Atomic.t option;  (* set from another domain *)
   g_started : float;
-  mutable g_work : int;
 }
 
 let create ~job ?cancel limits =
-  {
-    g_job = job;
-    g_limits = limits;
-    g_cancel = cancel;
-    g_started = Unix.gettimeofday ();
-    g_work = 0;
-  }
+  { g_job = job; g_limits = limits; g_cancel = cancel; g_started = Unix.gettimeofday () }
 
 let elapsed g = Unix.gettimeofday () -. g.g_started
 
-let check g =
+let tick g =
   (match g.g_cancel with
   | Some flag when Atomic.get flag -> raise (Cancelled { job = g.g_job })
   | _ -> ());
-  (match g.g_limits.deadline_s with
+  match g.g_limits.deadline_s with
   | Some limit when elapsed g > limit ->
     raise
       (Exhausted
@@ -62,19 +52,4 @@ let check g =
              Printf.sprintf "deadline of %.3fs exceeded (%.3fs elapsed)" limit
                (elapsed g);
          })
-  | _ -> ());
-  match g.g_limits.work_budget with
-  | Some budget when g.g_work > budget ->
-    raise
-      (Exhausted
-         {
-           job = g.g_job;
-           reason =
-             Printf.sprintf "work budget of %d checkpoints exceeded (%d spent)"
-               budget g.g_work;
-         })
   | _ -> ()
-
-let tick ?(work = 1) g =
-  g.g_work <- g.g_work + work;
-  check g

@@ -442,7 +442,6 @@ let admit_request t ~conn_id ~client ~ephemeral ~digest ~journal_new
           (match req.Protocol.cr_deadline with
           | Some _ as d -> d
           | None -> t.cfg.cfg_default_deadline);
-        work_budget = None;
       }
     in
     let ctx =

@@ -120,9 +120,6 @@ type run_result = {
   failures : Sim.assertion_failure list;
   cycles_run : int;
   output_values : (string * Bitvec.t) list;  (* scalar results at the end *)
-  engine_used : Sim.engine;
-      (* the engine that actually produced this result — [`Reference]
-         with [`Opcode] requested means the degradation ladder fired *)
   sim_stats : Sim.stats;
 }
 
@@ -170,12 +167,13 @@ let finish_run sim ~(emitted : Emit.emitted) ~total =
     failures = Sim.failures sim;
     cycles_run = total;
     output_values;
-    engine_used = Sim.engine sim;
     sim_stats = Sim.stats sim;
   }
 
-let run_once ?(extra_cycles = 8) ~engine ?vcd_path ~(emitted : Emit.emitted) ~inputs
-    ~cycles () =
+(* One simulation on [engine].  A [Sim.Sim_error] (a combinational
+   loop, a compilation bug) propagates to the caller. *)
+let run ?(extra_cycles = 8) ?(engine = `Opcode) ?vcd_path ~(emitted : Emit.emitted)
+    ~inputs ~cycles () =
   let flat = Flatten.flatten emitted.Emit.design in
   let sim = Sim.create ~engine flat in
   let vcd = Option.map (fun path -> Vcd.create ~path sim) vcd_path in
@@ -188,53 +186,6 @@ let run_once ?(extra_cycles = 8) ~engine ?vcd_path ~(emitted : Emit.emitted) ~in
   let result = finish_run sim ~emitted ~total in
   Option.iter Vcd.close vcd;
   (result, agents)
-
-(* Degradation ladder: an internal [Sim_error] from the opcode engine
-   (a compilation bug, or an injected "sim.settle" fault) falls back to
-   a full re-run on the reference tree walker — slower, but the
-   executable specification.  The fallback is recorded through
-   [Metrics.record], so `hirc sim --stats` and Chrome traces show
-   "sim.fallback_reference" instead of degrading silently.  A
-   [Sim_error] from the reference engine itself propagates: there is
-   no lower rung. *)
-let run ?extra_cycles ?(engine = `Opcode) ?vcd_path ~emitted ~inputs ~cycles () =
-  match run_once ?extra_cycles ~engine ?vcd_path ~emitted ~inputs ~cycles () with
-  | result -> result
-  | exception Sim.Sim_error _ when engine <> `Reference ->
-    Hir_ir.Metrics.record "sim.fallback_reference";
-    run_once ?extra_cycles ~engine:`Reference ?vcd_path ~emitted ~inputs ~cycles ()
-
-(* Batched multi-stimulus execution: flatten and compile once, then run
-   one simulator per stimulus — [Sim.fork] shares the opcode engine's
-   compiled program, so each extra stimulus costs only fresh register
-   files.  The K simulations advance in lockstep, interleaved cycle by
-   cycle.  Returns one [(result, agents)] per stimulus, in order.  The
-   degradation ladder applies to the batch as a whole: any [Sim_error]
-   re-runs every stimulus on the reference walker. *)
-let run_batch ?(extra_cycles = 8) ?(engine = `Opcode) ~emitted ~stimuli ~cycles () =
-  let attempt engine =
-    let flat = Flatten.flatten (emitted : Emit.emitted).Emit.design in
-    let proto = Sim.create ~engine flat in
-    let runs =
-      List.mapi
-        (fun i inputs ->
-          let sim = if i = 0 then proto else Sim.fork proto in
-          (sim, Sim.writer sim "t_start", setup_agents sim ~emitted ~inputs))
-        stimuli
-    in
-    let total = cycles + extra_cycles in
-    for c = 0 to total - 1 do
-      List.iter
-        (fun (sim, start, agents) -> cycle_once sim ~start agents None ~is_first:(c = 0))
-        runs
-    done;
-    List.map (fun (sim, _, agents) -> (finish_run sim ~emitted ~total, agents)) runs
-  in
-  match attempt engine with
-  | results -> results
-  | exception Sim.Sim_error _ when engine <> `Reference ->
-    Hir_ir.Metrics.record "sim.fallback_reference";
-    attempt `Reference
 
 (* Snapshot of the [i]-th memref argument after a run (memref args
    only, in interface order). *)

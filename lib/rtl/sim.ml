@@ -22,24 +22,14 @@
      masking; wider signals fall back to [Bitvec].
 
    - [Reference]: the original tree-walking interpreter, kept as the
-     oracle for the opcode engine (see test_sim_equiv), as the
-     executable specification of the width semantics, and as the
-     engine the harness falls back to on an internal [Sim_error]. *)
+     oracle for the opcode engine (see test_sim_equiv) and as the
+     executable specification of the width semantics. *)
 
 open Hir_verilog.Ast
 
 exception Sim_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Sim_error s)) fmt
-
-(* Fault-injection hook, called once per settle of the *opcode* engine
-   only — the reference walker stays clean because it is the fallback
-   the harness degrades to on [Sim_error].  The driver's fault
-   subsystem (lib/driver/faults.ml, which this library must not depend
-   on) installs a callback that raises [Sim_error] on an injected
-   "sim.settle" fault; the default is a no-op closure, so the cost when
-   disabled is one ref read per settle. *)
-let settle_fault_hook : (unit -> unit) ref = ref (fun () -> ())
 
 type assertion_failure = { at_cycle : int; message : string }
 
@@ -521,9 +511,9 @@ end
    proportional to the work actually done, not to netlist size.
 
    Because the program is immutable and all mutable state lives in
-   [state], [fork] is a deep copy of the register files — batched
-   multi-stimulus runs (Harness.run_batch) elaborate and compile once
-   and fork per stimulus. *)
+   [state], [fork] is a deep copy of the register files — callers
+   that run many stimuli elaborate and compile once and fork per
+   stimulus. *)
 
 module Opcode = struct
   (* A signal's slot: [o_idx] indexes the narrow or the wide register
@@ -1789,7 +1779,6 @@ module Opcode = struct
      fixpoint.  Stores that wake clock blocks mark the clock half
      directly; [clock] drains it. *)
   let settle t =
-    !settle_fault_hook ();
     let module Array = Unchecked in
     let p = t.prog and st = t.st in
     let rt = st.s_rt in
@@ -2040,8 +2029,6 @@ let create ?(engine = `Opcode) flat =
   match engine with
   | `Opcode -> O (Opcode.create flat)
   | `Reference -> R (Reference.create flat, flat)
-
-let engine : t -> engine = function O _ -> `Opcode | R _ -> `Reference
 
 (* Every engine settles on the calling domain, so this is always 1; it
    remains because perfbench/sim_batch.ml reports it. *)

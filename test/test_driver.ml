@@ -424,10 +424,13 @@ let test_faults_spec_parsing () =
   List.iter
     (fun spec -> check_string spec spec (Faults.rules_to_string (ok spec)))
     [ "cache.read=0.5"; "*=0.1"; "job.compile@2"; "cache.read=0.25,worker.spawn@1" ];
-  check_string "whitespace normalizes" "cache.read=0.5,sim.settle@3"
-    (Faults.rules_to_string (ok " cache.read = 0.5 , sim.settle @ 3 "));
+  check_string "whitespace normalizes" "cache.read=0.5,journal.mark@3"
+    (Faults.rules_to_string (ok " cache.read = 0.5 , journal.mark @ 3 "));
   ignore (err "");
   ignore (err "bogus=0.5");  (* unknown point *)
+  check_bool "the simulator has no injection point" true
+    (String.starts_with ~prefix:"unknown injection point 'sim.settle'"
+       (err "sim.settle=0.1"));
   ignore (err "cache.read=1.5");  (* probability out of range *)
   ignore (err "cache.read=-0.1");
   ignore (err "job.compile@0");  (* counts are 1-based *)
@@ -479,12 +482,12 @@ let test_faults_determinism () =
        (List.init 100 Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* Guards: deadlines and budgets                                       *)
+(* Guards: deadlines                                                  *)
 
 let test_deadline_timeout () =
   let pipeline = Pipeline.default ~optimize:true in
   let text = transpose_text () in
-  let limits = { Guard.deadline_s = Some 0.; work_budget = None } in
+  let limits = { Guard.deadline_s = Some 0. } in
   match
     Driver.compile_job ~limits (Driver.job_of_text ~pipeline ~name:"t.hir" text)
   with
@@ -497,16 +500,6 @@ let test_deadline_timeout () =
        let n = String.length needle and l = String.length msg in
        let rec go i = i + n <= l && (String.sub msg i n = needle || go (i + 1)) in
        go 0)
-
-let test_work_budget () =
-  let pipeline = Pipeline.default ~optimize:true in
-  let text = transpose_text () in
-  let limits = { Guard.deadline_s = None; work_budget = Some 1 } in
-  match
-    Driver.compile_job ~limits (Driver.job_of_text ~pipeline ~name:"t.hir" text)
-  with
-  | Ok _ -> Alcotest.fail "expected a 1-tick work budget to exhaust"
-  | Error e -> check_bool "classified as timeout" true (e.Driver.err_class = Driver.Timeout)
 
 (* ------------------------------------------------------------------ *)
 (* Cache integrity                                                     *)
@@ -891,7 +884,7 @@ let test_delay_order_design () =
     && List.for_all2 Bitvec.equal expected actual)
 
 (* ------------------------------------------------------------------ *)
-(* Degradation ladders                                                 *)
+(* Degradation                                                         *)
 
 (* A backstop trip means the rewrite driver did not converge (a rewrite
    bug).  The job fails with a located diagnostic; it is not retried and
@@ -911,63 +904,6 @@ let test_canonicalize_backstop_diagnostic () =
   in
   expect_permanent outcome
     "\"t.hir\": error: canonicalize did not converge within 0 rounds (rewrite backstop)"
-
-let test_sim_settle_fallback () =
-  let module Emit = Hir_codegen.Emit in
-  let module Harness = Hir_rtl.Harness in
-  let input = Hir_kernels.Fifo.make_input ~seed:11 in
-  let run_with ~engine () =
-    Ir.with_isolated_ids (fun () ->
-        let m, f = Hir_kernels.Fifo.build () in
-        let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
-        let inputs = [ Harness.Tensor (Array.copy input); Harness.Out_tensor ] in
-        let r, agents = Harness.run ~engine ~emitted ~inputs ~cycles:80 () in
-        (r, Harness.nth_tensor agents 1))
-  in
-  let clean, clean_out = run_with ~engine:`Reference () in
-  (* [Sim.settle_fault_hook] fires at the start of every settle of the
-     opcode engine (the default), so the injected Sim_error surfaces
-     from its first settle. *)
-  let cfg = { Faults.rules = [ ("sim.settle", Faults.Nth 1) ]; seed = 0 } in
-  let (degraded, degraded_out), counters =
-    Metrics.with_scope (fun () -> Faults.with_config cfg (run_with ~engine:`Opcode))
-  in
-  check_bool "ladder fell back to the reference engine" true
-    (degraded.Harness.engine_used = `Reference);
-  check_bool "fallback counter recorded" true
-    (List.mem_assoc "sim.fallback_reference" counters);
-  check_bool "degraded run matches a clean reference run" true
-    (clean.Harness.output_values = degraded.Harness.output_values && clean_out = degraded_out)
-
-(* Same ladder for batched runs: a Sim_error mid-batch re-runs every
-   stimulus on the reference walker. *)
-let test_sim_batch_fallback () =
-  let module Emit = Hir_codegen.Emit in
-  let module Harness = Hir_rtl.Harness in
-  let input = Hir_kernels.Fifo.make_input ~seed:12 in
-  let run_with ~engine () =
-    Ir.with_isolated_ids (fun () ->
-        let m, f = Hir_kernels.Fifo.build () in
-        let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
-        let stimuli =
-          List.init 2 (fun _ -> [ Harness.Tensor (Array.copy input); Harness.Out_tensor ])
-        in
-        Harness.run_batch ~engine ~stimuli ~emitted ~cycles:80 ())
-  in
-  let clean = run_with ~engine:`Reference () in
-  let cfg = { Faults.rules = [ ("sim.settle", Faults.Nth 1) ]; seed = 0 } in
-  let degraded, counters =
-    Metrics.with_scope (fun () -> Faults.with_config cfg (run_with ~engine:`Opcode))
-  in
-  check_bool "batch fallback counter recorded" true
-    (List.mem_assoc "sim.fallback_reference" counters);
-  List.iter2
-    (fun ((c : Harness.run_result), _) ((d : Harness.run_result), _) ->
-      check_bool "batched ladder fell back to the reference engine" true
-        (d.Harness.engine_used = `Reference);
-      check_bool "degraded batch stimulus matches clean reference" true
-        (c.Harness.output_values = d.Harness.output_values))
-    clean degraded
 
 (* ------------------------------------------------------------------ *)
 (* Batch robustness under injection                                    *)
@@ -1139,7 +1075,6 @@ let () =
       ( "guards",
         [
           Alcotest.test_case "deadline-timeout" `Quick test_deadline_timeout;
-          Alcotest.test_case "work-budget" `Quick test_work_budget;
         ] );
       ( "cache-integrity",
         [
@@ -1173,8 +1108,6 @@ let () =
         [
           Alcotest.test_case "canonicalize-backstop-diagnostic" `Quick
             test_canonicalize_backstop_diagnostic;
-          Alcotest.test_case "sim-settle-fallback" `Quick test_sim_settle_fallback;
-          Alcotest.test_case "sim-batch-fallback" `Quick test_sim_batch_fallback;
         ] );
       ( "batch-robustness",
         [

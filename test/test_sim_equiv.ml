@@ -11,8 +11,8 @@
      driven for many cycles with per-stimulus random input streams
      through every engine × batch {1,4};
    - lockstep runs of real compiled kernels (via the harness) on both
-     engines, plus a batched multi-stimulus run, comparing scalar
-     outputs, tensors, and failures.
+     engines, plus forked multi-stimulus runs with memory agents,
+     comparing scalar outputs, tensors, and failures.
    The opcode engine's schedule counters are pinned on two kernels, and
    the harness's memory agents get an out-of-range address check. *)
 
@@ -172,8 +172,8 @@ let compare_failures ctx fc fr =
 (* Every engine replays the same per-stimulus input streams and is
    compared peek-for-peek, cycle-for-cycle, against a reference-walker
    trace of the same stimulus — plus assertion/OOB failure ordering at
-   the end.  Batched variants run their sims interleaved cycle by
-   cycle through [Sim.fork], the same shape as [Harness.run_batch]. *)
+   the end.  Batched variants run [Sim.fork]s of one simulator
+   interleaved cycle by cycle. *)
 let n_stimuli = 4
 let n_cycles = 30
 
@@ -296,8 +296,9 @@ let kernel_lockstep name build inputs ~out_arg () =
   check_against_reference (name ^ "/opcode") ~rr ~ar ~rc ~ac ~out_arg
 
 (* Batched multi-stimulus execution: four different input tensors
-   through one compiled opcode program (forked register files), each
-   compared against an individual reference run of the same stimulus. *)
+   through one compiled opcode program, each on a [Sim.fork] with its
+   own memory agents, interleaved cycle by cycle, and each compared
+   against an individual reference run of the same stimulus. *)
 let batch_lockstep () =
   let build = Hir_kernels.Transpose.build in
   let stimuli =
@@ -311,17 +312,29 @@ let batch_lockstep () =
   let cycles = interp_cycles ~m ~f (List.hd stimuli) in
   let m, f = build () in
   let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
-  let batched =
-    Harness.run_batch ~engine:`Opcode ~emitted ~stimuli ~cycles ()
+  let proto = Sim.create (Flatten.flatten emitted.Emit.design) in
+  let runs =
+    List.map
+      (fun inputs ->
+        let sim = Sim.fork proto in
+        (sim, Sim.writer sim "t_start", Harness.setup_agents sim ~emitted ~inputs))
+      stimuli
   in
-  Alcotest.(check int) "batch size" (List.length stimuli) (List.length batched);
+  let total = cycles + 8 in
+  for c = 0 to total - 1 do
+    List.iter
+      (fun (sim, start, agents) ->
+        Harness.cycle_once sim ~start agents None ~is_first:(c = 0))
+      runs
+  done;
   List.iteri
-    (fun k (rc, ac) ->
+    (fun k (sim, _, ac) ->
+      let rc = Harness.finish_run sim ~emitted ~total in
       let inputs = List.nth stimuli k in
       let rr, ar = Harness.run ~engine:`Reference ~emitted ~inputs ~cycles () in
-      check_against_reference (Printf.sprintf "transpose/batch[%d]" k) ~rr ~ar ~rc ~ac
+      check_against_reference (Printf.sprintf "transpose/fork[%d]" k) ~rr ~ar ~rc ~ac
         ~out_arg:1)
-    batched
+    runs
 
 let transpose_lockstep () =
   let input = Hir_kernels.Transpose.make_input ~seed:91 in
