@@ -18,13 +18,21 @@ test:
 # Build + tests + an end-to-end `hirc batch` smoke over the textual
 # example designs and every built-in kernel (4 workers, traced, on a
 # cache emptied first so every job runs parse -> verify -> passes ->
-# emit for real), plus a bounded deterministic fuzz pass over the
-# frontend.
+# emit for real, except a job another job's entries already serve),
+# plus a bounded deterministic fuzz pass over the frontend.  The
+# summary's cache hits must count exactly the jobs printed "(cached)".
 check: build test
 	@rm -rf _build/.hirc-smoke-cache
 	dune exec bin/hirc.exe -- batch $(SMOKE_DESIGNS) --kernels -j 4 \
 	  --cache-dir _build/.hirc-smoke-cache --trace _build/smoke.trace.json \
-	  -o _build/smoke-verilog
+	  -o _build/smoke-verilog > _build/smoke.out; \
+	  code=$$?; cat _build/smoke.out; exit $$code
+	@hits=$$(sed -n 's/.*, cache \([0-9]*\) hits.*/\1/p' _build/smoke.out); \
+	  cached=$$(grep -c '(cached)' _build/smoke.out); \
+	  if [ "$$hits" != "$$cached" ]; then \
+	    echo "make check: FAILED (smoke batch counts $$hits cache hits but printed $$cached (cached) lines)"; exit 1; \
+	  fi
+	@echo "smoke batch cache count: OK"
 	dune exec bin/hirc.exe -- fuzz 2000 --seed 1
 	@_build/default/bin/hirc.exe sim transposee 2>&1 | grep -q "did you mean transpose" \
 	  || { echo "make check: FAILED (sim typo did not suggest a kernel)"; exit 1; }

@@ -91,11 +91,8 @@ let run_job ?cache ?stats ~out job =
     Option.iter (Printf.eprintf "note: %s\n") o.Driver.note;
     if stats = Some true then
       Format.eprintf "%a%!" Pass.Manager.pp_stats o.Driver.pass_stats;
-    (match (stats, cache) with
-    | Some true, Some c ->
-      Printf.eprintf "cache: %d hits / %d misses / %d stores\n" (Cache.hits c)
-        (Cache.misses c) (Cache.store_count c)
-    | _ -> ());
+    if stats = Some true && cache <> None then
+      prerr_endline (if o.Driver.from_cache then "cache: hit" else "cache: miss");
     output_text out o.Driver.verilog;
     0
 
@@ -320,9 +317,9 @@ let passes_arg =
     & opt (some string) None
     & info [ "passes" ] ~docv:"SPEC"
         ~doc:
-          "Comma-separated pass pipeline, e.g. \
-           'canonicalize,precision-opt,unroll,delay-elim'. Stages take options in \
-           braces: 'retime{repeat=2}'.")
+          "Comma-separated pass names, e.g. \
+           'canonicalize,precision-opt,unroll,delay-elim'. A pass runs once per \
+           mention: 'retime,retime' runs retime twice.")
 
 let pipeline_cmd =
   let list_arg =
@@ -643,7 +640,7 @@ let cache_cmd =
       & info [ "stats" ]
           ~doc:
             "Print on-disk population and size by entry kind (whole-job, linked \
-             design, normalized source, per-function IR, per-function Verilog)")
+             design, normalized source, per-function Verilog)")
   in
   let warm c spec workers =
     let names =
@@ -740,15 +737,10 @@ let cache_cmd =
 let write_batch_json path ~workers (result : Driver.batch_result) =
   let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
   let num n = Json.Num (float_of_int n) in
-  let ok = ref 0 and degraded = ref 0 and failed = ref 0 in
   let jobs =
     Array.to_list result.Driver.reports
     |> List.map (fun (r : Driver.report) ->
            let status = Driver.report_status r in
-           (match status with
-           | `Ok -> incr ok
-           | `Degraded -> incr degraded
-           | `Failed | `Cancelled -> incr failed);
            let common =
              [
                ("name", Json.Str r.Driver.rp_job);
@@ -769,13 +761,14 @@ let write_batch_json path ~workers (result : Driver.batch_result) =
            in
            Json.Obj (common @ rest))
   in
+  let t = Driver.tally result.Driver.reports in
   let summary =
     Json.Obj
       [
         ("total", num (Array.length result.Driver.reports));
-        ("ok", num !ok);
-        ("degraded", num !degraded);
-        ("failed", num !failed);
+        ("ok", num t.Driver.t_ok);
+        ("degraded", num t.Driver.t_degraded);
+        ("failed", num t.Driver.t_failed);
         ("wall_seconds", Json.Num result.Driver.wall_seconds);
         ("workers", num workers);
         ("notes", strs result.Driver.batch_notes);
@@ -896,14 +889,9 @@ let batch_cmd =
             with_faults fault_cfg (fun () ->
                 Driver.batch ?cache ~workers ~limits ~retry (Array.of_list jobs))
           in
-          let ok = ref 0 and degraded = ref 0 and failed = ref 0 in
           Array.iter
             (fun (r : Driver.report) ->
               let status = Driver.report_status r in
-              (match status with
-              | `Ok -> incr ok
-              | `Degraded -> incr degraded
-              | `Failed | `Cancelled -> incr failed);
               let attempts =
                 if r.Driver.rp_attempts > 1 then
                   Printf.sprintf "  (%d attempts)" r.Driver.rp_attempts
@@ -934,11 +922,16 @@ let batch_cmd =
                 List.iter (fun d -> Printf.printf "    - %s\n" d) o.Driver.degradations)
             result.Driver.reports;
           List.iter (fun n -> Printf.printf "note: %s\n" n) result.Driver.batch_notes;
+          let total = Array.length result.Driver.reports in
+          let t = Driver.tally result.Driver.reports in
+          (* Hits are the jobs served from the cache, whichever entry
+             kind hit; misses are the rest. *)
           let cache_line =
             match cache with
             | None -> ""
             | Some c ->
-              Printf.sprintf ", cache %d hits / %d misses" (Cache.hits c) (Cache.misses c)
+              Printf.sprintf ", cache %d hits / %d misses" t.Driver.t_cached
+                (total - t.Driver.t_cached)
               ^ (match (Cache.corrupt_count c, Cache.fault_count c) with
                 | 0, 0 -> ""
                 | corrupt, faults ->
@@ -946,8 +939,7 @@ let batch_cmd =
           in
           Printf.printf
             "batch: %d jobs (%d ok, %d degraded, %d failed), %d workers, %.2f ms wall%s\n"
-            (Array.length result.Driver.reports)
-            !ok !degraded !failed workers
+            total t.Driver.t_ok t.Driver.t_degraded t.Driver.t_failed workers
             (result.Driver.wall_seconds *. 1000.)
             cache_line;
           (match trace_out with
@@ -963,7 +955,7 @@ let batch_cmd =
           (* Exit contract: 0 = every job produced output (possibly
              degraded), 2 = the batch completed but some jobs failed.
              Exit 1 is reserved for not running at all (bad spec). *)
-          if !failed > 0 then 2 else 0
+          if t.Driver.t_failed > 0 then 2 else 0
         end)
   in
   Cmd.v

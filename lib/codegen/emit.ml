@@ -1184,15 +1184,19 @@ let emit ?(hier = true) ~module_op ~top () =
     module_ifaces = (top_ifc.ifc_module, top_ifc) :: !ifaces;
   }
 
-(* Convenience: run the mandatory lowering pipeline then emit.  The
-   scalar optimizations run before unrolling (cheaper on the compact
-   design and inherited by every clone); delay elimination runs after,
-   where it can share the shift registers of replicated bodies. *)
+(* The default pass pipeline: [compile] runs it, and the driver's
+   [Pipeline.default] names it.  The scalar optimizations run before
+   unrolling (cheaper on the compact design and inherited by every
+   clone); delay elimination runs after, where it can share the shift
+   registers of replicated bodies.  Unrolling is the one mandatory
+   lowering. *)
+let default_passes ~optimize =
+  if optimize then [ Passes.canonicalize; Precision_opt.pass; Unroll.pass; Passes.delay_elim ]
+  else [ Unroll.pass ]
+
+(* Convenience: run the default pipeline then emit.  Pass diagnostics
+   are not reported here; the driver's pipeline reports them. *)
 let compile ?(optimize = false) ?(hier = true) ~module_op ~top () =
-  if optimize then begin
-    ignore (Passes.run_canonicalize module_op);
-    ignore (Precision_opt.run module_op)
-  end;
-  ignore (Unroll.run module_op);
-  if optimize then ignore (Passes.run_delay_elim module_op);
+  let engine = Diagnostic.Engine.create () in
+  List.iter (fun (p : Pass.t) -> ignore (p.Pass.run module_op engine)) (default_passes ~optimize);
   emit ~hier ~module_op ~top ()

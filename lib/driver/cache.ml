@@ -1,6 +1,6 @@
 (* Content-addressed compilation cache with a keyed fingerprint chain.
 
-   The cache holds five *kinds* of entry, one per memoization boundary
+   The cache holds four *kinds* of entry, one per memoization boundary
    of the staged compile flow in [Driver]:
 
      - [Job]  — the legacy all-or-nothing entry: the final Verilog of a
@@ -9,12 +9,12 @@
      - [Src]  — the *normalized* module text (print∘parse fixed point)
        keyed on the raw source text.  A hit proves the source parsed
        and verified before, so the verify stage is skipped.
-     - [Fn]   — one function's optimized IR snapshot, keyed on its
-       *cone hash*: the function's normalized printed form plus the
-       (recursive) hashes of its callees, plus the pass-pipeline spec.
      - [Vmod] — one function's emitted Verilog module text plus its
-       inclusive resource usage, keyed on the same cone hash.  A hit
-       skips that function's optimize *and* emit stages.
+       inclusive resource usage, keyed on its *cone hash*: the
+       function's normalized printed form plus the (recursive) hashes
+       of its callees, plus the pass-pipeline spec.  A hit skips that
+       function's optimize *and* emit stages; a miss re-optimizes and
+       emits it from the in-memory plan.
      - [Link] — the final linked Verilog of a design, keyed on the top
        function's cone hash.  A hit means every function of the design
        is unchanged, however much the rest of the source file moved
@@ -22,9 +22,9 @@
        cache without optimizing or emitting anything.
 
    Editing one kernel of an 8-kernel module therefore invalidates that
-   kernel's Fn/Vmod/Link tail only; the 7 untouched kernels re-link
-   from their Link entries and the edited one reuses every callee's
-   Fn/Vmod entries below the edit.
+   kernel's Vmod/Link tail only; the 7 untouched kernels re-link from
+   their Link entries and the edited one reuses every callee's Vmod
+   entry below the edit.
 
    Integrity (unchanged from the single-kind cache): the cache trusts
    nothing it reads back.  Every hit re-digests the payload against the
@@ -35,8 +35,9 @@
    miss-plus-recompute — a damaged cache can cost time, never wrong
    Verilog.  `hirc cache --verify` runs the same check over every
    entry offline through a side-effect-free probe (the runtime
-   hit/miss counters are not perturbed), and `--prune` empties the
-   quarantine and removes stale temp files.
+   hit/miss counters are not perturbed) and quarantines files of no
+   current kind, and `--prune` empties the quarantine and removes
+   stale temp files.
 
    Writes go through a unique temp file followed by [Sys.rename], which
    is atomic on POSIX: concurrent workers (or concurrent hirc
@@ -61,22 +62,20 @@
    whole population.  Entries at the root are the pre-shard layout;
    [verify] retires them to the quarantine. *)
 
-type kind = Job | Link | Src | Fn | Vmod
+type kind = Job | Link | Src | Vmod
 
-let kinds = [ Job; Link; Src; Fn; Vmod ]
+let kinds = [ Job; Link; Src; Vmod ]
 
 let kind_to_string = function
   | Job -> "job"
   | Link -> "link"
   | Src -> "src"
-  | Fn -> "fn"
   | Vmod -> "vmod"
 
 let kind_of_string = function
   | "job" -> Some Job
   | "link" -> Some Link
   | "src" -> Some Src
-  | "fn" -> Some Fn
   | "vmod" -> Some Vmod
   | _ -> None
 
@@ -87,7 +86,6 @@ let kind_ext = function
   | Job -> ".v"
   | Link -> ".lnk"
   | Src -> ".src"
-  | Fn -> ".fn"
   | Vmod -> ".vm"
 
 type kind_stat = { k_hits : int; k_misses : int; k_stores : int }
@@ -113,12 +111,6 @@ let count_kind t kind what = count t (kind_to_string kind ^ "." ^ what)
    compiles its module's printed fixed point, so it emits what a text
    job of the same printed module emits under the same Job key.) *)
 let driver_version = "hir-driver/6"
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 
@@ -147,7 +139,7 @@ let measure_bytes t =
     0 (shards t)
 
 let create ?budget_bytes ~dir () =
-  mkdir_p dir;
+  Io.mkdir_p dir;
   let t =
     {
       dir;
@@ -168,7 +160,7 @@ let key ~pipeline ~top ~source =
   Digest.to_hex (Digest.string material)
 
 (* A key for the staged entries: the kind joins the material, so the
-   Fn and Vmod entries of one cone hash never collide. *)
+   Link and Vmod entries of one cone hash never collide. *)
 let stage_key ~kind ~parts =
   let material =
     String.concat "\x00" (driver_version :: kind_to_string kind :: parts)
@@ -178,7 +170,7 @@ let stage_key ~kind ~parts =
 type entry = {
   e_verilog : string;
       (* the payload: final Verilog for Job/Link, one module's Verilog
-         for Vmod, normalized/optimized IR text for Src/Fn *)
+         for Vmod, the normalized module text for Src *)
   e_top : string;  (* top/function name; "" where not meaningful *)
   e_usage : Hir_resources.Model.usage;
 }
@@ -191,21 +183,6 @@ let shard_dir t k =
 let payload_path t kind k = Filename.concat (shard_dir t k) (k ^ kind_ext kind)
 let verilog_path t k = payload_path t Job k
 let meta_path t k = Filename.concat (shard_dir t k) (k ^ ".meta")
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Make a rename durable: fsync the directory that holds the entry. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
 
 (* Atomic *and durable* publish via temp file + fsync + rename + dir
    fsync: the bytes are on disk before the rename makes them visible,
@@ -229,7 +206,7 @@ let write_file_atomic ~dir path content =
           close_out oc);
       Faults.point "cache.write";
       Sys.rename tmp path;
-      fsync_dir dir)
+      Io.fsync_dir dir)
 
 let content_digest verilog = Digest.to_hex (Digest.string verilog)
 
@@ -277,7 +254,7 @@ let meta_of_string s =
    numeric suffix ([<name>.1], [.2], …).  Best-effort throughout —
    quarantining must never fail the compile that found the damage. *)
 let quarantine_file t path =
-  mkdir_p (quarantine_dir t);
+  Io.mkdir_p (quarantine_dir t);
   let base = Filename.basename path in
   let rec dst_for n =
     let candidate =
@@ -324,7 +301,7 @@ let probe ?(kind = Job) t k =
     Faults.point "cache.read";
     if not (Sys.file_exists vp && Sys.file_exists mp) then Miss
     else
-      match meta_of_string (read_file mp) with
+      match meta_of_string (Io.read_file mp) with
       | None ->
         quarantine_entry ~kind t k;
         Corrupt (Printf.sprintf "%s: unparseable metadata" (k ^ ".meta"))
@@ -334,7 +311,7 @@ let probe ?(kind = Job) t k =
           Corrupt (Printf.sprintf "%s: entry kind mismatch" (k ^ ".meta"))
         end
         else
-          let verilog = read_file vp in
+          let verilog = Io.read_file vp in
           if not (String.equal (content_digest verilog) digest) then begin
             quarantine_entry ~kind t k;
             Corrupt
@@ -426,7 +403,7 @@ let store ?(kind = Job) t k entry =
      already succeeded.  The next lookup simply misses again. *)
   try
     let shard = shard_dir t k in
-    mkdir_p shard;
+    Io.mkdir_p shard;
     let meta =
       meta_to_string ~kind ~top:entry.e_top
         ~digest:(content_digest entry.e_verilog)
@@ -519,6 +496,16 @@ let verify t =
       shard_files
     |> List.sort compare
   in
+  (* Files of no current kind (payloads of a retired kind, such as the
+     optimized-function [.fn] entries) can never hit either.  Temp
+     files may be a concurrent store in flight: [prune] handles them. *)
+  let strays =
+    List.filter
+      (fun (_, f) ->
+        not (Filename.check_suffix f ".meta" || Filename.check_suffix f ".tmp" || is_payload f))
+      shard_files
+    |> List.sort compare
+  in
   (* Pre-shard flat entries at the root can never hit again; retire
      them rather than leaving dead weight in the directory. *)
   let legacy =
@@ -534,7 +521,7 @@ let verify t =
          unparseable sidecar probes as the default kind, whose
          quarantine path sweeps all possible payloads. *)
       let kind =
-        match meta_of_string (read_file (meta_path t k)) with
+        match meta_of_string (Io.read_file (meta_path t k)) with
         | Some (kind, _, _, _) -> kind
         | None | (exception Sys_error _) | (exception Unix.Unix_error _) -> Job
       in
@@ -552,12 +539,18 @@ let verify t =
       quarantined := (k, "orphan payload (no metadata)") :: !quarantined)
     orphans;
   List.iter
+    (fun (s, f) ->
+      quarantine_file t (Filename.concat (Filename.concat t.dir s) f);
+      quarantined := (f, "file of no current entry kind") :: !quarantined)
+    strays;
+  List.iter
     (fun f ->
       quarantine_file t (Filename.concat t.dir f);
       quarantined := (f, "legacy flat entry (pre-shard layout)") :: !quarantined)
     legacy;
   {
-    vr_scanned = List.length entries + List.length orphans + List.length legacy;
+    vr_scanned =
+      List.length entries + List.length orphans + List.length strays + List.length legacy;
     vr_ok = !ok;
     vr_quarantined = List.rev !quarantined;
   }
@@ -601,7 +594,7 @@ let stats_by_kind t =
         (fun f ->
           if Filename.check_suffix f ".meta" then begin
             let k = Filename.remove_extension f in
-            match meta_of_string (read_file (Filename.concat dir f)) with
+            match meta_of_string (Io.read_file (Filename.concat dir f)) with
             | exception Sys_error _ -> ()
             | None -> ()
             | Some (kind, _, _, _) ->

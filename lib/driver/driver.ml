@@ -166,8 +166,6 @@ let pass_instrument ~trace ~guard = function
       counters;
     Guard.tick guard
 
-let zero_usage = Hir_resources.Model.zero
-
 let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
   let trace = match trace with Some t -> t | None -> Trace.create () in
   let name = source_name job.src in
@@ -316,7 +314,7 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                         {
                           Cache.e_verilog = plan.Incr.pl_text;
                           e_top = "";
-                          e_usage = zero_usage;
+                          e_usage = Hir_resources.Model.zero;
                         };
                       plan
                   in
@@ -366,7 +364,8 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                 in
                 (* Restore every named definition from its own Vmod
                    entry; a missing one (evicted independently of the
-                   function entry) turns the function hit into a miss. *)
+                   function entry) turns the function hit into a miss,
+                   and the function is optimized and emitted again. *)
                 let restore_defs names =
                   List.for_all
                     (fun dn ->
@@ -384,8 +383,7 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                 List.iter
                   (fun fn ->
                     Guard.tick guard;
-                    let h = hash fn in
-                    let vmod_key = Cache.stage_key ~kind:Cache.Vmod ~parts:[ h ] in
+                    let vmod_key = Cache.stage_key ~kind:Cache.Vmod ~parts:[ hash fn ] in
                     let hit =
                       match consult Cache.Vmod "function-verilog" vmod_key with
                       | Some e ->
@@ -407,29 +405,16 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                       let emit =
                         if (Incr.fn_info plan fn).Incr.fi_extern then
                           Incr.emit_extern plan
-                        else
-                          let fn_key =
-                            Cache.stage_key ~kind:Cache.Fn ~parts:[ h ]
+                        else begin
+                          let opt_fn, _, stats =
+                            Trace.span trace "optimize" (fun () ->
+                                Incr.optimize plan ~passes
+                                  ~instrument:(pass_instrument ~trace ~guard)
+                                  fn)
                           in
-                          (* Emit parses a cached optimized function; a
-                             fresh one is still in memory. *)
-                          match consult Cache.Fn "function-ir" fn_key with
-                          | Some e -> Incr.emit_fn plan ~opt:(Incr.Text e.Cache.e_verilog)
-                          | None ->
-                            let opt_fn, opt_text, stats =
-                              Trace.span trace "optimize" (fun () ->
-                                  Incr.optimize plan ~passes
-                                    ~instrument:(pass_instrument ~trace ~guard)
-                                    fn)
-                            in
-                            all_stats := stats :: !all_stats;
-                            store Cache.Fn "optimized function" fn_key
-                              {
-                                Cache.e_verilog = opt_text;
-                                e_top = fn;
-                                e_usage = zero_usage;
-                              };
-                            Incr.emit_fn plan ~opt:(Incr.Clone opt_fn)
+                          all_stats := stats :: !all_stats;
+                          Incr.emit_fn plan ~opt:(Incr.Clone opt_fn)
+                        end
                       in
                       let vmodule, defs =
                         Trace.span trace ~cat:"backend" "emit" (fun () -> emit fn)
@@ -623,6 +608,29 @@ let status_to_string = function
   | `Failed -> "failed"
   | `Cancelled -> "cancelled"
 
+(* What a batch's reports add up to, for its summary line and JSON. *)
+type tally = {
+  t_ok : int;
+  t_degraded : int;
+  t_failed : int;  (* failed or cancelled *)
+  t_cached : int;  (* served from the cache, whichever entry kind hit *)
+}
+
+let tally reports =
+  Array.fold_left
+    (fun t r ->
+      let t =
+        match report_status r with
+        | `Ok -> { t with t_ok = t.t_ok + 1 }
+        | `Degraded -> { t with t_degraded = t.t_degraded + 1 }
+        | `Failed | `Cancelled -> { t with t_failed = t.t_failed + 1 }
+      in
+      match r.rp_outcome with
+      | Ok o when o.from_cache -> { t with t_cached = t.t_cached + 1 }
+      | _ -> t)
+    { t_ok = 0; t_degraded = 0; t_failed = 0; t_cached = 0 }
+    reports
+
 (* A report for a job that was cancelled before any attempt ran (the
    service core dequeues it without spending a worker on it). *)
 let cancelled_report ~job =
@@ -786,11 +794,5 @@ let batch ?cache ?(workers = 1) ?(limits = Guard.no_limits) ?(retry = default_re
    failed to compile. *)
 let warm_cache ~cache ?(workers = 1) ?(limits = Guard.no_limits)
     ?(retry = default_retry) (jobs : job array) =
-  let result = batch ~cache ~workers ~limits ~retry jobs in
-  Array.fold_left
-    (fun (stored, hits, failures) r ->
-      match r.rp_outcome with
-      | Ok o when o.from_cache -> (stored, hits + 1, failures)
-      | Ok _ -> (stored + 1, hits, failures)
-      | Error _ -> (stored, hits, failures + 1))
-    (0, 0, 0) result.reports
+  let t = tally (batch ~cache ~workers ~limits ~retry jobs).reports in
+  (t.t_ok + t.t_degraded - t.t_cached, t.t_cached, t.t_failed)

@@ -153,8 +153,6 @@ let uninstall () =
   Atomic.set current None;
   Atomic.incr epoch
 
-let active () = Atomic.get current <> None
-
 let with_config cfg f =
   install cfg;
   Fun.protect ~finally:uninstall f

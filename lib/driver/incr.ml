@@ -13,16 +13,16 @@
    incremental recompile byte-identical to a cold one — the property
    the qcheck suite pins.
 
-   Only the warm path parses per-function text (an optimized function
-   read back from its Fn entry).  A cold compile builds its
-   mini-modules in memory: it clones the functions of the normalized
-   module, and the optimized function the optimizer has just printed
+   The compile path never parses per-function text: it builds its
+   mini-modules in memory, cloning the functions of the normalized
+   module and the optimized function the optimizer has just printed
    with [Printer.op_to_string_fixed].  Both are at the print∘parse
    fixed point, and [Ir.Clone] allocates ids in the parser's order, so
    a clone is the IR its text would parse to, id for id.  A qcheck
    property in test_incremental pins clone ≡ parse on random designs
    and every kernel: same printed text, same id sequences, same
-   Verilog.
+   Verilog.  The parse side ([Text] members, [module_of_texts]) serves
+   that property and the benchmark's staged replay.
 
    Modules that this decomposition cannot compile raise [Fallback]
    with the reason: a call to an unknown function, a call cycle (no
@@ -278,19 +278,14 @@ let optimize plan ~passes ~instrument name =
       in
       (f, Printer.op_to_string_fixed f, result.Pass.stats))
 
-let optimize_fn plan ~passes ~instrument name =
-  let _, text, stats = optimize plan ~passes ~instrument name in
-  (text, stats)
-
 (* ------------------------------------------------------------------ *)
 (* Per-function emit                                                    *)
 
 (* Emit one function's Verilog module.  The mini-module holds the
    *pre-opt* direct callees (instantiation only reads their interfaces,
    which optimization never changes) and the optimized function
-   itself: the op [optimize] returned on a cold compile, or the text of
-   the Fn entry on a warm one — the same IR either way, so the emitter
-   runs on what the Fn snapshot reproduces. *)
+   itself: the op [optimize] returned, or its printed form — the same
+   IR either way (clone ≡ parse). *)
 let emit_members plan ~opt name =
   List.map (fun c -> (c, Clone (fn_info plan c).fi_func)) (fn_info plan name).fi_callees
   @ [ (name, opt) ]

@@ -147,34 +147,13 @@ let parse_record line =
 
 let log_path dir = Filename.concat dir "journal.log"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* Make a rename durable: fsync the containing directory. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* Appending                                                           *)
 
 type t = { j_dir : string; j_fd : Unix.file_descr }
 
 let open_journal ~dir =
-  mkdir_p dir;
+  Io.mkdir_p dir;
   let fd =
     Unix.openfile (log_path dir) [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
   in
@@ -182,21 +161,13 @@ let open_journal ~dir =
 
 let close t = try Unix.close t.j_fd with Unix.Unix_error _ -> ()
 
-let rec write_all fd data off len =
-  if len > 0 then
-    match Unix.write fd data off len with
-    | n -> write_all fd data (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd data off len
-
 (* Journal IO failure is *degraded durability*, not a failed job: the
    caller counts it and keeps serving (clients recover the hole via
    idempotent resubmission). *)
 let append t ~fault_point j =
   try
     Faults.point fault_point;
-    let line = record_line j in
-    let data = Bytes.of_string line in
-    write_all t.j_fd data 0 (Bytes.length data);
+    Io.write_all t.j_fd (record_line j);
     Unix.fsync t.j_fd;
     Ok ()
   with
@@ -248,7 +219,7 @@ let replay ~dir =
   let path = log_path dir in
   if not (Sys.file_exists path) then empty_replay
   else begin
-    let lines, torn = complete_lines (read_file path) in
+    let lines, torn = complete_lines (Io.read_file path) in
     let pending : (string * string, admit) Hashtbl.t = Hashtbl.create 64 in
     let order = ref [] in  (* newest first *)
     let records = ref 0 and completed = ref 0 and quarantined = ref 0 in
@@ -308,20 +279,18 @@ let verify = replay
 let compact ?result ~dir () =
   try
     let r = match result with Some r -> r | None -> replay ~dir in
-    mkdir_p dir;
+    Io.mkdir_p dir;
     let tmp = log_path dir ^ ".tmp" in
     let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
         List.iter
-          (fun a ->
-            let data = Bytes.of_string (record_line (admit_to_json a)) in
-            write_all fd data 0 (Bytes.length data))
+          (fun a -> Io.write_all fd (record_line (admit_to_json a)))
           r.rr_pending;
         Unix.fsync fd);
     Sys.rename tmp (log_path dir);
-    fsync_dir dir;
+    Io.fsync_dir dir;
     Ok (List.length r.rr_pending)
   with
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)

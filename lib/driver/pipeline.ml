@@ -1,31 +1,21 @@
 (* Textual pass-pipeline specifications: pipelines as data.
 
-   Grammar (whitespace-insensitive):
+   A spec is a comma-separated list of registered pass names; spaces
+   around a name are ignored and a pass runs once per mention:
 
-     spec    ::= stage (',' stage)*
-     stage   ::= name | name '{' options '}'
-     options ::= option (',' option)*
-     option  ::= key '=' value
+     "canonicalize,precision-opt,unroll,delay-elim"
+     "cse,retime,retime,precision-opt"
 
-   e.g.  "canonicalize,precision-opt,unroll,delay-elim"
-         "cse,retime{repeat=2},precision-opt"
-
-   A spec parses into a list of named stages resolved against the pass
-   registry below, and prints back in normalized form ([parse] o
-   [to_string] is the identity on normalized specs).  Every stage
-   accepts the generic option [repeat=N] (run the pass N times); any
-   other option is rejected at parse time so typos fail fast rather
-   than silently doing nothing. *)
+   Names resolve against the pass registry below at parse time, so a
+   typo fails fast instead of silently doing nothing, and a spec prints
+   back in normalized form ([parse] o [to_string] is the identity on
+   normalized specs). *)
 
 open Hir_ir
 open Hir_dialect
 
-type stage = {
-  st_name : string;
-  st_options : (string * string) list;  (* normalized: sorted by key *)
-}
-
-type spec = { stages : stage list }
+(* The passes of a spec, in the order they run. *)
+type spec = Pass.t list
 
 (* ------------------------------------------------------------------ *)
 (* Pass registry                                                       *)
@@ -41,19 +31,21 @@ let verify_pass =
       false)
 
 let registry : (string * Pass.t) list =
-  [
-    ("verify", verify_pass);
-    ("verify-schedule", Verify_schedule.pass);
-    ("dce", Passes.dce);
-    ("const-fold", Passes.const_fold);
-    ("cse", Passes.cse);
-    ("strength-reduction", Passes.strength_reduction);
-    ("delay-elim", Passes.delay_elim);
-    ("canonicalize", Passes.canonicalize);
-    ("precision-opt", Precision_opt.pass);
-    ("retime", Retime.pass);
-    ("unroll", Unroll.pass);
-  ]
+  List.map
+    (fun p -> (p.Pass.name, p))
+    [
+      verify_pass;
+      Verify_schedule.pass;
+      Passes.dce;
+      Passes.const_fold;
+      Passes.cse;
+      Passes.strength_reduction;
+      Passes.delay_elim;
+      Passes.canonicalize;
+      Precision_opt.pass;
+      Retime.pass;
+      Unroll.pass;
+    ]
 
 let available_passes () =
   List.map (fun (name, p) -> (name, p.Pass.description)) registry
@@ -62,164 +54,42 @@ let available_passes () =
 (* Parsing                                                             *)
 
 (* A parse failure, with the 0-based character offset of the offending
-   stage or option within the spec string — the raw material for the
-   located diagnostic [parse_located] returns. *)
+   stage within the spec string — the raw material for the located
+   diagnostic [parse_located] returns. *)
 type parse_error = { pe_offset : int; pe_msg : string }
 
-(* Split [s] on [sep] at brace depth 0, each part tagged with its
-   character offset in [s]. *)
-let split_top sep s =
-  let parts = ref [] in
-  let buf = Buffer.create 16 in
-  let depth = ref 0 in
-  let start = ref 0 in
-  String.iteri
-    (fun i c ->
-      if c = '{' then incr depth;
-      if c = '}' then decr depth;
-      if c = sep && !depth = 0 then begin
-        parts := (!start, Buffer.contents buf) :: !parts;
-        Buffer.clear buf;
-        start := i + 1
-      end
-      else Buffer.add_char buf c)
-    s;
-  parts := (!start, Buffer.contents buf) :: !parts;
-  List.rev !parts
-
-(* The offset of [trimmed]'s first character, given the untrimmed
-   part's offset. *)
-let trim_offset offset part =
-  let n = String.length part in
-  let rec lead i = if i < n && (part.[i] = ' ' || part.[i] = '\t') then lead (i + 1) else i in
-  offset + lead 0
-
-let parse_option ~offset stage_name s =
-  match String.index_opt s '=' with
-  | None ->
-    Error
-      {
-        pe_offset = offset;
-        pe_msg =
-          Printf.sprintf "stage '%s': option '%s' is not of the form key=value"
-            stage_name s;
-      }
-  | Some i ->
-    let key = String.trim (String.sub s 0 i) in
-    let value = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
-    if key = "" || value = "" then
-      Error
-        {
-          pe_offset = offset;
-          pe_msg =
-            Printf.sprintf "stage '%s': empty option key or value in '%s'" stage_name s;
-        }
-    else Ok (key, value)
-
-(* Each option arrives with the offset of its own key, so the error
-   points at the offending option, not merely its stage. *)
-let validate_options stage_name options =
-  let rec go = function
-    | [] -> Ok ()
-    | (offset, ("repeat", v)) :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go rest
-      | _ ->
-        Error
-          {
-            pe_offset = offset;
-            pe_msg =
-              Printf.sprintf "stage '%s': repeat=%s is not a positive integer"
-                stage_name v;
-          })
-    | (offset, (k, _)) :: _ ->
-      Error
-        {
-          pe_offset = offset;
-          pe_msg =
-            Printf.sprintf "stage '%s': unknown option '%s' (supported: repeat)"
-              stage_name k;
-        }
-  in
-  go options
-
-let parse_stage ~offset part =
-  let offset = trim_offset offset part in
-  let s = String.trim part in
-  if s = "" then Error { pe_offset = offset; pe_msg = "empty pipeline stage" }
-  else
-    let name, opts =
-      match String.index_opt s '{' with
-      | None -> (s, None)
-      | Some i ->
-        if String.length s = 0 || s.[String.length s - 1] <> '}' then (s, None)
-        else
-          ( String.trim (String.sub s 0 i),
-            (* options start just past the '{' *)
-            Some (offset + i + 1, String.sub s (i + 1) (String.length s - i - 2)) )
-    in
-    if String.contains name '{' || String.contains name '}' then
-      Error
-        {
-          pe_offset = offset;
-          pe_msg = Printf.sprintf "malformed stage '%s' (unbalanced braces?)" s;
-        }
-    else if not (List.mem_assoc name registry) then
-      Error
-        {
-          pe_offset = offset;
-          pe_msg =
-            Printf.sprintf "unknown pass '%s' (available: %s)" name
-              (String.concat ", " (List.map fst registry));
-        }
-    else
-      let options =
-        match opts with
-        | None -> Ok []
-        | Some (_, src) when String.trim src = "" -> Ok []
-        | Some (opts_offset, src) ->
-          List.fold_left
-            (fun acc (po, part) ->
-              match acc with
-              | Error _ as e -> e
-              | Ok parsed -> (
-                let po = trim_offset (opts_offset + po) part in
-                match parse_option ~offset:po name (String.trim part) with
-                | Ok o -> Ok ((po, o) :: parsed)
-                | Error e -> Error e))
-            (Ok []) (split_top ',' src)
-          |> Result.map List.rev
-      in
-      match options with
-      | Error e -> Error e
-      | Ok options -> (
-        let options = List.sort (fun (_, a) (_, b) -> compare a b) options in
-        match validate_options name options with
-        | Error e -> Error e
-        | Ok () -> Ok { st_name = name; st_options = List.map snd options })
-
 let parse_result s =
+  (* [offset] is where [part] starts in [s]; the error points at the
+     stage's first non-blank character. *)
+  let rec stages offset acc = function
+    | [] -> Ok (List.rev acc)
+    | part :: rest -> (
+      let rec lead i =
+        if i < String.length part && (part.[i] = ' ' || part.[i] = '\t') then lead (i + 1)
+        else i
+      in
+      let error msg = Error { pe_offset = offset + lead 0; pe_msg = msg } in
+      match String.trim part with
+      | "" -> error "empty pipeline stage"
+      | name -> (
+        match List.assoc_opt name registry with
+        | Some p -> stages (offset + String.length part + 1) (p :: acc) rest
+        | None ->
+          error
+            (Printf.sprintf "unknown pass '%s' (available: %s)" name
+               (String.concat ", " (List.map fst registry)))))
+  in
   if String.trim s = "" then
     Error { pe_offset = 0; pe_msg = "empty pipeline specification" }
-  else
-    List.fold_left
-      (fun acc (offset, part) ->
-        match acc with
-        | Error _ as e -> e
-        | Ok stages -> (
-          match parse_stage ~offset part with
-          | Ok st -> Ok (st :: stages)
-          | Error e -> Error e))
-      (Ok []) (split_top ',' s)
-    |> Result.map (fun stages -> { stages = List.rev stages })
+  else stages 0 [] (String.split_on_char ',' s)
 
 let parse s = Result.map_error (fun e -> e.pe_msg) (parse_result s)
 
 (* The located flavour of [parse], honouring the frontend's error
    contract: a malformed spec yields a [Diagnostic.t] whose location
-   points into the (one-line) spec string at the offending stage or
-   option, instead of a bare message — so `hirc --passes
-   'unroll{repeat=x}'` reports where in the argument the typo is. *)
+   points into the (one-line) spec string at the offending stage,
+   instead of a bare message — so `hirc --passes 'cse,unrol'` reports
+   where in the argument the typo is. *)
 let parse_located ?(file = "--passes") s =
   Result.map_error
     (fun e ->
@@ -228,44 +98,10 @@ let parse_located ?(file = "--passes") s =
         ("pipeline: " ^ e.pe_msg))
     (parse_result s)
 
-let stage_to_string st =
-  match st.st_options with
-  | [] -> st.st_name
-  | opts ->
-    Printf.sprintf "%s{%s}" st.st_name
-      (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) opts))
+let to_string spec = String.concat "," (List.map (fun p -> p.Pass.name) spec)
 
-let to_string spec = String.concat "," (List.map stage_to_string spec.stages)
+let to_passes spec = spec
 
-(* ------------------------------------------------------------------ *)
-(* Lowering a spec to passes                                           *)
-
-(* Total by construction: [validate_options] rejects malformed repeat
-   values at parse time, so a bad value can only reach here through a
-   hand-built [stage] — run such a stage once rather than raising
-   [Failure] from deep inside a pipeline lowering. *)
-let repeat_of st =
-  match Option.bind (List.assoc_opt "repeat" st.st_options) int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 1
-
-let stage_passes st =
-  let pass = List.assoc st.st_name registry in
-  List.init (repeat_of st) (fun _ -> pass)
-
-let to_passes spec = List.concat_map stage_passes spec.stages
-
-(* ------------------------------------------------------------------ *)
-(* Canned pipelines                                                    *)
-
-(* The pipelines [Hir_codegen.Emit.compile] hard-codes, now as data.
-   Scalar optimizations run before unrolling (cheaper on the compact
-   design, inherited by every clone); delay elimination runs after,
-   where it can share the shift registers of replicated bodies. *)
-let default_optimized = "canonicalize,precision-opt,unroll,delay-elim"
-let default_no_opt = "unroll"
-
-let default ~optimize =
-  match parse (if optimize then default_optimized else default_no_opt) with
-  | Ok s -> s
-  | Error e -> invalid_arg ("Pipeline.default: " ^ e)
+(* The pipeline [Hir_codegen.Emit.compile] runs, with or without the
+   optimizations. *)
+let default ~optimize = Hir_codegen.Emit.default_passes ~optimize

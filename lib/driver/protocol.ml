@@ -180,13 +180,7 @@ module Client = struct
 
   (* Write a whole frame; raises [Unix.Unix_error (EPIPE, _, _)] if the
      server is gone (SIGPIPE is ignored process-wide). *)
-  let send_line t line =
-    let data = Bytes.of_string line in
-    let len = Bytes.length data in
-    let off = ref 0 in
-    while !off < len do
-      off := !off + Unix.write t.fd data !off (len - !off)
-    done
+  let send_line t line = Io.write_all t.fd line
 
   let send t j = send_line t (Json.to_line j)
 

@@ -215,19 +215,11 @@ let disconnect t conn =
       (Hashtbl.length conn.co_jobs)
   end
 
-let write_all fd s =
-  let data = Bytes.of_string s in
-  let len = Bytes.length data in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + no_eintr (fun () -> Unix.write fd data !off (len - !off))
-  done
-
 (* SIGPIPE is ignored process-wide, so a hung-up client surfaces here
    as EPIPE/ECONNRESET: a per-connection error, not a dead server. *)
 let send_frame t conn j =
   if not conn.co_closed then
-    try write_all conn.co_fd (Json.to_line j)
+    try Io.write_all conn.co_fd (Json.to_line j)
     with Unix.Unix_error _ -> disconnect t conn
 
 (* ------------------------------------------------------------------ *)
@@ -313,7 +305,7 @@ let http_response t conn path =
        %d\r\nConnection: close\r\n\r\n%s"
       status (String.length body) body
   in
-  (try write_all conn.co_fd resp with Unix.Unix_error _ -> ());
+  (try Io.write_all conn.co_fd resp with Unix.Unix_error _ -> ());
   disconnect t conn
 
 (* ------------------------------------------------------------------ *)

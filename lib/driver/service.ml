@@ -49,7 +49,6 @@ type 'a handle = {
   mutable h_started : float;
 }
 
-let seq h = h.h_seq
 let data h = h.h_data
 let cancel_flag h = h.h_cancel
 

@@ -28,8 +28,6 @@ let insert b op =
   | _ -> ());
   Ir.Block.append b.block op
 
-let at_block ?module_op block = { block; module_op; current_group = None }
-
 (* Build [f]'s ops as one fresh emission group: structurally identical
    groups are deduplicated into a shared module definition at codegen
    time.  Nested [group] calls stack — the inner group's ops carry the

@@ -485,7 +485,3 @@ let run ?(start_cycle = 0) ~module_op ~func inputs =
       writes = env.write_count;
     },
     arg_tensor )
-
-(* Convenience: read back an output tensor after a run. *)
-let output_tensor (_, arg_tensor) ~arg ~cycle =
-  tensor_snapshot (arg_tensor arg) ~cycle

@@ -168,9 +168,3 @@ let module_to_string module_op =
       pp_func namer buf f)
     (Ops.module_funcs module_op);
   Buffer.contents buf
-
-let func_to_string func =
-  let namer = Printer.create_namer () in
-  let buf = Buffer.create 1024 in
-  pp_func namer buf func;
-  Buffer.contents buf

@@ -58,8 +58,6 @@ let num_banks info =
 let bank_depth info =
   List.fold_left (fun acc d -> if d.packed then acc * d.size else acc) 1 info.dims
 
-let is_fully_distributed info = List.for_all (fun d -> not d.packed) info.dims
-
 (* Bank index for a full index vector: row-major over the distributed
    dims only.  Distributed dims are indexed by compile-time constants,
    so this is a static quantity at each access site. *)

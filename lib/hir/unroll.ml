@@ -22,12 +22,6 @@ let retarget_time_uses ~old_time ~new_time ~delta =
       | None -> ())
     (Ir.Value.uses old_time)
 
-(* The yield of an unroll body defines where the next iteration starts,
-   as (time value, constant offset). *)
-let yield_target op =
-  let y = Ops.loop_yield op in
-  (Ops.yield_time y, Ops.yield_offset y)
-
 (* ------------------------------------------------------------------ *)
 (* Emission groups.
 

@@ -75,10 +75,6 @@ let registered_ops () =
   Hashtbl.fold (fun _ def acc -> def :: acc) op_defs []
   |> List.sort (fun a b -> String.compare a.od_name b.od_name)
 
-let registered_dialects () =
-  Hashtbl.fold (fun _ d acc -> d :: acc) dialects []
-  |> List.sort (fun a b -> String.compare a.d_name b.d_name)
-
 let dialect_of_op_name name =
   match String.index_opt name '.' with
   | Some i -> String.sub name 0 i

@@ -15,9 +15,7 @@ type t +=
 let i1 = Int 1
 let i8 = Int 8
 let i32 = Int 32
-let i64 = Int 64
 let f32 = Float 32
-let f64 = Float 64
 
 (* Dialect printer hooks.  Each hook returns [true] if it handled the
    type. *)

@@ -118,8 +118,3 @@ let verify_op ?(engine = Diagnostic.Engine.create ()) root =
 let verify root =
   let engine = verify_op root in
   if Diagnostic.Engine.has_errors engine then Error engine else Ok ()
-
-let verify_exn root =
-  match verify root with
-  | Ok () -> ()
-  | Error engine -> failwith ("IR verification failed:\n" ^ Diagnostic.Engine.to_string engine)

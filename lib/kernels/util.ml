@@ -13,6 +13,3 @@ let test_data ~seed ~n ~width =
       let x = x lxor (x lsl 17) in
       state := x;
       Bitvec.of_int ~width (x land 0x3FFFFFFF))
-
-let to_ints = Array.map Bitvec.to_int
-let of_ints ~width a = Array.map (Bitvec.of_int ~width) a

@@ -85,7 +85,6 @@ type design = { modules : module_def list; top : string }
 
 let const_int ~width n = Const (Bitvec.of_int ~width n)
 let zero1 = const_int ~width:1 0
-let one1 = const_int ~width:1 1
 
 let band a b = Binop (And, a, b)
 let bor a b = Binop (Or, a, b)

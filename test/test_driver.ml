@@ -34,17 +34,20 @@ let test_pipeline_roundtrip () =
     [
       "unroll";
       "canonicalize,precision-opt,unroll,delay-elim";
-      "cse,retime{repeat=2},precision-opt";
+      "cse,retime,retime,precision-opt";
       "verify,verify-schedule,dce";
-    ]
+    ];
+  check_string "default pipeline" "canonicalize,precision-opt,unroll,delay-elim"
+    (Pipeline.to_string (Pipeline.default ~optimize:true));
+  check_string "default pipeline without optimization" "unroll"
+    (Pipeline.to_string (Pipeline.default ~optimize:false))
 
 let test_pipeline_normalization () =
-  (* Whitespace and empty option braces normalize away. *)
+  (* Whitespace around the names normalizes away. *)
   check_string "spaces" "cse,delay-elim"
     (Pipeline.to_string (parse_ok " cse , delay-elim "));
-  check_string "empty-braces" "retime" (Pipeline.to_string (parse_ok "retime{}"));
   (* Normalized output re-parses to itself (idempotent). *)
-  let s = Pipeline.to_string (parse_ok "retime{ repeat=3 }, cse") in
+  let s = Pipeline.to_string (parse_ok "\tretime ,retime, cse") in
   check_string "fixpoint" s (Pipeline.to_string (parse_ok s))
 
 let test_pipeline_errors () =
@@ -61,18 +64,22 @@ let test_pipeline_errors () =
   expect "" "empty";
   expect "cse,,dce" "empty";
   expect "frobnicate" "unknown pass";
-  expect "cse{bogus=1}" "unknown option";
-  expect "cse{repeat=0}" "positive";
-  expect "cse{repeat}" "key=value"
+  (* Stages take no options: a brace is part of an unknown name. *)
+  expect "retime{repeat=2}" "unknown pass 'retime{repeat=2}'";
+  expect "cse{}" "unknown pass 'cse{}'"
 
 (* Malformed specs surface as located diagnostics: the reported column
-   is the 1-based position of the offending stage or option within the
-   spec string, so the CLI can point into the argument itself. *)
+   is the 1-based position of the offending stage within the spec
+   string, so the CLI can point into the argument itself. *)
 let test_pipeline_located_errors () =
-  let expect spec col =
+  let expect spec col msg =
     match Pipeline.parse_located spec with
     | Ok _ -> Alcotest.failf "expected %S to be rejected" spec
     | Error d -> (
+      check_bool
+        (Printf.sprintf "%S message starts %S (got %S)" spec msg d.Diagnostic.msg)
+        true
+        (String.starts_with ~prefix:("pipeline: " ^ msg) d.Diagnostic.msg);
       match d.Diagnostic.loc with
       | Location.File { file; line; col = c } ->
         check_string "located in the spec pseudo-file" "--passes" file;
@@ -81,20 +88,23 @@ let test_pipeline_located_errors () =
       | _ -> Alcotest.failf "expected a file location for %S" spec)
   in
   (* col points at "bogus", not at the start of the spec *)
-  expect "canonicalize,bogus" 14;
-  (* ... at the malformed option inside the braces *)
-  expect "canonicalize, unroll{repeat=x}" 22;
-  expect "cse{ repeat=1, depth=2 }" 16;
+  expect "canonicalize,bogus" 14 "unknown pass 'bogus'";
+  (* ... at a stage with braces, which is no pass name *)
+  expect "canonicalize, unroll{repeat=x}" 15 "unknown pass 'unroll{repeat=x}'";
+  expect "cse{ repeat=1, depth=2 }" 1 "unknown pass 'cse{ repeat=1'";
   (* ... and at the empty stage between the commas *)
-  expect "cse,,dce" 5
+  expect "cse,,dce" 5 "empty pipeline stage"
 
+(* A pass runs once per mention; the spec lowers to the registered
+   passes themselves. *)
 let test_pipeline_to_passes () =
-  let passes = Pipeline.to_passes (parse_ok "cse,retime{repeat=3},dce") in
-  check_int "repeat expansion" 5 (List.length passes);
+  let passes = Pipeline.to_passes (parse_ok "cse,retime,retime,dce") in
   Alcotest.(check (list string))
     "pass order"
-    [ "cse"; "retime"; "retime"; "retime"; "dce" ]
-    (List.map (fun p -> p.Pass.name) passes)
+    [ "cse"; "retime"; "retime"; "dce" ]
+    (List.map (fun p -> p.Pass.name) passes);
+  check_bool "the registered passes" true
+    (List.for_all2 ( == ) passes [ Passes.cse; Retime.pass; Retime.pass; Passes.dce ])
 
 (* ------------------------------------------------------------------ *)
 (* Pass-manager instrumentation                                        *)
@@ -160,7 +170,7 @@ let cache_files dir ~suffix =
          else [])
 
 (* One payload extension per cache entry kind (see [Cache.kind_ext]). *)
-let payload_suffixes = [ ".v"; ".lnk"; ".src"; ".fn"; ".vm" ]
+let payload_suffixes = [ ".v"; ".lnk"; ".src"; ".vm" ]
 
 let compile_text ?cache ~pipeline text =
   match Driver.compile_job ?cache (Driver.job_of_text ~pipeline ~name:"t.hir" text) with
@@ -538,8 +548,8 @@ let test_cache_bitflip_quarantined () =
     (List.exists
        (fun d -> String.length d >= 7 && String.sub d 0 7 = "corrupt")
        again.Driver.degradations);
-  (* One corrupt entry per kind: job, src, link, vmod, fn. *)
-  check_int "all five damaged entries counted" 5 (Cache.corrupt_count cache);
+  (* One corrupt entry per kind: job, src, link, vmod. *)
+  check_int "all four damaged entries counted" 4 (Cache.corrupt_count cache);
   check_bool "damaged files moved to quarantine" true (quarantine_files dir <> [])
 
 let test_cache_truncated_meta_quarantined () =
@@ -640,12 +650,12 @@ let test_cache_verify_and_prune () =
   ignore (compile_text ~cache ~pipeline (transpose_text ()));
   ignore
     (compile_text ~cache ~pipeline (transpose_text () ^ "\n// second entry\n"));
-  (* The first compile stores the full chain (job, src, fn, vmod,
-     link); the comment-suffixed second stores its own src entry and a
-     job entry promoted from the link hit: 7 entries in all. *)
+  (* The first compile stores the full chain (job, src, vmod, link);
+     the comment-suffixed second stores its own src entry and a job
+     entry promoted from the link hit: 6 entries in all. *)
   let r = Cache.verify cache in
-  check_int "all entries scanned" 7 r.Cache.vr_scanned;
-  check_int "all entries ok" 7 r.Cache.vr_ok;
+  check_int "all entries scanned" 6 r.Cache.vr_scanned;
+  check_int "all entries ok" 6 r.Cache.vr_ok;
   (* Damage one payload, then verify again. *)
   let victim = List.hd (cache_files dir ~suffix:".v") in
   let oc = open_out_bin victim in
@@ -653,7 +663,7 @@ let test_cache_verify_and_prune () =
   close_out oc;
   let r = Cache.verify cache in
   check_int "damaged entry found" 1 (List.length r.Cache.vr_quarantined);
-  check_int "the other entries still ok" 6 r.Cache.vr_ok;
+  check_int "the other entries still ok" 5 r.Cache.vr_ok;
   check_bool "moved to quarantine" true (quarantine_files dir <> []);
   (* Prune empties the quarantine; a second prune finds nothing. *)
   let p = Cache.prune cache in
@@ -661,7 +671,17 @@ let test_cache_verify_and_prune () =
   check_bool "prune reports bytes" true (p.Cache.pr_bytes > 0);
   Alcotest.(check (list string)) "quarantine empty" [] (quarantine_files dir);
   let p = Cache.prune cache in
-  check_int "second prune is a no-op" 0 p.Cache.pr_removed
+  check_int "second prune is a no-op" 0 p.Cache.pr_removed;
+  (* A payload of no current kind (an optimized-function entry left by
+     an older build) can never hit: verify retires it too. *)
+  let stray = Filename.remove_extension victim ^ ".fn" in
+  let oc = open_out_bin stray in
+  output_string oc "hir.func";
+  close_out oc;
+  let r = Cache.verify cache in
+  Alcotest.(check (list string)) "the stray file is quarantined"
+    [ Filename.basename stray ] (List.map fst r.Cache.vr_quarantined);
+  check_bool "and gone from its shard" false (Sys.file_exists stray)
 
 (* [Cache.verify] is an offline integrity scan: it must not perturb the
    runtime hit/miss/store counters a monitoring endpoint reports, and a
@@ -797,6 +817,26 @@ let read_design name =
 let compile_design ?top ~name text =
   Driver.compile_job
     (Driver.job_of_text ?top ~pipeline:(Pipeline.default ~optimize:true) ~name text)
+
+(* On an empty cache the transpose kernel's job is served from the link
+   entry the example design's job stored just before it.  The batch
+   tally counts it, although no whole-job entry hit. *)
+let test_batch_tally_counts_served () =
+  let pipeline = Pipeline.default ~optimize:true in
+  let cache = Cache.create ~dir:(fresh_dir ()) () in
+  let jobs =
+    [|
+      Driver.job_of_text ~pipeline ~name:"transpose.hir" (read_design "transpose.hir");
+      Driver.job_of_builder ~pipeline ~name:"transpose" Hir_kernels.Transpose.build;
+    |]
+  in
+  let result = Driver.batch ~cache ~workers:1 jobs in
+  let t = Driver.tally result.Driver.reports in
+  check_int "both jobs ok" 2 t.Driver.t_ok;
+  check_int "one job served from the cache" 1 t.Driver.t_cached;
+  check_bool "the kernel's job is the one served" true
+    (match result.Driver.outcomes.(1) with Ok o -> o.Driver.from_cache | Error _ -> false);
+  check_int "no whole-job entry hit" 0 (Cache.hits cache)
 
 (* stencil_1d.hir with @stencil_1d_op calling itself: it verifies, but a
    module cannot instantiate itself. *)
@@ -1063,6 +1103,7 @@ let () =
         [
           Alcotest.test_case "deterministic-4-workers" `Quick test_batch_deterministic;
           Alcotest.test_case "warm-cache" `Quick test_batch_warm_cache;
+          Alcotest.test_case "tally-counts-served" `Quick test_batch_tally_counts_served;
         ] );
       ("top", [ Alcotest.test_case "implicit-choice-note" `Quick test_top_note ]);
       ("trace", [ Alcotest.test_case "spans-and-json" `Quick test_trace_spans_and_json ]);

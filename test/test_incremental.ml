@@ -83,33 +83,39 @@ let jobs_of ~tops src =
        (fun top -> Driver.job_of_text ~top ~pipeline ~name:("incr-" ^ top) src)
        tops)
 
-(* (top * verilog) list, failing the test on any job error. *)
+(* The outputs of a batch, failing the test on any job error. *)
 let compile_all ?cache ~tops src =
   let result = Driver.batch ?cache ~workers:1 (jobs_of ~tops src) in
   Array.to_list result.Driver.outcomes
   |> List.map (function
-       | Ok (o : Driver.output) -> (o.Driver.top_name, o.Driver.verilog)
+       | Ok (o : Driver.output) -> o
        | Error e -> Alcotest.failf "compile failed: %s" (Driver.error_to_string e))
 
-let kind_stat cache kind = List.assoc kind (Cache.kind_stats cache)
+let verilogs outputs =
+  List.map (fun (o : Driver.output) -> (o.Driver.top_name, o.Driver.verilog)) outputs
+
+(* Functions the outputs re-optimized: each leaves one stat per
+   pipeline pass. *)
+let reoptimized outputs =
+  List.fold_left (fun n (o : Driver.output) -> n + List.length o.Driver.pass_stats) 0 outputs
+  / List.length (Pipeline.to_passes pipeline)
+
+let link_hits cache = (List.assoc Cache.Link (Cache.kind_stats cache)).Cache.k_hits
 
 (* Cold batch, edit [target], warm batch; returns the warm outputs, the
-   cache-less baseline of the edited source and the warm-phase deltas
-   of (link hits, fn stores). *)
+   cache-less baseline of the edited source, the warm batch's link hits
+   and the number of functions it re-optimized. *)
 let edit_and_recompile ~kernels ~target =
   let parts = List.map kernel_parts kernels in
   let tops = List.map fst parts in
   let texts = List.concat_map snd parts in
   let cache = Cache.create ~dir:(fresh_dir ()) () in
   ignore (compile_all ~cache ~tops (combined texts));
-  let before_link = kind_stat cache Cache.Link in
-  let before_fn = kind_stat cache Cache.Fn in
+  let before_link = link_hits cache in
   let edited_src = combined (edit_fn target texts) in
   let warm = compile_all ~cache ~tops edited_src in
   let baseline = compile_all ~tops edited_src in
-  let link_hits = (kind_stat cache Cache.Link).Cache.k_hits - before_link.Cache.k_hits in
-  let fn_stores = (kind_stat cache Cache.Fn).Cache.k_stores - before_fn.Cache.k_stores in
-  (warm, baseline, link_hits, fn_stores)
+  (verilogs warm, verilogs baseline, link_hits cache - before_link, reoptimized warm)
 
 (* ------------------------------------------------------------------ *)
 (* Unit: the staged linker matches the monolithic printer              *)
@@ -139,7 +145,7 @@ let test_link_design_matches_pretty () =
 (* Editing one leaf kernel among three: the two untouched tops re-link,
    exactly one function is re-optimized. *)
 let test_leaf_edit_relinks_others () =
-  let warm, baseline, link_hits, fn_stores =
+  let warm, baseline, link_hits, reoptimized =
     edit_and_recompile
       ~kernels:[ "transpose"; "fifo"; "elementwise_max" ]
       ~target:"elementwise_max"
@@ -147,14 +153,14 @@ let test_leaf_edit_relinks_others () =
   check_bool "warm outputs byte-identical to a cache-less compile" true
     (warm = baseline);
   check_int "both untouched tops re-link" 2 link_hits;
-  check_int "exactly the edited function re-optimizes" 1 fn_stores
+  check_int "exactly the edited function re-optimizes" 1 reoptimized
 
 (* Editing a callee inside task_parallel's call graph: the edit
    invalidates the callee's cone AND every caller cone containing it
    (stencilA -> task_parallel), while sibling subtrees (stencilB) and
    unrelated kernels keep their entries. *)
 let test_callee_edit_invalidates_cone () =
-  let warm, baseline, link_hits, fn_stores =
+  let warm, baseline, link_hits, reoptimized =
     edit_and_recompile
       ~kernels:[ "transpose"; "fifo"; "task_parallel" ]
       ~target:"stencilA"
@@ -162,7 +168,64 @@ let test_callee_edit_invalidates_cone () =
   check_bool "warm outputs byte-identical to a cache-less compile" true
     (warm = baseline);
   check_int "the two kernels outside the cone re-link" 2 link_hits;
-  check_int "edited callee + its caller re-optimize, nothing else" 2 fn_stores
+  check_int "edited callee + its caller re-optimize, nothing else" 2 reoptimized
+
+(* A function's Verilog entry hits, but a shared definition ([hirdef_*])
+   its manifest names has lost its own entry (evicted on its own): the
+   function is optimized and emitted again, and the design comes out
+   byte-identical to the cold compile. *)
+let test_missing_definition_recompiles () =
+  let dir = fresh_dir () in
+  let cache = Cache.create ~dir () in
+  let text =
+    Ir.with_isolated_ids (fun () -> Printer.op_to_string (fst (Hir_kernels.Gemm.build ~n:4 ())))
+  in
+  let compile text =
+    match Driver.compile_job ~cache (Driver.job_of_text ~pipeline ~name:"gemm4" text) with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "compile failed: %s" (Driver.error_to_string e)
+  in
+  let cold = compile text in
+  (* (payload path without extension, sidecar lines) of every entry. *)
+  let entries =
+    Sys.readdir dir |> Array.to_list
+    |> List.concat_map (fun shard ->
+           let sdir = Filename.concat dir shard in
+           Sys.readdir sdir |> Array.to_list
+           |> List.filter_map (fun f ->
+                  if Filename.check_suffix f ".meta" then
+                    let base = Filename.concat sdir (Filename.remove_extension f) in
+                    Some (base, String.split_on_char '\n' (Io.read_file (base ^ ".meta")))
+                  else None))
+  in
+  let remove base ext =
+    Sys.remove (base ^ ext);
+    Sys.remove (base ^ ".meta")
+  in
+  let links = List.filter (fun (_, meta) -> List.mem "kind link" meta) entries in
+  let defs =
+    List.filter
+      (fun (_, meta) ->
+        List.mem "kind vmod" meta
+        && List.exists (String.starts_with ~prefix:"top hirdef_") meta)
+      entries
+  in
+  check_bool "the design has a link entry" true (links <> []);
+  check_bool "the design has a shared definition" true (defs <> []);
+  List.iter (fun (base, _) -> remove base ".lnk") links;
+  let def_base = fst (List.hd defs) in
+  remove def_base ".vm";
+  let vmod () = List.assoc Cache.Vmod (Cache.kind_stats cache) in
+  let before = vmod () in
+  let warm = compile (text ^ "\n// edited\n") in
+  check_bool "not served from cache" false warm.Driver.from_cache;
+  check_bool "a function entry hit before its definition missed" true
+    ((vmod ()).Cache.k_hits > before.Cache.k_hits);
+  check_int "the function re-optimizes" 1 (reoptimized [ warm ]);
+  check_string "Verilog byte-identical to the cold compile" cold.Driver.verilog
+    warm.Driver.verilog;
+  check_bool "the definition's entry is stored again" true
+    (Sys.file_exists (def_base ^ ".vm"))
 
 (* ------------------------------------------------------------------ *)
 (* Golden digests: printed optimized function and compiled Verilog     *)
@@ -216,8 +279,11 @@ let test_golden_digests () =
         let opt_text =
           Ir.with_isolated_ids (fun () ->
               let plan = Incr.normalize ~file:name ~text (Parser.parse_string ~file:name text) in
-              fst (Incr.optimize_fn plan ~passes:(Pipeline.to_passes pipeline)
-                     ~instrument:(fun _ -> ()) top))
+              let _, printed, _ =
+                Incr.optimize plan ~passes:(Pipeline.to_passes pipeline)
+                  ~instrument:(fun _ -> ()) top
+              in
+              printed)
         in
         (name, (Digest.to_hex (Digest.string opt_text), Digest.to_hex (Digest.string verilog))))
       golden_designs
@@ -253,7 +319,7 @@ let incremental_reuse_prop =
           property_pool
       in
       let target = List.nth property_pool edit_idx in
-      let warm, baseline, link_hits, fn_stores =
+      let warm, baseline, link_hits, reoptimized =
         edit_and_recompile ~kernels ~target
       in
       if warm <> baseline then
@@ -261,8 +327,8 @@ let incremental_reuse_prop =
       if link_hits <> List.length kernels - 1 then
         QCheck.Test.fail_reportf "expected %d link hits, saw %d"
           (List.length kernels - 1) link_hits;
-      if fn_stores <> 1 then
-        QCheck.Test.fail_reportf "expected 1 fn store, saw %d" fn_stores;
+      if reoptimized <> 1 then
+        QCheck.Test.fail_reportf "expected 1 re-optimized function, saw %d" reoptimized;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -508,6 +574,8 @@ let () =
             test_leaf_edit_relinks_others;
           Alcotest.test_case "callee-edit-invalidates-cone" `Quick
             test_callee_edit_invalidates_cone;
+          Alcotest.test_case "missing-definition-recompiles" `Quick
+            test_missing_definition_recompiles;
         ] );
       ( "golden",
         [ Alcotest.test_case "kernel digests" `Quick test_golden_digests ] );
