@@ -36,8 +36,6 @@ check: build test
 	dune exec bin/hirc.exe -- fuzz 2000 --seed 1
 	@_build/default/bin/hirc.exe sim transposee 2>&1 | grep -q "did you mean transpose" \
 	  || { echo "make check: FAILED (sim typo did not suggest a kernel)"; exit 1; }
-	@_build/default/bin/hirc.exe sim gemm --engine opcodee 2>&1 | grep -q "did you mean opcode" \
-	  || { echo "make check: FAILED (sim engine typo did not suggest an engine)"; exit 1; }
 	@echo "sim typo suggestion: OK"
 	@out=$$(timeout 10 _build/default/bin/hirc.exe compile examples/designs/err_call_cycle.hir 2>&1); \
 	  code=$$?; \

@@ -1590,14 +1590,22 @@ let incremental () =
     let cache = Cache.create ~dir:(Filename.concat tmp (Printf.sprintf "cache%d" n)) () in
     let cold, cold_s = time (fun () -> Driver.batch ~cache ~workers:1 (jobs src_cold)) in
     ignore (verilogs "cold" cold);
-    let before = Cache.kind_stats cache in
+    let cold_stats = Cache.kind_stats cache in
     let warm, warm_s = time (fun () -> Driver.batch ~cache ~workers:1 (jobs src_warm)) in
     let warm_vs = verilogs "warm" warm in
     let base_vs = verilogs "baseline" (Driver.batch ~workers:1 (jobs src_warm)) in
     let delta kind field =
       let stat l = List.assoc kind l in
-      field (stat (Cache.kind_stats cache)) - field (stat before)
+      field (stat (Cache.kind_stats cache)) - field (stat cold_stats)
     in
+    let stores stat_of =
+      String.concat " "
+        (List.map
+           (fun kind -> Printf.sprintf "%s %d" (Cache.kind_to_string kind) (stat_of kind))
+           Cache.kinds)
+    in
+    let cold_stores = stores (fun kind -> (List.assoc kind cold_stats).Cache.k_stores) in
+    let warm_stores = stores (fun kind -> delta kind (fun s -> s.Cache.k_stores)) in
     let link_hits = delta Cache.Link (fun s -> s.Cache.k_hits) in
     (* A re-optimized function leaves one stat per pipeline pass. *)
     let reoptimized =
@@ -1622,29 +1630,32 @@ let incremental () =
       Printf.eprintf "INCREMENTAL VIOLATION: %s\n" (String.concat "; " structural);
       exit 1
     end;
-    (cold_s, warm_s, link_hits, reoptimized)
+    (cold_s, warm_s, link_hits, reoptimized, (cold_stores, warm_stores))
   in
   (* The ratio gate is a timing measurement on a possibly-loaded
      machine: take the best of up to 3 attempts before declaring a
      perf regression. *)
   let rec measure n best =
-    let (cold_s, warm_s, _, _) as r = attempt n in
+    let (cold_s, warm_s, _, _, _) as r = attempt n in
     let best =
       match best with
-      | Some ((bc, bw, _, _) as b) when bw /. bc <= warm_s /. cold_s -> b
+      | Some ((bc, bw, _, _, _) as b) when bw /. bc <= warm_s /. cold_s -> b
       | _ -> r
     in
-    let bc, bw, _, _ = best in
+    let bc, bw, _, _, _ = best in
     if bw /. bc <= incremental_budget || n >= 3 then (best, n)
     else measure (n + 1) (Some best)
   in
-  let (cold_s, warm_s, link_hits, reoptimized), attempts = measure 1 None in
+  let (cold_s, warm_s, link_hits, reoptimized, (cold_stores, warm_stores)), attempts =
+    measure 1 None
+  in
   let ratio = warm_s /. cold_s in
   Printf.printf "cold batch (8 kernels, 1 worker)   %8.1f ms\n" (cold_s *. 1e3);
   Printf.printf "warm batch (1 kernel edited)       %8.1f ms   ratio %.3f (budget %.2f, %d attempt%s)\n"
     (warm_s *. 1e3) ratio incremental_budget attempts
     (if attempts = 1 then "" else "s");
   Printf.printf "reuse: %d link hits, %d function re-optimized\n" link_hits reoptimized;
+  Printf.printf "stores: cold batch %s; warm batch %s\n" cold_stores warm_stores;
   record ~section:"incremental" ~name:"edit-1-of-8"
     [ ("cold_s", cold_s); ("warm_s", warm_s); ("ratio", ratio) ];
   if ratio > incremental_budget then begin

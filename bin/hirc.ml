@@ -30,11 +30,11 @@
          mutation-fuzz the textual frontend (--full: also passes, codegen
          and printing); exits 1 if any input crashes instead of failing
          with a diagnostic
-     hirc sim <kernel> [--cycles N] [--engine opcode|reference]
-              [--stats] [--vcd out.vcd] [--hls]
-         compile a built-in kernel and run it in the RTL simulator with
-         generic inputs; --stats reports the simulator's own counters
-         (settles, assigns evaluated vs skipped, fast-path hit rate)
+     hirc sim <kernel> [--cycles N] [--stats] [--vcd out.vcd] [--hls]
+         compile a built-in kernel and run it on the opcode engine of the
+         RTL simulator with generic inputs; --stats reports the
+         simulator's own counters (settles, assigns evaluated vs skipped,
+         fast-path hit rate)
      hirc serve (--socket PATH | --port P) [-j N] [--queue-depth N]
                 [--cache-dir D] [--journal DIR] [--deadline S] [--verbose]
                 [--inject SPEC] [--inject-seed N]
@@ -458,23 +458,6 @@ let fuzz_cmd =
 module Emit = Hir_codegen.Emit
 module Harness = Hir_rtl.Harness
 
-(* Located diagnostics for `hirc sim` argument validation: the flag
-   name doubles as the pseudo-file, so a bad value renders like the
-   pass parser's errors ("--engine:1:1: ...") and can carry a
-   "did you mean" suggestion, instead of cmdliner's bare failure. *)
-let arg_diag ~flag msg = Diagnostic.error (Location.file ~file:flag ~line:1 ~col:1) msg
-
-let parse_engine s =
-  match Hir_rtl.Sim.engine_of_string s with
-  | Some e -> Ok e
-  | None ->
-    Error
-      (arg_diag ~flag:"--engine"
-         (Printf.sprintf "unknown engine %s%s (one of: %s)" s
-            (did_you_mean
-               (Hir_kernels.Kernels.suggest_from ~candidates:Hir_rtl.Sim.engine_names s))
-            (String.concat ", " Hir_rtl.Sim.engine_names)))
-
 let sim_cmd =
   let kernel_arg =
     Arg.(
@@ -487,14 +470,6 @@ let sim_cmd =
       & opt (some int) None
       & info [ "cycles" ] ~docv:"N"
           ~doc:"Clock cycles to run (default: the interpreter's latency)")
-  in
-  let engine_arg =
-    Arg.(
-      value & opt string "opcode"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Simulation engine: $(b,opcode) (default) or $(b,reference) (the \
-             tree-walking oracle)")
   in
   let vcd_arg =
     Arg.(
@@ -510,12 +485,7 @@ let sim_cmd =
             "Simulate the HLS-compiled variant from the evaluation suite instead of \
              the native HIR kernel")
   in
-  let run name cycles engine_s stats vcd_path use_hls =
-    match parse_engine engine_s with
-    | Error d ->
-      Printf.eprintf "%s\n" (Diagnostic.to_string d);
-      1
-    | Ok engine ->
+  let run name cycles stats vcd_path use_hls =
     let build_r =
       if use_hls then
         match Hir_hls.Suite.find name with
@@ -575,11 +545,11 @@ let sim_cmd =
       in
       let (result, _agents), counters =
         Metrics.with_scope (fun () ->
-            Harness.run ~engine ?vcd_path ~emitted ~inputs:harness_inputs ~cycles ())
+            Harness.run ?vcd_path ~emitted ~inputs:harness_inputs ~cycles ())
       in
       let failures = List.length result.Harness.failures in
-      Printf.printf "%s: %d cycles on the %s engine, %d assertion failure(s)\n" name
-        result.Harness.cycles_run (Hir_rtl.Sim.engine_name engine) failures;
+      Printf.printf "%s: %d cycles on the opcode engine, %d assertion failure(s)\n" name
+        result.Harness.cycles_run failures;
       List.iter
         (fun (fl : Hir_rtl.Sim.assertion_failure) ->
           Printf.printf "  assertion at cycle %d: %s\n" fl.Hir_rtl.Sim.at_cycle
@@ -595,7 +565,7 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim" ~doc:"Run a built-in kernel in the RTL simulator")
     Term.(
-      const run $ kernel_arg $ cycles_arg $ engine_arg $ stats_arg $ vcd_arg $ hls_arg)
+      const run $ kernel_arg $ cycles_arg $ stats_arg $ vcd_arg $ hls_arg)
 
 (* ------------------------------------------------------------------ *)
 (* hirc cache                                                          *)

@@ -103,8 +103,6 @@ let compare a b =
 
 let hash v = Hashtbl.hash (v.w, v.chunks)
 
-let to_int64_trunc v = v.chunks.(0)
-
 let to_int v =
   if min_width v > 62 then failwith "Bitvec.to_int: value too large"
   else Int64.to_int v.chunks.(0)

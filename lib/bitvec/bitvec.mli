@@ -47,9 +47,6 @@ val to_int : t -> int
 val to_signed_int : t -> int
 (** Two's-complement signed value.  Raises [Failure] if out of range. *)
 
-val to_int64_trunc : t -> int64
-(** Low 64 bits, unsigned beyond width. *)
-
 val to_int_trunc : t -> int
 (** Low 63 bits as a native [int] (modulo [2^63]); never raises.  For
     [width v <= 63] this is exact: it is the masked-int representation

@@ -1083,7 +1083,6 @@ let emit_extern_module func =
 type emitted = {
   design : V.design;
   top_iface : iface;
-  module_ifaces : (string * iface) list;
 }
 
 (* Emit one function as a Verilog module.  With [hier] (the default)
@@ -1150,7 +1149,6 @@ let emit ?(hier = true) ~module_op ~top () =
     fail "top function @%s is extern (it has no body to emit)" (Ops.func_name top);
   let callees = callees_of ~module_op ~path:[ Ops.func_name top ] top [] in
   let modules = ref [] in
-  let ifaces = ref [] in
   (* Shared definitions are deduplicated design-wide by name (the name
      is content-addressed) and placed before the first module that
      instantiates them. *)
@@ -1169,20 +1167,15 @@ let emit ?(hier = true) ~module_op ~top () =
       if Ops.is_extern_func callee then
         modules := emit_extern_module callee :: !modules
       else begin
-        let m, defs, ifc = emit_module_for ~hier ~module_op callee in
+        let m, defs, _ = emit_module_for ~hier ~module_op callee in
         add_defs defs;
-        modules := m :: !modules;
-        ifaces := (ifc.ifc_module, ifc) :: !ifaces
+        modules := m :: !modules
       end)
     (List.rev callees);
   let top_module, top_defs, top_ifc = emit_module_for ~hier ~module_op top in
   add_defs top_defs;
   modules := top_module :: !modules;
-  {
-    design = { V.modules = List.rev !modules; top = top_ifc.ifc_module };
-    top_iface = top_ifc;
-    module_ifaces = (top_ifc.ifc_module, top_ifc) :: !ifaces;
-  }
+  { design = { V.modules = List.rev !modules; top = top_ifc.ifc_module }; top_iface = top_ifc }
 
 (* The default pass pipeline: [compile] runs it, and the driver's
    [Pipeline.default] names it.  The scalar optimizations run before

@@ -3,18 +3,21 @@
    The cache holds four *kinds* of entry, one per memoization boundary
    of the staged compile flow in [Driver]:
 
-     - [Job]  — the legacy all-or-nothing entry: the final Verilog of a
-       whole job, keyed on Digest(version ⊕ pipeline ⊕ top selector ⊕
-       raw source text).  The fastest possible hit: no parsing at all.
+     - [Job]  — the final Verilog of a whole job, keyed on
+       Digest(version ⊕ pipeline ⊕ top selector ⊕ raw source text).
+       The fastest possible hit: no parsing at all.  Only a compile
+       that linked its design stores one.
      - [Src]  — the *normalized* module text (print∘parse fixed point)
        keyed on the raw source text.  A hit proves the source parsed
        and verified before, so the verify stage is skipped.
-     - [Vmod] — one function's emitted Verilog module text plus its
-       inclusive resource usage, keyed on its *cone hash*: the
-       function's normalized printed form plus the (recursive) hashes
-       of its callees, plus the pass-pipeline spec.  A hit skips that
-       function's optimize *and* emit stages; a miss re-optimizes and
-       emits it from the in-memory plan.
+     - [Vmod] — one compiled function ([Incr.compiled]): its emitted
+       Verilog module, the shared [hirdef_*] definitions that module
+       instantiates, and its inclusive resource usage, keyed on its
+       *cone hash*: the function's normalized printed form plus the
+       (recursive) hashes of its callees, plus the pass-pipeline spec.
+       A hit skips that function's optimize *and* emit stages; a miss
+       re-optimizes and emits it from the in-memory plan.  Only [Incr]
+       writes or reads the payload format.
      - [Link] — the final linked Verilog of a design, keyed on the top
        function's cone hash.  A hit means every function of the design
        is unchanged, however much the rest of the source file moved
@@ -26,18 +29,17 @@
    their Link entries and the edited one reuses every callee's Vmod
    entry below the edit.
 
-   Integrity (unchanged from the single-kind cache): the cache trusts
-   nothing it reads back.  Every hit re-digests the payload against the
-   digest recorded in the sidecar; a truncated, bit-flipped or
-   unparseable entry is *quarantined* (moved to [<dir>/quarantine/],
-   collision-suffixed so forensic copies are never overwritten) and
-   reported as [Corrupt], which the driver treats as a
-   miss-plus-recompute — a damaged cache can cost time, never wrong
-   Verilog.  `hirc cache --verify` runs the same check over every
-   entry offline through a side-effect-free probe (the runtime
-   hit/miss counters are not perturbed) and quarantines files of no
-   current kind, and `--prune` empties the quarantine and removes
-   stale temp files.
+   Integrity: the cache trusts nothing it reads back.  Every hit
+   re-digests the payload against the digest recorded in the sidecar;
+   a truncated, bit-flipped or unparseable entry is *quarantined*
+   (moved to [<dir>/quarantine/], collision-suffixed so forensic
+   copies are never overwritten) and reported as [Corrupt], which the
+   driver treats as a miss-plus-recompute — a damaged cache can cost
+   time, never wrong Verilog.  `hirc cache --verify` runs the same
+   check over every entry offline through a side-effect-free probe
+   (the runtime hit/miss counters are not perturbed) and quarantines
+   files of no current kind, and `--prune` empties the quarantine and
+   removes stale temp files.
 
    Writes go through a unique temp file followed by [Sys.rename], which
    is atomic on POSIX: concurrent workers (or concurrent hirc
@@ -59,8 +61,7 @@
    Layout: entries are sharded into 256 subdirectories by the first two
    hex digits of the key ([<dir>/ab/<key>.v]) — a flat directory with
    thousands of entries makes every lookup and readdir pay for the
-   whole population.  Entries at the root are the pre-shard layout;
-   [verify] retires them to the quarantine. *)
+   whole population. *)
 
 type kind = Job | Link | Src | Vmod
 
@@ -109,8 +110,9 @@ let count_kind t kind what = count t (kind_to_string kind ^ "." ^ what)
    v4: staged per-function compilation and multi-kind entries;
    v5: shared definitions as their own entries; v6: a builder job
    compiles its module's printed fixed point, so it emits what a text
-   job of the same printed module emits under the same Job key.) *)
-let driver_version = "hir-driver/6"
+   job of the same printed module emits under the same Job key; v7: a
+   function's definitions travel in its own Vmod payload.) *)
+let driver_version = "hir-driver/7"
 
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 
@@ -214,8 +216,6 @@ let meta_to_string ~kind ~top ~digest (u : Hir_resources.Model.usage) =
   Printf.sprintf "kind %s\ntop %s\ndigest %s\nlut %d\nff %d\ndsp %d\nbram %d\n"
     (kind_to_string kind) top digest u.lut u.ff u.dsp u.bram
 
-(* Sidecars from the single-kind era have no [kind] line; they can only
-   be Job entries. *)
 let meta_of_string s =
   let fields =
     String.split_on_char '\n' s
@@ -228,13 +228,8 @@ let meta_of_string s =
            | None -> None)
   in
   let int k = Option.bind (List.assoc_opt k fields) int_of_string_opt in
-  let kind =
-    match List.assoc_opt "kind" fields with
-    | None -> Some Job
-    | Some s -> kind_of_string s
-  in
   match
-    ( kind,
+    ( Option.bind (List.assoc_opt "kind" fields) kind_of_string,
       List.assoc_opt "top" fields,
       List.assoc_opt "digest" fields,
       int "lut",
@@ -506,13 +501,6 @@ let verify t =
       shard_files
     |> List.sort compare
   in
-  (* Pre-shard flat entries at the root can never hit again; retire
-     them rather than leaving dead weight in the directory. *)
-  let legacy =
-    Sys.readdir t.dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".meta" || is_payload f)
-    |> List.sort compare
-  in
   let quarantined = ref [] in
   let ok = ref 0 in
   List.iter
@@ -543,14 +531,8 @@ let verify t =
       quarantine_file t (Filename.concat (Filename.concat t.dir s) f);
       quarantined := (f, "file of no current entry kind") :: !quarantined)
     strays;
-  List.iter
-    (fun f ->
-      quarantine_file t (Filename.concat t.dir f);
-      quarantined := (f, "legacy flat entry (pre-shard layout)") :: !quarantined)
-    legacy;
   {
-    vr_scanned =
-      List.length entries + List.length orphans + List.length strays + List.length legacy;
+    vr_scanned = List.length entries + List.length orphans + List.length strays;
     vr_ok = !ok;
     vr_quarantined = List.rev !quarantined;
   }

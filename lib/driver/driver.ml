@@ -166,343 +166,250 @@ let pass_instrument ~trace ~guard = function
       counters;
     Guard.tick guard
 
+(* The state of one job, passed through the stages below. *)
+type state = {
+  st_job : job;
+  st_name : string;
+  st_cache : Cache.t option;
+  st_trace : Trace.t;
+  st_guard : Guard.t;
+  st_pipeline : string;  (* the pipeline's spec, as keys hash it *)
+  st_fns : (string, Incr.compiled) Hashtbl.t;  (* compiled functions, by name *)
+  mutable st_stats : Pass.stat list list;  (* per optimized function, newest first *)
+  mutable st_degradations : string list;  (* newest first *)
+}
+
+let count st name = Metrics.incr (Trace.metrics st.st_trace) name
+
+let degrade st reason =
+  st.st_degradations <- reason :: st.st_degradations;
+  Trace.instant st.st_trace ~cat:"fault" ~args:[ ("job", st.st_name) ] reason;
+  count st "degradations"
+
+(* Staged-cache plumbing: every consult degrades IO trouble to a miss
+   (with a note), every store is best-effort.  With no cache attached
+   both are inert, and the stages compute exactly the same bytes: the
+   compute path does not depend on the cache being present. *)
+let consult st kind what k =
+  match st.st_cache with
+  | None -> None
+  | Some c -> (
+    match
+      Trace.span st.st_trace ~cat:"cache" "cache-lookup" (fun () -> Cache.consult ~kind c k)
+    with
+    | Cache.Hit entry -> Some entry
+    | Cache.Miss -> None
+    | Cache.Read_fault reason ->
+      degrade st (Printf.sprintf "%s cache read fault, recompiling: %s" what reason);
+      count st "cache-read-fault";
+      None
+    | Cache.Corrupt reason ->
+      degrade st
+        (Printf.sprintf "corrupt %s cache entry quarantined, recompiling: %s" what reason);
+      count st "cache-quarantined";
+      None)
+
+let store st kind what k entry =
+  match st.st_cache with
+  | None -> ()
+  | Some c ->
+    Trace.span st.st_trace ~cat:"cache" "cache-store" (fun () ->
+        match Cache.store ~kind c k entry with
+        | Ok () -> ()
+        | Error reason ->
+          degrade st (Printf.sprintf "cache write fault, %s not cached: %s" what reason);
+          count st "cache-write-fault")
+
+(* The text the job's keys are computed from.  A builder source prints
+   its module, which also brings the module to the print∘parse fixed
+   point: each function's own print is then its slice of this text, as
+   it is for a text job. *)
+let source_text st =
+  match st.st_job.src with
+  | Text { text; _ } -> (text, None)
+  | Builder { build; _ } ->
+    Trace.span st.st_trace ~cat:"frontend" "build" (fun () ->
+        let m, f = build () in
+        (Printer.op_to_string_fixed m, Some (m, f)))
+
+let verify st m =
+  Trace.span st.st_trace ~cat:"verify" "verify" (fun () -> run_verifiers m);
+  Guard.tick st.st_guard
+
+(* Plan the source and choose the top: (plan, top, note).  A builder
+   module is already normalized and is rebuilt fresh on every compile,
+   so it is planned in memory with no Src entry.  A text source is
+   memoized in a Src entry keyed on its raw text, whose payload is the
+   normalized module text: a hit proves the source parsed and verified
+   before and skips the verifiers. *)
+let plan_source st ~text built =
+  match built with
+  | Some (m, f) ->
+    Guard.tick st.st_guard;
+    verify st m;
+    ( Trace.span st.st_trace ~cat:"frontend" "plan" (fun () -> Incr.plan_of_module ~text m),
+      Ops.func_name f,
+      None )
+  | None ->
+    let name = st.st_name in
+    let src_key = Cache.stage_key ~kind:Cache.Src ~parts:[ text ] in
+    let plan =
+      match consult st Cache.Src "source" src_key with
+      | Some e ->
+        let text = e.Cache.e_verilog in
+        let m =
+          Trace.span st.st_trace ~cat:"frontend" "parse" (fun () ->
+              Ir.with_isolated_ids (fun () -> Parser.parse_string ~file:name text))
+        in
+        Guard.tick st.st_guard;
+        (* The payload is a printed fixed point, so it is its own
+           parse's print. *)
+        Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
+            Incr.plan_of_module ~text m)
+      | None ->
+        let m =
+          Trace.span st.st_trace ~cat:"frontend" "parse" (fun () ->
+              Parser.parse_string ~file:name text)
+        in
+        Guard.tick st.st_guard;
+        verify st m;
+        let plan =
+          Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
+              Ir.with_isolated_ids (fun () -> Incr.normalize ~file:name ~text m))
+        in
+        store st Cache.Src "normalized source" src_key
+          {
+            Cache.e_verilog = plan.Incr.pl_text;
+            e_top = "";
+            e_usage = Hir_resources.Model.zero;
+          };
+        plan
+    in
+    let f, note = pick_top plan.Incr.pl_module st.st_job.top in
+    (plan, Ops.func_name f, note)
+
+(* The cone hashes and the top's Link key.  The plan prints a function
+   on first use: hashing the top's cone prints exactly the functions
+   this job compiles, so it is planning time. *)
+let link_key st plan ~top =
+  Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
+      if (Incr.fn_info plan top).Incr.fi_extern then
+        raise
+          (Hir_codegen.Emit.Codegen_error
+             (Printf.sprintf "top function @%s is extern (it has no body to emit)" top));
+      let hash = Incr.cone_hashes plan ~pipeline:st.st_pipeline in
+      (hash, Cache.stage_key ~kind:Cache.Link ~parts:[ hash top ]))
+
+(* One function of the cone, every callee already compiled: its record
+   comes from its Vmod entry, or it is optimized, emitted and printed
+   from the plan and stored. *)
+let compile_fn st plan ~passes ~hash fn =
+  Guard.tick st.st_guard;
+  let key = Cache.stage_key ~kind:Cache.Vmod ~parts:[ hash fn ] in
+  let cached =
+    Option.bind (consult st Cache.Vmod "function-verilog" key) (fun e ->
+        Incr.of_payload ~usage:e.Cache.e_usage e.Cache.e_verilog)
+  in
+  let c =
+    match cached with
+    | Some c -> c
+    | None ->
+      let emit =
+        if (Incr.fn_info plan fn).Incr.fi_extern then Incr.emit_extern plan
+        else begin
+          let opt_fn, _, stats =
+            Trace.span st.st_trace "optimize" (fun () ->
+                Incr.optimize plan ~passes
+                  ~instrument:(pass_instrument ~trace:st.st_trace ~guard:st.st_guard)
+                  fn)
+          in
+          st.st_stats <- stats :: st.st_stats;
+          Incr.emit_fn plan ~opt:(Incr.Clone opt_fn)
+        end
+      in
+      let emitted = Trace.span st.st_trace ~cat:"backend" "emit" (fun () -> emit fn) in
+      let c =
+        Trace.span st.st_trace ~cat:"backend" "pretty" (fun () ->
+            Incr.print_compiled plan ~compiled:(Hashtbl.find st.st_fns) fn emitted)
+      in
+      store st Cache.Vmod "function Verilog" key
+        { Cache.e_verilog = Incr.payload c; e_top = fn; e_usage = c.Incr.c_usage };
+      c
+  in
+  Hashtbl.replace st.st_fns fn c
+
+(* Link the compiled cone into the job's result. *)
+let link st plan ~top =
+  let verilog =
+    Trace.span st.st_trace ~cat:"backend" "print" (fun () ->
+        Incr.link plan ~top ~compiled:(Hashtbl.find st.st_fns))
+  in
+  Guard.tick st.st_guard;
+  let usage = (Hashtbl.find st.st_fns top).Incr.c_usage in
+  { Cache.e_verilog = verilog; e_top = top; e_usage = usage }
+
 let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
   let trace = match trace with Some t -> t | None -> Trace.create () in
   let name = source_name job.src in
-  let guard = Guard.create ~job:name ?cancel limits in
+  let st =
+    {
+      st_job = job;
+      st_name = name;
+      st_cache = cache;
+      st_trace = trace;
+      st_guard = Guard.create ~job:name ?cancel limits;
+      st_pipeline = Pipeline.to_string job.pipeline;
+      st_fns = Hashtbl.create 16;
+      st_stats = [];
+      st_degradations = [];
+    }
+  in
   let started = Trace.now () in
-  let degradations = ref [] in
-  let count name = Metrics.incr (Trace.metrics trace) name in
-  let degrade reason =
-    degradations := reason :: !degradations;
-    Trace.instant trace ~cat:"fault" ~args:[ ("job", name) ] reason;
-    count "degradations"
+  let finish ~from_cache ~note ~pass_stats (e : Cache.entry) =
+    Ok
+      {
+        job_name = name;
+        top_name = e.Cache.e_top;
+        verilog = e.Cache.e_verilog;
+        usage = e.Cache.e_usage;
+        from_cache;
+        note;
+        degradations = List.rev st.st_degradations;
+        pass_stats;
+        seconds = Trace.now () -. started;
+      }
   in
   try
     Faults.with_scope name (fun () ->
         Ir.with_isolated_ids (fun () ->
-            (* Materialize the source text the cache key is computed from;
-               builder sources print their module so the key tracks the
-               actual IR content. *)
-            let text, built =
-              match job.src with
-              | Text { text; _ } -> (text, None)
-              | Builder { build; _ } ->
-                (* Printing also brings [m] to the print∘parse fixed
-                   point, so each function's own print is its slice of
-                   this text, as it is for a text job. *)
-                Trace.span trace ~cat:"frontend" "build" (fun () ->
-                    let m, f = build () in
-                    (Printer.op_to_string_fixed m, Some (m, f)))
-            in
-            let pipeline_str = Pipeline.to_string job.pipeline in
-            let key = Cache.key ~pipeline:pipeline_str ~top:job.top ~source:text in
-            Guard.tick guard;
-            (* Staged-cache plumbing: every consult degrades IO trouble
-               to a miss (with a note), every store is best-effort.
-               With no cache attached both are inert, and the staged
-               flow below computes exactly the same bytes — the compute
-               path does not depend on the cache being present. *)
-            let consult kind what k =
-              match cache with
-              | None -> None
-              | Some c -> (
-                match
-                  Trace.span trace ~cat:"cache" "cache-lookup" (fun () ->
-                      Cache.consult ~kind c k)
-                with
-                | Cache.Hit entry -> Some entry
-                | Cache.Miss -> None
-                | Cache.Read_fault reason ->
-                  degrade
-                    (Printf.sprintf "%s cache read fault, recompiling: %s" what reason);
-                  count "cache-read-fault";
-                  None
-                | Cache.Corrupt reason ->
-                  degrade
-                    (Printf.sprintf "corrupt %s cache entry quarantined, recompiling: %s"
-                       what reason);
-                  count "cache-quarantined";
-                  None)
-            in
-            let store kind what k entry =
-              match cache with
-              | None -> ()
-              | Some c ->
-                Trace.span trace ~cat:"cache" "cache-store" (fun () ->
-                    match Cache.store ~kind c k entry with
-                    | Ok () -> ()
-                    | Error reason ->
-                      degrade
-                        (Printf.sprintf "cache write fault, %s not cached: %s" what
-                           reason);
-                      count "cache-write-fault")
-            in
-            let finish ~top_name ~verilog ~usage ~from_cache ~note ~pass_stats =
-              Ok
-                {
-                  job_name = name;
-                  top_name;
-                  verilog;
-                  usage;
-                  from_cache;
-                  note;
-                  degradations = List.rev !degradations;
-                  pass_stats;
-                  seconds = Trace.now () -. started;
-                }
-            in
-            match consult Cache.Job "job" key with
+            let text, built = source_text st in
+            let key = Cache.key ~pipeline:st.st_pipeline ~top:job.top ~source:text in
+            Guard.tick st.st_guard;
+            match consult st Cache.Job "job" key with
             | Some entry ->
-              count "cache-hit";
-              finish ~top_name:entry.Cache.e_top ~verilog:entry.Cache.e_verilog
-                ~usage:entry.Cache.e_usage ~from_cache:true ~note:None ~pass_stats:[]
-            | None ->
-              if cache <> None then count "cache-miss";
+              count st "cache-hit";
+              finish ~from_cache:true ~note:None ~pass_stats:[] entry
+            | None -> (
+              if cache <> None then count st "cache-miss";
               (* The compile itself as an injection point: models a
                  worker crashing mid-job. *)
               Faults.point "job.compile";
-              (* Src stage: parse + verify, memoized on the raw source
-                 text.  The payload is the normalized module text (the
-                 print∘parse fixed point), so a hit proves this source
-                 parsed and verified before and skips both. *)
-              let plan, top_name, note =
-                match built with
-                | Some (m, f) ->
-                  (* Builder text is print(m) and [m] its fixed point:
-                     already normalized, and rebuilt fresh on every
-                     compile — not worth a Src entry. *)
-                  Guard.tick guard;
-                  Trace.span trace ~cat:"verify" "verify" (fun () ->
-                      run_verifiers m);
-                  Guard.tick guard;
-                  ( Trace.span trace ~cat:"frontend" "plan" (fun () ->
-                        Incr.plan_of_module ~text m),
-                    Ops.func_name f,
-                    None )
-                | None ->
-                  let src_key = Cache.stage_key ~kind:Cache.Src ~parts:[ text ] in
-                  let plan =
-                    match consult Cache.Src "source" src_key with
-                    | Some e ->
-                      let text = e.Cache.e_verilog in
-                      let m =
-                        Trace.span trace ~cat:"frontend" "parse" (fun () ->
-                            Ir.with_isolated_ids (fun () ->
-                                Parser.parse_string ~file:name text))
-                      in
-                      Guard.tick guard;
-                      (* The payload is a printed fixed point, so it is
-                         its own parse's print. *)
-                      Trace.span trace ~cat:"frontend" "plan" (fun () ->
-                          Incr.plan_of_module ~text m)
-                    | None ->
-                      let m =
-                        Trace.span trace ~cat:"frontend" "parse" (fun () ->
-                            Parser.parse_string ~file:name text)
-                      in
-                      Guard.tick guard;
-                      Trace.span trace ~cat:"verify" "verify" (fun () ->
-                          run_verifiers m);
-                      Guard.tick guard;
-                      let plan =
-                        Trace.span trace ~cat:"frontend" "plan" (fun () ->
-                            Ir.with_isolated_ids (fun () ->
-                                Incr.normalize ~file:name ~text m))
-                      in
-                      store Cache.Src "normalized source" src_key
-                        {
-                          Cache.e_verilog = plan.Incr.pl_text;
-                          e_top = "";
-                          e_usage = Hir_resources.Model.zero;
-                        };
-                      plan
-                  in
-                  let f, note = pick_top plan.Incr.pl_module job.top in
-                  (plan, Ops.func_name f, note)
-              in
-              (* The plan prints a function on first use: hashing the
-                 top's cone prints exactly the functions this job
-                 compiles, so it is planning time. *)
-              let hash, link_key =
-                Trace.span trace ~cat:"frontend" "plan" (fun () ->
-                    if (Incr.fn_info plan top_name).Incr.fi_extern then
-                      raise
-                        (Hir_codegen.Emit.Codegen_error
-                           (Printf.sprintf
-                              "top function @%s is extern (it has no body to emit)"
-                              top_name));
-                    let hash = Incr.cone_hashes plan ~pipeline:pipeline_str in
-                    (hash, Cache.stage_key ~kind:Cache.Link ~parts:[ hash top_name ]))
-              in
-              match consult Cache.Link "link" link_key with
+              let plan, top, note = plan_source st ~text built in
+              let hash, link_key = link_key st plan ~top in
+              match consult st Cache.Link "link" link_key with
               | Some entry ->
-                (* Every function of the design is unchanged: re-link
-                   from cache, and promote to a whole-job entry so the
-                   next compile of this exact source skips even the
-                   hashing. *)
-                count "cache-link-hit";
-                store Cache.Job "result" key entry;
-                finish ~top_name:entry.Cache.e_top ~verilog:entry.Cache.e_verilog
-                  ~usage:entry.Cache.e_usage ~from_cache:true ~note ~pass_stats:[]
+                (* Every function of the design is unchanged. *)
+                count st "cache-link-hit";
+                finish ~from_cache:true ~note ~pass_stats:[] entry
               | None ->
                 let passes = Pipeline.to_passes job.pipeline in
-                (* Per-function Verilog texts (by function name) and
-                   inclusive usages (by *emitted module* name, the key
-                   instances carry), filled bottom-up so every
-                   instance resolves to an already-computed usage. *)
-                let texts = Hashtbl.create 16 in
-                let usages = Hashtbl.create 16 in
-                (* Shared definitions ([hirdef_*] modules) pulled in by
-                   the functions of this design: name -> printed text,
-                   plus each function's manifest (which definitions its
-                   module needs, in registration order). *)
-                let def_texts = Hashtbl.create 16 in
-                let fn_defs = Hashtbl.create 16 in
-                let def_key dn =
-                  Cache.stage_key ~kind:Cache.Vmod ~parts:[ "def"; dn ]
-                in
-                (* Restore every named definition from its own Vmod
-                   entry; a missing one (evicted independently of the
-                   function entry) turns the function hit into a miss,
-                   and the function is optimized and emitted again. *)
-                let restore_defs names =
-                  List.for_all
-                    (fun dn ->
-                      Hashtbl.mem def_texts dn
-                      ||
-                      match consult Cache.Vmod "definition-verilog" (def_key dn) with
-                      | Some de ->
-                        Hashtbl.replace def_texts dn de.Cache.e_verilog;
-                        Hashtbl.replace usages dn de.Cache.e_usage;
-                        true
-                      | None -> false)
-                    names
-                in
-                let all_stats = ref [] in
-                List.iter
-                  (fun fn ->
-                    Guard.tick guard;
-                    let vmod_key = Cache.stage_key ~kind:Cache.Vmod ~parts:[ hash fn ] in
-                    let hit =
-                      match consult Cache.Vmod "function-verilog" vmod_key with
-                      | Some e ->
-                        let def_names, mtext =
-                          Incr.split_manifest e.Cache.e_verilog
-                        in
-                        restore_defs def_names
-                        && begin
-                             Hashtbl.replace texts fn mtext;
-                             Hashtbl.replace fn_defs fn def_names;
-                             Hashtbl.replace usages
-                               (Incr.emitted_module_name fn)
-                               e.Cache.e_usage;
-                             true
-                           end
-                      | None -> false
-                    in
-                    if not hit then begin
-                      let emit =
-                        if (Incr.fn_info plan fn).Incr.fi_extern then
-                          Incr.emit_extern plan
-                        else begin
-                          let opt_fn, _, stats =
-                            Trace.span trace "optimize" (fun () ->
-                                Incr.optimize plan ~passes
-                                  ~instrument:(pass_instrument ~trace ~guard)
-                                  fn)
-                          in
-                          all_stats := stats :: !all_stats;
-                          Incr.emit_fn plan ~opt:(Incr.Clone opt_fn)
-                        end
-                      in
-                      let vmodule, defs =
-                        Trace.span trace ~cat:"backend" "emit" (fun () -> emit fn)
-                      in
-                      let instance_usage mname =
-                        match Hashtbl.find_opt usages mname with
-                        | Some u -> u
-                        | None ->
-                          raise
-                            (Incr.Fallback ("instance of unknown module " ^ mname))
-                      in
-                      (* Register the definitions first: the function
-                         module instantiates them, so its own usage
-                         lookup below must already resolve their names. *)
-                      let def_names =
-                        List.map (fun d -> d.Hir_verilog.Ast.mod_name) defs
-                      in
-                      List.iter
-                        (fun (d : Hir_verilog.Ast.module_def) ->
-                          let dn = d.Hir_verilog.Ast.mod_name in
-                          if not (Hashtbl.mem def_texts dn) then begin
-                            let dtext, dusage =
-                              Trace.span trace ~cat:"backend" "pretty" (fun () ->
-                                  ( Hir_verilog.Pretty.module_to_string d,
-                                    Hir_resources.Model.module_usage ~instance_usage d
-                                  ))
-                            in
-                            Hashtbl.replace def_texts dn dtext;
-                            Hashtbl.replace usages dn dusage;
-                            store Cache.Vmod "definition Verilog" (def_key dn)
-                              {
-                                Cache.e_verilog = dtext;
-                                e_top = dn;
-                                e_usage = dusage;
-                              }
-                          end)
-                        defs;
-                      let mtext, usage =
-                        Trace.span trace ~cat:"backend" "pretty" (fun () ->
-                            ( Hir_verilog.Pretty.module_to_string vmodule,
-                              Hir_resources.Model.module_usage ~instance_usage vmodule
-                            ))
-                      in
-                      Hashtbl.replace texts fn mtext;
-                      Hashtbl.replace fn_defs fn def_names;
-                      Hashtbl.replace usages (Incr.emitted_module_name fn) usage;
-                      store Cache.Vmod "function Verilog" vmod_key
-                        {
-                          Cache.e_verilog = Incr.with_manifest ~def_names mtext;
-                          e_top = fn;
-                          e_usage = usage;
-                        }
-                    end)
-                  (Incr.usage_order plan ~top:top_name);
-                let verilog =
-                  Trace.span trace ~cat:"backend" "print" (fun () ->
-                      (* Interleave each function's not-yet-placed
-                         definitions before its module, exactly as
-                         [Emit.emit] orders a whole design. *)
-                      let placed = Hashtbl.create 16 in
-                      Incr.link_design
-                        (List.concat_map
-                           (fun fn ->
-                             let defs =
-                               List.filter_map
-                                 (fun dn ->
-                                   if Hashtbl.mem placed dn then None
-                                   else begin
-                                     Hashtbl.replace placed dn ();
-                                     Some (Hashtbl.find def_texts dn)
-                                   end)
-                                 (Option.value ~default:[]
-                                    (Hashtbl.find_opt fn_defs fn))
-                             in
-                             defs @ [ Hashtbl.find texts fn ])
-                           (Incr.emit_order plan ~top:top_name)))
-                in
-                Guard.tick guard;
-                let usage =
-                  Hashtbl.find usages (Incr.emitted_module_name top_name)
-                in
-                let entry =
-                  { Cache.e_verilog = verilog; e_top = top_name; e_usage = usage }
-                in
-                store Cache.Link "linked design" link_key entry;
-                store Cache.Job "result" key entry;
-                let pass_stats = List.concat (List.rev !all_stats) in
-                finish ~top_name ~verilog ~usage ~from_cache:false ~note ~pass_stats))
+                List.iter (compile_fn st plan ~passes ~hash) (Incr.usage_order plan ~top);
+                let entry = link st plan ~top in
+                store st Cache.Link "linked design" link_key entry;
+                store st Cache.Job "result" key entry;
+                finish ~from_cache:false ~note
+                  ~pass_stats:(List.concat (List.rev st.st_stats))
+                  entry)))
   with
   | Compile_failed diags | Incr.Pass_failed diags ->
     (* Diagnostics with no location of their own are attributed to the

@@ -24,6 +24,12 @@
    Verilog.  The parse side ([Text] members, [module_of_texts]) serves
    that property and the benchmark's staged replay.
 
+   Each compiled function becomes one [compiled] record: its Verilog
+   module, the shared definitions that module instantiates, and its
+   inclusive usage.  A record is one [Vmod] cache entry ([payload],
+   [of_payload]), and [link] concatenates the records of a cone into
+   the design.
+
    Modules that this decomposition cannot compile raise [Fallback]
    with the reason: a call to an unknown function, a call cycle (no
    finite hardware instantiates itself), or a function that is not
@@ -307,40 +313,113 @@ let emit_extern plan name =
 let emitted_module_name name = Hir_codegen.Names.sanitize name
 
 (* ------------------------------------------------------------------ *)
-(* Definition manifests                                                 *)
+(* Compiled functions                                                  *)
 
-(* A cached function-Verilog entry leads with a manifest line naming
-   the shared definitions ([hirdef_*] modules) its module instantiates,
-   in first-registration order.  Each definition is its own [Vmod]
-   entry (keyed by its content-addressed name, so a definition shared
-   by several functions is stored once); a warm link reads the manifest
-   to pull those entries and place each definition before the first
-   module that uses it — reproducing [Emit.emit]'s design-wide
-   ordering byte for byte.  The manifest is stripped before linking. *)
+(* One compiled function: its Verilog module text, the shared
+   definitions ([hirdef_*] modules) that module instantiates, as
+   (name, text) in registration order, and its inclusive usage.  It is
+   what the function's [Vmod] entry holds and what [link] reads. *)
+type compiled = {
+  c_text : string;
+  c_defs : (string * string) list;
+  c_usage : Hir_resources.Model.usage;
+}
 
+(* Print what [emit_fn] or [emit_extern] returned for [name] and
+   compute the usages bottom-up: a definition may instantiate the ones
+   registered before it, and the function's module instantiates its
+   definitions and its direct callees, whose records [compiled]
+   returns. *)
+let print_compiled plan ~compiled name ((vmodule : Hir_verilog.Ast.module_def), defs) =
+  let usages = Hashtbl.create 8 in
+  List.iter
+    (fun c -> Hashtbl.replace usages (emitted_module_name c) (compiled c).c_usage)
+    (fn_info plan name).fi_callees;
+  let usage (m : Hir_verilog.Ast.module_def) =
+    Hir_resources.Model.module_usage m ~instance_usage:(fun mname ->
+        match Hashtbl.find_opt usages mname with
+        | Some u -> u
+        | None -> raise (Fallback ("instance of unknown module " ^ mname)))
+  in
+  let c_defs =
+    List.map
+      (fun (d : Hir_verilog.Ast.module_def) ->
+        Hashtbl.replace usages d.mod_name (usage d);
+        (d.mod_name, Hir_verilog.Pretty.module_to_string d))
+      defs
+  in
+  {
+    c_text = Hir_verilog.Pretty.module_to_string vmodule;
+    c_defs;
+    c_usage = usage vmodule;
+  }
+
+(* A function's [Vmod] payload.  With definitions it leads with a
+   manifest line naming each one with its byte length, followed by
+   their texts and then the module text; without, it is the module
+   text alone. *)
 let manifest_prefix = "//hirdefs:"
 
-let with_manifest ~def_names text =
-  match def_names with
-  | [] -> text
-  | names -> manifest_prefix ^ " " ^ String.concat " " names ^ "\n" ^ text
+let payload c =
+  match c.c_defs with
+  | [] -> c.c_text
+  | defs ->
+    let field (name, text) = Printf.sprintf " %s:%d" name (String.length text) in
+    String.concat ""
+      ((manifest_prefix ^ String.concat "" (List.map field defs) ^ "\n")
+       :: List.map snd defs
+      @ [ c.c_text ])
 
-let split_manifest text =
-  let plen = String.length manifest_prefix in
-  if String.length text >= plen && String.sub text 0 plen = manifest_prefix then
-    match String.index_opt text '\n' with
-    | None -> ([], text)
+(* The record [payload] wrote, given the entry's usage; [None] when the
+   manifest does not describe the payload. *)
+let of_payload ~usage p =
+  let len = String.length p in
+  let rec split at defs = function
+    | [] ->
+      Some { c_text = String.sub p at (len - at); c_defs = List.rev defs; c_usage = usage }
+    | field :: fields -> (
+      match String.split_on_char ':' field with
+      | [ name; n ] -> (
+        match int_of_string_opt n with
+        | Some n when n >= 0 && n <= len - at ->
+          split (at + n) ((name, String.sub p at n) :: defs) fields
+        | _ -> None)
+      | _ -> None)
+  in
+  if not (String.starts_with ~prefix:manifest_prefix p) then
+    Some { c_text = p; c_defs = []; c_usage = usage }
+  else
+    match String.index_opt p '\n' with
+    | None -> None
     | Some nl ->
-      let names =
-        String.sub text plen (nl - plen)
-        |> String.split_on_char ' '
-        |> List.filter (fun s -> s <> "")
-      in
-      (names, String.sub text (nl + 1) (String.length text - nl - 1))
-  else ([], text)
+      let plen = String.length manifest_prefix in
+      String.sub p plen (nl - plen)
+      |> String.split_on_char ' '
+      |> List.filter (fun f -> f <> "")
+      |> split (nl + 1) []
 
 (* Assemble the final design text from per-module texts in emit order,
    byte-identical to [Hir_verilog.Pretty.design_to_string] of the same
    modules (pinned by a unit test). *)
 let link_design module_texts =
   "// Generated by the HIR compiler\n\n" ^ String.concat "\n" module_texts
+
+(* The design of [top]'s cone from its functions' records, in emit
+   order, with each definition placed once, before the first module
+   that instantiates it, exactly as [Emit.emit] orders a whole design. *)
+let link plan ~top ~compiled =
+  let placed = Hashtbl.create 16 in
+  link_design
+    (List.concat_map
+       (fun fn ->
+         let c = compiled fn in
+         List.filter_map
+           (fun (name, text) ->
+             if Hashtbl.mem placed name then None
+             else begin
+               Hashtbl.replace placed name ();
+               Some text
+             end)
+           c.c_defs
+         @ [ c.c_text ])
+       (emit_order plan ~top))

@@ -24,7 +24,7 @@
    quarantined, admitted-but-incomplete jobs re-enqueued — so a
    kill -9 loses no admitted work; the content-addressed cache makes
    the redo cheap and [Ir.with_isolated_ids] makes it byte-identical.
-   Completed results are retained (bounded by [cfg_max_finished]) so
+   Completed results are retained (bounded by [max_finished]) so
    a finished id resubmitted with the same request digest returns the
    cached result (idempotent resubmission) and a reconnecting client
    can fetch results it missed via the `poll` op.  A resubmission of
@@ -56,7 +56,7 @@
    log-bucket latency histograms — with the pool's queue depth and the
    cache's headline counters.  With [cfg_trace_path] set, a Chrome
    trace of every job's spans over the whole server lifetime (bounded
-   by [cfg_max_traces]) is written on shutdown; without it no trace is
+   by [max_traces]) is written on shutdown; without it no trace is
    kept. *)
 
 type listen = Unix_path of string | Tcp of string * int
@@ -69,11 +69,9 @@ type config = {
   cfg_default_deadline : float option;  (* per-job, unless the frame says *)
   cfg_retry : Driver.retry_policy;
   cfg_trace_path : string option;
-  cfg_max_traces : int;  (* retain at most this many job traces *)
   cfg_journal : string option;  (* write-ahead job journal directory *)
   cfg_drain_deadline : float;  (* seconds before a drain cancels stragglers *)
   cfg_watchdog_factor : float;  (* cancel at factor x deadline; <=0 disables *)
-  cfg_max_finished : int;  (* retained results for poll / idempotency *)
   cfg_tick : float;  (* select timeout: drain/watchdog scan period *)
   cfg_verbose : bool;
 }
@@ -87,14 +85,17 @@ let default_config ~listen () =
     cfg_default_deadline = None;
     cfg_retry = Driver.default_retry;
     cfg_trace_path = None;
-    cfg_max_traces = 10_000;
     cfg_journal = None;
     cfg_drain_deadline = 30.0;
     cfg_watchdog_factor = 3.0;
-    cfg_max_finished = 4096;
     cfg_tick = 1.0;
     cfg_verbose = false;
   }
+
+(* Retained results for poll and idempotent resubmission, and retained
+   job traces. *)
+let max_finished = 4096
+let max_traces = 10_000
 
 (* What a worker needs to run one admitted job. *)
 type job_ctx = {
@@ -575,7 +576,7 @@ let handle_poll t conn (p : Protocol.poll_req) =
 let add_finished t key fj =
   Hashtbl.replace t.finished key fj;
   Queue.push key t.finished_order;
-  while Hashtbl.length t.finished > t.cfg.cfg_max_finished do
+  while Hashtbl.length t.finished > max_finished do
     match Queue.take_opt t.finished_order with
     | None -> Hashtbl.reset t.finished  (* unreachable; belt and braces *)
     | Some victim -> Hashtbl.remove t.finished victim
@@ -591,7 +592,7 @@ let record_completion t (c : (job_ctx, Driver.report) Service.completion) =
   Hir_ir.Metrics.observe t.metrics "latency.total"
     (c.Service.c_queue_seconds +. c.Service.c_run_seconds);
   Hir_ir.Metrics.merge ~prefix:"counters." ~into:t.metrics (Trace.metrics ctx.jc_trace);
-  if t.cfg.cfg_trace_path <> None && t.n_traces < t.cfg.cfg_max_traces then begin
+  if t.cfg.cfg_trace_path <> None && t.n_traces < max_traces then begin
     t.traces <- ctx.jc_trace :: t.traces;
     t.n_traces <- t.n_traces + 1
   end;

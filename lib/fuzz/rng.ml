@@ -26,9 +26,4 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Int64.to_int (Int64.rem (Int64.shift_right_logical (next_int64 t) 1) (Int64.of_int bound))
 
-let bool t = Int64.equal (Int64.logand (next_int64 t) 1L) 1L
-
 let choose t arr = arr.(int t (Array.length arr))
-
-(* A fresh generator whose stream is independent of [t]'s future. *)
-let split t = { state = next_int64 t }

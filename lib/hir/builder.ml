@@ -147,8 +147,6 @@ let add ?loc ?hint b x y = binop ?loc ?hint "hir.add" b x y
 let sub ?loc ?hint b x y = binop ?loc ?hint "hir.sub" b x y
 let mult ?loc ?hint b x y = binop ?loc ?hint "hir.mult" b x y
 let logand ?loc ?hint b x y = binop ?loc ?hint "hir.and" b x y
-let logor ?loc ?hint b x y = binop ?loc ?hint "hir.or" b x y
-let logxor ?loc ?hint b x y = binop ?loc ?hint "hir.xor" b x y
 let shl ?loc ?hint b x y = binop ?loc ?hint "hir.shl" b x y
 let shrl ?loc ?hint b x y = binop ?loc ?hint "hir.shrl" b x y
 let shra ?loc ?hint b x y = binop ?loc ?hint "hir.shra" b x y

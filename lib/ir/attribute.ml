@@ -56,8 +56,6 @@ let equal (a : t) (b : t) = a = b
 (* Typed accessors; raise on shape mismatch so that misuse in passes
    fails loudly rather than silently. *)
 let as_int = function Int n -> n | a -> failwith ("Attribute.as_int: " ^ to_string a)
-let as_bool = function Bool b -> b | a -> failwith ("Attribute.as_bool: " ^ to_string a)
 let as_string = function String s -> s | a -> failwith ("Attribute.as_string: " ^ to_string a)
 let as_symbol = function Symbol s -> s | a -> failwith ("Attribute.as_symbol: " ^ to_string a)
 let as_type = function Type t -> t | a -> failwith ("Attribute.as_type: " ^ to_string a)
-let as_array = function Array l -> l | a -> failwith ("Attribute.as_array: " ^ to_string a)

@@ -49,5 +49,3 @@ let bit_width t =
   | Float n -> Some n
   | None_type -> Some 0
   | _ -> List.find_map (fun f -> f t) !width_hooks
-
-let is_integer = function Int _ -> true | _ -> false

@@ -2013,13 +2013,6 @@ let engine_name : engine -> string = function
   | `Opcode -> "opcode"
   | `Reference -> "reference"
 
-let engine_names = [ "opcode"; "reference" ]
-
-let engine_of_string : string -> engine option = function
-  | "opcode" -> Some `Opcode
-  | "reference" -> Some `Reference
-  | _ -> None
-
 (* The reference walker keeps the flattened design to rebuild itself
    on [fork]; the opcode engine forks its state over a shared program,
    so a long-lived opcode simulator does not hold the netlist. *)

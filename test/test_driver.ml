@@ -651,11 +651,11 @@ let test_cache_verify_and_prune () =
   ignore
     (compile_text ~cache ~pipeline (transpose_text () ^ "\n// second entry\n"));
   (* The first compile stores the full chain (job, src, vmod, link);
-     the comment-suffixed second stores its own src entry and a job
-     entry promoted from the link hit: 6 entries in all. *)
+     the comment-suffixed second stores only its own src entry, since a
+     link hit stores no job entry: 5 entries in all. *)
   let r = Cache.verify cache in
-  check_int "all entries scanned" 6 r.Cache.vr_scanned;
-  check_int "all entries ok" 6 r.Cache.vr_ok;
+  check_int "all entries scanned" 5 r.Cache.vr_scanned;
+  check_int "all entries ok" 5 r.Cache.vr_ok;
   (* Damage one payload, then verify again. *)
   let victim = List.hd (cache_files dir ~suffix:".v") in
   let oc = open_out_bin victim in
@@ -663,7 +663,7 @@ let test_cache_verify_and_prune () =
   close_out oc;
   let r = Cache.verify cache in
   check_int "damaged entry found" 1 (List.length r.Cache.vr_quarantined);
-  check_int "the other entries still ok" 5 r.Cache.vr_ok;
+  check_int "the other entries still ok" 4 r.Cache.vr_ok;
   check_bool "moved to quarantine" true (quarantine_files dir <> []);
   (* Prune empties the quarantine; a second prune finds nothing. *)
   let p = Cache.prune cache in
@@ -714,19 +714,23 @@ let test_cache_quarantine_collision () =
   let cache = Cache.create ~dir () in
   let pipeline = Pipeline.default ~optimize:true in
   let text = transpose_text () in
+  (* Damage the job and link entries, so that a recompile misses both
+     and links again from the function entries. *)
   let damage () =
-    let victim = List.hd (cache_files dir ~suffix:".v") in
-    let oc = open_out_bin victim in
-    output_string oc "garbage";
-    close_out oc
+    List.iter
+      (fun victim ->
+        let oc = open_out_bin victim in
+        output_string oc "garbage";
+        close_out oc)
+      (cache_files dir ~suffix:".v" @ cache_files dir ~suffix:".lnk")
   in
   ignore (compile_text ~cache ~pipeline text);
   damage ();
   ignore (Cache.verify cache);
   let first = quarantine_files dir in
   check_bool "first quarantine captured files" true (first <> []);
-  (* Recompiling restores the same key; damaging it again forces a
-     second quarantine of identically-named files. *)
+  (* Recompiling stores the same keys again; damaging them again forces
+     a second quarantine of identically-named files. *)
   ignore (compile_text ~cache ~pipeline text);
   damage ();
   ignore (Cache.verify cache);

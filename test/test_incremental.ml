@@ -100,22 +100,39 @@ let reoptimized outputs =
   List.fold_left (fun n (o : Driver.output) -> n + List.length o.Driver.pass_stats) 0 outputs
   / List.length (Pipeline.to_passes pipeline)
 
-let link_hits cache = (List.assoc Cache.Link (Cache.kind_stats cache)).Cache.k_hits
-
 (* Cold batch, edit [target], warm batch; returns the warm outputs, the
-   cache-less baseline of the edited source, the warm batch's link hits
-   and the number of functions it re-optimized. *)
+   cache-less baseline of the edited source, the warm batch's link hits,
+   the number of functions it re-optimized and its stores per kind. *)
 let edit_and_recompile ~kernels ~target =
   let parts = List.map kernel_parts kernels in
   let tops = List.map fst parts in
   let texts = List.concat_map snd parts in
   let cache = Cache.create ~dir:(fresh_dir ()) () in
   ignore (compile_all ~cache ~tops (combined texts));
-  let before_link = link_hits cache in
+  let before = Cache.kind_stats cache in
   let edited_src = combined (edit_fn target texts) in
   let warm = compile_all ~cache ~tops edited_src in
   let baseline = compile_all ~tops edited_src in
-  (verilogs warm, verilogs baseline, link_hits cache - before_link, reoptimized warm)
+  let delta field =
+    List.map
+      (fun (kind, s) -> (kind, field s - field (List.assoc kind before)))
+      (Cache.kind_stats cache)
+  in
+  ( verilogs warm,
+    verilogs baseline,
+    List.assoc Cache.Link (delta (fun s -> s.Cache.k_hits)),
+    reoptimized warm,
+    delta (fun s -> s.Cache.k_stores) )
+
+(* The warm batch stores one Src entry (the first job's; the others
+   hit it), the edited top's Link and Job entries, and one Vmod entry
+   per re-optimized function: a link hit stores nothing. *)
+let check_stores ~reoptimized stores =
+  check_int "one Src store" 1 (List.assoc Cache.Src stores);
+  check_int "one Link store" 1 (List.assoc Cache.Link stores);
+  check_int "one Job store" 1 (List.assoc Cache.Job stores);
+  check_int "one Vmod store per re-optimized function" reoptimized
+    (List.assoc Cache.Vmod stores)
 
 (* ------------------------------------------------------------------ *)
 (* Unit: the staged linker matches the monolithic printer              *)
@@ -139,13 +156,31 @@ let test_link_design_matches_pretty () =
       in
       check_string "link_design = Pretty.design_to_string" whole relinked)
 
+(* A function's Vmod payload splits back into the record it was built
+   from, and a manifest that overruns the payload is refused. *)
+let test_payload_round_trip () =
+  let c =
+    {
+      Incr.c_text = "module f(input clk);\n  hirdef_a u0(.clk(clk));\nendmodule\n";
+      c_defs = [ ("hirdef_a", "module hirdef_a(input clk);\nendmodule\n"); ("hirdef_b", "") ];
+      c_usage = { Hir_resources.Model.zero with lut = 3 };
+    }
+  in
+  let usage = c.Incr.c_usage in
+  let p = Incr.payload c in
+  check_bool "the record comes back" true (Incr.of_payload ~usage p = Some c);
+  check_bool "no manifest without definitions" true
+    (Incr.payload { c with Incr.c_defs = [] } = c.Incr.c_text);
+  check_bool "a truncated payload is refused" true
+    (Incr.of_payload ~usage (String.sub p 0 (String.index p '\n' + 10)) = None)
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic: leaf edit and call-graph edit                        *)
 
 (* Editing one leaf kernel among three: the two untouched tops re-link,
    exactly one function is re-optimized. *)
 let test_leaf_edit_relinks_others () =
-  let warm, baseline, link_hits, reoptimized =
+  let warm, baseline, link_hits, reoptimized, stores =
     edit_and_recompile
       ~kernels:[ "transpose"; "fifo"; "elementwise_max" ]
       ~target:"elementwise_max"
@@ -153,14 +188,15 @@ let test_leaf_edit_relinks_others () =
   check_bool "warm outputs byte-identical to a cache-less compile" true
     (warm = baseline);
   check_int "both untouched tops re-link" 2 link_hits;
-  check_int "exactly the edited function re-optimizes" 1 reoptimized
+  check_int "exactly the edited function re-optimizes" 1 reoptimized;
+  check_stores ~reoptimized stores
 
 (* Editing a callee inside task_parallel's call graph: the edit
    invalidates the callee's cone AND every caller cone containing it
    (stencilA -> task_parallel), while sibling subtrees (stencilB) and
    unrelated kernels keep their entries. *)
 let test_callee_edit_invalidates_cone () =
-  let warm, baseline, link_hits, reoptimized =
+  let warm, baseline, link_hits, reoptimized, stores =
     edit_and_recompile
       ~kernels:[ "transpose"; "fifo"; "task_parallel" ]
       ~target:"stencilA"
@@ -168,17 +204,22 @@ let test_callee_edit_invalidates_cone () =
   check_bool "warm outputs byte-identical to a cache-less compile" true
     (warm = baseline);
   check_int "the two kernels outside the cone re-link" 2 link_hits;
-  check_int "edited callee + its caller re-optimize, nothing else" 2 reoptimized
+  check_int "edited callee + its caller re-optimize, nothing else" 2 reoptimized;
+  check_stores ~reoptimized stores
 
-(* A function's Verilog entry hits, but a shared definition ([hirdef_*])
-   its manifest names has lost its own entry (evicted on its own): the
-   function is optimized and emitted again, and the design comes out
-   byte-identical to the cold compile. *)
-let test_missing_definition_recompiles () =
+(* A function's shared definitions ([hirdef_*] modules) travel in its
+   own Vmod entry: GEMM 4x4's cache holds one Vmod entry per compiled
+   function and none keyed on a definition.  With the Link entries
+   gone, a recompile of the comment-edited source links from the
+   function entries alone, byte-identical to the cold compile, with
+   each definition printed once. *)
+let test_definitions_travel_with_function () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir () in
-  let text =
-    Ir.with_isolated_ids (fun () -> Printer.op_to_string (fst (Hir_kernels.Gemm.build ~n:4 ())))
+  let text, functions =
+    Ir.with_isolated_ids (fun () ->
+        let m, _ = Hir_kernels.Gemm.build ~n:4 () in
+        (Printer.op_to_string m, List.length (Ops.module_funcs m)))
   in
   let compile text =
     match Driver.compile_job ~cache (Driver.job_of_text ~pipeline ~name:"gemm4" text) with
@@ -198,34 +239,32 @@ let test_missing_definition_recompiles () =
                     Some (base, String.split_on_char '\n' (Io.read_file (base ^ ".meta")))
                   else None))
   in
-  let remove base ext =
-    Sys.remove (base ^ ext);
-    Sys.remove (base ^ ".meta")
-  in
-  let links = List.filter (fun (_, meta) -> List.mem "kind link" meta) entries in
-  let defs =
-    List.filter
-      (fun (_, meta) ->
-        List.mem "kind vmod" meta
-        && List.exists (String.starts_with ~prefix:"top hirdef_") meta)
-      entries
-  in
+  let of_kind kind = List.filter (fun (_, meta) -> List.mem ("kind " ^ kind) meta) entries in
+  check_bool "no entry is keyed on a definition" false
+    (List.exists (fun (_, meta) -> List.exists (String.starts_with ~prefix:"top hirdef_") meta)
+       entries);
+  check_int "one Vmod entry per compiled function" functions (List.length (of_kind "vmod"));
+  let links = of_kind "link" in
   check_bool "the design has a link entry" true (links <> []);
-  check_bool "the design has a shared definition" true (defs <> []);
-  List.iter (fun (base, _) -> remove base ".lnk") links;
-  let def_base = fst (List.hd defs) in
-  remove def_base ".vm";
+  List.iter
+    (fun (base, _) ->
+      Sys.remove (base ^ ".lnk");
+      Sys.remove (base ^ ".meta"))
+    links;
   let vmod () = List.assoc Cache.Vmod (Cache.kind_stats cache) in
   let before = vmod () in
   let warm = compile (text ^ "\n// edited\n") in
-  check_bool "not served from cache" false warm.Driver.from_cache;
-  check_bool "a function entry hit before its definition missed" true
-    ((vmod ()).Cache.k_hits > before.Cache.k_hits);
-  check_int "the function re-optimizes" 1 (reoptimized [ warm ]);
+  check_bool "a function entry hit" true ((vmod ()).Cache.k_hits > before.Cache.k_hits);
+  check_int "no function re-optimizes" 0 (reoptimized [ warm ]);
   check_string "Verilog byte-identical to the cold compile" cold.Driver.verilog
     warm.Driver.verilog;
-  check_bool "the definition's entry is stored again" true
-    (Sys.file_exists (def_base ^ ".vm"))
+  let defs =
+    String.split_on_char '\n' warm.Driver.verilog
+    |> List.filter (String.starts_with ~prefix:"module hirdef_")
+  in
+  check_bool "the design has definitions" true (defs <> []);
+  check_int "each definition printed once" (List.length defs)
+    (List.length (List.sort_uniq compare defs))
 
 (* ------------------------------------------------------------------ *)
 (* Golden digests: printed optimized function and compiled Verilog     *)
@@ -319,7 +358,7 @@ let incremental_reuse_prop =
           property_pool
       in
       let target = List.nth property_pool edit_idx in
-      let warm, baseline, link_hits, reoptimized =
+      let warm, baseline, link_hits, reoptimized, _ =
         edit_and_recompile ~kernels ~target
       in
       if warm <> baseline then
@@ -566,16 +605,19 @@ let () =
   Alcotest.run "incremental"
     [
       ( "link",
-        [ Alcotest.test_case "matches-monolithic-printer" `Quick
-            test_link_design_matches_pretty ] );
+        [
+          Alcotest.test_case "matches-monolithic-printer" `Quick
+            test_link_design_matches_pretty;
+          Alcotest.test_case "payload-round-trip" `Quick test_payload_round_trip;
+        ] );
       ( "edit",
         [
           Alcotest.test_case "leaf-edit-relinks-others" `Quick
             test_leaf_edit_relinks_others;
           Alcotest.test_case "callee-edit-invalidates-cone" `Quick
             test_callee_edit_invalidates_cone;
-          Alcotest.test_case "missing-definition-recompiles" `Quick
-            test_missing_definition_recompiles;
+          Alcotest.test_case "definitions-travel-with-function" `Quick
+            test_definitions_travel_with_function;
         ] );
       ( "golden",
         [ Alcotest.test_case "kernel digests" `Quick test_golden_digests ] );
