@@ -1044,11 +1044,12 @@ let serve_swarm () =
       in
       match violations with
       | [] ->
+        Hir_driver.Io.remove_tree tmp;
         Printf.printf
           "swarm OK: zero lost jobs, p99 within %.0fs, trace exported, clean exit\n"
           p99_budget_s
       | v ->
-        Printf.eprintf "SWARM VIOLATION: %s\n" (String.concat "; " v);
+        Printf.eprintf "SWARM VIOLATION: %s (kept %s)\n" (String.concat "; " v) tmp;
         exit 1)
 
 (* ------------------------------------------------------------------ *)
@@ -1485,12 +1486,13 @@ let serve_crash ~seed ~hirc () =
     ];
   match List.rev !violations with
   | [] ->
+    Hir_driver.Io.remove_tree tmp;
     Printf.printf
       "crash OK: kill -9 lost nothing (%d/%d jobs, %d byte-identical), SIGTERM \
        drained cleanly\n"
       got expected !compared
   | v ->
-    Printf.eprintf "CRASH VIOLATION: %s\n" (String.concat "; " v);
+    Printf.eprintf "CRASH VIOLATION: %s (kept %s)\n" (String.concat "; " v) tmp;
     exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1503,15 +1505,16 @@ let serve_crash ~seed ~hirc () =
    untouched kernels must re-link from their per-function entries — the
    warm batch is budgeted at [incremental_budget] of the cold one
    (expected shape ~1/8) and its outputs must be byte-identical to a
-   cache-less compile of the edited source.  Structural reuse (7 link
-   hits, exactly 1 re-optimized function) is checked too, so a timing
-   fluke can't mask a cache regression. *)
+   cache-less compile of the edited source.  Structural reuse (7 jobs
+   served from the cache, exactly 1 re-optimized function, one store
+   per entry kind) is checked too, so a timing fluke can't mask a cache
+   regression. *)
 let incremental_budget = 0.25
 
 let incremental () =
   header "Incremental recompile: edit 1 of 8 kernels, warm batch vs cold batch";
   (* A fixed 8-kernel workload: the budget and the structural
-     expectations (7 link hits, 1 re-optimized function) are calibrated
+     expectations (7 served jobs, 1 re-optimized function) are calibrated
      against this set.  Every job parses the whole combined source, a
      per-job cost no cache can avoid, so adding kernels to the registry
      (e.g. the large systolic design) would shift the warm/cold balance
@@ -1583,9 +1586,9 @@ let incremental () =
                 (Driver.error_to_string e)))
   in
   (* One run of the scenario against a fresh cache.  The structural
-     checks (byte-identity, 7 link hits, 1 re-optimized function) are
-     load-independent and must hold on EVERY attempt; only the timing
-     ratio is allowed a retry below. *)
+     checks (byte-identity, 7 served jobs, 1 re-optimized function, the
+     warm stores) are load-independent and must hold on EVERY attempt;
+     only the timing ratio is allowed a retry below. *)
   let attempt n =
     let cache = Cache.create ~dir:(Filename.concat tmp (Printf.sprintf "cache%d" n)) () in
     let cold, cold_s = time (fun () -> Driver.batch ~cache ~workers:1 (jobs src_cold)) in
@@ -1605,8 +1608,9 @@ let incremental () =
            Cache.kinds)
     in
     let cold_stores = stores (fun kind -> (List.assoc kind cold_stats).Cache.k_stores) in
-    let warm_stores = stores (fun kind -> delta kind (fun s -> s.Cache.k_stores)) in
-    let link_hits = delta Cache.Link (fun s -> s.Cache.k_hits) in
+    let warm_store kind = delta kind (fun s -> s.Cache.k_stores) in
+    let warm_stores = stores warm_store in
+    let served = (Driver.tally warm.Driver.reports).Driver.t_cached in
     (* A re-optimized function leaves one stat per pipeline pass. *)
     let reoptimized =
       Array.fold_left
@@ -1618,8 +1622,12 @@ let incremental () =
       (if warm_vs <> base_vs then
          [ "warm outputs differ from cache-less compile of the edited source" ]
        else [])
-      @ (if link_hits < 7 then
-           [ Printf.sprintf "expected 7 link hits on the warm batch, saw %d" link_hits ]
+      @ (if served <> 7 then
+           [ Printf.sprintf "expected 7 jobs served from the cache, saw %d" served ]
+         else [])
+      @ (if List.exists (fun kind -> warm_store kind <> 1) Cache.kinds then
+           [ Printf.sprintf "expected the warm batch to store one entry per kind, saw %s"
+               warm_stores ]
          else [])
       @
       if reoptimized <> 1 then
@@ -1627,10 +1635,10 @@ let incremental () =
       else []
     in
     if structural <> [] then begin
-      Printf.eprintf "INCREMENTAL VIOLATION: %s\n" (String.concat "; " structural);
+      Printf.eprintf "INCREMENTAL VIOLATION: %s (kept %s)\n" (String.concat "; " structural) tmp;
       exit 1
     end;
-    (cold_s, warm_s, link_hits, reoptimized, (cold_stores, warm_stores))
+    (cold_s, warm_s, served, reoptimized, (cold_stores, warm_stores))
   in
   (* The ratio gate is a timing measurement on a possibly-loaded
      machine: take the best of up to 3 attempts before declaring a
@@ -1646,7 +1654,7 @@ let incremental () =
     if bw /. bc <= incremental_budget || n >= 3 then (best, n)
     else measure (n + 1) (Some best)
   in
-  let (cold_s, warm_s, link_hits, reoptimized, (cold_stores, warm_stores)), attempts =
+  let (cold_s, warm_s, served, reoptimized, (cold_stores, warm_stores)), attempts =
     measure 1 None
   in
   let ratio = warm_s /. cold_s in
@@ -1654,15 +1662,17 @@ let incremental () =
   Printf.printf "warm batch (1 kernel edited)       %8.1f ms   ratio %.3f (budget %.2f, %d attempt%s)\n"
     (warm_s *. 1e3) ratio incremental_budget attempts
     (if attempts = 1 then "" else "s");
-  Printf.printf "reuse: %d link hits, %d function re-optimized\n" link_hits reoptimized;
+  Printf.printf "reuse: %d jobs served from the cache, %d function re-optimized\n" served
+    reoptimized;
   Printf.printf "stores: cold batch %s; warm batch %s\n" cold_stores warm_stores;
   record ~section:"incremental" ~name:"edit-1-of-8"
     [ ("cold_s", cold_s); ("warm_s", warm_s); ("ratio", ratio) ];
   if ratio > incremental_budget then begin
-    Printf.eprintf "INCREMENTAL VIOLATION: warm/cold ratio %.3f over %.2f budget\n"
-      ratio incremental_budget;
+    Printf.eprintf "INCREMENTAL VIOLATION: warm/cold ratio %.3f over %.2f budget (kept %s)\n"
+      ratio incremental_budget tmp;
     exit 1
   end;
+  Hir_driver.Io.remove_tree tmp;
   Printf.printf "incremental OK: byte-identical, %.1f%% of cold\n" (ratio *. 100.)
 
 (* ------------------------------------------------------------------ *)

@@ -609,8 +609,8 @@ let cache_cmd =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Print on-disk population and size by entry kind (whole-job, linked \
-             design, normalized source, per-function Verilog)")
+            "Print on-disk population and size by entry kind (whole-job, \
+             normalized source, per-function Verilog)")
   in
   let warm c spec workers =
     let names =

@@ -1,12 +1,12 @@
 (* Content-addressed compilation cache with a keyed fingerprint chain.
 
-   The cache holds four *kinds* of entry, one per memoization boundary
+   The cache holds three *kinds* of entry, one per memoization boundary
    of the staged compile flow in [Driver]:
 
      - [Job]  — the final Verilog of a whole job, keyed on
        Digest(version ⊕ pipeline ⊕ top selector ⊕ raw source text).
        The fastest possible hit: no parsing at all.  Only a compile
-       that linked its design stores one.
+       that emitted a function of its design stores one.
      - [Src]  — the *normalized* module text (print∘parse fixed point)
        keyed on the raw source text.  A hit proves the source parsed
        and verified before, so the verify stage is skipped.
@@ -18,15 +18,12 @@
        A hit skips that function's optimize *and* emit stages; a miss
        re-optimizes and emits it from the in-memory plan.  Only [Incr]
        writes or reads the payload format.
-     - [Link] — the final linked Verilog of a design, keyed on the top
-       function's cone hash.  A hit means every function of the design
-       is unchanged, however much the rest of the source file moved
-       around (comments, sibling kernels): the job is re-linked from
-       cache without optimizing or emitting anything.
 
-   Editing one kernel of an 8-kernel module therefore invalidates that
-   kernel's Vmod/Link tail only; the 7 untouched kernels re-link from
-   their Link entries and the edited one reuses every callee's Vmod
+   A design is stored once, under its Job key.  Editing one kernel of
+   an 8-kernel module therefore re-emits that kernel's cone tail only:
+   the 7 untouched kernels re-link from their functions' Vmod entries,
+   however much the rest of the source file moved around (comments,
+   sibling kernels), and the edited one reuses every callee's Vmod
    entry below the edit.
 
    Integrity: the cache trusts nothing it reads back.  Every hit
@@ -63,19 +60,17 @@
    thousands of entries makes every lookup and readdir pay for the
    whole population. *)
 
-type kind = Job | Link | Src | Vmod
+type kind = Job | Src | Vmod
 
-let kinds = [ Job; Link; Src; Vmod ]
+let kinds = [ Job; Src; Vmod ]
 
 let kind_to_string = function
   | Job -> "job"
-  | Link -> "link"
   | Src -> "src"
   | Vmod -> "vmod"
 
 let kind_of_string = function
   | "job" -> Some Job
-  | "link" -> Some Link
   | "src" -> Some Src
   | "vmod" -> Some Vmod
   | _ -> None
@@ -85,7 +80,6 @@ let kind_of_string = function
    the right file. *)
 let kind_ext = function
   | Job -> ".v"
-  | Link -> ".lnk"
   | Src -> ".src"
   | Vmod -> ".vm"
 
@@ -161,8 +155,8 @@ let key ~pipeline ~top ~source =
   in
   Digest.to_hex (Digest.string material)
 
-(* A key for the staged entries: the kind joins the material, so the
-   Link and Vmod entries of one cone hash never collide. *)
+(* A key for the staged entries: the kind joins the material, so
+   entries of different kinds over the same parts never collide. *)
 let stage_key ~kind ~parts =
   let material =
     String.concat "\x00" (driver_version :: kind_to_string kind :: parts)
@@ -171,8 +165,8 @@ let stage_key ~kind ~parts =
 
 type entry = {
   e_verilog : string;
-      (* the payload: final Verilog for Job/Link, one module's Verilog
-         for Vmod, the normalized module text for Src *)
+      (* the payload: final Verilog for Job, one function's record for
+         Vmod, the normalized module text for Src *)
   e_top : string;  (* top/function name; "" where not meaningful *)
   e_usage : Hir_resources.Model.usage;
 }
@@ -183,7 +177,6 @@ let shard_dir t k =
   Filename.concat t.dir (if String.length k >= 2 then String.sub k 0 2 else k)
 
 let payload_path t kind k = Filename.concat (shard_dir t k) (k ^ kind_ext kind)
-let verilog_path t k = payload_path t Job k
 let meta_path t k = Filename.concat (shard_dir t k) (k ^ ".meta")
 
 (* Atomic *and durable* publish via temp file + fsync + rename + dir
@@ -286,7 +279,7 @@ type verdict =
 (* The integrity check shared by the counting lookup and the
    side-effect-free [probe]: no counters, no mtime touch, but damaged
    entries are still quarantined (serving them later is never right). *)
-let probe ?(kind = Job) t k =
+let probe ~kind t k =
   let vp = payload_path t kind k and mp = meta_path t k in
   (* The entry can be evicted (or be unreadable) between the existence
      check and the reads — a classic TOCTOU.  Per the contract above,
@@ -318,7 +311,7 @@ let probe ?(kind = Job) t k =
   | Sys_error msg -> Read_fault msg
   | Unix.Unix_error (e, _, _) -> Read_fault (Unix.error_message e)
 
-let consult ?(kind = Job) t k =
+let consult ~kind t k =
   let verdict = probe ~kind t k in
   (match verdict with
   | Hit _ ->
@@ -337,8 +330,6 @@ let consult ?(kind = Job) t k =
     count_kind t kind "misses";
     count t "corrupt");
   verdict
-
-let lookup t k = match consult t k with Hit e -> Some e | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* LRU eviction                                                        *)
@@ -392,7 +383,7 @@ let evict_to_budget t budget =
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 
-let store ?(kind = Job) t k entry =
+let store ~kind t k entry =
   (* Filling the cache is best-effort: a full disk, revoked permissions
      or a squatter at the entry path must not fail a compile that
      already succeeded.  The next lookup simply misses again. *)
@@ -506,8 +497,8 @@ let verify t =
   List.iter
     (fun k ->
       (* The sidecar names the entry's kind; an unreadable or
-         unparseable sidecar probes as the default kind, whose
-         quarantine path sweeps all possible payloads. *)
+         unparseable sidecar (a retired kind's included) probes as a
+         Job entry, and its payload is a stray below. *)
       let kind =
         match meta_of_string (Io.read_file (meta_path t k)) with
         | Some (kind, _, _, _) -> kind

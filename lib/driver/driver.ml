@@ -85,10 +85,7 @@ let job_of_text ?top ~pipeline ~name text =
   { src = Text { src_name = name; text }; pipeline; top }
 
 let job_of_file ?top ~pipeline path =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  job_of_text ?top ~pipeline ~name:path text
+  job_of_text ?top ~pipeline ~name:path (Io.read_file path)
 
 let job_of_builder ~pipeline ~name build =
   { src = Builder { src_name = name; build }; pipeline; top = None }
@@ -288,21 +285,20 @@ let plan_source st ~text built =
     let f, note = pick_top plan.Incr.pl_module st.st_job.top in
     (plan, Ops.func_name f, note)
 
-(* The cone hashes and the top's Link key.  The plan prints a function
-   on first use: hashing the top's cone prints exactly the functions
-   this job compiles, so it is planning time. *)
-let link_key st plan ~top =
+(* The cone hashes, once the top is known to have a body.  The plan
+   prints a function on first use: hashing the top's cone prints
+   exactly the functions this job compiles, so it is planning time. *)
+let cone_hashes st plan ~top =
   Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
       if (Incr.fn_info plan top).Incr.fi_extern then
         raise
           (Hir_codegen.Emit.Codegen_error
              (Printf.sprintf "top function @%s is extern (it has no body to emit)" top));
-      let hash = Incr.cone_hashes plan ~pipeline:st.st_pipeline in
-      (hash, Cache.stage_key ~kind:Cache.Link ~parts:[ hash top ]))
+      Incr.cone_hashes plan ~pipeline:st.st_pipeline)
 
 (* One function of the cone, every callee already compiled: its record
    comes from its Vmod entry, or it is optimized, emitted and printed
-   from the plan and stored. *)
+   from the plan and stored.  Returns whether it was emitted. *)
 let compile_fn st plan ~passes ~hash fn =
   Guard.tick st.st_guard;
   let key = Cache.stage_key ~kind:Cache.Vmod ~parts:[ hash fn ] in
@@ -336,7 +332,8 @@ let compile_fn st plan ~passes ~hash fn =
         { Cache.e_verilog = Incr.payload c; e_top = fn; e_usage = c.Incr.c_usage };
       c
   in
-  Hashtbl.replace st.st_fns fn c
+  Hashtbl.replace st.st_fns fn c;
+  Option.is_none cached
 
 (* Link the compiled cone into the job's result. *)
 let link st plan ~top =
@@ -395,21 +392,18 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                  worker crashing mid-job. *)
               Faults.point "job.compile";
               let plan, top, note = plan_source st ~text built in
-              let hash, link_key = link_key st plan ~top in
-              match consult st Cache.Link "link" link_key with
-              | Some entry ->
-                (* Every function of the design is unchanged. *)
-                count st "cache-link-hit";
-                finish ~from_cache:true ~note ~pass_stats:[] entry
-              | None ->
-                let passes = Pipeline.to_passes job.pipeline in
-                List.iter (compile_fn st plan ~passes ~hash) (Incr.usage_order plan ~top);
-                let entry = link st plan ~top in
-                store st Cache.Link "linked design" link_key entry;
-                store st Cache.Job "result" key entry;
-                finish ~from_cache:false ~note
-                  ~pass_stats:(List.concat (List.rev st.st_stats))
-                  entry)))
+              let hash = cone_hashes st plan ~top in
+              let passes = Pipeline.to_passes job.pipeline in
+              let emitted =
+                List.filter (compile_fn st plan ~passes ~hash) (Incr.usage_order plan ~top)
+              in
+              let entry = link st plan ~top in
+              (* With every function of the design from its Vmod entry,
+                 the job is served from the cache and stores nothing. *)
+              let from_cache = emitted = [] in
+              if from_cache then count st "cache-link-hit"
+              else store st Cache.Job "result" key entry;
+              finish ~from_cache ~note ~pass_stats:(List.concat (List.rev st.st_stats)) entry)))
   with
   | Compile_failed diags | Incr.Pass_failed diags ->
     (* Diagnostics with no location of their own are attributed to the

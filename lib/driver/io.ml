@@ -16,6 +16,16 @@ let fsync_dir dir =
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
+(* Remove [path] and everything under it (symbolic links are removed,
+   not followed).  A missing [path] is not an error. *)
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect

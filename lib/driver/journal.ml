@@ -61,29 +61,21 @@ let digest_of_request ~kernel ~name ~source ~top ~passes =
 let crc_table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
 
+(* On native ints, which hold the 32-bit value unboxed: no step sets a
+   bit above bit 31. *)
 let crc32 s =
   let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      c :=
-        Int32.logxor
-          (Int32.shift_right_logical !c 8)
-          table.(Int32.to_int
-                   (Int32.logand
-                      (Int32.logxor !c (Int32.of_int (Char.code ch)))
-                      0xFFl)))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    c := (!c lsr 8) lxor table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+  done;
+  !c lxor 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)
 (* Record codec                                                        *)
@@ -124,7 +116,7 @@ let admit_of_json j =
 
 let record_line j =
   let payload = Json.to_string j in
-  Printf.sprintf "%08lx %s\n" (crc32 payload) payload
+  Printf.sprintf "%08x %s\n" (crc32 payload) payload
 
 (* A complete line back to its JSON, CRC-checked. *)
 let parse_record line =
@@ -133,7 +125,7 @@ let parse_record line =
   else
     let crc_hex = String.sub line 0 8 in
     let payload = String.sub line 9 (n - 9) in
-    match Int32.of_string_opt ("0x" ^ crc_hex) with
+    match int_of_string_opt ("0x" ^ crc_hex) with
     | None -> Error "malformed CRC"
     | Some crc ->
       if crc <> crc32 payload then Error "CRC mismatch"

@@ -456,7 +456,6 @@ module Reference = struct
   let settle_only t = settle t
 
   let failures t = List.rev t.failures
-  let cycle t = t.cycle
 
   (* All named signals with their widths, for waveform dumping. *)
   let signal_names t =
@@ -1976,16 +1975,7 @@ module Opcode = struct
           mark_id prog st id
         end
 
-  let signal_width t name =
-    match Hashtbl.find_opt t.prog.p_signals name with
-    | Some s -> s.o_width
-    | None -> (
-      match Hashtbl.find_opt t.prog.p_mem_tbl name with
-      | Some m -> m.om_elem_width
-      | None -> fail "unknown signal %s" name)
-
   let failures t = List.rev t.st.s_rt.failures
-  let cycle t = t.st.s_rt.cycle
 
   let signal_names t =
     Hashtbl.fold (fun name s acc -> (name, s.o_width) :: acc) t.prog.p_signals []
@@ -2034,11 +2024,6 @@ let fork = function
   | O o -> O (Opcode.fork o)
   | R (_, flat) -> R (Reference.create flat, flat)
 
-let signal_width t name =
-  match t with
-  | O o -> Opcode.signal_width o name
-  | R (r, _) -> Reference.signal_width r name
-
 let set_input t name v =
   match t with O o -> Opcode.set_input o name v | R (r, _) -> Reference.set_input r name v
 
@@ -2071,7 +2056,6 @@ let settle_only t =
   match t with O o -> Opcode.settle_only o | R (r, _) -> Reference.settle_only r
 
 let failures t = match t with O o -> Opcode.failures o | R (r, _) -> Reference.failures r
-let cycle t = match t with O o -> Opcode.cycle o | R (r, _) -> Reference.cycle r
 
 let signal_names t =
   match t with O o -> Opcode.signal_names o | R (r, _) -> Reference.signal_names r

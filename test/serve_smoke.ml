@@ -22,7 +22,19 @@ module Protocol = Hir_driver.Protocol
 
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("serve-smoke: FAIL: " ^ m); exit 1) fmt
+(* The server's socket and cache; removed when the run passes, kept
+   for inspection when it fails. *)
+let tmp =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "hir-serve-smoke-%d" (Unix.getpid ()))
+
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("serve-smoke: FAIL: " ^ m);
+      if Sys.file_exists tmp then prerr_endline ("serve-smoke: kept " ^ tmp);
+      exit 1)
+    fmt
 
 let expect_field j name =
   match Protocol.Json.field_str j name with
@@ -36,10 +48,6 @@ let recv_or_die c what =
 
 let () =
   let hirc = if Array.length Sys.argv > 1 then Sys.argv.(1) else fail "usage: serve_smoke HIRC" in
-  let tmp =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hir-serve-smoke-%d" (Unix.getpid ()))
-  in
   if not (Sys.file_exists tmp) then Unix.mkdir tmp 0o755;
   let sock = Filename.concat tmp "smoke.sock" in
   let cache_dir = Filename.concat tmp "cache" in
@@ -138,4 +146,5 @@ let () =
   | _, Unix.WEXITED 0 -> ()
   | _, Unix.WEXITED n -> fail "server exited %d" n
   | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> fail "server killed by signal %d" n);
+  Hir_driver.Io.remove_tree tmp;
   print_endline "serve-smoke: OK"

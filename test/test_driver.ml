@@ -139,13 +139,7 @@ let test_instrumentation () =
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hir-driver-test-%d-%d" (Unix.getpid ()) !counter)
+let fresh_dir = Scratch.fresh_dir
 
 let transpose_text () =
   Ir.with_isolated_ids (fun () ->
@@ -170,7 +164,7 @@ let cache_files dir ~suffix =
          else [])
 
 (* One payload extension per cache entry kind (see [Cache.kind_ext]). *)
-let payload_suffixes = [ ".v"; ".lnk"; ".src"; ".vm" ]
+let payload_suffixes = [ ".v"; ".src"; ".vm" ]
 
 let compile_text ?cache ~pipeline text =
   match Driver.compile_job ?cache (Driver.job_of_text ~pipeline ~name:"t.hir" text) with
@@ -548,8 +542,8 @@ let test_cache_bitflip_quarantined () =
     (List.exists
        (fun d -> String.length d >= 7 && String.sub d 0 7 = "corrupt")
        again.Driver.degradations);
-  (* One corrupt entry per kind: job, src, link, vmod. *)
-  check_int "all four damaged entries counted" 4 (Cache.corrupt_count cache);
+  (* One corrupt entry per kind: job, src, vmod. *)
+  check_int "all three damaged entries counted" 3 (Cache.corrupt_count cache);
   check_bool "damaged files moved to quarantine" true (quarantine_files dir <> [])
 
 let test_cache_truncated_meta_quarantined () =
@@ -576,7 +570,7 @@ let test_cache_store_failure_is_clean () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir () in
   let k = Cache.key ~pipeline:"p" ~top:None ~source:"s" in
-  let squat = Cache.verilog_path cache k in
+  let squat = Cache.payload_path cache Cache.Job k in
   if not (Sys.file_exists (Filename.dirname squat)) then
     Unix.mkdir (Filename.dirname squat) 0o755;
   Unix.mkdir squat 0o755;
@@ -587,7 +581,7 @@ let test_cache_store_failure_is_clean () =
       e_usage = Hir_resources.Model.zero;
     }
   in
-  (match Cache.store cache k entry with
+  (match Cache.store ~kind:Cache.Job cache k entry with
   | Ok () -> Alcotest.fail "expected store onto a squatted path to fail"
   | Error _ -> ());
   Alcotest.(check (list string)) "no temp files leak from the failed write" []
@@ -611,35 +605,39 @@ let test_cache_write_fault_ordering () =
       e_usage = Hir_resources.Model.zero;
     }
   in
+  let store () = Cache.store ~kind:Cache.Job cache k entry in
+  let lookup () =
+    match Cache.consult ~kind:Cache.Job cache k with Cache.Hit e -> Some e | _ -> None
+  in
   (* Crash before the payload rename: nothing published. *)
   Faults.with_config
     { Faults.rules = [ ("cache.write", Faults.Nth 1) ]; seed = 1 }
     (fun () ->
-      match Cache.store cache k entry with
+      match store () with
       | Ok () -> Alcotest.fail "payload-write fault must fail the store"
       | Error _ -> ());
   check_bool "no payload published" true (cache_files dir ~suffix:".v" = []);
   Alcotest.(check (list string)) "no temp litter" [] (cache_files dir ~suffix:".tmp");
-  check_bool "lookup misses cleanly" true (Cache.lookup cache k = None);
+  check_bool "lookup misses cleanly" true (lookup () = None);
   (* Crash between the payload rename and the meta rename: the torn
      pair must read as a miss, not as corruption served. *)
   Faults.with_config
     { Faults.rules = [ ("cache.write", Faults.Nth 2) ]; seed = 1 }
     (fun () ->
-      match Cache.store cache k entry with
+      match store () with
       | Ok () -> Alcotest.fail "meta-write fault must fail the store"
       | Error _ -> ());
   check_bool "payload was published" true (cache_files dir ~suffix:".v" <> []);
   check_bool "meta was not" true (cache_files dir ~suffix:".meta" = []);
   Alcotest.(check (list string)) "still no temp litter" []
     (cache_files dir ~suffix:".tmp");
-  check_bool "torn pair reads as a miss" true (Cache.lookup cache k = None);
+  check_bool "torn pair reads as a miss" true (lookup () = None);
   check_int "both faults counted" 2 (Cache.fault_count cache);
   (* A clean store over the torn pair heals it. *)
-  (match Cache.store cache k entry with
+  (match store () with
   | Ok () -> ()
   | Error e -> Alcotest.failf "clean store failed: %s" e);
-  match Cache.lookup cache k with
+  match lookup () with
   | Some e -> check_string "healed entry served" entry.Cache.e_verilog e.Cache.e_verilog
   | None -> Alcotest.fail "healed entry must hit"
 
@@ -650,12 +648,12 @@ let test_cache_verify_and_prune () =
   ignore (compile_text ~cache ~pipeline (transpose_text ()));
   ignore
     (compile_text ~cache ~pipeline (transpose_text () ^ "\n// second entry\n"));
-  (* The first compile stores the full chain (job, src, vmod, link);
-     the comment-suffixed second stores only its own src entry, since a
-     link hit stores no job entry: 5 entries in all. *)
+  (* The first compile stores the full chain (job, src, vmod); the
+     comment-suffixed second stores only its own src entry, since a job
+     served from its function entries stores nothing: 4 entries in all. *)
   let r = Cache.verify cache in
-  check_int "all entries scanned" 5 r.Cache.vr_scanned;
-  check_int "all entries ok" 5 r.Cache.vr_ok;
+  check_int "all entries scanned" 4 r.Cache.vr_scanned;
+  check_int "all entries ok" 4 r.Cache.vr_ok;
   (* Damage one payload, then verify again. *)
   let victim = List.hd (cache_files dir ~suffix:".v") in
   let oc = open_out_bin victim in
@@ -663,7 +661,7 @@ let test_cache_verify_and_prune () =
   close_out oc;
   let r = Cache.verify cache in
   check_int "damaged entry found" 1 (List.length r.Cache.vr_quarantined);
-  check_int "the other entries still ok" 4 r.Cache.vr_ok;
+  check_int "the other entries still ok" 3 r.Cache.vr_ok;
   check_bool "moved to quarantine" true (quarantine_files dir <> []);
   (* Prune empties the quarantine; a second prune finds nothing. *)
   let p = Cache.prune cache in
@@ -681,7 +679,30 @@ let test_cache_verify_and_prune () =
   let r = Cache.verify cache in
   Alcotest.(check (list string)) "the stray file is quarantined"
     [ Filename.basename stray ] (List.map fst r.Cache.vr_quarantined);
-  check_bool "and gone from its shard" false (Sys.file_exists stray)
+  check_bool "and gone from its shard" false (Sys.file_exists stray);
+  (* So is a linked-design entry, which older builds stored under the
+     top's cone hash: a valid [.lnk] payload with a [kind link]
+     sidecar. *)
+  let k = Digest.to_hex (Digest.string "a linked design") in
+  let shard = Filename.concat dir (String.sub k 0 2) in
+  Io.mkdir_p shard;
+  let write name content =
+    let oc = open_out_bin (Filename.concat shard name) in
+    output_string oc content;
+    close_out oc
+  in
+  let design = "module top(input clk);\nendmodule\n" in
+  write (k ^ ".lnk") design;
+  write (k ^ ".meta")
+    (Printf.sprintf "kind link\ntop top\ndigest %s\nlut 0\nff 0\ndsp 0\nbram 0\n"
+       (Digest.to_hex (Digest.string design)));
+  let r = Cache.verify cache in
+  check_int "the current entries are still ok" 3 r.Cache.vr_ok;
+  Alcotest.(check (list string)) "its payload and sidecar are quarantined"
+    [ k ^ ".lnk"; k ^ ".meta" ]
+    (List.filter (String.starts_with ~prefix:k) (quarantine_files dir) |> List.sort compare);
+  check_bool "and gone from their shard" false
+    (List.exists (fun ext -> Sys.file_exists (Filename.concat shard (k ^ ext))) [ ".lnk"; ".meta" ])
 
 (* [Cache.verify] is an offline integrity scan: it must not perturb the
    runtime hit/miss/store counters a monitoring endpoint reports, and a
@@ -714,15 +735,15 @@ let test_cache_quarantine_collision () =
   let cache = Cache.create ~dir () in
   let pipeline = Pipeline.default ~optimize:true in
   let text = transpose_text () in
-  (* Damage the job and link entries, so that a recompile misses both
-     and links again from the function entries. *)
+  (* Damage the job and function entries, so that a recompile misses
+     both and stores both keys again. *)
   let damage () =
     List.iter
       (fun victim ->
         let oc = open_out_bin victim in
         output_string oc "garbage";
         close_out oc)
-      (cache_files dir ~suffix:".v" @ cache_files dir ~suffix:".lnk")
+      (cache_files dir ~suffix:".v" @ cache_files dir ~suffix:".vm")
   in
   ignore (compile_text ~cache ~pipeline text);
   damage ();
@@ -822,9 +843,9 @@ let compile_design ?top ~name text =
   Driver.compile_job
     (Driver.job_of_text ?top ~pipeline:(Pipeline.default ~optimize:true) ~name text)
 
-(* On an empty cache the transpose kernel's job is served from the link
-   entry the example design's job stored just before it.  The batch
-   tally counts it, although no whole-job entry hit. *)
+(* On an empty cache the transpose kernel's job is served from the
+   function entries the example design's job stored just before it.
+   The batch tally counts it, although no whole-job entry hit. *)
 let test_batch_tally_counts_served () =
   let pipeline = Pipeline.default ~optimize:true in
   let cache = Cache.create ~dir:(fresh_dir ()) () in
@@ -849,35 +870,73 @@ let test_call_cycle () =
     (compile_design ~name:"cycle.hir" (read_design "err_call_cycle.hir"))
     "\"cycle.hir\": error: codegen: call cycle through @stencil_1d_op"
 
-(* The MAC of Figure 2 over an extern @mult, compiled with the extern
-   as its top: there is no body to emit. *)
+(* The MAC of Figure 2 over an extern @mult. *)
+let mac_text () =
+  Ir.with_isolated_ids (fun () ->
+      let m = Builder.create_module () in
+      let mult =
+        Builder.extern_func m ~name:"mult"
+          ~args:[ Builder.arg "a" Typ.i32; Builder.arg "b" Typ.i32 ]
+          ~results:[ (Typ.i32, 2) ]
+      in
+      ignore
+        (Builder.func m ~name:"mac"
+           ~args:[ Builder.arg "a" Typ.i32; Builder.arg "b" Typ.i32; Builder.arg "c" Typ.i32 ]
+           ~results:[ (Typ.i32, 2) ]
+           (fun bld args t ->
+             match args with
+             | [ a; b; c ] ->
+               let p =
+                 List.hd (Builder.call bld ~callee:mult [ a; b ] ~at:Builder.(t @>> 0))
+               in
+               let c2 = Builder.delay bld c ~by:2 ~at:Builder.(t @>> 0) in
+               Builder.return_ bld [ Builder.add bld p c2 ]
+             | _ -> assert false));
+      Printer.op_to_string m)
+
+(* The MAC compiled with the extern as its top: there is no body to
+   emit. *)
 let test_extern_top () =
-  let text =
-    Ir.with_isolated_ids (fun () ->
-        let m = Builder.create_module () in
-        let mult =
-          Builder.extern_func m ~name:"mult"
-            ~args:[ Builder.arg "a" Typ.i32; Builder.arg "b" Typ.i32 ]
-            ~results:[ (Typ.i32, 2) ]
-        in
-        ignore
-          (Builder.func m ~name:"mac"
-             ~args:[ Builder.arg "a" Typ.i32; Builder.arg "b" Typ.i32; Builder.arg "c" Typ.i32 ]
-             ~results:[ (Typ.i32, 2) ]
-             (fun bld args t ->
-               match args with
-               | [ a; b; c ] ->
-                 let p =
-                   List.hd (Builder.call bld ~callee:mult [ a; b ] ~at:Builder.(t @>> 0))
-                 in
-                 let c2 = Builder.delay bld c ~by:2 ~at:Builder.(t @>> 0) in
-                 Builder.return_ bld [ Builder.add bld p c2 ]
-               | _ -> assert false));
-        Printer.op_to_string m)
-  in
   expect_permanent
-    (compile_design ~top:"mult" ~name:"mac.hir" text)
+    (compile_design ~top:"mult" ~name:"mac.hir" (mac_text ()))
     "\"mac.hir\": error: codegen: top function @mult is extern (it has no body to emit)"
+
+(* A job is served from the cache only when no function of its cone
+   was emitted.  With the extern's function entry gone, a recompile of
+   the comment-edited MAC re-emits the extern alone, which optimizes
+   nothing: the job is not served and stores its Job entry. *)
+let test_extern_miss_stores_job () =
+  let dir = fresh_dir () in
+  let cache = Cache.create ~dir () in
+  let pipeline = Pipeline.default ~optimize:true in
+  let compile text =
+    match
+      Driver.compile_job ~cache (Driver.job_of_text ~top:"mac" ~pipeline ~name:"mac.hir" text)
+    with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "compile failed: %s" (Driver.error_to_string e)
+  in
+  let text = mac_text () in
+  let cold = compile text in
+  let extern_entries =
+    List.filter
+      (fun meta -> List.mem "top mult" (String.split_on_char '\n' (Io.read_file meta)))
+      (cache_files dir ~suffix:".meta")
+  in
+  check_int "the extern has one function entry" 1 (List.length extern_entries);
+  List.iter
+    (fun meta ->
+      Sys.remove meta;
+      Sys.remove (Filename.remove_extension meta ^ ".vm"))
+    extern_entries;
+  let job_stores () = (List.assoc Cache.Job (Cache.kind_stats cache)).Cache.k_stores in
+  let before = job_stores () in
+  let again = compile (text ^ "\n// edited\n") in
+  check_bool "no pass ran" true (again.Driver.pass_stats = []);
+  check_bool "not served from the cache" false again.Driver.from_cache;
+  check_int "the Job entry is stored" (before + 1) (job_stores ());
+  check_string "Verilog byte-identical to the cold compile" cold.Driver.verilog
+    again.Driver.verilog
 
 (* stencil_1d.hir with its one call retargeted at a missing function. *)
 let test_unknown_callee () =
@@ -1082,6 +1141,7 @@ let batch_under_injection_prop =
 
 let () =
   Alcotest.run "driver"
+  @@ Scratch.watch
     [
       ( "pipeline",
         [
@@ -1102,6 +1162,7 @@ let () =
             test_cache_damaged_entry_degrades_to_miss;
           Alcotest.test_case "errors-are-diagnostics" `Quick
             test_compile_job_errors_are_diagnostics;
+          Alcotest.test_case "extern-miss-stores-job" `Quick test_extern_miss_stores_job;
         ] );
       ( "batch",
         [

@@ -19,13 +19,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hir-incr-test-%d-%d" (Unix.getpid ()) !counter)
+let fresh_dir = Scratch.fresh_dir
 
 (* ------------------------------------------------------------------ *)
 (* Source assembly                                                     *)
@@ -101,8 +95,9 @@ let reoptimized outputs =
   / List.length (Pipeline.to_passes pipeline)
 
 (* Cold batch, edit [target], warm batch; returns the warm outputs, the
-   cache-less baseline of the edited source, the warm batch's link hits,
-   the number of functions it re-optimized and its stores per kind. *)
+   cache-less baseline of the edited source, the number of warm jobs
+   served from the cache, the number of functions the warm batch
+   re-optimized and its stores per kind. *)
 let edit_and_recompile ~kernels ~target =
   let parts = List.map kernel_parts kernels in
   let tops = List.map fst parts in
@@ -120,16 +115,15 @@ let edit_and_recompile ~kernels ~target =
   in
   ( verilogs warm,
     verilogs baseline,
-    List.assoc Cache.Link (delta (fun s -> s.Cache.k_hits)),
+    List.length (List.filter (fun (o : Driver.output) -> o.Driver.from_cache) warm),
     reoptimized warm,
     delta (fun s -> s.Cache.k_stores) )
 
 (* The warm batch stores one Src entry (the first job's; the others
-   hit it), the edited top's Link and Job entries, and one Vmod entry
-   per re-optimized function: a link hit stores nothing. *)
+   hit it), the edited top's Job entry, and one Vmod entry per
+   re-optimized function: a served job stores nothing. *)
 let check_stores ~reoptimized stores =
   check_int "one Src store" 1 (List.assoc Cache.Src stores);
-  check_int "one Link store" 1 (List.assoc Cache.Link stores);
   check_int "one Job store" 1 (List.assoc Cache.Job stores);
   check_int "one Vmod store per re-optimized function" reoptimized
     (List.assoc Cache.Vmod stores)
@@ -177,17 +171,17 @@ let test_payload_round_trip () =
 (* ------------------------------------------------------------------ *)
 (* Deterministic: leaf edit and call-graph edit                        *)
 
-(* Editing one leaf kernel among three: the two untouched tops re-link,
-   exactly one function is re-optimized. *)
+(* Editing one leaf kernel among three: the two untouched tops re-link
+   from the cache, exactly one function is re-optimized. *)
 let test_leaf_edit_relinks_others () =
-  let warm, baseline, link_hits, reoptimized, stores =
+  let warm, baseline, served, reoptimized, stores =
     edit_and_recompile
       ~kernels:[ "transpose"; "fifo"; "elementwise_max" ]
       ~target:"elementwise_max"
   in
   check_bool "warm outputs byte-identical to a cache-less compile" true
     (warm = baseline);
-  check_int "both untouched tops re-link" 2 link_hits;
+  check_int "both untouched tops are served" 2 served;
   check_int "exactly the edited function re-optimizes" 1 reoptimized;
   check_stores ~reoptimized stores
 
@@ -196,23 +190,23 @@ let test_leaf_edit_relinks_others () =
    (stencilA -> task_parallel), while sibling subtrees (stencilB) and
    unrelated kernels keep their entries. *)
 let test_callee_edit_invalidates_cone () =
-  let warm, baseline, link_hits, reoptimized, stores =
+  let warm, baseline, served, reoptimized, stores =
     edit_and_recompile
       ~kernels:[ "transpose"; "fifo"; "task_parallel" ]
       ~target:"stencilA"
   in
   check_bool "warm outputs byte-identical to a cache-less compile" true
     (warm = baseline);
-  check_int "the two kernels outside the cone re-link" 2 link_hits;
+  check_int "the two kernels outside the cone are served" 2 served;
   check_int "edited callee + its caller re-optimize, nothing else" 2 reoptimized;
   check_stores ~reoptimized stores
 
 (* A function's shared definitions ([hirdef_*] modules) travel in its
    own Vmod entry: GEMM 4x4's cache holds one Vmod entry per compiled
-   function and none keyed on a definition.  With the Link entries
-   gone, a recompile of the comment-edited source links from the
-   function entries alone, byte-identical to the cold compile, with
-   each definition printed once. *)
+   function and none keyed on a definition.  A recompile of the
+   comment-edited source links from the function entries alone,
+   byte-identical to the cold compile, with each definition printed
+   once. *)
 let test_definitions_travel_with_function () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir () in
@@ -244,13 +238,6 @@ let test_definitions_travel_with_function () =
     (List.exists (fun (_, meta) -> List.exists (String.starts_with ~prefix:"top hirdef_") meta)
        entries);
   check_int "one Vmod entry per compiled function" functions (List.length (of_kind "vmod"));
-  let links = of_kind "link" in
-  check_bool "the design has a link entry" true (links <> []);
-  List.iter
-    (fun (base, _) ->
-      Sys.remove (base ^ ".lnk");
-      Sys.remove (base ^ ".meta"))
-    links;
   let vmod () = List.assoc Cache.Vmod (Cache.kind_stats cache) in
   let before = vmod () in
   let warm = compile (text ^ "\n// edited\n") in
@@ -358,14 +345,14 @@ let incremental_reuse_prop =
           property_pool
       in
       let target = List.nth property_pool edit_idx in
-      let warm, baseline, link_hits, reoptimized, _ =
+      let warm, baseline, served, reoptimized, _ =
         edit_and_recompile ~kernels ~target
       in
       if warm <> baseline then
         QCheck.Test.fail_reportf "warm recompile differs from cold compile";
-      if link_hits <> List.length kernels - 1 then
-        QCheck.Test.fail_reportf "expected %d link hits, saw %d"
-          (List.length kernels - 1) link_hits;
+      if served <> List.length kernels - 1 then
+        QCheck.Test.fail_reportf "expected %d served jobs, saw %d"
+          (List.length kernels - 1) served;
       if reoptimized <> 1 then
         QCheck.Test.fail_reportf "expected 1 re-optimized function, saw %d" reoptimized;
       true)
@@ -603,6 +590,7 @@ let test_clone_rejects_foreign_value () =
 
 let () =
   Alcotest.run "incremental"
+  @@ Scratch.watch
     [
       ( "link",
         [

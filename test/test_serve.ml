@@ -403,11 +403,8 @@ let test_torn_frame_at_eof () =
 (* Journal                                                             *)
 
 let fresh_dir name =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hir-test-%s-%d-%d" name (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir d 0o755;
+  let d = Scratch.fresh_dir () ^ "-" ^ name in
+  Hir_driver.Io.mkdir_p d;
   d
 
 let mk_admit ?(client = "alice") ?(digest = "d0") id kernel =
@@ -547,6 +544,29 @@ let test_journal_append_fault () =
       Alcotest.(check int) "faulted record quarantined" 1 r.Journal.rr_quarantined;
       Alcotest.(check int) "nothing pending" 0 (List.length r.Journal.rr_pending))
 
+(* The record format is fixed: the CRC is the IEEE 802.3 CRC-32, and
+   lines an earlier build wrote, when the CRC was computed on [Int32]
+   values, still replay.  The first CRC has its top bit set, the second
+   a leading zero digit. *)
+let test_journal_record_format () =
+  Alcotest.(check int) "CRC-32 check value" 0xcbf43926 (Journal.crc32 "123456789");
+  let dir = fresh_dir "journal-format" in
+  let oc = open_out_bin (Filename.concat dir "journal.log") in
+  List.iter (output_string oc)
+    [
+      "c9e2b6b3 {\"t\":\"admit\",\"client\":\"alice\",\"id\":\"j1\",\"digest\":\"d0\",\
+       \"kernel\":\"fifo\",\"priority\":1,\"deadline\":2.5,\"verilog\":true}\n";
+      "0e16d28e {\"t\":\"admit\",\"client\":\"alice\",\"id\":\"j3\",\"digest\":\"d0\",\
+       \"kernel\":\"fifo\",\"priority\":1,\"deadline\":2.5,\"verilog\":true}\n";
+      "dae117db {\"t\":\"done\",\"client\":\"alice\",\"id\":\"j1\",\"status\":\"ok\"}\n";
+    ];
+  close_out oc;
+  let r = Journal.replay ~dir in
+  Alcotest.(check int) "nothing quarantined" 0 r.Journal.rr_quarantined;
+  Alcotest.(check int) "done marks" 1 r.Journal.rr_completed;
+  Alcotest.(check (list string)) "the open admit is pending" [ "j3" ]
+    (List.map (fun a -> a.Journal.a_id) r.Journal.rr_pending)
+
 let test_request_digest_stability () =
   let d1 = Journal.digest_of_request ~kernel:(Some "gemm") ~name:None ~source:None ~top:None ~passes:None in
   let d2 = Journal.digest_of_request ~kernel:(Some "gemm") ~name:None ~source:None ~top:None ~passes:None in
@@ -560,12 +580,7 @@ let test_request_digest_stability () =
 (* Socket-level server tests                                           *)
 
 let with_server ?(workers = 2) ?(max_depth = 16) ?(tweak = fun c -> c) f =
-  let tmp =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hir-test-serve-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir tmp 0o755;
-  let sock = Filename.concat tmp "s.sock" in
+  let sock = Filename.concat (fresh_dir "serve") "s.sock" in
   let cfg =
     tweak
       {
@@ -1085,6 +1100,7 @@ let test_server_chrome_trace () =
 
 let () =
   Alcotest.run "serve"
+  @@ Scratch.watch
     [
       ( "scheduler",
         [
@@ -1125,6 +1141,7 @@ let () =
             test_journal_corruption_quarantined;
           Alcotest.test_case "compaction" `Quick test_journal_compact;
           Alcotest.test_case "append/replay faults" `Quick test_journal_append_fault;
+          Alcotest.test_case "record format" `Quick test_journal_record_format;
           Alcotest.test_case "request digest stability" `Quick
             test_request_digest_stability;
         ] );
