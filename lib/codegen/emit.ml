@@ -155,9 +155,12 @@ type vbind =
   | Vmem of mem_binding
   | Vtime of string  (* delta-0 pulse wire *)
 
+(* A pulse wire's shift register: stage [d] (delta [d] >= 1) is
+   [ch_regs.(d - 1)], for [d <= ch_len]. *)
 type chain = {
   ch_base : string;
-  mutable ch_regs : string list;  (* delta 1.. in order *)
+  mutable ch_regs : string array;  (* grows by doubling *)
+  mutable ch_len : int;
 }
 
 type ctx = {
@@ -245,7 +248,7 @@ let pulse ctx tv d =
     | None ->
       (match lookup ctx tv with
       | Vtime base ->
-        let c = { ch_base = base; ch_regs = [] } in
+        let c = { ch_base = base; ch_regs = [||]; ch_len = 0 } in
         Hashtbl.replace ctx.chains (Ir.Value.id tv) c;
         c
       | _ -> fail "expected a time value")
@@ -258,24 +261,29 @@ let pulse ctx tv d =
     fail "schedule offset of %d stages exceeds the limit of %d" d max_pulse_stages;
   if d = 0 then V.Ref chain.ch_base
   else begin
-    let rec extend have =
-      if have < d then begin
-        let prev =
-          match chain.ch_regs with [] -> chain.ch_base | last :: _ -> last
-        in
-        let name = Names.fresh ctx.names (Printf.sprintf "%s_d%d" chain.ch_base (have + 1)) in
-        add_item ctx (V.Reg_decl { name; width = 1 });
-        add_ff ctx (V.Nonblocking (V.Lref name, V.Ref prev));
-        chain.ch_regs <- name :: chain.ch_regs;
-        extend (have + 1)
+    let extend () =
+      if chain.ch_len < d then begin
+        if Array.length chain.ch_regs < d then begin
+          let regs = Array.make (max d (2 * Array.length chain.ch_regs)) "" in
+          Array.blit chain.ch_regs 0 regs 0 chain.ch_len;
+          chain.ch_regs <- regs
+        end;
+        for have = chain.ch_len to d - 1 do
+          let prev = if have = 0 then chain.ch_base else chain.ch_regs.(have - 1) in
+          let name = Names.fresh ctx.names (Printf.sprintf "%s_d%d" chain.ch_base (have + 1)) in
+          add_item ctx (V.Reg_decl { name; width = 1 });
+          add_ff ctx (V.Nonblocking (V.Lref name, V.Ref prev));
+          chain.ch_regs.(have) <- name;
+          chain.ch_len <- have + 1
+        done
       end
     in
     (* Chains are extended lazily by whichever op first demands a
        stage and reused by every later one, so their registers belong
        to the shared group, never to the group that happened to demand
        them first. *)
-    shared ctx (fun () -> extend (List.length chain.ch_regs));
-    V.Ref (List.nth chain.ch_regs (List.length chain.ch_regs - d))
+    shared ctx extend;
+    V.Ref chain.ch_regs.(d - 1)
   end
 
 (* Start pulse of a scheduled op: time operand's root + offset. *)
@@ -1085,13 +1093,19 @@ type emitted = {
   top_iface : iface;
 }
 
-(* Emit one function as a Verilog module.  With [hier] (the default)
-   the tagged item stream is outlined against a definition cache:
-   repeated emission groups become shared [hirdef_*] modules, returned
-   in first-use order alongside the function's own module.  With
-   [hier = false] the flat item stream is returned byte-for-byte as
-   before, and the definition list is empty. *)
-let emit_module_for ?(hier = true) ~module_op func =
+(* One function lowered to its ports and tagged item/ff streams,
+   before outlining, with the name supply and the definition registry
+   (the arbiter stages it already registered) that outlining extends. *)
+type lowered = {
+  lw_iface : iface;
+  lw_ports : V.port list;
+  lw_items : (int option * V.item) list;
+  lw_ff : (int option * V.stmt) list;
+  lw_names : Names.t;
+  lw_registry : Outline.registry;
+}
+
+let lower ?(hier = true) ~module_op func =
   let ctx =
     {
       names = Names.create ();
@@ -1110,19 +1124,33 @@ let emit_module_for ?(hier = true) ~module_op func =
     }
   in
   let ifc = emit_func ctx func in
-  let tagged_items = List.rev ctx.items in
-  let tagged_ff = List.rev ctx.ff in
-  let ports = List.rev ctx.ports in
+  {
+    lw_iface = ifc;
+    lw_ports = List.rev ctx.ports;
+    lw_items = List.rev ctx.items;
+    lw_ff = List.rev ctx.ff;
+    lw_names = ctx.names;
+    lw_registry = ctx.registry;
+  }
+
+(* Emit one function as a Verilog module.  With [hier] (the default)
+   the tagged item stream is outlined against a definition cache:
+   repeated emission groups become shared [hirdef_*] modules, returned
+   in first-use order alongside the function's own module.  With
+   [hier = false] the flat item stream is returned byte-for-byte as
+   before, and the definition list is empty. *)
+let emit_module_for ?(hier = true) ~module_op func =
+  let l = lower ~hier ~module_op func in
   let items, ff =
     if hier then
-      Outline.run ~names:ctx.names ~registry:ctx.registry ~ports ~items:tagged_items
-        ~ff:tagged_ff
-    else (List.map snd tagged_items, List.map snd tagged_ff)
+      Outline.run ~names:l.lw_names ~registry:l.lw_registry ~ports:l.lw_ports ~items:l.lw_items
+        ~ff:l.lw_ff
+    else (List.map snd l.lw_items, List.map snd l.lw_ff)
   in
   let items = items @ (if ff = [] then [] else [ V.Always_ff ff ]) in
-  ( { V.mod_name = ifc.ifc_module; ports; items },
-    Outline.defs ctx.registry,
-    ifc )
+  ( { V.mod_name = l.lw_iface.ifc_module; ports = l.lw_ports; items },
+    Outline.defs l.lw_registry,
+    l.lw_iface )
 
 (* Transitive callees of a function, depth first.  [path] holds the
    functions on the current call chain: a callee already on it is a

@@ -209,17 +209,16 @@ let meta_to_string ~kind ~top ~digest (u : Hir_resources.Model.usage) =
   Printf.sprintf "kind %s\ntop %s\ndigest %s\nlut %d\nff %d\ndsp %d\nbram %d\n"
     (kind_to_string kind) top digest u.lut u.ff u.dsp u.bram
 
+let meta_fields s =
+  String.split_on_char '\n' s
+  |> List.filter_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i ->
+           Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+         | None -> None)
+
 let meta_of_string s =
-  let fields =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun line ->
-           match String.index_opt line ' ' with
-           | Some i ->
-             Some
-               ( String.sub line 0 i,
-                 String.sub line (i + 1) (String.length line - i - 1) )
-           | None -> None)
-  in
+  let fields = meta_fields s in
   let int k = Option.bind (List.assoc_opt k fields) int_of_string_opt in
   match
     ( Option.bind (List.assoc_opt "kind" fields) kind_of_string,
@@ -496,21 +495,32 @@ let verify t =
   let ok = ref 0 in
   List.iter
     (fun k ->
-      (* The sidecar names the entry's kind; an unreadable or
-         unparseable sidecar (a retired kind's included) probes as a
-         Job entry, and its payload is a stray below. *)
-      let kind =
-        match meta_of_string (Io.read_file (meta_path t k)) with
-        | Some (kind, _, _, _) -> kind
-        | None | (exception Sys_error _) | (exception Unix.Unix_error _) -> Job
+      (* The sidecar names the entry's kind.  One naming a retired kind
+         can never hit (its payload is a stray below); an unreadable or
+         unparseable one probes as a Job entry. *)
+      let meta =
+        try Some (Io.read_file (meta_path t k)) with Sys_error _ | Unix.Unix_error _ -> None
       in
-      match probe ~kind t k with
-      | Hit _ -> incr ok
-      | Miss ->
+      let retired =
+        match Option.bind meta (fun m -> List.assoc_opt "kind" (meta_fields m)) with
+        | Some name -> kind_of_string name = None
+        | None -> false
+      in
+      if retired then begin
         quarantine_entry t k;
-        quarantined := (k, "missing payload") :: !quarantined
-      | Corrupt reason -> quarantined := (k, reason) :: !quarantined
-      | Read_fault reason -> quarantined := (k, "unreadable: " ^ reason) :: !quarantined)
+        quarantined := (k, "metadata of no current entry kind") :: !quarantined
+      end
+      else
+        let kind =
+          match Option.bind meta meta_of_string with Some (kind, _, _, _) -> kind | None -> Job
+        in
+        match probe ~kind t k with
+        | Hit _ -> incr ok
+        | Miss ->
+          quarantine_entry t k;
+          quarantined := (k, "missing payload") :: !quarantined
+        | Corrupt reason -> quarantined := (k, reason) :: !quarantined
+        | Read_fault reason -> quarantined := (k, "unreadable: " ^ reason) :: !quarantined)
     entries;
   List.iter
     (fun k ->

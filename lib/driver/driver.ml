@@ -206,10 +206,13 @@ let consult st kind what k =
       count st "cache-quarantined";
       None)
 
+(* [entry] builds the entry, and runs only with a cache attached: a
+   Vmod payload copies the function's whole module text. *)
 let store st kind what k entry =
   match st.st_cache with
   | None -> ()
   | Some c ->
+    let entry = entry () in
     Trace.span st.st_trace ~cat:"cache" "cache-store" (fun () ->
         match Cache.store ~kind c k entry with
         | Ok () -> ()
@@ -274,12 +277,12 @@ let plan_source st ~text built =
           Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
               Ir.with_isolated_ids (fun () -> Incr.normalize ~file:name ~text m))
         in
-        store st Cache.Src "normalized source" src_key
-          {
-            Cache.e_verilog = plan.Incr.pl_text;
-            e_top = "";
-            e_usage = Hir_resources.Model.zero;
-          };
+        store st Cache.Src "normalized source" src_key (fun () ->
+            {
+              Cache.e_verilog = plan.Incr.pl_text;
+              e_top = "";
+              e_usage = Hir_resources.Model.zero;
+            });
         plan
     in
     let f, note = pick_top plan.Incr.pl_module st.st_job.top in
@@ -313,7 +316,7 @@ let compile_fn st plan ~passes ~hash fn =
       let emit =
         if (Incr.fn_info plan fn).Incr.fi_extern then Incr.emit_extern plan
         else begin
-          let opt_fn, _, stats =
+          let opt_fn, stats =
             Trace.span st.st_trace "optimize" (fun () ->
                 Incr.optimize plan ~passes
                   ~instrument:(pass_instrument ~trace:st.st_trace ~guard:st.st_guard)
@@ -328,8 +331,8 @@ let compile_fn st plan ~passes ~hash fn =
         Trace.span st.st_trace ~cat:"backend" "pretty" (fun () ->
             Incr.print_compiled plan ~compiled:(Hashtbl.find st.st_fns) fn emitted)
       in
-      store st Cache.Vmod "function Verilog" key
-        { Cache.e_verilog = Incr.payload c; e_top = fn; e_usage = c.Incr.c_usage };
+      store st Cache.Vmod "function Verilog" key (fun () ->
+          { Cache.e_verilog = Incr.payload c; e_top = fn; e_usage = c.Incr.c_usage });
       c
   in
   Hashtbl.replace st.st_fns fn c;
@@ -402,7 +405,7 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                  the job is served from the cache and stores nothing. *)
               let from_cache = emitted = [] in
               if from_cache then count st "cache-link-hit"
-              else store st Cache.Job "result" key entry;
+              else store st Cache.Job "result" key (fun () -> entry);
               finish ~from_cache ~note ~pass_stats:(List.concat (List.rev st.st_stats)) entry)))
   with
   | Compile_failed diags | Incr.Pass_failed diags ->

@@ -15,13 +15,12 @@
 
    The compile path never parses per-function text: it builds its
    mini-modules in memory, cloning the functions of the normalized
-   module and the optimized function the optimizer has just printed
-   with [Printer.op_to_string_fixed].  Both are at the print∘parse
-   fixed point, and [Ir.Clone] allocates ids in the parser's order, so
-   a clone is the IR its text would parse to, id for id.  A qcheck
-   property in test_incremental pins clone ≡ parse on random designs
-   and every kernel: same printed text, same id sequences, same
-   Verilog.  The parse side ([Text] members, [module_of_texts]) serves
+   module and the optimized function the optimizer has just named with
+   [Printer.fix_names].  Both are at the print∘parse fixed point, and
+   [Ir.Clone] allocates ids in the parser's order, so a clone is the IR
+   its text would parse to, id for id.  A qcheck property in
+   test_incremental pins clone ≡ parse on random designs and every
+   kernel: same printed text, same id sequences, same Verilog.  The parse side ([Text] members, [module_of_texts]) serves
    that property and the benchmark's staged replay.
 
    Each compiled function becomes one [compiled] record: its Verilog
@@ -263,8 +262,8 @@ let lookup mini name =
 
 (* Optimize [name] in a fresh mini-module holding a clone of its
    pre-opt cone.  Returns the optimized function, left at the
-   print∘parse fixed point by printing it, its printed form and the
-   pass statistics.  The result depends only on the cone texts and the
+   print∘parse fixed point without printing it, and the pass
+   statistics.  The result depends only on the cone texts and the
    pipeline — exactly what the cone hash covers. *)
 let optimize plan ~passes ~instrument name =
   mini_module (cone_members plan name) (fun mini ->
@@ -282,7 +281,8 @@ let optimize plan ~passes ~instrument name =
         | Some f -> f
         | None -> raise (Fallback (Printf.sprintf "@%s vanished during optimization" name))
       in
-      (f, Printer.op_to_string_fixed f, result.Pass.stats))
+      Printer.fix_names f;
+      (f, result.Pass.stats))
 
 (* ------------------------------------------------------------------ *)
 (* Per-function emit                                                    *)

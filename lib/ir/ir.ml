@@ -428,11 +428,6 @@ module Block = struct
     in
     dst.b_front <- go dst.b_front;
     moved
-
-  let terminator b =
-    match b.b_back_rev with
-    | last :: _ -> Some last
-    | [] -> ( match List.rev b.b_front with [] -> None | last :: _ -> Some last)
 end
 
 (* Erase [op] for good: detach it from its block and unlink every

@@ -112,7 +112,7 @@ let add_attrs namer buf = function
 (* Locations are printed in the parseable quoted form, unlike the bare
    form [Location.pp] uses in diagnostics.  A named location prints
    without its child, so the parse reads the child back as unknown. *)
-let add_loc namer buf op =
+let add_loc buf op =
   match op.loc with
   | Location.Unknown -> ()
   | Location.File { file; line; col } ->
@@ -123,8 +123,7 @@ let add_loc namer buf op =
     Buffer.add_char buf ':';
     Buffer.add_string buf (string_of_int col);
     Buffer.add_char buf ')'
-  | Location.Name { name; child } ->
-    if namer.fix && child <> Location.Unknown then op.loc <- Location.name name;
+  | Location.Name { name; _ } ->
     Buffer.add_string buf " loc(";
     add_quoted buf name;
     Buffer.add_char buf ')'
@@ -158,7 +157,7 @@ let rec add_op ?(indent = 0) namer buf op =
   add_types namer buf op.operands;
   Buffer.add_string buf " -> ";
   add_types namer buf op.results;
-  add_loc namer buf op
+  add_loc buf op
 
 and add_region ~indent namer buf r =
   let pad = String.make (indent + 2) ' ' in
@@ -193,16 +192,44 @@ let print_with namer op =
 
 let op_to_string op = print_with (create_namer ()) op
 
-(* [op_to_string], and leave [op] as [Parser.parse_string] would read
-   the text back, ids and attribute order aside: each value's hint
-   becomes its printed name, and a named location drops the child the
-   text does not carry.  This is the print∘parse fixed point computed
-   in place.  Printing [op] again gives the same text, and so does
-   printing any op nested in it on its own, since the names are now
-   unique within [op].  [Ir.Clone] of [op], or of a function nested in
-   it, therefore builds the IR that parsing its printed form builds, in
-   the same id order. *)
-let op_to_string_fixed op = print_with { (create_namer ()) with fix = true } op
+(* Leave [op] as [Parser.parse_string] would read its print back, ids
+   and attribute order aside, without building the text: each value's
+   hint becomes its printed name, and a named location drops the child
+   the text does not carry.  The walk meets values in the order a print
+   does (results, operands, then each region's block arguments and
+   ops), so the namer gives each the name it prints with.  This is the
+   print∘parse fixed point computed in place.  Printing [op] then gives
+   the same text every time, and so does printing any op nested in it
+   on its own, since the names are now unique within [op].
+   [Ir.Clone] of [op], or of a function nested in it, therefore builds
+   the IR that parsing its printed form builds, in the same id
+   order. *)
+let fix_names op =
+  let namer = { (create_namer ()) with fix = true } in
+  let name v = ignore (name_value namer v) in
+  let rec walk op =
+    Array.iter name op.results;
+    Array.iter name op.operands;
+    List.iter
+      (fun r ->
+        List.iter
+          (fun b ->
+            Array.iter name b.b_args;
+            List.iter walk (Block.ops b))
+          r.blocks)
+      op.regions;
+    match op.loc with
+    | Location.Name { name; child } when child <> Location.Unknown ->
+      op.loc <- Location.name name
+    | _ -> ()
+  in
+  walk op
+
+(* [fix_names], then the text: after the walk every hint is a unique
+   printed name, so a plain print reproduces it name for name. *)
+let op_to_string_fixed op =
+  fix_names op;
+  op_to_string op
 
 (* Canonical text: identical for structurally identical modules even
    when value ids / hints differ (e.g. comparing the output of two

@@ -24,11 +24,15 @@ open Ir
    driver would then miss or resurrect work — so this runs as part of
    structural verification. *)
 let check_use_lists ~engine root =
-  (* Op ids in the tree, and each value in the tree (results + block args). *)
-  let tree_ops : (int, op) Hashtbl.t = Hashtbl.create 256 in
+  (* Each op in the tree by id, with one counter per operand slot: the
+     number of chain occurrences of that slot.  Also each value in the
+     tree (results + block args). *)
+  let no_slots = [||] in
+  let tree_ops : (int, op * int array) Hashtbl.t = Hashtbl.create 256 in
   let values = ref [] in
   Walk.ops_pre root ~f:(fun op ->
-      Hashtbl.replace tree_ops op.op_id op;
+      let n = Array.length op.operands in
+      Hashtbl.replace tree_ops op.op_id (op, if n = 0 then no_slots else Array.make n 0);
       Array.iter (fun v -> values := v :: !values) op.results;
       List.iter
         (fun r ->
@@ -38,41 +42,39 @@ let check_use_lists ~engine root =
         op.regions);
   let tree_values : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter (fun v -> Hashtbl.replace tree_values v.v_id ()) !values;
-  (* (owner op id, slot index) -> number of chain occurrences. *)
-  let chain_slots : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun v ->
       Value.fold_uses v ~init:() ~f:(fun () owner idx ->
-          if not (Hashtbl.mem tree_ops owner.op_id) then
+          match Hashtbl.find_opt tree_ops owner.op_id with
+          | None ->
             Diagnostic.Engine.errorf engine owner.loc
               "stale use: value %%%d has a use-list entry owned by '%s' (op %d), which is not in the IR tree"
               v.v_id owner.op_name owner.op_id
-          else if not (Value.equal owner.operands.(idx) v) then
-            Diagnostic.Engine.errorf engine owner.loc
-              "use-list corruption: operand %d of '%s' reads %%%d but sits in the use list of %%%d"
-              idx owner.op_name (Value.id owner.operands.(idx)) v.v_id
-          else
-            Hashtbl.replace chain_slots (owner.op_id, idx)
-              (1 + Option.value ~default:0 (Hashtbl.find_opt chain_slots (owner.op_id, idx)))))
+          | Some (_, counts) ->
+            if not (Value.equal owner.operands.(idx) v) then
+              Diagnostic.Engine.errorf engine owner.loc
+                "use-list corruption: operand %d of '%s' reads %%%d but sits in the use list of %%%d"
+                idx owner.op_name (Value.id owner.operands.(idx)) v.v_id
+            else counts.(idx) <- counts.(idx) + 1))
     !values;
   Hashtbl.iter
-    (fun _ op ->
+    (fun _ (op, counts) ->
       Array.iteri
         (fun i v ->
-          match Hashtbl.find_opt chain_slots (op.op_id, i) with
-          | Some 1 -> ()
-          | Some n ->
-            Diagnostic.Engine.errorf engine op.loc
-              "use-list corruption: operand %d of '%s' appears %d times in its value's use list"
-              i op.op_name n
-          | None ->
+          match counts.(i) with
+          | 1 -> ()
+          | 0 ->
             (* Values defined outside the tree (verifying a detached
                fragment) have chains we never scanned; only slots whose
                value we did scan can be declared missing. *)
             if Hashtbl.mem tree_values v.v_id then
               Diagnostic.Engine.errorf engine op.loc
                 "use-list corruption: operand %d of '%s' is missing from the use list of %%%d"
-                i op.op_name v.v_id)
+                i op.op_name v.v_id
+          | n ->
+            Diagnostic.Engine.errorf engine op.loc
+              "use-list corruption: operand %d of '%s' appears %d times in its value's use list"
+              i op.op_name n)
         op.operands)
     tree_ops
 

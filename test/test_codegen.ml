@@ -410,6 +410,39 @@ let test_keyword_identifiers () =
   Alcotest.(check (list string)) "no keyword declared" []
     (List.filter (fun n -> List.mem n verilog_keywords) declared)
 
+(* The outliner's work on the two large designs, read from the
+   [Metrics] scope around an optimized compile: each class is
+   canonicalized and printed once, however many sites join it. *)
+let test_outline_counts () =
+  List.iter
+    (fun (what, build, expected) ->
+      let _, counters =
+        Metrics.with_scope (fun () ->
+            let m, f = build () in
+            ignore (Emit.compile ~optimize:true ~module_op:m ~top:f ()))
+      in
+      Alcotest.(check (list (pair string int)))
+        what expected
+        (List.filter (fun (k, _) -> String.starts_with ~prefix:"outline." k) counters))
+    [
+      ( "gemm 16x16",
+        (fun () -> Hir_kernels.Gemm.build ~n:16 ()),
+        [
+          ("outline.classes", 2);
+          ("outline.instances", 256);
+          ("outline.prints", 2);
+          ("outline.sites", 257);
+        ] );
+      ( "systolic 16x16",
+        (fun () -> Hir_kernels.Systolic.build ~n:16 ()),
+        [
+          ("outline.classes", 4);
+          ("outline.instances", 255);
+          ("outline.prints", 4);
+          ("outline.sites", 256);
+        ] );
+    ]
+
 let suite ~optimize =
   let tag name = if optimize then name ^ " (optimized)" else name in
   [
@@ -438,4 +471,5 @@ let () =
           Alcotest.test_case "keywords as identifiers" `Quick test_keyword_identifiers;
         ] );
       ("naming", [ Alcotest.test_case "printer and Names suffixes" `Quick test_naming ]);
+      ("outline", [ Alcotest.test_case "sites, classes, prints, instances" `Quick test_outline_counts ]);
     ]

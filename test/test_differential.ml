@@ -274,6 +274,167 @@ let test_systolic_deep_mac_lockstep () =
     ~cycles:((6 * n * n) + 60)
     ()
 
+(* ------------------------------------------------------------------ *)
+(* Outlining: the class-matching outliner against the oracle that
+   canonicalizes and prints every site ([Legacy_outline]).  Each runs
+   on its own lowering of the function (lowering is deterministic), so
+   neither sees the other's instance names or definitions. *)
+
+let outlined_by outline ~module_op f =
+  let l = Emit.lower ~module_op f in
+  let items, ff =
+    outline ~names:l.Emit.lw_names ~registry:l.Emit.lw_registry ~ports:l.Emit.lw_ports
+      ~items:l.Emit.lw_items ~ff:l.Emit.lw_ff
+  in
+  (items, ff, Hir_codegen.Outline.defs l.Emit.lw_registry)
+
+(* Runs the default pipeline on [m], then compares the outliners on
+   every function with a body; returns how many definitions they
+   outlined. *)
+let outliners_agree ~optimize ~what m =
+  let engine = Diagnostic.Engine.create () in
+  List.iter (fun (p : Pass.t) -> ignore (p.Pass.run m engine)) (Emit.default_passes ~optimize);
+  List.fold_left
+    (fun n f ->
+      if Ops.is_extern_func f then n
+      else begin
+        let ((_, _, defs) as got) = outlined_by Hir_codegen.Outline.run ~module_op:m f in
+        let want = outlined_by Legacy_outline.run ~module_op:m f in
+        if got <> want then
+          Alcotest.failf "%s @%s (optimize=%b): the outliners disagree" what (Ops.func_name f)
+            optimize;
+        n + List.length defs
+      end)
+    0 (Ops.module_funcs m)
+
+let prop_outliner_matches_oracle =
+  QCheck.Test.make ~count:80 ~name:"outliner == print-every-site oracle" arb_unroll_recipe
+    (fun recipe ->
+      List.iter
+        (fun optimize ->
+          let m, _ = build_unroll_design recipe in
+          ignore (outliners_agree ~optimize ~what:"unrollfuzz" m))
+        [ false; true ];
+      true)
+
+(* Random tagged item streams, for the cases emission seldom produces:
+   groups of a few shapes that differ only in a constant, a width, the
+   width of what they read, whether a declaration is read outside the
+   group, or the length of their names.  Many sites therefore match a
+   representative in lockstep, and many nearly do.  Two of the comments
+   print alike (a line break is written as an escape), so some sites
+   join a class by its text alone. *)
+module V = Hir_verilog.Ast
+
+type stream_group = {
+  sg_shape : int;  (* 0: one wire; 1: adds a register, an ff and an instance; 2: a longer chain *)
+  sg_const : int;
+  sg_width : int;
+  sg_suffix : string;  (* appended to the group's names *)
+  sg_source : int;  (* 0: a port; 1: the previous group's wire *)
+  sg_source2 : int;  (* the same, for the chain of shape 2 *)
+  sg_export : bool;  (* read by a shared item *)
+  sg_comment : string;  (* shape 1's comment; two of them print alike *)
+}
+
+let gen_stream_group =
+  let open QCheck.Gen in
+  let* sg_shape = int_range 0 2 in
+  let* sg_const = oneofl [ 1; 1; 2 ] in
+  let* sg_width = oneofl [ 8; 8; 16 ] in
+  let* sg_suffix = oneofl [ ""; "_longer"; "_" ^ String.make 40 'n' ] in
+  let* sg_source = int_range 0 1 in
+  let* sg_source2 = int_range 0 1 in
+  let* sg_export = bool in
+  let* sg_comment = oneofl [ "stage"; "a\nb"; "a\\nb" ] in
+  return { sg_shape; sg_const; sg_width; sg_suffix; sg_source; sg_source2; sg_export; sg_comment }
+
+let arb_stream =
+  QCheck.make
+    ~print:(fun (pw, gs) ->
+      Printf.sprintf "port width %d; %s" pw
+        (String.concat "; "
+           (List.map
+              (fun g ->
+                Printf.sprintf "shape %d const %d width %d suffix %S sources %d %d export %b comment %S"
+                  g.sg_shape g.sg_const g.sg_width g.sg_suffix g.sg_source g.sg_source2 g.sg_export
+                  g.sg_comment)
+              gs)))
+    QCheck.Gen.(pair (oneofl [ 8; 16 ]) (list_size (int_range 2 10) gen_stream_group))
+
+let build_stream (port_width, groups) =
+  let ports = [ { V.port_name = "p0"; dir = V.Input; width = port_width } ] in
+  let items = ref [] and ff = ref [] in
+  let item g it = items := (g, it) :: !items in
+  List.iteri
+    (fun i sg ->
+      let g = Some (100 + i) in
+      let name base = Printf.sprintf "%s%d%s" base i sg.sg_suffix in
+      let wire = name "w" in
+      let source choice =
+        if choice = 1 && i > 0 then Printf.sprintf "w%d%s" (i - 1) (List.nth groups (i - 1)).sg_suffix
+        else "p0"
+      in
+      let const = V.Const (Bitvec.of_int ~width:sg.sg_width sg.sg_const) in
+      item g (V.Wire_decl { name = wire; width = sg.sg_width });
+      item g (V.Assign { target = wire; expr = V.Binop (V.Add, V.Ref (source sg.sg_source), const) });
+      if sg.sg_shape = 1 then begin
+        let reg = name "r" in
+        item g (V.Comment sg.sg_comment);
+        item g (V.Reg_decl { name = reg; width = 1 });
+        item g
+          (V.Instance
+             {
+               module_name = "sub";
+               instance_name = name "u";
+               connections = [ ("clk", V.Ref "clk"); ("a", V.Ref wire) ];
+             });
+        ff := (g, V.Nonblocking (V.Lref reg, V.Slice (V.Ref wire, 0, 0))) :: !ff
+      end;
+      if sg.sg_shape = 2 then
+        List.iter
+          (fun k ->
+            let t = name (Printf.sprintf "t%d_" k) in
+            item g (V.Wire_decl { name = t; width = sg.sg_width });
+            item g
+              (V.Assign { target = t; expr = V.Binop (V.Xor, V.Ref wire, V.Ref (source sg.sg_source2)) }))
+          [ 0; 1; 2 ];
+      if sg.sg_export then begin
+        let out = Printf.sprintf "out%d" i in
+        item None (V.Wire_decl { name = out; width = sg.sg_width });
+        item None (V.Assign { target = out; expr = V.Ref wire })
+      end)
+    groups;
+  (ports, List.rev !items, List.rev !ff)
+
+let prop_outliner_streams =
+  QCheck.Test.make ~count:500 ~name:"outliner == print-every-site oracle on item streams"
+    arb_stream (fun spec ->
+      let ports, items, ff = build_stream spec in
+      let run outline =
+        let registry = Hir_codegen.Outline.create_registry () in
+        let items, ff = outline ~names:(Hir_codegen.Names.create ()) ~registry ~ports ~items ~ff in
+        (items, ff, Hir_codegen.Outline.defs registry)
+      in
+      run Hir_codegen.Outline.run = run Legacy_outline.run)
+
+(* Every kernel ("gemm" is GEMM 16×16, "systolic" the 8×8 array) and
+   the 16×16 systolic array. *)
+let test_outliner_kernels () =
+  let designs =
+    List.map (fun k -> (k.Hir_kernels.Kernels.name, k.Hir_kernels.Kernels.build)) Hir_kernels.Kernels.all
+    @ [ ("systolic16", fun () -> Hir_kernels.Systolic.build ~n:16 ()) ]
+  in
+  List.iter
+    (fun (what, build) ->
+      List.iter
+        (fun optimize ->
+          let n = outliners_agree ~optimize ~what (fst (build ())) in
+          if List.mem what [ "gemm"; "systolic16" ] then
+            Alcotest.(check bool) (what ^ " outlines a class") true (n > 0))
+        [ false; true ])
+    designs
+
 (* The greedy worklist driver and the legacy whole-module-scan pass
    loop are two independent implementations of canonicalize; on every
    accepted random design they must produce IR that prints identically
@@ -345,5 +506,8 @@ let () =
             test_systolic_lockstep;
           Alcotest.test_case "systolic deep MAC lockstep" `Quick
             test_systolic_deep_mac_lockstep;
+          QCheck_alcotest.to_alcotest prop_outliner_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_outliner_streams;
+          Alcotest.test_case "outliner == oracle on kernels" `Quick test_outliner_kernels;
         ] );
     ]

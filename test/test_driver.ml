@@ -698,6 +698,10 @@ let test_cache_verify_and_prune () =
        (Digest.to_hex (Digest.string design)));
   let r = Cache.verify cache in
   check_int "the current entries are still ok" 3 r.Cache.vr_ok;
+  Alcotest.(check (list (pair string string)))
+    "the sidecar names a retired kind, the payload has no current kind"
+    [ (k, "metadata of no current entry kind"); (k ^ ".lnk", "file of no current entry kind") ]
+    r.Cache.vr_quarantined;
   Alcotest.(check (list string)) "its payload and sidecar are quarantined"
     [ k ^ ".lnk"; k ^ ".meta" ]
     (List.filter (String.starts_with ~prefix:k) (quarantine_files dir) |> List.sort compare);
@@ -833,11 +837,8 @@ let expect_permanent outcome expected =
     check_bool "classified as permanent" true (e.Driver.err_class = Driver.Permanent);
     check_string "diagnostic" expected (Driver.error_to_string e)
 
-let read_design name =
-  let ic = open_in_bin (Filename.concat "../examples/designs" name) in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  text
+(* A file of examples/designs, built into the test executable. *)
+let read_design name = List.assoc name Example_designs.designs
 
 let compile_design ?top ~name text =
   Driver.compile_job

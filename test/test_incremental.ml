@@ -305,11 +305,11 @@ let test_golden_digests () =
         let opt_text =
           Ir.with_isolated_ids (fun () ->
               let plan = Incr.normalize ~file:name ~text (Parser.parse_string ~file:name text) in
-              let _, printed, _ =
+              let f, _ =
                 Incr.optimize plan ~passes:(Pipeline.to_passes pipeline)
                   ~instrument:(fun _ -> ()) top
               in
-              printed)
+              Printer.op_to_string f)
         in
         (name, (Digest.to_hex (Digest.string opt_text), Digest.to_hex (Digest.string verilog))))
       golden_designs

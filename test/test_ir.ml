@@ -164,6 +164,55 @@ let test_verify_unregistered () =
   | Ok () -> Alcotest.fail "expected dialect verifier error"
   | Error _ -> ()
 
+(* The use-list check, on four corruptions of the adder's use chains:
+   each yields exactly the pinned diagnostics, in order. *)
+let test_verify_use_lists () =
+  let corrupt f =
+    Ir.with_isolated_ids (fun () ->
+        let module_op, func = build_add_func () in
+        let add = List.hd (Ir.Walk.find_all func "hir.add") in
+        let x = add.Ir.operands.(0) and y = add.Ir.operands.(1) in
+        let expected = f add x y in
+        let engine = Verify.verify_op module_op in
+        let got = List.map (fun d -> d.Diagnostic.msg) (Diagnostic.Engine.to_list engine) in
+        (expected, got))
+  in
+  let check what (expected, got) = Alcotest.(check (list string)) what expected got in
+  let id v = Ir.Value.id v in
+  check "stale owner"
+    (corrupt (fun _ x _ ->
+         (* Created, so linked into x's chain, but never inserted. *)
+         let stray = Ir.Op.create "hir.stray" ~operands:[ x ] ~result_types:[] in
+         [
+           Printf.sprintf
+             "stale use: value %%%d has a use-list entry owned by 'hir.stray' (op %d), which is not in the IR tree"
+             (id x) stray.Ir.op_id;
+         ]));
+  check "wrong value"
+    (corrupt (fun add x y ->
+         (* Slot 0 now reads y but its node stays in x's chain. *)
+         add.Ir.operands.(0) <- y;
+         [
+           Printf.sprintf
+             "use-list corruption: operand 0 of 'hir.add' reads %%%d but sits in the use list of %%%d"
+             (id y) (id x);
+           Printf.sprintf
+             "use-list corruption: operand 0 of 'hir.add' is missing from the use list of %%%d"
+             (id y);
+         ]));
+  check "missing slot"
+    (corrupt (fun add _ y ->
+         Ir.unlink_slot add.Ir.op_slots.(1);
+         [
+           Printf.sprintf
+             "use-list corruption: operand 1 of 'hir.add' is missing from the use list of %%%d"
+             (id y);
+         ]));
+  check "duplicated slot"
+    (corrupt (fun add _ _ ->
+         Ir.link_slot { Ir.u_owner = add; u_index = 0; u_prev = None; u_next = None };
+         [ "use-list corruption: operand 0 of 'hir.add' appears 2 times in its value's use list" ]))
+
 (* ------------------------------------------------------------------ *)
 (* Printing and parsing                                                *)
 
@@ -395,6 +444,7 @@ let () =
           Alcotest.test_case "well-formed" `Quick test_verify_ok;
           Alcotest.test_case "dominance" `Quick test_verify_dominance;
           Alcotest.test_case "dialect verifier" `Quick test_verify_unregistered;
+          Alcotest.test_case "use-list corruption" `Quick test_verify_use_lists;
         ] );
       ( "text",
         [
