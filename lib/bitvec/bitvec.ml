@@ -363,13 +363,14 @@ let of_hex_string ~width:w s =
 let to_bin_string v =
   String.init v.w (fun i -> if bit v (v.w - 1 - i) then '1' else '0')
 
+(* A digit's four bits never span two chunks (64 is a multiple of 4),
+   and the bits of the top digit at or above [w] are zero. *)
 let to_hex_string v =
   let ndigits = (v.w + 3) / 4 in
   String.init ndigits (fun i ->
       let lo = (ndigits - 1 - i) * 4 in
-      let hi = min (lo + 3) (v.w - 1) in
-      let d = to_int (extract ~hi ~lo v) in
-      "0123456789abcdef".[d])
+      let chunk = v.chunks.(lo lsr 6) in
+      "0123456789abcdef".[Int64.to_int (Int64.shift_right_logical chunk (lo land 63)) land 15])
 
 let to_string v =
   (* Decimal via repeated division by 10^9. *)

@@ -842,10 +842,17 @@ let finalize_mem ctx mb =
   let iface = mb.mb_iface in
   let aw = iface.mi_addr_width in
   let depth = Types.bank_depth iface.mi_info in
+  (* Each bank's accessors, in the order of the port's lists. *)
+  let by_bank bank accessors =
+    let banks = Array.make (Array.length iface.mi_banks) [] in
+    List.iter (fun a -> banks.(bank a) <- a :: banks.(bank a)) (List.rev accessors);
+    banks
+  in
+  let readers = by_bank (fun (bk, _, _) -> bk) mb.mb_readers in
+  let writers = by_bank (fun (bk, _, _, _) -> bk) mb.mb_writers in
   Array.iteri
     (fun b names ->
-      let readers = List.filter (fun (bk, _, _) -> bk = b) mb.mb_readers in
-      let writers = List.filter (fun (bk, _, _, _) -> bk = b) mb.mb_writers in
+      let readers = readers.(b) and writers = writers.(b) in
       (match names.bn_rd with
       | Some (en, addr, _data) when not mb.mb_call_bound ->
         if ctx.hier && List.length readers >= arb_threshold then begin

@@ -186,13 +186,16 @@ let degrade st reason =
 (* Staged-cache plumbing: every consult degrades IO trouble to a miss
    (with a note), every store is best-effort.  With no cache attached
    both are inert, and the stages compute exactly the same bytes: the
-   compute path does not depend on the cache being present. *)
+   compute path does not depend on the cache being present.  A key is
+   forced only with a cache attached, so a cache-less job hashes
+   nothing. *)
 let consult st kind what k =
   match st.st_cache with
   | None -> None
   | Some c -> (
     match
-      Trace.span st.st_trace ~cat:"cache" "cache-lookup" (fun () -> Cache.consult ~kind c k)
+      Trace.span st.st_trace ~cat:"cache" "cache-lookup" (fun () ->
+          Cache.consult ~kind c (Lazy.force k))
     with
     | Cache.Hit entry -> Some entry
     | Cache.Miss -> None
@@ -214,7 +217,7 @@ let store st kind what k entry =
   | Some c ->
     let entry = entry () in
     Trace.span st.st_trace ~cat:"cache" "cache-store" (fun () ->
-        match Cache.store ~kind c k entry with
+        match Cache.store ~kind c (Lazy.force k) entry with
         | Ok () -> ()
         | Error reason ->
           degrade st (Printf.sprintf "cache write fault, %s not cached: %s" what reason);
@@ -252,7 +255,7 @@ let plan_source st ~text built =
       None )
   | None ->
     let name = st.st_name in
-    let src_key = Cache.stage_key ~kind:Cache.Src ~parts:[ text ] in
+    let src_key = lazy (Cache.stage_key ~kind:Cache.Src ~parts:[ text ]) in
     let plan =
       match consult st Cache.Src "source" src_key with
       | Some e ->
@@ -288,23 +291,25 @@ let plan_source st ~text built =
     let f, note = pick_top plan.Incr.pl_module st.st_job.top in
     (plan, Ops.func_name f, note)
 
-(* The cone hashes, once the top is known to have a body.  The plan
-   prints a function on first use: hashing the top's cone prints
-   exactly the functions this job compiles, so it is planning time. *)
-let cone_hashes st plan ~top =
+(* The top's cone in dependency order, once the top is known to have a
+   body and the cone to have no call cycle.  The plan slices a
+   function's text on first use, so this is planning time. *)
+let cone st plan ~top =
   Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
       if (Incr.fn_info plan top).Incr.fi_extern then
         raise
           (Hir_codegen.Emit.Codegen_error
              (Printf.sprintf "top function @%s is extern (it has no body to emit)" top));
-      Incr.cone_hashes plan ~pipeline:st.st_pipeline)
+      let order = Incr.usage_order plan ~top in
+      Incr.check_acyclic plan order;
+      order)
 
 (* One function of the cone, every callee already compiled: its record
    comes from its Vmod entry, or it is optimized, emitted and printed
    from the plan and stored.  Returns whether it was emitted. *)
 let compile_fn st plan ~passes ~hash fn =
   Guard.tick st.st_guard;
-  let key = Cache.stage_key ~kind:Cache.Vmod ~parts:[ hash fn ] in
+  let key = lazy (Cache.stage_key ~kind:Cache.Vmod ~parts:[ Lazy.force hash fn ]) in
   let cached =
     Option.bind (consult st Cache.Vmod "function-verilog" key) (fun e ->
         Incr.of_payload ~usage:e.Cache.e_usage e.Cache.e_verilog)
@@ -383,7 +388,7 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
     Faults.with_scope name (fun () ->
         Ir.with_isolated_ids (fun () ->
             let text, built = source_text st in
-            let key = Cache.key ~pipeline:st.st_pipeline ~top:job.top ~source:text in
+            let key = lazy (Cache.key ~pipeline:st.st_pipeline ~top:job.top ~source:text) in
             Guard.tick st.st_guard;
             match consult st Cache.Job "job" key with
             | Some entry ->
@@ -395,11 +400,10 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
                  worker crashing mid-job. *)
               Faults.point "job.compile";
               let plan, top, note = plan_source st ~text built in
-              let hash = cone_hashes st plan ~top in
+              let order = cone st plan ~top in
+              let hash = lazy (Incr.cone_hashes plan ~pipeline:st.st_pipeline) in
               let passes = Pipeline.to_passes job.pipeline in
-              let emitted =
-                List.filter (compile_fn st plan ~passes ~hash) (Incr.usage_order plan ~top)
-              in
+              let emitted = List.filter (compile_fn st plan ~passes ~hash) order in
               let entry = link st plan ~top in
               (* With every function of the design from its Vmod entry,
                  the job is served from the cache and stores nothing. *)

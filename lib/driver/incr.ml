@@ -13,15 +13,18 @@
    incremental recompile byte-identical to a cold one — the property
    the qcheck suite pins.
 
-   The compile path never parses per-function text: it builds its
-   mini-modules in memory, cloning the functions of the normalized
-   module and the optimized function the optimizer has just named with
-   [Printer.fix_names].  Both are at the print∘parse fixed point, and
-   [Ir.Clone] allocates ids in the parser's order, so a clone is the IR
-   its text would parse to, id for id.  A qcheck property in
-   test_incremental pins clone ≡ parse on random designs and every
-   kernel: same printed text, same id sequences, same Verilog.  The parse side ([Text] members, [module_of_texts]) serves
-   that property and the benchmark's staged replay.
+   The compile path neither prints nor parses per-function text.  A
+   function's printed form is its slice of the module's print
+   ([Printer.slice]), and it is hashed only for a job with a cache.
+   The mini-modules are built in memory, cloning the functions of the
+   normalized module and the optimized function the optimizer has just
+   named with [Printer.fix_names].  Both are at the print∘parse fixed
+   point, and [Ir.Clone] allocates ids in the parser's order, so a
+   clone is the IR its text would parse to, id for id.  Properties in
+   test_incremental pin slice ≡ print and clone ≡ parse on random
+   designs and every kernel: same printed text, same id sequences,
+   same Verilog.  The parse side ([Text] members, [module_of_texts])
+   serves that property and the benchmark's staged replay.
 
    Each compiled function becomes one [compiled] record: its Verilog
    module, the shared definitions that module instantiates, and its
@@ -58,7 +61,7 @@ type plan = {
   pl_text : string;  (* its printed form (the print∘parse fixed point) *)
   pl_fns : (string, fn_info Lazy.t) Hashtbl.t;
       (* the first function of each name; built on first use, so a job
-         prints only the functions in its top's cone *)
+         slices out only the functions in its top's cone *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -75,26 +78,31 @@ let direct_callees func =
            Some name
          end)
 
-(* [module_op] must be at the print∘parse fixed point; [text], when
-   given, must be [Printer.op_to_string module_op]. *)
+(* [module_op] must be verified and at the print∘parse fixed point;
+   [text], when given, must be [Printer.op_to_string module_op].  A
+   verified module holds only functions, so its functions and the
+   top-level ranges of its print pair up in order, and each function's
+   printed form is its slice of the module's print: the plan prints no
+   function. *)
 let plan_of_module ?text module_op =
+  let pl_text =
+    match text with Some t -> t | None -> Printer.op_to_string module_op
+  in
   let fns = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
+  List.iter2
+    (fun f range ->
       let name = Ops.func_name f in
       if not (Hashtbl.mem fns name) then
         Hashtbl.add fns name
           (lazy
             {
               fi_func = f;
-              fi_text = Printer.op_to_string f;
+              fi_text = Printer.slice pl_text range;
               fi_callees = direct_callees f;
               fi_extern = Ops.is_extern_func f;
             }))
-    (Ops.module_funcs module_op);
-  let pl_text =
-    match text with Some t -> t | None -> Printer.op_to_string module_op
-  in
+    (Ops.module_funcs module_op)
+    (Printer.top_level_ranges pl_text);
   { pl_module = module_op; pl_text; pl_fns = fns }
 
 (* Normalize a parsed module to the print∘parse fixed point.  Printing
@@ -122,38 +130,48 @@ let fn_info plan name =
 (* ------------------------------------------------------------------ *)
 (* Cone hashes                                                         *)
 
-(* h(f) = Digest(pipeline ⊕ text(f) ⊕ sorted (callee, h(callee))):
-   changing a function's body, its pipeline, or anything any transitive
-   callee's hash covers changes h(f); editing a sibling function does
-   not.  The version salt lives in [Cache.stage_key], not here.  Call
-   cycles cannot be hashed this way (nor emitted); they are rejected. *)
-let cone_hashes plan ~pipeline =
+(* [f] evaluated bottom-up over the call graph from a function, memoized:
+   [f fi callees] gets each direct callee paired with its value.  A call
+   cycle has no bottom (nor finite hardware), so it raises [Fallback]
+   naming the first function the walk meets again on one call path. *)
+let bottom_up plan f =
   let memo = Hashtbl.create 16 in
   let visiting = Hashtbl.create 8 in
-  let rec hash name =
+  let rec eval name =
     match Hashtbl.find_opt memo name with
-    | Some h -> h
+    | Some v -> v
     | None ->
       if Hashtbl.mem visiting name then
         raise (Fallback (Printf.sprintf "call cycle through @%s" name));
       Hashtbl.replace visiting name ();
       let fi = fn_info plan name in
+      let v = f fi (List.map (fun c -> (c, eval c)) fi.fi_callees) in
+      Hashtbl.remove visiting name;
+      Hashtbl.replace memo name v;
+      v
+  in
+  eval
+
+(* h(f) = Digest(pipeline ⊕ text(f) ⊕ sorted (callee, h(callee))):
+   changing a function's body, its pipeline, or anything any transitive
+   callee's hash covers changes h(f); editing a sibling function does
+   not.  The version salt lives in [Cache.stage_key], not here. *)
+let cone_hashes plan ~pipeline =
+  bottom_up plan (fun fi callees ->
       let callee_part =
-        fi.fi_callees
-        |> List.map (fun c -> (c, hash c))
+        callees
         |> List.sort compare
         |> List.map (fun (c, h) -> c ^ "=" ^ h)
         |> String.concat ","
       in
-      let h =
-        Digest.to_hex
-          (Digest.string (String.concat "\x00" [ pipeline; fi.fi_text; callee_part ]))
-      in
-      Hashtbl.remove visiting name;
-      Hashtbl.replace memo name h;
-      h
-  in
-  hash
+      Digest.to_hex
+        (Digest.string (String.concat "\x00" [ pipeline; fi.fi_text; callee_part ])))
+
+(* Reject a call cycle in [order] (a [usage_order]) exactly as hashing
+   its functions in that order would, with no hashing: a job compiled
+   without a cache computes no hash, and still must not compile a
+   function that instantiates itself. *)
+let check_acyclic plan order = List.iter (bottom_up plan (fun _ _ -> ())) order
 
 (* ------------------------------------------------------------------ *)
 (* Cone orders                                                         *)

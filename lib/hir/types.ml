@@ -107,30 +107,36 @@ let same_tensor_shape a b =
 (* ------------------------------------------------------------------ *)
 (* Printing and parsing                                                *)
 
-let pp_memref fmt info =
-  Format.fprintf fmt "!hir.memref<";
-  List.iter (fun d -> Format.fprintf fmt "%d*" d.size) info.dims;
-  Format.fprintf fmt "%a" Hir_ir.Typ.pp info.elem;
-  let all_packed = List.for_all (fun d -> d.packed) info.dims in
-  if not all_packed then begin
-    let indices =
-      List.mapi (fun i d -> (i, d)) info.dims
-      |> List.filter (fun (_, d) -> d.packed)
-      |> List.map (fun (i, _) -> string_of_int i)
-    in
-    Format.fprintf fmt ", packing=[%s]" (String.concat "," indices)
+let add_memref buf info =
+  Buffer.add_string buf "!hir.memref<";
+  List.iter
+    (fun d ->
+      Buffer.add_string buf (string_of_int d.size);
+      Buffer.add_char buf '*')
+    info.dims;
+  Hir_ir.Typ.add_to_buffer buf info.elem;
+  if not (List.for_all (fun d -> d.packed) info.dims) then begin
+    Buffer.add_string buf ", packing=[";
+    info.dims
+    |> List.mapi (fun i d -> if d.packed then Some (string_of_int i) else None)
+    |> List.filter_map Fun.id
+    |> String.concat ","
+    |> Buffer.add_string buf;
+    Buffer.add_char buf ']'
   end;
-  Format.fprintf fmt ", %s>" (port_to_string info.port)
+  Buffer.add_string buf ", ";
+  Buffer.add_string buf (port_to_string info.port);
+  Buffer.add_char buf '>'
 
-let print_type fmt = function
+let print_type buf = function
   | Const ->
-    Format.pp_print_string fmt "!hir.const";
+    Buffer.add_string buf "!hir.const";
     true
   | Time ->
-    Format.pp_print_string fmt "!hir.time";
+    Buffer.add_string buf "!hir.time";
     true
   | Memref info ->
-    pp_memref fmt info;
+    add_memref buf info;
     true
   | _ -> false
 

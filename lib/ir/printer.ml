@@ -192,6 +192,48 @@ let print_with namer op =
 
 let op_to_string op = print_with (create_namer ()) op
 
+(* Byte ranges of the top-level ops in a module's print, in block
+   order: each runs from the op's first character to the newline that
+   ends its last line.  The layout marks them: the module's ops sit two
+   spaces deep and deeper lines four or more, and an op's first line
+   starts with its results ('%') or its quoted name ('"'), where the
+   block header starts with '^' and a region's closing line with '}'.
+   The module's own closing line is the first line after its first with
+   no indentation.  Strings are printed escaped, so every newline in
+   the text is the printer's. *)
+let top_level_ranges text =
+  let at i c = i < String.length text && text.[i] = c in
+  let rec scan from start acc =
+    let close nl = match start with Some s -> (s, nl) :: acc | None -> acc in
+    match String.index_from_opt text from '\n' with
+    | None -> List.rev acc
+    | Some nl ->
+      let line = nl + 1 in
+      if at line ' ' && at (line + 1) ' ' && (at (line + 2) '%' || at (line + 2) '"') then
+        scan line (Some (line + 2)) (close nl)
+      else if at line ' ' then scan line start acc
+      else List.rev (close nl)
+  in
+  scan 0 None []
+
+(* The op at [range] of a module's print as [op_to_string] prints it on
+   its own: its continuation lines lose the module's two spaces.  When
+   the module is at the print∘parse fixed point (see [fix_names]), its
+   value names are unique, so an op's own print names every value as
+   the module's print does and the slice is that print, byte for
+   byte. *)
+let slice text (start, stop) =
+  let buf = Buffer.create (stop - start) in
+  let rec copy i =
+    match String.index_from_opt text i '\n' with
+    | Some nl when nl < stop ->
+      Buffer.add_substring buf text i (nl + 1 - i);
+      copy (nl + 3)
+    | _ -> Buffer.add_substring buf text i (stop - i)
+  in
+  copy start;
+  Buffer.contents buf
+
 (* Leave [op] as [Parser.parse_string] would read its print back, ids
    and attribute order aside, without building the text: each value's
    hint becomes its printed name, and a named location drops the child

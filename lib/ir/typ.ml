@@ -17,22 +17,30 @@ let i8 = Int 8
 let i32 = Int 32
 let f32 = Float 32
 
-(* Dialect printer hooks.  Each hook returns [true] if it handled the
-   type. *)
-let printers : (Format.formatter -> t -> bool) list ref = ref []
+(* Dialect printer hooks.  Each hook appends the type's text to the
+   buffer and returns [true] if it handles the type, and writes nothing
+   otherwise. *)
+let printers : (Buffer.t -> t -> bool) list ref = ref []
 
 let register_printer f = printers := f :: !printers
 
-let pp fmt t =
+let add_to_buffer buf t =
   match t with
-  | Int n -> Format.fprintf fmt "i%d" n
-  | Float n -> Format.fprintf fmt "f%d" n
-  | None_type -> Format.pp_print_string fmt "none"
+  | Int n ->
+    Buffer.add_char buf 'i';
+    Buffer.add_string buf (string_of_int n)
+  | Float n ->
+    Buffer.add_char buf 'f';
+    Buffer.add_string buf (string_of_int n)
+  | None_type -> Buffer.add_string buf "none"
   | _ ->
-    let handled = List.exists (fun f -> f fmt t) !printers in
-    if not handled then Format.pp_print_string fmt "<unregistered-type>"
+    if not (List.exists (fun f -> f buf t) !printers) then
+      Buffer.add_string buf "<unregistered-type>"
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf t;
+  Buffer.contents buf
 
 let equal (a : t) (b : t) = a = b
 

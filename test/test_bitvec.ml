@@ -104,26 +104,43 @@ let test_errors () =
 
 let arb_width = QCheck.Gen.oneofl [ 1; 3; 8; 16; 31; 32; 33; 63; 64; 65; 100; 128 ]
 
+(* A random value of a width drawn from [widths]: int64 pieces joined
+   by repeated concat. *)
+let gen_bv widths =
+  QCheck.Gen.(
+    widths >>= fun w ->
+    let rec build remaining acc =
+      if remaining <= 0 then QCheck.Gen.return acc
+      else
+        QCheck.Gen.(
+          int64 >>= fun n ->
+          let piece = Bitvec.of_int64 ~width:(min 64 remaining) n in
+          build (remaining - 64) (match acc with
+            | None -> Some piece
+            | Some acc -> Some (Bitvec.concat piece acc)))
+    in
+    build w None >>= fun v -> QCheck.Gen.return (Option.get v))
+
 let arb_bv : Bitvec.t QCheck.arbitrary =
-  let gen =
-    QCheck.Gen.(
-      arb_width >>= fun w ->
-      (* Random value: mix int64 chunks by repeated concat. *)
-      let rec build remaining acc =
-        if remaining <= 0 then QCheck.Gen.return acc
-        else
-          QCheck.Gen.(
-            int64 >>= fun n ->
-            let piece = Bitvec.of_int64 ~width:(min 64 remaining) n in
-            build (remaining - 64) (match acc with
-              | None -> Some piece
-              | Some acc -> Some (Bitvec.concat piece acc)))
-      in
-      build w None >>= fun v -> QCheck.Gen.return (Option.get v))
-  in
   QCheck.make ~print:(fun v ->
       Printf.sprintf "%d'h%s" (Bitvec.width v) (Bitvec.to_hex_string v))
-    gen
+    (gen_bv arb_width)
+
+(* Any width from 1 to 200, and often one at a chunk boundary. *)
+let arb_any_width_bv : Bitvec.t QCheck.arbitrary =
+  QCheck.make ~print:(fun v ->
+      Printf.sprintf "%d'b%s" (Bitvec.width v) (Bitvec.to_bin_string v))
+    (gen_bv QCheck.Gen.(oneof [ int_range 1 200; oneofl [ 63; 64; 65; 128 ] ]))
+
+(* Hex digits by definition: digit k is bits [4k+3:4k], cut to the
+   width, read through [extract]. *)
+let hex_by_extract v =
+  let w = Bitvec.width v in
+  let ndigits = (w + 3) / 4 in
+  String.init ndigits (fun i ->
+      let lo = (ndigits - 1 - i) * 4 in
+      let hi = min (lo + 3) (w - 1) in
+      "0123456789abcdef".[Bitvec.to_int (Bitvec.extract ~hi ~lo v)])
 
 let pair_same_width =
   QCheck.make
@@ -168,6 +185,8 @@ let properties =
         else true);
     prop "bin string round-trips" arb_bv (fun a ->
         Bitvec.equal a (Bitvec.of_bin_string (Bitvec.to_bin_string a)));
+    prop "hex digits match extract" arb_any_width_bv (fun a ->
+        Bitvec.to_hex_string a = hex_by_extract a);
     prop "hex string round-trips" arb_bv (fun a ->
         Bitvec.equal a (Bitvec.of_hex_string ~width:(Bitvec.width a) (Bitvec.to_hex_string a)));
     prop "concat then extract" pair_same_width (fun (a, b) ->

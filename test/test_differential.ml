@@ -468,9 +468,13 @@ let prop_loop_driver_matches_legacy =
     (driver_vs_legacy build_loop_design)
 
 (* Guard against vacuous properties: a healthy fraction of generated
-   recipes must actually reach the differential check. *)
+   recipes must actually reach the differential check.  The recipes
+   come from one fixed random state, so the count is the same on every
+   run. *)
 let test_acceptance_rate () =
-  let recipes = QCheck.Gen.generate ~n:200 gen_recipe in
+  let recipes =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 1 |]) ~n:200 gen_recipe
+  in
   let accepted =
     List.length
       (List.filter (fun r -> verifier_accepts (fst (build_design r))) recipes)

@@ -538,34 +538,34 @@ let slices_differ build =
    slice of the module's.  One more transpose carries named
    locations with a child, which the text does not print but the
    emitter writes into Verilog comments. *)
-let test_clone_matches_parse_kernels () =
+let kernel_designs =
   let named_locs () =
     let m, f = Hir_kernels.Transpose.build () in
     let loc = Location.name ~child:(Location.file ~file:"t.c" ~line:3 ~col:7) "site" in
     Ir.Walk.ops_pre f ~f:(fun o -> o.Ir.loc <- loc);
     (m, f)
   in
-  let designs =
-    List.map
-      (fun k -> (k.Hir_kernels.Kernels.name, k.Hir_kernels.Kernels.build))
-      Hir_kernels.Kernels.all
-    @ List.concat_map
-        (fun n ->
-          [
-            (Printf.sprintf "gemm%d" n, fun () -> Hir_kernels.Gemm.build ~n ());
-            (Printf.sprintf "systolic%d" n, fun () -> Hir_kernels.Systolic.build ~n ());
-          ])
-        [ 4; 8; 16 ]
-    @ [ ("transpose with named locations", named_locs) ]
-  in
+  List.map
+    (fun k -> (k.Hir_kernels.Kernels.name, k.Hir_kernels.Kernels.build))
+    Hir_kernels.Kernels.all
+  @ List.concat_map
+      (fun n ->
+        [
+          (Printf.sprintf "gemm%d" n, fun () -> Hir_kernels.Gemm.build ~n ());
+          (Printf.sprintf "systolic%d" n, fun () -> Hir_kernels.Systolic.build ~n ());
+        ])
+      [ 4; 8; 16 ]
+  @ [ ("transpose with named locations", named_locs) ]
+
+let test_clone_matches_parse_kernels () =
   check_bool "some function prints differently from its slice" true
-    (List.exists (fun (_, build) -> slices_differ build) designs);
+    (List.exists (fun (_, build) -> slices_differ build) kernel_designs);
   List.iter
     (fun (name, build) ->
       match clone_matches_parse build with
       | () -> ()
       | exception Failure msg -> Alcotest.failf "%s: %s" name msg)
-    designs
+    kernel_designs
 
 (* A function that uses a value it does not define cannot be compiled
    on its own: the clone rejects it as the parse of its text does. *)
@@ -585,6 +585,74 @@ let test_clone_rejects_foreign_value () =
       in
       rejects "clone" (Incr.Clone f);
       rejects "parse" (Incr.Text (Printer.op_to_string f)))
+
+(* ------------------------------------------------------------------ *)
+(* Slice ≡ print: a plan's function texts are its functions' prints    *)
+
+(* Each top-level range of a plan's module print, de-indented, must be
+   its function's own print, and so must the plan's text of each
+   function.  The plan takes [fi_text] from these slices and prints no
+   function, so this is what makes the cone hashes the ones the
+   functions' prints give. *)
+let check_slices plan =
+  let fail name what = failwith (Printf.sprintf "@%s: %s" name what) in
+  let funcs = Ops.module_funcs plan.Incr.pl_module in
+  let ranges = Printer.top_level_ranges plan.Incr.pl_text in
+  if List.length ranges <> List.length funcs then
+    failwith
+      (Printf.sprintf "%d ranges for %d functions" (List.length ranges) (List.length funcs));
+  List.iter2
+    (fun f range ->
+      let name = Ops.func_name f in
+      let own = Printer.op_to_string f in
+      if Printer.slice plan.Incr.pl_text range <> own then fail name "slice differs from print";
+      let fi = Incr.fn_info plan name in
+      if fi.Incr.fi_func == f && fi.Incr.fi_text <> own then
+        fail name "plan text differs from print")
+    funcs ranges
+
+(* Both kinds of plan of what [build] returns: a builder job's, of the
+   module at its fixing print, and a text job's, of the parse of that
+   print. *)
+let check_slices_of_build build =
+  Ir.with_isolated_ids (fun () ->
+      let m, _ = build () in
+      let text = Printer.op_to_string_fixed m in
+      check_slices (Incr.plan_of_module ~text m);
+      check_slices (Incr.normalize ~file:"t.hir" ~text (Parser.parse_string text)))
+
+(* A text job's plan of a source that need not be its own print. *)
+let check_slices_of_text ~file text =
+  Ir.with_isolated_ids (fun () ->
+      check_slices (Incr.normalize ~file ~text (Parser.parse_string ~file text)))
+
+(* Every kernel design, every example design (a file that is not its
+   own print is planned from the parse of its print), and a combined
+   module of two kernels, as the edit tests compile them. *)
+let test_slices_match_prints () =
+  List.iter
+    (fun (name, build) ->
+      match check_slices_of_build build with
+      | () -> ()
+      | exception Failure msg -> Alcotest.failf "%s: %s" name msg)
+    kernel_designs;
+  List.iter
+    (fun (file, text) ->
+      match check_slices_of_text ~file text with
+      | () -> ()
+      | exception Failure msg -> Alcotest.failf "%s: %s" file msg)
+    Example_designs.designs;
+  let texts = List.concat_map (fun k -> snd (kernel_parts k)) [ "transpose"; "task_parallel" ] in
+  match check_slices_of_text ~file:"combined" (combined texts) with
+  | () -> ()
+  | exception Failure msg -> Alcotest.failf "combined: %s" msg
+
+let slice_print_prop =
+  QCheck.Test.make ~count:60 ~name:"slice == print on random designs" arb_random_design
+    (fun d ->
+      match check_slices_of_build (fun () -> build_random d) with
+      | () -> true
+      | exception Failure msg -> QCheck.Test.fail_report msg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -616,5 +684,10 @@ let () =
           Alcotest.test_case "kernels" `Quick test_clone_matches_parse_kernels;
           Alcotest.test_case "foreign-value-rejected" `Quick test_clone_rejects_foreign_value;
           QCheck_alcotest.to_alcotest ~verbose:false clone_parse_prop;
+        ] );
+      ( "slice",
+        [
+          Alcotest.test_case "kernels and examples" `Quick test_slices_match_prints;
+          QCheck_alcotest.to_alcotest ~verbose:false slice_print_prop;
         ] );
     ]
