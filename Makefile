@@ -43,6 +43,15 @@ check: build test
 	    echo "make check: FAILED (err_call_cycle.hir exited $$code, not 1 with a call-cycle diagnostic)"; exit 1; \
 	  fi
 	@echo "call-cycle rejection: OK"
+	@rm -rf _build/.hirc-no-such-dir
+	@out=$$(timeout 10 _build/default/bin/hirc.exe compile examples/designs/transpose.hir \
+	  -o _build/.hirc-no-such-dir/x.v 2>&1); \
+	  code=$$?; \
+	  if [ $$code -ne 1 ] || [ "$$out" = "$${out#hirc: cannot write _build/.hirc-no-such-dir/x.v: }" ] \
+	     || [ $$(echo "$$out" | wc -l) -ne 1 ] || echo "$$out" | grep -q "internal error"; then \
+	    echo "make check: FAILED (an -o path under a missing directory exited $$code, not 1 with one cannot-write line)"; exit 1; \
+	  fi
+	@echo "unwritable output rejection: OK"
 	$(MAKE) faults
 	$(MAKE) serve-smoke
 	$(MAKE) crash

@@ -536,8 +536,9 @@ let canonicalize_scaling () =
 (* ------------------------------------------------------------------ *)
 (* Sim scaling: opcode engine vs reference walker                      *)
 
-(* Two engines: the reference simulator re-walks every expression tree
-   per settle; the opcode engine lowers the netlist once to a flat
+(* Two engines: the reference simulator (test/sim_reference.ml, driven
+   through [Harness.Make (Sim_reference)]) re-walks every expression
+   tree per settle; the opcode engine lowers the netlist once to a flat
    int-array opcode program interpreted by a single match loop, which
    [Sim.fork] shares between stimuli.
 
@@ -571,6 +572,7 @@ let sim_gemm_budget_s = 2.0
 let sim_scaling () =
   let module Sim = Hir_rtl.Sim in
   let module Flatten = Hir_rtl.Flatten in
+  let module Reference_harness = Harness.Make (Sim_reference) in
   header "Sim scaling: opcode / reference engines (cycles/second)";
   Printf.printf "%-12s %6s %9s %9s %10s %8s\n" "benchmark" "cycles" "ref(c/s)" "op(c/s)"
     "steady c/s" "speedup";
@@ -609,7 +611,6 @@ let sim_scaling () =
       (* compile mutates the module (unroll etc.), so rebuild fresh. *)
       let m, f = build () in
       let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
-      let run ~engine () = Harness.run ~engine ~emitted ~inputs ~cycles () in
       let last_stats = ref None in
       (* Steady-state: elaborate once, then time per-stimulus work only
          (fork, agents, cycle loop) on forks of the shared program. *)
@@ -625,7 +626,7 @@ let sim_scaling () =
         Harness.finish_run sim ~emitted ~total
       in
       let opcode_run () =
-        let result, _ = run ~engine:`Opcode () in
+        let result, _ = Harness.run ~emitted ~inputs ~cycles () in
         last_stats := Some result.Harness.sim_stats;
         result
       in
@@ -643,7 +644,8 @@ let sim_scaling () =
         best := Float.min !best (Unix.gettimeofday () -. t0)
       in
       for i = 1 to 5 do
-        if i <= 3 then sample reference_t (fun () -> run ~engine:`Reference ());
+        if i <= 3 then
+          sample reference_t (fun () -> Reference_harness.run ~emitted ~inputs ~cycles ());
         sample opcode_t opcode_run;
         sample opcode_steady_t steady_run
       done;

@@ -72,13 +72,29 @@ let load_module path =
     Error (Printf.sprintf "%s: lex error: %s" (Location.to_string loc) msg)
   | Sys_error e -> Error e
 
+(* Run [f], which writes the file or directory [path].  If it cannot,
+   hirc reports that as one line and exits 1. *)
+let writing path f =
+  let cannot reason =
+    Printf.eprintf "hirc: cannot write %s: %s\n" path reason;
+    exit 1
+  in
+  try f () with
+  | Sys_error e ->
+    (* A [Sys_error] from opening a file reads "PATH: REASON". *)
+    let prefix = path ^ ": " in
+    let n = String.length prefix in
+    cannot (if String.starts_with ~prefix e then String.sub e n (String.length e - n) else e)
+  | Unix.Unix_error (err, _, _) -> cannot (Unix.error_message err)
+
+let write_file path text = writing path (fun () -> Io.write_file path text)
+let make_dir dir = writing dir (fun () -> Io.mkdir_p dir)
+
 let output_text out text =
   match out with
   | None -> print_string text
   | Some path ->
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
+    write_file path text;
     Printf.eprintf "wrote %s (%d bytes)\n" path (String.length text)
 
 (* Run one job through the compilation service and write its output. *)
@@ -418,24 +434,15 @@ let fuzz_cmd =
       match crash_dir with
       | None -> ()
       | Some dir ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        make_dir dir;
         let path =
           Filename.concat dir
             (Printf.sprintf "crash-%d.hir" c.Hir_fuzz.Fuzz.crash_iteration)
         in
-        let oc = open_out_bin path in
-        output_string oc c.Hir_fuzz.Fuzz.crash_input;
-        close_out oc;
+        write_file path c.Hir_fuzz.Fuzz.crash_input;
         Printf.eprintf "  input saved to %s\n" path
     in
-    let on_input ~iteration:_ input =
-      match dump_last with
-      | None -> ()
-      | Some path ->
-        let oc = open_out_bin path in
-        output_string oc input;
-        close_out oc
-    in
+    let on_input ~iteration:_ input = Option.iter (fun path -> write_file path input) dump_last in
     let stats = Hir_fuzz.Fuzz.run ~mode ~seed ~on_crash ~on_input ~iterations corpus in
     Printf.printf "fuzz (%s, seed %d): %s\n"
       (if full then "full" else "frontend")
@@ -465,11 +472,22 @@ let sim_cmd =
       & info [] ~docv:"KERNEL" ~doc:"Kernel name (see `hirc kernels`)")
   in
   let cycles_arg =
+    let non_negative =
+      let parse s =
+        match Arg.conv_parser Arg.int s with
+        | Ok n when n < 0 ->
+          Error (`Msg (Printf.sprintf "invalid value '%d', expected a non-negative integer" n))
+        | r -> r
+      in
+      Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+    in
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative) None
       & info [ "cycles" ] ~docv:"N"
-          ~doc:"Clock cycles to run (default: the interpreter's latency)")
+          ~doc:
+            "Clock cycles to run before 8 drain cycles (default: the interpreter's \
+             latency)")
   in
   let vcd_arg =
     Arg.(
@@ -543,9 +561,10 @@ let sim_cmd =
           let r, _ = Interp.run ~module_op:m ~func:f (List.map snd inputs) in
           r.Interp.cycles
       in
+      let simulate () = Harness.run ?vcd_path ~emitted ~inputs:harness_inputs ~cycles () in
       let (result, _agents), counters =
         Metrics.with_scope (fun () ->
-            Harness.run ?vcd_path ~emitted ~inputs:harness_inputs ~cycles ())
+            match vcd_path with Some path -> writing path simulate | None -> simulate ())
       in
       let failures = List.length result.Harness.failures in
       Printf.printf "%s: %d cycles on the opcode engine, %d assertion failure(s)\n" name
@@ -744,10 +763,8 @@ let write_batch_json path ~workers (result : Driver.batch_result) =
         ("notes", strs result.Driver.batch_notes);
       ]
   in
-  let oc = open_out path in
-  output_string oc (Json.to_string (Json.Obj [ ("jobs", Json.Arr jobs); ("summary", summary) ]));
-  output_string oc "\n";
-  close_out oc
+  write_file path
+    (Json.to_string (Json.Obj [ ("jobs", Json.Arr jobs); ("summary", summary) ]) ^ "\n")
 
 let batch_cmd =
   let inputs_arg =
@@ -875,14 +892,11 @@ let batch_cmd =
                 Option.iter (Printf.eprintf "note: %s: %s\n" o.Driver.job_name) o.Driver.note;
                 (match out_dir with
                 | Some dir ->
-                  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+                  make_dir dir;
                   let base =
                     Filename.remove_extension (Filename.basename o.Driver.job_name)
                   in
-                  let path = Filename.concat dir (base ^ ".v") in
-                  let oc = open_out path in
-                  output_string oc o.Driver.verilog;
-                  close_out oc
+                  write_file (Filename.concat dir (base ^ ".v")) o.Driver.verilog
                 | None -> ());
                 Printf.printf "%-8s %-24s top=%-18s %8.2f ms%s%s\n"
                   (Driver.status_to_string status)
@@ -914,7 +928,7 @@ let batch_cmd =
             cache_line;
           (match trace_out with
           | Some path ->
-            Trace.write_chrome_json path result.Driver.traces;
+            writing path (fun () -> Trace.write_chrome_json path result.Driver.traces);
             Printf.eprintf "wrote %s\n" path
           | None -> ());
           (match json_out with
@@ -924,7 +938,8 @@ let batch_cmd =
           | None -> ());
           (* Exit contract: 0 = every job produced output (possibly
              degraded), 2 = the batch completed but some jobs failed.
-             Exit 1 is reserved for not running at all (bad spec). *)
+             Exit 1 is reserved for not running at all (bad spec) and
+             for an output that cannot be written. *)
           if t.Driver.t_failed > 0 then 2 else 0
         end)
   in

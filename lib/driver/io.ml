@@ -32,6 +32,16 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Replace [path]'s contents with [s].  A failure to open, write or
+   close (a missing directory, a full disk) raises [Sys_error]. *)
+let write_file path s =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc s;
+      close_out oc)
+
 (* Write all of [s], resuming after short writes and EINTR.  Any other
    error (EPIPE from a hung-up peer, ENOSPC, ...) reaches the caller. *)
 let write_all fd s =

@@ -142,8 +142,4 @@ let to_chrome_json traces =
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents buf
 
-let write_chrome_json path traces =
-  let oc = open_out path in
-  output_string oc (to_chrome_json traces);
-  output_char oc '\n';
-  close_out oc
+let write_chrome_json path traces = Io.write_file path (to_chrome_json traces ^ "\n")

@@ -7,7 +7,8 @@
      differently-pipelined producers);
    - uses across unrelated time domains;
    - loops whose yield would restart an iteration in the past (II < 1
-     for hir.for);
+     for hir.for), and hir.for loops that start at their own time
+     instant (offset < 1), which codegen cannot build;
    - memref port conflicts: two accesses statically scheduled on the
      same port in the same cycle (undefined behaviour per Section 4.5)
      unless they target provably distinct banks. *)
@@ -18,6 +19,13 @@ let verify_loop_iis engine analysis func =
   Ir.Walk.ops_pre func ~f:(fun op ->
       match Ir.Op.name op with
       | "hir.for" -> (
+        (* The loop's hardware pulses one cycle before its first
+           iteration, so that iteration cannot start at the loop's own
+           time instant. *)
+        let offset = Ops.for_offset op in
+        if offset < 1 then
+          Diagnostic.Engine.errorf engine (Ir.Op.loc op)
+            "Schedule error: hir.for offset must be at least 1, got %d" offset;
         match Time_analysis.loop_ii analysis op with
         | Some ii when ii < 1 ->
           Diagnostic.Engine.errorf engine (Ir.Op.loc op)

@@ -8,22 +8,20 @@
    Width semantics follow Verilog's context-determined evaluation as
    documented in [Hir_verilog.Ast].
 
-   Two engines share the same interface:
+   The engine is compile-once, run-many ([Opcode], included below so
+   every name is [Sim.*]).  At [create] time every signal name is
+   resolved to a slot in a dense register file, and every assign and
+   always block is compiled to a flat block of integer opcodes with
+   its context widths precomputed.  Both phases are event-driven: per
+   cycle only assigns whose sources actually changed are re-evaluated,
+   in topological order, and a clock edge skips the always blocks
+   whose inputs did not change (see [Opcode.create] for the
+   exceptions).  Signals of width <= 63 live unboxed on native OCaml
+   ints with masking; wider signals fall back to [Bitvec].
 
-   - [Opcode] (the default): a compile-once, run-many engine.  At
-     [create] time every signal name is resolved to a slot in a dense
-     register file, and every assign and always block is compiled to
-     a flat block of integer opcodes with its context widths
-     precomputed.  Both phases are event-driven: per cycle only
-     assigns whose sources actually changed are re-evaluated, in
-     topological order, and a clock edge skips the always blocks whose
-     inputs did not change (see [Opcode.create] for the exceptions).
-     Signals of width <= 63 live unboxed on native OCaml ints with
-     masking; wider signals fall back to [Bitvec].
-
-   - [Reference]: the original tree-walking interpreter, kept as the
-     oracle for the opcode engine (see test_sim_equiv) and as the
-     executable specification of the width semantics. *)
+   Its oracle is the tree-walking reference simulator in
+   test/sim_reference.ml, the executable specification of the width
+   semantics; test_sim_equiv and test_rtl compare the two. *)
 
 open Hir_verilog.Ast
 
@@ -229,258 +227,6 @@ let fresh_rt () =
   { cycle = 0; failures = []; settles = 0; evaluated = 0; skipped = 0; fast_evaluated = 0 }
 
 (* ================================================================== *)
-(* Reference engine: the original tree walker                          *)
-
-module Reference = struct
-  type signal = {
-    mutable value : Bitvec.t;
-    width : int;
-    is_reg : bool;
-  }
-
-  type memory = { cells : Bitvec.t array; elem_width : int }
-
-  type t = {
-    signals : (string, signal) Hashtbl.t;
-    memories : (string, memory) Hashtbl.t;
-    assigns : (string * expr) list;  (* topologically sorted *)
-    always : stmt list;
-    inputs : string list;
-    outputs : string list;
-    mutable cycle : int;
-    mutable failures : assertion_failure list;
-    mutable settles : int;
-  }
-
-  (* ---------------------------------------------------------------- *)
-  (* Construction                                                      *)
-
-  let signal_width t name =
-    match Hashtbl.find_opt t.signals name with
-    | Some s -> s.width
-    | None -> (
-      match Hashtbl.find_opt t.memories name with
-      | Some m -> m.elem_width
-      | None -> fail "unknown signal %s" name)
-
-  let create (flat : Flatten.flat) =
-    let signals = Hashtbl.create 256 in
-    let memories = Hashtbl.create 16 in
-    let assigns = ref [] in
-    let always_rev = ref [] in
-    List.iter
-      (fun item ->
-        match item with
-        | Wire_decl { name; width } ->
-          Hashtbl.replace signals name { value = Bitvec.zero width; width; is_reg = false }
-        | Reg_decl { name; width } ->
-          Hashtbl.replace signals name { value = Bitvec.zero width; width; is_reg = true }
-        | Mem_decl { name; width; depth; _ } ->
-          Hashtbl.replace memories name
-            { cells = Array.make depth (Bitvec.zero width); elem_width = width }
-        | Assign { target; expr } -> assigns := (target, expr) :: !assigns
-        | Always_ff stmts -> always_rev := stmts :: !always_rev
-        | Comment _ -> ()
-        | Instance _ -> fail "simulator requires a flattened design")
-      flat.flat_items;
-    let assign_list = List.rev !assigns in
-    let is_comb name =
-      match Hashtbl.find_opt signals name with
-      | Some s -> not s.is_reg
-      | None -> false
-    in
-    {
-      signals;
-      memories;
-      assigns = topo_sort_assigns ~is_comb assign_list;
-      always = List.concat (List.rev !always_rev);
-      inputs = flat.flat_inputs;
-      outputs = flat.flat_outputs;
-      cycle = 0;
-      failures = [];
-      settles = 0;
-    }
-
-  (* ---------------------------------------------------------------- *)
-  (* Expression evaluation                                             *)
-
-  let natural t expr = natural_width ~signal_width:(signal_width t) expr
-
-  let rec eval t ~width expr : Bitvec.t =
-    match expr with
-    | Const b -> Bitvec.resize ~width b
-    | Ref name -> (
-      match Hashtbl.find_opt t.signals name with
-      | Some s -> Bitvec.resize ~width s.value
-      | None -> fail "read of unknown signal %s" name)
-    | Index (name, addr) -> (
-      match Hashtbl.find_opt t.memories name with
-      | Some m ->
-        let a = Bitvec.to_int (eval t ~width:(max 1 (natural t addr)) addr) in
-        if a < Array.length m.cells then Bitvec.resize ~width m.cells.(a)
-        else Bitvec.zero width
-      | None -> fail "indexing non-memory %s" name)
-    | Slice (e, hi, lo) ->
-      let v = eval t ~width:(max (hi + 1) (natural t e)) e in
-      Bitvec.resize ~width (Bitvec.extract ~hi ~lo v)
-    | Unop (Not, e) -> Bitvec.lognot (eval t ~width e)
-    | Unop (Red_or, e) ->
-      let v = eval t ~width:(max 1 (natural t e)) e in
-      Bitvec.resize ~width (Bitvec.of_bool (not (Bitvec.is_zero v)))
-    | Unop (Red_and, e) ->
-      let w = max 1 (natural t e) in
-      let v = eval t ~width:w e in
-      Bitvec.resize ~width (Bitvec.of_bool (Bitvec.equal v (Bitvec.ones w)))
-    | Binop (((Add | Sub | Mul | And | Or | Xor) as op), a, b) ->
-      let x = eval t ~width a and y = eval t ~width b in
-      let f =
-        match op with
-        | Add -> Bitvec.add
-        | Sub -> Bitvec.sub
-        | Mul -> Bitvec.mul
-        | And -> Bitvec.logand
-        | Or -> Bitvec.logor
-        | Xor -> Bitvec.logxor
-        | _ -> assert false
-      in
-      f x y
-    | Binop (Shl, a, b) ->
-      let shift = Bitvec.to_int (eval t ~width:(max 1 (natural t b)) b) in
-      Bitvec.shift_left (eval t ~width a) (min shift width)
-    | Binop (Shr, a, b) ->
-      let shift = Bitvec.to_int (eval t ~width:(max 1 (natural t b)) b) in
-      Bitvec.shift_right_logical (eval t ~width a) (min shift width)
-    | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) ->
-      let w = max 1 (max (natural t a) (natural t b)) in
-      let x = eval t ~width:w a and y = eval t ~width:w b in
-      let c = Bitvec.compare x y in
-      let r =
-        match op with
-        | Lt -> c < 0
-        | Le -> c <= 0
-        | Gt -> c > 0
-        | Ge -> c >= 0
-        | Eq -> c = 0
-        | Ne -> c <> 0
-        | _ -> assert false
-      in
-      Bitvec.resize ~width (Bitvec.of_bool r)
-    | Binop (Log_and, a, b) ->
-      let x = eval t ~width:(max 1 (natural t a)) a in
-      let y = eval t ~width:(max 1 (natural t b)) b in
-      Bitvec.resize ~width (Bitvec.of_bool (not (Bitvec.is_zero x) && not (Bitvec.is_zero y)))
-    | Binop (Log_or, a, b) ->
-      let x = eval t ~width:(max 1 (natural t a)) a in
-      let y = eval t ~width:(max 1 (natural t b)) b in
-      Bitvec.resize ~width (Bitvec.of_bool (not (Bitvec.is_zero x) || not (Bitvec.is_zero y)))
-    | Ternary (c, a, b) ->
-      let cond = eval t ~width:(max 1 (natural t c)) c in
-      if Bitvec.is_zero cond then eval t ~width b else eval t ~width a
-    | Concat [] -> fail "empty concatenation"
-    | Concat (e0 :: rest) ->
-      let part e = eval t ~width:(max 1 (natural t e)) e in
-      let v = List.fold_left (fun acc e -> Bitvec.concat acc (part e)) (part e0) rest in
-      Bitvec.resize ~width v
-
-  let eval_bool t expr = not (Bitvec.is_zero (eval t ~width:(max 1 (natural t expr)) expr))
-
-  (* ---------------------------------------------------------------- *)
-  (* Cycle execution                                                   *)
-
-  type update =
-    | Set_reg of string * Bitvec.t
-    | Set_mem of string * int * Bitvec.t
-
-  let rec run_stmt t acc stmt =
-    match stmt with
-    | Nonblocking (Lref name, e) ->
-      let w = signal_width t name in
-      Set_reg (name, eval t ~width:w e) :: acc
-    | Nonblocking (Lindex (name, addr), e) -> (
-      match Hashtbl.find_opt t.memories name with
-      | Some m ->
-        let a = Bitvec.to_int (eval t ~width:(max 1 (natural t addr)) addr) in
-        Set_mem (name, a, eval t ~width:m.elem_width e) :: acc
-      | None -> fail "write to non-memory %s" name)
-    | If (c, then_s, else_s) ->
-      if eval_bool t c then List.fold_left (run_stmt t) acc then_s
-      else List.fold_left (run_stmt t) acc else_s
-    | Assert_stmt { cond; message } ->
-      if not (eval_bool t cond) then
-        t.failures <- { at_cycle = t.cycle; message } :: t.failures;
-      acc
-
-  let settle t =
-    t.settles <- t.settles + 1;
-    List.iter
-      (fun (target, expr) ->
-        let s = Hashtbl.find t.signals target in
-        s.value <- eval t ~width:s.width expr)
-      t.assigns
-
-  let commit t updates =
-    List.iter
-      (fun u ->
-        match u with
-        | Set_reg (name, v) -> (Hashtbl.find t.signals name).value <- v
-        | Set_mem (name, a, v) ->
-          let m = Hashtbl.find t.memories name in
-          if a < Array.length m.cells then m.cells.(a) <- v
-          else
-            t.failures <-
-              { at_cycle = t.cycle; message = Printf.sprintf "write past end of %s" name }
-              :: t.failures)
-      updates
-
-  (* Drive an input signal (before [step]). *)
-  let set_input t name v =
-    match Hashtbl.find_opt t.signals name with
-    | Some s -> s.value <- Bitvec.resize ~width:s.width v
-    | None -> fail "unknown input %s" name
-
-  let peek t name =
-    match Hashtbl.find_opt t.signals name with
-    | Some s -> s.value
-    | None -> fail "unknown signal %s" name
-
-  (* Clock edge against already-settled combinational state. *)
-  let clock t =
-    let updates = List.fold_left (run_stmt t) [] t.always in
-    commit t updates;
-    t.cycle <- t.cycle + 1
-
-  let step t =
-    settle t;
-    clock t
-
-  let settle_only t = settle t
-
-  let failures t = List.rev t.failures
-
-  (* All named signals with their widths, for waveform dumping. *)
-  let signal_names t =
-    Hashtbl.fold (fun name s acc -> (name, s.width) :: acc) t.signals []
-    |> List.sort compare
-
-  let stats t =
-    let n_assigns = List.length t.assigns in
-    let narrow, wide =
-      Hashtbl.fold
-        (fun _ s (n, w) -> if s.width <= 63 then (n + 1, w) else (n, w + 1))
-        t.signals (0, 0)
-    in
-    {
-      st_cycles = t.cycle;
-      st_settles = t.settles;
-      st_assigns_evaluated = t.settles * n_assigns;
-      st_assigns_skipped = 0;
-      st_fastpath_evaluated = 0;
-      st_narrow_signals = narrow;
-      st_wide_signals = wide;
-    }
-end
-
-(* ================================================================== *)
 (* Opcode engine                                                       *)
 
 (* Every assign is compiled once into a flat block of integer opcodes
@@ -490,12 +236,13 @@ end
    A settle is then one tight [exec] match loop with no closure calls
    and no tree traversal.
 
-   Width semantics are those of [Reference.eval], resolved at compile
-   time: every evaluation point gets its context width (assignment at
-   the target's width, comparisons at the wider operand's natural
-   width, self-determined shifts, slices and concatenations) and picks
-   the narrow or the wide opcode family by that width, so a narrow
-   context can still dive into wide subexpressions and vice versa.
+   Width semantics are those of the reference walker's [eval],
+   resolved at compile time: every evaluation point gets its context
+   width (assignment at the target's width, comparisons at the wider
+   operand's natural width, self-determined shifts, slices and
+   concatenations) and picks the narrow or the wide opcode family by
+   that width, so a narrow context can still dive into wide
+   subexpressions and vice versa.
    The qcheck lockstep suite in test_sim_equiv checks the result
    against the reference walker.  Two intentional differences: a mux
    evaluates both arms before selecting — safe because expressions are
@@ -1011,7 +758,7 @@ module Opcode = struct
   (* [comp_n cs b ~width e] appends opcodes evaluating [e] at narrow
      context [width] to [b] and returns the narrow slot holding the
      result; [comp_w] is the wide/boxed path.  Both follow
-     [Reference.eval]'s width rules case by case — any semantic
+     the reference walker's width rules case by case — any semantic
      divergence here is a bug, caught by the lockstep suite. *)
   let rec comp_n cs b ~width e : int =
     let mw = mask width in
@@ -1946,6 +1693,9 @@ module Opcode = struct
         fun () -> file.(idx)
     | None -> fail "unknown signal %s" name
 
+  (* [reader] as [Bitvec.to_int] of the value, for narrow control
+     signals sampled every cycle (memory-port enables and addresses):
+     a read allocates nothing. *)
   let int_reader t name =
     match Hashtbl.find_opt t.prog.p_signals name with
     | Some s when s.o_width <= 62 ->
@@ -1993,80 +1743,16 @@ module Opcode = struct
     }
 end
 
-(* ================================================================== *)
-(* Engine dispatch: the opcode engine is the default; callers pick the  *)
-(* reference walker with [create ~engine:`Reference].                   *)
+include Opcode
 
-type engine = [ `Opcode | `Reference ]
-
-let engine_name : engine -> string = function
-  | `Opcode -> "opcode"
-  | `Reference -> "reference"
-
-(* The reference walker keeps the flattened design to rebuild itself
-   on [fork]; the opcode engine forks its state over a shared program,
-   so a long-lived opcode simulator does not hold the netlist. *)
-type t = O of Opcode.t | R of Reference.t * Flatten.flat
-
-let create ?(engine = `Opcode) flat =
-  match engine with
-  | `Opcode -> O (Opcode.create flat)
-  | `Reference -> R (Reference.create flat, flat)
-
-(* Every engine settles on the calling domain, so this is always 1; it
+(* Every settle runs on the calling domain, so this is always 1; it
    remains because perfbench/sim_batch.ml reports it. *)
 let partitions (_ : t) = 1
-
-(* A fresh simulator over the same design: the opcode engine forks its
-   state and shares the compiled program; the reference walker
-   rebuilds. *)
-let fork = function
-  | O o -> O (Opcode.fork o)
-  | R (_, flat) -> R (Reference.create flat, flat)
-
-let set_input t name v =
-  match t with O o -> Opcode.set_input o name v | R (r, _) -> Reference.set_input r name v
-
-let peek t name = match t with O o -> Opcode.peek o name | R (r, _) -> Reference.peek r name
-
-(* A pre-resolved [peek]: the name lookup happens once, the returned
-   closure reads the current value directly.  The VCD sampler uses this
-   to avoid a hashtable probe per signal per cycle. *)
-let reader t name =
-  match t with O o -> Opcode.reader o name | R (r, _) -> fun () -> Reference.peek r name
-
-(* [reader] as [Bitvec.to_int] of the value, for narrow control signals
-   sampled every cycle (memory-port enables and addresses): on the
-   opcode engine a read allocates nothing. *)
-let int_reader t name =
-  match t with
-  | O o -> Opcode.int_reader o name
-  | R (r, _) -> fun () -> Bitvec.to_int (Reference.peek r name)
-
-(* A pre-resolved [set_input]; same contract as [reader]. *)
-let writer t name =
-  match t with
-  | O o -> Opcode.writer o name
-  | R (r, _) -> fun v -> Reference.set_input r name v
-
-let clock t = match t with O o -> Opcode.clock o | R (r, _) -> Reference.clock r
-let step t = match t with O o -> Opcode.step o | R (r, _) -> Reference.step r
-
-let settle_only t =
-  match t with O o -> Opcode.settle_only o | R (r, _) -> Reference.settle_only r
-
-let failures t = match t with O o -> Opcode.failures o | R (r, _) -> Reference.failures r
-
-let signal_names t =
-  match t with O o -> Opcode.signal_names o | R (r, _) -> Reference.signal_names r
-
-let stats t = match t with O o -> Opcode.stats o | R (r, _) -> Reference.stats r
 
 (* Report this run's statistics into the innermost [Metrics] scope (a
    no-op outside one), so `hirc --stats` and the Chrome traces cover
    simulation alongside the compiler passes. *)
-let record_stats t =
-  let s = stats t in
+let record_stats s =
   let c n v = Hir_ir.Metrics.record ~n:v ("sim." ^ n) in
   c "cycles" s.st_cycles;
   c "settles" s.st_settles;

@@ -1,18 +1,20 @@
 (* VCD (Value Change Dump) waveform writer for the RTL simulator, so
-   generated designs can be inspected in GTKWave & co.
+   generated designs can be inspected in GTKWave & co.  It takes each
+   signal as (name, width, reader) and knows nothing else of the
+   simulator; [Harness.Make (S).open_vcd] passes every signal of a
+   simulator.
 
-     let vcd = Vcd.create ~path:"trace.vcd" sim in
+     let vcd = Vcd.create ~path:"trace.vcd" signals in
      (* each cycle, after settling: *)
-     Vcd.sample vcd sim;
+     Vcd.sample vcd;
      ...
      Vcd.close vcd *)
 
 type t = {
   oc : out_channel;
   ids : (string * string * int * (unit -> Bitvec.t)) array;
-      (* signal, vcd id, width, pre-resolved reader — resolving the
-         slot once at [create] keeps sampling free of per-signal name
-         lookups *)
+      (* signal, vcd id, width, reader — the caller resolves each
+         reader once, so sampling does no per-signal name lookup *)
   last : Bitvec.t option array;  (* previous sample, parallel to [ids] *)
   mutable time : int;
 }
@@ -27,19 +29,11 @@ let id_of_index i =
   in
   go i ""
 
-let create ?signals ~path sim =
+let create ~path signals =
   let oc = open_out path in
-  let all = Sim.signal_names sim in
-  let selected =
-    match signals with
-    | None -> all
-    | Some wanted -> List.filter (fun (n, _) -> List.mem n wanted) all
-  in
   let ids =
     Array.of_list
-      (List.mapi
-         (fun i (name, width) -> (name, id_of_index i, width, Sim.reader sim name))
-         selected)
+      (List.mapi (fun i (name, width, read) -> (name, id_of_index i, width, read)) signals)
   in
   output_string oc "$timescale 1ns $end\n";
   output_string oc "$scope module top $end\n";
@@ -67,7 +61,7 @@ let emit_value t id width v =
 
 (* Record the current settled state as one timestep; only changed
    signals are written, per the VCD format. *)
-let sample t _sim =
+let sample t =
   let any = ref false in
   Array.iteri
     (fun i (_name, id, width, read) ->

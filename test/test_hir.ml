@@ -21,8 +21,9 @@ let loc_at line col = Location.file ~file:"test.mlir" ~line ~col
 (* ------------------------------------------------------------------ *)
 (* Paper designs                                                       *)
 
-(* Listing 1: matrix transpose with a pipelined inner loop. *)
-let build_transpose () =
+(* Listing 1: matrix transpose with a pipelined inner loop, its outer
+   loop starting [outer_offset] cycles after the function's %t. *)
+let build_transpose ?(outer_offset = 1) () =
   let m = Builder.create_module () in
   let func =
     Builder.func m ~name:"transpose"
@@ -39,7 +40,7 @@ let build_transpose () =
           let c16 = Builder.constant b 16 in
           let _tf =
             Builder.for_loop b ~iv_hint:"i" ~lb:c0 ~ub:c16 ~step:c1
-              ~at:Builder.(t @>> 1)
+              ~at:Builder.(t @>> outer_offset)
               (fun b ~iv:i ~ti ->
                 let tf_j =
                   Builder.for_loop b ~iv_hint:"j" ~lb:c0 ~ub:c16 ~step:c1
@@ -293,6 +294,17 @@ let test_bad_ii () =
   check_bool "II=0 rejected" true
     (contains (Diagnostic.Engine.to_string engine) "initiation interval")
 
+(* The transpose with its outer loop at offset 0.  A hir.for's
+   hardware pulses one cycle before its first iteration, so the loop
+   cannot start at its own time instant: the verifier rejects it at the
+   loop, rather than codegen failing later without a location. *)
+let test_for_offset_zero () =
+  let m, func = build_transpose ~outer_offset:0 () in
+  (List.hd (Ir.Walk.find_all func "hir.for")).Ir.loc <- loc_at 8 5;
+  check_string "one located schedule error"
+    "test.mlir:8:5: error: Schedule error: hir.for offset must be at least 1, got 0"
+    (Diagnostic.Engine.to_string (verify_all m))
+
 let test_cross_task_stable_use () =
   (* A value born in the function scope may be used inside a loop
      (stable from an ancestor time domain), like %i inside the j-loop
@@ -442,6 +454,7 @@ let () =
           Alcotest.test_case "bad II" `Quick test_bad_ii;
           Alcotest.test_case "stable cross-scope use" `Quick test_cross_task_stable_use;
           Alcotest.test_case "iv leak across loops" `Quick test_sibling_loop_iv_leak;
+          Alcotest.test_case "hir.for offset 0" `Quick test_for_offset_zero;
         ] );
       ( "memref",
         [

@@ -7,6 +7,7 @@ module V = Hir_verilog.Ast
 module Pretty = Hir_verilog.Pretty
 module Flatten = Hir_rtl.Flatten
 module Sim = Hir_rtl.Sim
+module Harness = Hir_rtl.Harness
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -147,8 +148,8 @@ let test_empty_concat_rejected () =
       check_bool "opcode names concat" true (contains msg "concatenation")
     | () -> Alcotest.fail "opcode engine accepted an empty concat"));
   let flat = Flatten.flatten (design (simple_module ~ports:[] items)) in
-  let r = Sim.create ~engine:`Reference flat in
-  match Sim.settle_only r with
+  let r = Sim_reference.create flat in
+  match Sim_reference.settle_only r with
   | exception Sim.Sim_error msg ->
     check_bool "reference names concat" true (contains msg "concatenation")
   | () -> Alcotest.fail "reference engine accepted an empty concat"
@@ -222,8 +223,8 @@ let lockstep_boundary w () =
     ]
   in
   let flat = Flatten.flatten (design (simple_module ~ports (boundary_items w))) in
-  let o = Sim.create ~engine:`Opcode flat in
-  let r = Sim.create ~engine:`Reference flat in
+  let o = Sim.create flat in
+  let r = Sim_reference.create flat in
   let names = Sim.signal_names o in
   let values = boundary_values w in
   let n = Array.length values in
@@ -234,21 +235,21 @@ let lockstep_boundary w () =
     List.iter
       (fun (name, v) ->
         Sim.set_input o name v;
-        Sim.set_input r name v)
+        Sim_reference.set_input r name v)
       [ ("a", va); ("b", vb); ("k", vk) ];
     Sim.settle_only o;
-    Sim.settle_only r;
+    Sim_reference.settle_only r;
     List.iter
       (fun (name, _) ->
-        let vo = Sim.peek o name and vr = Sim.peek r name in
+        let vo = Sim.peek o name and vr = Sim_reference.peek r name in
         if not (Bitvec.equal vo vr) then
           Alcotest.failf "width %d, cycle %d, signal %s: opcode %s <> reference %s" w cyc
             name (Bitvec.to_hex_string vo) (Bitvec.to_hex_string vr))
       names;
     Sim.clock o;
-    Sim.clock r
+    Sim_reference.clock r
   done;
-  let fo = Sim.failures o and fr = Sim.failures r in
+  let fo = Sim.failures o and fr = Sim_reference.failures r in
   check_int "same failure count" (List.length fr) (List.length fo);
   List.iter2
     (fun (a : Sim.assertion_failure) (b : Sim.assertion_failure) ->
@@ -293,7 +294,7 @@ let test_oversized_shift_and_address () =
   let flat = Flatten.flatten (design (simple_module ~ports items)) in
   let big = Bitvec.shift_left (Bitvec.one 70) 65 in
   let run addr =
-    let sim = Sim.create ~engine:`Opcode flat in
+    let sim = Sim.create flat in
     List.iter
       (fun (n, v) -> Sim.set_input sim n v)
       [ ("a", bv 8 0xA5); ("k", big); ("addr", addr) ];
@@ -322,9 +323,9 @@ let test_oversized_shift_and_address () =
   let _, trace_depth, failures_depth = run (Bitvec.of_int ~width:70 depth) in
   check_bool "write at 2^65 behaves as a write at depth" true
     (trace = trace_depth && failures = failures_depth);
-  let r = Sim.create ~engine:`Reference flat in
-  Sim.set_input r "k" big;
-  match Sim.settle_only r with
+  let r = Sim_reference.create flat in
+  Sim_reference.set_input r "k" big;
+  match Sim_reference.settle_only r with
   | exception Failure msg ->
     check_bool "reference fails in Bitvec.to_int" true (contains msg "too large")
   | () -> Alcotest.fail "reference walker accepted a 2^65 shift amount"
@@ -684,11 +685,11 @@ let test_vcd_dump () =
         V.Always_ff [ V.Nonblocking (V.Lref "q", V.Ref "d") ];
       ]
   in
-  let vcd = Hir_rtl.Vcd.create ~path sim in
+  let vcd = Harness.open_vcd ~path sim in
   for c = 0 to 3 do
     Sim.set_input sim "d" (bv 8 (10 * c));
     Sim.settle_only sim;
-    Hir_rtl.Vcd.sample vcd sim;
+    Hir_rtl.Vcd.sample vcd;
     Sim.clock sim
   done;
   Hir_rtl.Vcd.close vcd;
@@ -717,15 +718,16 @@ let test_vcd_golden_trace () =
   in
   let ports = [ { V.port_name = "d"; dir = V.Input; width = 8 } ] in
   let flat = Flatten.flatten (design (simple_module ~ports items)) in
-  let dump engine =
+  let dump (module S : Harness.SIM) =
+    let module H = Harness.Make (S) in
     let path = Filename.temp_file "hir_golden" ".vcd" in
-    let sim = Sim.create ~engine flat in
-    let vcd = Hir_rtl.Vcd.create ~path sim in
+    let sim = S.create flat in
+    let vcd = H.open_vcd ~path sim in
     for c = 0 to 7 do
-      Sim.set_input sim "d" (bv 8 (17 * c mod 256));
-      Sim.settle_only sim;
-      Hir_rtl.Vcd.sample vcd sim;
-      Sim.clock sim
+      S.set_input sim "d" (bv 8 (17 * c mod 256));
+      S.settle_only sim;
+      Hir_rtl.Vcd.sample vcd;
+      S.clock sim
     done;
     Hir_rtl.Vcd.close vcd;
     let ic = open_in path in
@@ -734,9 +736,9 @@ let test_vcd_golden_trace () =
     Sys.remove path;
     text
   in
-  let golden = dump `Reference in
+  let golden = dump (module Sim_reference) in
   check_bool "golden trace is non-trivial" true (String.length golden > 100);
-  check_bool "opcode VCD == reference VCD" true (String.equal (dump `Opcode) golden)
+  check_bool "opcode VCD == reference VCD" true (String.equal (dump (module Sim)) golden)
 
 let () =
   Alcotest.run "rtl"

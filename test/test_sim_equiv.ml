@@ -1,26 +1,29 @@
-(* Equivalence of the two RTL simulation engines: the opcode engine
-   (the default, including batched forks) must produce bit-identical
-   peek traces and assertion-failure lists to the [Sim.Reference] tree
-   walker — the executable specification of the Verilog width
-   semantics.
+(* Equivalence of the RTL simulator and its oracle: the opcode engine
+   ([Sim], including batched forks) must produce bit-identical peek
+   traces and assertion-failure lists to the tree walker in
+   sim_reference.ml — the executable specification of the Verilog
+   width semantics.
 
    Two layers:
    - a qcheck property over randomly generated flat netlists (every
      operator class, widths straddling the 63-bit unboxed fast path,
      registers, memories with out-of-range writes, assertions),
      driven for many cycles with per-stimulus random input streams
-     through every engine × batch {1,4};
-   - lockstep runs of real compiled kernels (via the harness) on both
-     engines, plus forked multi-stimulus runs with memory agents,
-     comparing scalar outputs, tensors, and failures.
-   The opcode engine's schedule counters are pinned on two kernels, and
-   the harness's memory agents get an out-of-range address check. *)
+     through the opcode engine x batch {1,4} and the walker x 4;
+   - lockstep runs of real compiled kernels through [Harness.run] and
+     [Harness.Make (Sim_reference).run], plus forked multi-stimulus
+     runs with memory agents, comparing scalar outputs, tensors, and
+     failures.
+   The opcode engine's schedule counters are pinned on two kernels, the
+   harness's VCD dump must match the walker's byte for byte, and the
+   harness's memory agents get an out-of-range address check. *)
 
 open Hir_dialect
 module V = Hir_verilog.Ast
 module Flatten = Hir_rtl.Flatten
 module Sim = Hir_rtl.Sim
 module Harness = Hir_rtl.Harness
+module Ref_harness = Harness.Make (Sim_reference)
 module Emit = Hir_codegen.Emit
 
 let () = Ops.register ()
@@ -172,14 +175,24 @@ let compare_failures ctx fc fr =
 (* Every engine replays the same per-stimulus input streams and is
    compared peek-for-peek, cycle-for-cycle, against a reference-walker
    trace of the same stimulus — plus assertion/OOB failure ordering at
-   the end.  Batched variants run [Sim.fork]s of one simulator
-   interleaved cycle by cycle. *)
+   the end.  Batched variants run [fork]s of one simulator interleaved
+   cycle by cycle. *)
 let n_stimuli = 4
 let n_cycles = 30
 
-(* (engine, batch): batch > 1 exercises [Sim.fork] on every engine. *)
-let lockstep_grid : (Sim.engine * int) list =
-  [ (`Opcode, 1); (`Opcode, 4); (`Reference, 4) ]
+module type ENGINE = sig
+  include Harness.SIM
+
+  val fork : t -> t
+end
+
+(* (name, engine, batch): batch > 1 exercises [fork] on every engine. *)
+let lockstep_grid : (string * (module ENGINE) * int) list =
+  [
+    ("opcode", (module Sim), 1);
+    ("opcode", (module Sim), 4);
+    ("reference", (module Sim_reference), 4);
+  ]
 
 let lockstep_netlist (dseed, iseed) =
   let flat, inputs = gen_design dseed in
@@ -189,35 +202,31 @@ let lockstep_netlist (dseed, iseed) =
         Array.init n_cycles (fun _ ->
             List.map (fun (n, w) -> (n, random_bv st w)) inputs))
   in
-  let names = ref [] in
-  (* Run [sims] (sim [k] driven by stream [k]) interleaved, returning
-     per-stimulus peek traces and failure lists. *)
-  let run_sims sims =
-    let n = Array.length sims in
-    let traces = Array.init n (fun _ -> Array.make n_cycles []) in
-    names := Sim.signal_names sims.(0);
+  (* Run [batch] simulators of [flat] (the first created, the rest
+     forked from it; sim [k] driven by stream [k]) interleaved,
+     returning per-stimulus peek traces and failure lists. *)
+  let run_sims (module S : ENGINE) batch =
+    let proto = S.create flat in
+    let sims = Array.init batch (fun i -> if i = 0 then proto else S.fork proto) in
+    let traces = Array.init batch (fun _ -> Array.make n_cycles []) in
+    let names = S.signal_names proto in
     for cyc = 0 to n_cycles - 1 do
       Array.iteri
         (fun k sim ->
-          List.iter (fun (n, v) -> Sim.set_input sim n v) streams.(k).(cyc);
-          Sim.settle_only sim;
-          traces.(k).(cyc) <- List.map (fun (n, _) -> (n, Sim.peek sim n)) !names;
-          Sim.clock sim)
+          List.iter (fun (n, v) -> S.set_input sim n v) streams.(k).(cyc);
+          S.settle_only sim;
+          traces.(k).(cyc) <- List.map (fun (n, _) -> (n, S.peek sim n)) names;
+          S.clock sim)
         sims
     done;
-    (traces, Array.map Sim.failures sims)
+    (traces, Array.map S.failures sims)
   in
-  let ref_traces, ref_failures =
-    run_sims (Array.init n_stimuli (fun _ -> Sim.create ~engine:`Reference flat))
-  in
+  let ref_traces, ref_failures = run_sims (module Sim_reference) n_stimuli in
   List.iter
-    (fun (engine, batch) ->
-      let proto = Sim.create ~engine flat in
-      let sims = Array.init batch (fun i -> if i = 0 then proto else Sim.fork proto) in
-      let traces, failures = run_sims sims in
+    (fun (engine, sim, batch) ->
+      let traces, failures = run_sims sim batch in
       let ctx k =
-        Printf.sprintf "seed (%d,%d) engine %s b%d stim %d" dseed iseed
-          (Sim.engine_name engine) batch k
+        Printf.sprintf "seed (%d,%d) engine %s b%d stim %d" dseed iseed engine batch k
       in
       for k = 0 to batch - 1 do
         for cyc = 0 to n_cycles - 1 do
@@ -255,12 +264,13 @@ let interp_cycles ~m ~f inputs =
   in
   result.Interp.cycles
 
-let run_engine ~engine ~build inputs =
+(* The optimized design of [build] and the interpreter's cycle count
+   on [inputs]. *)
+let compile_kernel ~build inputs =
   let m, f = build () in
   let cycles = interp_cycles ~m ~f inputs in
   let m, f = build () in
-  let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
-  Harness.run ~engine ~emitted ~inputs ~cycles ()
+  (Emit.compile ~optimize:true ~module_op:m ~top:f (), cycles)
 
 let check_against_reference name ~(rr : Harness.run_result) ~ar
     ~(rc : Harness.run_result) ~ac ~out_arg =
@@ -291,8 +301,9 @@ let check_against_reference name ~(rr : Harness.run_result) ~ar
     tc
 
 let kernel_lockstep name build inputs ~out_arg () =
-  let rr, ar = run_engine ~engine:`Reference ~build inputs in
-  let rc, ac = run_engine ~engine:`Opcode ~build inputs in
+  let emitted, cycles = compile_kernel ~build inputs in
+  let rr, ar = Ref_harness.run ~emitted ~inputs ~cycles () in
+  let rc, ac = Harness.run ~emitted ~inputs ~cycles () in
   check_against_reference (name ^ "/opcode") ~rr ~ar ~rc ~ac ~out_arg
 
 (* Batched multi-stimulus execution: four different input tensors
@@ -308,10 +319,7 @@ let batch_lockstep () =
           Harness.Out_tensor;
         ])
   in
-  let m, f = build () in
-  let cycles = interp_cycles ~m ~f (List.hd stimuli) in
-  let m, f = build () in
-  let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
+  let emitted, cycles = compile_kernel ~build (List.hd stimuli) in
   let proto = Sim.create (Flatten.flatten emitted.Emit.design) in
   let runs =
     List.map
@@ -331,7 +339,7 @@ let batch_lockstep () =
     (fun k (sim, _, ac) ->
       let rc = Harness.finish_run sim ~emitted ~total in
       let inputs = List.nth stimuli k in
-      let rr, ar = Harness.run ~engine:`Reference ~emitted ~inputs ~cycles () in
+      let rr, ar = Ref_harness.run ~emitted ~inputs ~cycles () in
       check_against_reference (Printf.sprintf "transpose/fork[%d]" k) ~rr ~ar ~rc ~ac
         ~out_arg:1)
     runs
@@ -361,9 +369,9 @@ let histogram_lockstep () =
 let pinned_stats () =
   List.iter
     (fun (name, build, input, (settles, evaluated, skipped, fast)) ->
-      let r, _ =
-        run_engine ~engine:`Opcode ~build [ Harness.Tensor input; Harness.Out_tensor ]
-      in
+      let inputs = [ Harness.Tensor input; Harness.Out_tensor ] in
+      let emitted, cycles = compile_kernel ~build inputs in
+      let r, _ = Harness.run ~emitted ~inputs ~cycles () in
       let s = r.Harness.sim_stats in
       let check what expected actual = Alcotest.(check int) (name ^ " " ^ what) expected actual in
       check "settles" settles s.Sim.st_settles;
@@ -380,6 +388,34 @@ let pinned_stats () =
         Hir_kernels.Convolution.make_input ~seed:92,
         (84, 2383, 3749, 2383) );
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Harness VCD dump                                                    *)
+
+(* [Harness.run ~vcd_path], the `hirc sim --vcd` path, against the
+   walker driven through the same harness: the two dumps of one fifo
+   run must be equal byte for byte — same signals in the same order,
+   same values, same change times. *)
+let harness_vcd () =
+  let inputs = [ Harness.Tensor (Hir_kernels.Fifo.make_input ~seed:94); Harness.Out_tensor ] in
+  let emitted, cycles = compile_kernel ~build:Hir_kernels.Fifo.build inputs in
+  let dump run =
+    let path = Filename.temp_file "hir_fifo" ".vcd" in
+    run path;
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    text
+  in
+  let opcode =
+    dump (fun vcd_path -> ignore (Harness.run ~vcd_path ~emitted ~inputs ~cycles ()))
+  in
+  let reference =
+    dump (fun vcd_path -> ignore (Ref_harness.run ~vcd_path ~emitted ~inputs ~cycles ()))
+  in
+  Alcotest.(check bool) "dump covers the run" true
+    (String.length reference > 1000
+    && String.ends_with ~suffix:(Printf.sprintf "\n#%d\n" (cycles + 8)) reference);
+  Alcotest.(check bool) "opcode VCD == reference VCD" true (String.equal opcode reference)
 
 (* ------------------------------------------------------------------ *)
 (* Memory agents                                                       *)
@@ -450,5 +486,9 @@ let () =
           Alcotest.test_case "batched multi-stimulus lockstep" `Quick batch_lockstep;
           Alcotest.test_case "opcode statistics pinned" `Quick pinned_stats;
         ] );
-      ("harness", [ Alcotest.test_case "agent out-of-range address" `Quick agent_out_of_range ]);
+      ( "harness",
+        [
+          Alcotest.test_case "agent out-of-range address" `Quick agent_out_of_range;
+          Alcotest.test_case "VCD dump matches the reference walker" `Quick harness_vcd;
+        ] );
     ]
