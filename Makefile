@@ -20,7 +20,9 @@ test:
 # cache emptied first so every job runs parse -> verify -> passes ->
 # emit for real, except a job another job's entries already serve),
 # plus a bounded deterministic fuzz pass over the frontend.  The
-# summary's cache hits must count exactly the jobs printed "(cached)".
+# summary's cache hits must count exactly the jobs printed "(cached)",
+# and `hirc cache --verify` must pass every file the batch left in the
+# cache's shards.
 check: build test
 	@rm -rf _build/.hirc-smoke-cache
 	dune exec bin/hirc.exe -- batch $(SMOKE_DESIGNS) --kernels -j 4 \
@@ -33,6 +35,14 @@ check: build test
 	    echo "make check: FAILED (smoke batch counts $$hits cache hits but printed $$cached (cached) lines)"; exit 1; \
 	  fi
 	@echo "smoke batch cache count: OK"
+	@files=$$(find _build/.hirc-smoke-cache -mindepth 2 -maxdepth 2 -type f \
+	  -path '*/[0-9a-f][0-9a-f]/*' | wc -l); \
+	  out=$$(_build/default/bin/hirc.exe cache _build/.hirc-smoke-cache --verify | head -1); \
+	  echo "$$out"; \
+	  if [ "$$out" != "verify: $$files entries scanned, $$files ok, 0 quarantined" ]; then \
+	    echo "make check: FAILED (the smoke cache does not verify clean over its $$files shard files)"; exit 1; \
+	  fi
+	@echo "smoke cache verify: OK"
 	dune exec bin/hirc.exe -- fuzz 2000 --seed 1
 	@_build/default/bin/hirc.exe sim transposee 2>&1 | grep -q "did you mean transpose" \
 	  || { echo "make check: FAILED (sim typo did not suggest a kernel)"; exit 1; }

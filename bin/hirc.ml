@@ -218,7 +218,8 @@ let verify_cmd =
     | Ok m ->
       let engine = Driver.verifier_engine m in
       if Diagnostic.Engine.has_errors engine then begin
-        prerr_endline (Diagnostic.Engine.to_string engine);
+        Driver.attribute ~job:file (Diagnostic.Engine.to_list engine)
+        |> List.iter (fun d -> prerr_endline (Diagnostic.to_string d));
         1
       end
       else begin
@@ -1121,9 +1122,10 @@ let journal_cmd =
           r.Journal.rr_quarantined
           (if r.Journal.rr_torn_tail then ", torn tail dropped" else "");
         List.iter
-          (fun (a : Journal.admit) ->
-            Printf.printf "  pending %s/%s (digest %s)\n" a.Journal.a_client
-              a.Journal.a_id a.Journal.a_digest)
+          (fun (req : Protocol.compile_req) ->
+            Printf.printf "  pending %s/%s (digest %s)\n"
+              (Option.value ~default:"" req.Protocol.cr_client)
+              req.Protocol.cr_id (Protocol.digest_of_request req))
           r.Journal.rr_pending
       end;
       if compact then begin

@@ -26,20 +26,28 @@
    sibling kernels), and the edited one reuses every callee's Vmod
    entry below the edit.
 
-   Integrity: the cache trusts nothing it reads back.  Every hit
-   re-digests the payload against the digest recorded in the sidecar;
-   a truncated, bit-flipped or unparseable entry is *quarantined*
-   (moved to [<dir>/quarantine/], collision-suffixed so forensic
-   copies are never overwritten) and reported as [Corrupt], which the
-   driver treats as a miss-plus-recompute — a damaged cache can cost
-   time, never wrong Verilog.  `hirc cache --verify` runs the same
-   check over every entry offline through a side-effect-free probe
-   (the runtime hit/miss counters are not perturbed) and quarantines
-   files of no current kind, and `--prune` empties the quarantine and
-   removes stale temp files.
+   Entry format: one file per entry, [<key><ext>], whose extension
+   names its kind.  The file is one header line, then the payload:
 
-   Writes go through a unique temp file followed by [Sys.rename], which
-   is atomic on POSIX: concurrent workers (or concurrent hirc
+       <digest> <lut> <ff> <dsp> <bram> <top as an OCaml string literal>
+
+   The digest is MD5 over the kind, the header's other fields and the
+   payload's own MD5, so it covers everything a hit returns, and a hit
+   reads the payload once, into the string it returns.
+
+   Integrity: the cache trusts nothing it reads back.  Every hit
+   re-digests the entry; a truncated, bit-flipped or unparseable entry
+   is *quarantined* (moved to [<dir>/quarantine/], collision-suffixed
+   so forensic copies are never overwritten) and reported as
+   [Corrupt], which the driver treats as a miss-plus-recompute — a
+   damaged cache can cost time, never wrong Verilog.  `hirc cache
+   --verify` runs the same check over every entry offline through a
+   side-effect-free probe (the runtime hit/miss counters are not
+   perturbed) and quarantines files of no current kind, and `--prune`
+   empties the quarantine and removes stale temp files.
+
+   Writes are one [Io.publish] per entry (temp file, fsync, atomic
+   rename, directory fsync): concurrent workers (or concurrent hirc
    processes) racing to fill the same entry simply last-write-win with
    identical content, and readers never observe a partial entry.  A
    write that fails midway unlinks its temp file.  Counters are atomics
@@ -47,13 +55,13 @@
 
    Eviction: with a byte budget ([create ?budget_bytes], `hirc
    --cache-budget`), the cache evicts least-recently-used entries.
-   Every hit touches the payload's mtime ([Unix.utimes]), so file
-   mtimes *are* the LRU order — no separate index to corrupt, and the
-   order survives across processes.  When a store pushes the estimated
+   Every hit touches the entry's mtime ([Unix.utimes]), so file mtimes
+   *are* the LRU order — no separate index to corrupt, and the order
+   survives across processes.  When a store pushes the estimated
    population over budget, a sweep walks the shards, sorts entries
-   oldest-first (ties broken by key for determinism) and removes
-   payload+sidecar pairs until the population fits.  The quarantine is
-   never part of the budget or the sweep.
+   oldest-first (ties broken by name for determinism) and removes them
+   until the population fits.  The quarantine is never part of the
+   budget or the sweep.
 
    Layout: entries are sharded into 256 subdirectories by the first two
    hex digits of the key ([<dir>/ab/<key>.v]) — a flat directory with
@@ -69,13 +77,7 @@ let kind_to_string = function
   | Src -> "src"
   | Vmod -> "vmod"
 
-let kind_of_string = function
-  | "job" -> Some Job
-  | "src" -> Some Src
-  | "vmod" -> Some Vmod
-  | _ -> None
-
-(* Payload file extension per kind.  [Job] keeps the historical [.v]
+(* Entry file extension per kind.  [Job] keeps the historical [.v]
    so pre-existing tooling (and the store-failure tests) still point at
    the right file. *)
 let kind_ext = function
@@ -83,12 +85,14 @@ let kind_ext = function
   | Src -> ".src"
   | Vmod -> ".vm"
 
+let kind_of_file f = List.find_opt (fun kind -> Filename.extension f = kind_ext kind) kinds
+
 type kind_stat = { k_hits : int; k_misses : int; k_stores : int }
 
 type t = {
   dir : string;
   budget_bytes : int option;
-  bytes : int Atomic.t;  (* estimated payload+sidecar population *)
+  bytes : int Atomic.t;  (* estimated entry-file population *)
   metrics : Hir_ir.Metrics.t;
       (* shared by every worker domain: "<kind>.hits", "<kind>.misses"
          and "<kind>.stores" per kind; "corrupt" (entries quarantined by
@@ -99,14 +103,15 @@ type t = {
 let count t name = Hir_ir.Metrics.incr t.metrics name
 let count_kind t kind what = count t (kind_to_string kind ^ "." ^ what)
 
-(* Bump whenever the emitted Verilog or the meta format changes.
+(* Bump whenever the emitted Verilog or the entry format changes.
    (v2: digest line in the sidecar; v3: sharded directory layout;
    v4: staged per-function compilation and multi-kind entries;
    v5: shared definitions as their own entries; v6: a builder job
    compiles its module's printed fixed point, so it emits what a text
    job of the same printed module emits under the same Job key; v7: a
-   function's definitions travel in its own Vmod payload.) *)
-let driver_version = "hir-driver/7"
+   function's definitions travel in its own Vmod payload; v8: one file
+   per entry, whose header the digest covers.) *)
+let driver_version = "hir-driver/8"
 
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 
@@ -120,19 +125,16 @@ let shards t =
          && Sys.is_directory (Filename.concat t.dir f))
   |> List.sort compare
 
-(* Estimated byte population of the live entries (quarantine excluded),
-   used to seed the budget accounting at [create] and to re-sync it
-   during a sweep so the estimate cannot drift. *)
-let measure_bytes t =
-  List.fold_left
-    (fun total s ->
+(* Every file in the shards, in a stable order. *)
+let shard_files t =
+  List.concat_map
+    (fun s ->
       let dir = Filename.concat t.dir s in
-      Array.fold_left
-        (fun total f ->
-          try total + (Unix.stat (Filename.concat dir f)).Unix.st_size
-          with Unix.Unix_error _ | Sys_error _ -> total)
-        total (Sys.readdir dir))
-    0 (shards t)
+      Sys.readdir dir |> Array.to_list |> List.sort compare |> List.map (Filename.concat dir))
+    (shards t)
+
+let file_size path =
+  try (Unix.stat path).Unix.st_size with Unix.Unix_error _ | Sys_error _ -> 0
 
 let create ?budget_bytes ~dir () =
   Io.mkdir_p dir;
@@ -145,7 +147,8 @@ let create ?budget_bytes ~dir () =
     }
   in
   (* Only pay the population scan when a budget will actually use it. *)
-  if budget_bytes <> None then Atomic.set t.bytes (measure_bytes t);
+  if budget_bytes <> None then
+    Atomic.set t.bytes (List.fold_left (fun n f -> n + file_size f) 0 (shard_files t));
   t
 
 let key ~pipeline ~top ~source =
@@ -177,69 +180,27 @@ let shard_dir t k =
   Filename.concat t.dir (if String.length k >= 2 then String.sub k 0 2 else k)
 
 let payload_path t kind k = Filename.concat (shard_dir t k) (k ^ kind_ext kind)
-let meta_path t k = Filename.concat (shard_dir t k) (k ^ ".meta")
 
-(* Atomic *and durable* publish via temp file + fsync + rename + dir
-   fsync: the bytes are on disk before the rename makes them visible,
-   and the rename itself is persisted, so a post-crash cache can never
-   hold a renamed-but-empty entry.  The temp file is unlinked on *any*
-   failure (short write, injected fault, rename onto a squatted path),
-   so failed stores cannot litter the cache directory. *)
-let write_file_atomic ~dir path content =
-  let tmp = Filename.temp_file ~temp_dir:dir ".cache" ".tmp" in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc content;
-          flush oc;
-          Unix.fsync (Unix.descr_of_out_channel oc);
-          close_out oc);
-      Faults.point "cache.write";
-      Sys.rename tmp path;
-      Io.fsync_dir dir)
+(* The header's digest over its [fields] (everything after the digest)
+   and the payload. *)
+let entry_digest kind ~fields payload =
+  Digest.to_hex
+    (Digest.string (String.concat "\x00" [ kind_to_string kind; fields; Digest.string payload ]))
 
-let content_digest verilog = Digest.to_hex (Digest.string verilog)
+let header_fields entry =
+  let u = entry.e_usage in
+  Printf.sprintf "%d %d %d %d %S" u.Hir_resources.Model.lut u.ff u.dsp u.bram entry.e_top
 
-let meta_to_string ~kind ~top ~digest (u : Hir_resources.Model.usage) =
-  Printf.sprintf "kind %s\ntop %s\ndigest %s\nlut %d\nff %d\ndsp %d\nbram %d\n"
-    (kind_to_string kind) top digest u.lut u.ff u.dsp u.bram
-
-let meta_fields s =
-  String.split_on_char '\n' s
-  |> List.filter_map (fun line ->
-         match String.index_opt line ' ' with
-         | Some i ->
-           Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-         | None -> None)
-
-let meta_of_string s =
-  let fields = meta_fields s in
-  let int k = Option.bind (List.assoc_opt k fields) int_of_string_opt in
-  match
-    ( Option.bind (List.assoc_opt "kind" fields) kind_of_string,
-      List.assoc_opt "top" fields,
-      List.assoc_opt "digest" fields,
-      int "lut",
-      int "ff",
-      int "dsp",
-      int "bram" )
-  with
-  | Some kind, Some top, Some digest, Some lut, Some ff, Some dsp, Some bram ->
-    Some (kind, top, digest, { Hir_resources.Model.lut; ff; dsp; bram })
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Quarantine                                                          *)
+(* A header line whose digest checked out, back to the entry. *)
+let entry_of_fields fields payload =
+  Scanf.sscanf_opt fields "%d %d %d %d %S%!" (fun lut ff dsp bram top ->
+      { e_verilog = payload; e_top = top; e_usage = { Hir_resources.Model.lut; ff; dsp; bram } })
 
 (* Move one damaged file into the quarantine without overwriting any
    forensic copy already there: on a name collision the new copy gets a
    numeric suffix ([<name>.1], [.2], …).  Best-effort throughout —
-   quarantining must never fail the compile that found the damage. *)
+   quarantining must never fail the compile that found the damage, and
+   a concurrent worker may have quarantined (or rewritten) it already. *)
 let quarantine_file t path =
   Io.mkdir_p (quarantine_dir t);
   let base = Filename.basename path in
@@ -254,18 +215,6 @@ let quarantine_file t path =
   with Sys_error _ | Unix.Unix_error _ -> (
     try Sys.remove path with Sys_error _ -> ())
 
-(* Move a damaged entry's files out of the lookup path.  A concurrent
-   worker may have quarantined (or rewritten) the entry already. *)
-let quarantine_entry ?kind t k =
-  let payloads =
-    match kind with
-    | Some kind -> [ payload_path t kind k ]
-    | None -> List.map (fun kind -> payload_path t kind k) kinds
-  in
-  List.iter
-    (fun path -> if Sys.file_exists path then quarantine_file t path)
-    (payloads @ [ meta_path t k ])
-
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 
@@ -275,36 +224,47 @@ type verdict =
   | Read_fault of string  (* transient IO failure; entry left alone *)
   | Corrupt of string  (* integrity failure; entry quarantined *)
 
+(* The header line, then the rest of the file as the payload.  A file
+   with no header line at all raises [End_of_file]. *)
+let read_entry path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let header = input_line ic in
+      (header, really_input_string ic (in_channel_length ic - pos_in ic)))
+
 (* The integrity check shared by the counting lookup and the
    side-effect-free [probe]: no counters, no mtime touch, but damaged
    entries are still quarantined (serving them later is never right). *)
 let probe ~kind t k =
-  let vp = payload_path t kind k and mp = meta_path t k in
+  let path = payload_path t kind k in
+  let corrupt reason =
+    quarantine_file t path;
+    Corrupt (Printf.sprintf "%s: %s" (Filename.basename path) reason)
+  in
   (* The entry can be evicted (or be unreadable) between the existence
-     check and the reads — a classic TOCTOU.  Per the contract above,
-     IO failures degrade to misses, so neither [Sys_error] nor
-     [Unix_error] from the reads may escape to the caller. *)
+     check and the read — a classic TOCTOU.  Per the contract above, IO
+     failures degrade to misses, so neither [Sys_error] nor
+     [Unix_error] from the read may escape to the caller. *)
   try
     Faults.point "cache.read";
-    if not (Sys.file_exists vp && Sys.file_exists mp) then Miss
+    if not (Sys.file_exists path) then Miss
     else
-      match meta_of_string (Io.read_file mp) with
-      | None ->
-        quarantine_entry ~kind t k;
-        Corrupt (Printf.sprintf "%s: unparseable metadata" (k ^ ".meta"))
-      | Some (meta_kind, top, digest, usage) ->
-        if meta_kind <> kind then begin
-          quarantine_entry t k;
-          Corrupt (Printf.sprintf "%s: entry kind mismatch" (k ^ ".meta"))
-        end
+      match read_entry path with
+      | exception End_of_file -> corrupt "empty entry"
+      | header, payload -> (
+        let digest, fields =
+          match String.index_opt header ' ' with
+          | Some i -> (String.sub header 0 i, String.sub header (i + 1) (String.length header - i - 1))
+          | None -> (header, "")
+        in
+        if not (String.equal digest (entry_digest kind ~fields payload)) then
+          corrupt "content digest mismatch"
         else
-          let verilog = Io.read_file vp in
-          if not (String.equal (content_digest verilog) digest) then begin
-            quarantine_entry ~kind t k;
-            Corrupt
-              (Printf.sprintf "%s: content digest mismatch" (k ^ kind_ext kind))
-          end
-          else Hit { e_verilog = verilog; e_top = top; e_usage = usage }
+          match entry_of_fields fields payload with
+          | Some e -> Hit e
+          | None -> corrupt "unparseable header")
   with
   | Faults.Injected p -> Read_fault ("injected fault at " ^ p)
   | Sys_error msg -> Read_fault msg
@@ -315,7 +275,7 @@ let consult ~kind t k =
   (match verdict with
   | Hit _ ->
     count_kind t kind "hits";
-    (* Touch the payload so file mtimes order the LRU sweep; both times
+    (* Touch the entry so file mtimes order the LRU sweep; both times
        0.0 means "set to now".  Best-effort: a concurrent eviction may
        have removed the file. *)
     if t.budget_bytes <> None then (
@@ -333,50 +293,29 @@ let consult ~kind t k =
 (* ------------------------------------------------------------------ *)
 (* LRU eviction                                                        *)
 
-(* One sweep: walk the shards, list every entry (payload+sidecar pair)
-   with its payload mtime, and remove oldest-first until the population
-   fits the budget.  Ties (same mtime second) break on the key so
-   concurrent sweepers converge on the same victims.  Best-effort: a
-   racing worker may have removed (or re-stored) an entry already. *)
+(* One sweep: walk the shards, list every entry file with its mtime,
+   and remove oldest-first until the population fits the budget.  Ties
+   (same mtime second) break on the name so concurrent sweepers
+   converge on the same victims.  Best-effort: a racing worker may have
+   removed (or re-stored) an entry already. *)
 let evict_to_budget t budget =
-  let entries = ref [] in
-  let total = ref 0 in
-  List.iter
-    (fun s ->
-      let dir = Filename.concat t.dir s in
-      Array.iter
-        (fun f ->
-          let path = Filename.concat dir f in
-          match Unix.stat path with
-          | exception (Unix.Unix_error _ | Sys_error _) -> ()
-          | st ->
-            total := !total + st.Unix.st_size;
-            if not (Filename.check_suffix f ".meta") then
-              let k = Filename.remove_extension f in
-              let msize =
-                try (Unix.stat (meta_path t k)).Unix.st_size
-                with Unix.Unix_error _ | Sys_error _ -> 0
-              in
-              entries :=
-                (st.Unix.st_mtime, k, path, st.Unix.st_size + msize) :: !entries)
-        (Sys.readdir dir))
-    (shards t);
-  let victims =
-    List.sort
-      (fun (m1, k1, _, _) (m2, k2, _, _) ->
-        match compare (m1 : float) m2 with 0 -> compare k1 k2 | c -> c)
-      !entries
+  let entries =
+    List.filter_map
+      (fun path ->
+        match Unix.stat path with
+        | exception (Unix.Unix_error _ | Sys_error _) -> None
+        | st -> Some (st.Unix.st_mtime, path, st.Unix.st_size))
+      (shard_files t)
   in
-  let remaining = ref !total in
+  let remaining = ref (List.fold_left (fun n (_, _, size) -> n + size) 0 entries) in
   List.iter
-    (fun (_, k, payload, size) ->
+    (fun (_, path, size) ->
       if !remaining > budget then begin
-        (try Sys.remove payload with Sys_error _ -> ());
-        (try Sys.remove (meta_path t k) with Sys_error _ -> ());
+        (try Sys.remove path with Sys_error _ -> ());
         remaining := !remaining - size;
         count t "evictions"
       end)
-    victims;
+    (List.sort compare entries);
   Atomic.set t.bytes !remaining
 
 (* ------------------------------------------------------------------ *)
@@ -387,20 +326,19 @@ let store ~kind t k entry =
      or a squatter at the entry path must not fail a compile that
      already succeeded.  The next lookup simply misses again. *)
   try
-    let shard = shard_dir t k in
-    Io.mkdir_p shard;
-    let meta =
-      meta_to_string ~kind ~top:entry.e_top
-        ~digest:(content_digest entry.e_verilog)
-        entry.e_usage
+    Io.mkdir_p (shard_dir t k);
+    let fields = header_fields entry in
+    let header =
+      Printf.sprintf "%s %s\n" (entry_digest kind ~fields entry.e_verilog) fields
     in
-    write_file_atomic ~dir:shard (payload_path t kind k) entry.e_verilog;
-    write_file_atomic ~dir:shard (meta_path t k) meta;
+    Io.publish ~fault_point:"cache.write" (payload_path t kind k) (fun oc ->
+        output_string oc header;
+        output_string oc entry.e_verilog);
     count_kind t kind "stores";
     (match t.budget_bytes with
     | None -> ()
     | Some budget ->
-      let added = String.length entry.e_verilog + String.length meta in
+      let added = String.length header + String.length entry.e_verilog in
       if Atomic.fetch_and_add t.bytes added + added > budget then
         evict_to_budget t budget);
     Ok ()
@@ -441,102 +379,40 @@ let kind_stats t =
 (* Offline maintenance: `hirc cache --verify | --prune | --stats`      *)
 
 type verify_report = {
-  vr_scanned : int;  (* entries examined (one per .meta) *)
+  vr_scanned : int;  (* files examined: every shard file but temp files *)
   vr_ok : int;
-  vr_quarantined : (string * string) list;  (* key, reason *)
+  vr_quarantined : (string * string) list;  (* key or file name, reason *)
 }
-
-let payload_exts = List.map kind_ext kinds
-
-let is_payload f = List.exists (fun ext -> Filename.check_suffix f ext) payload_exts
 
 (* Run the hit-path integrity check over every entry on disk through
    the side-effect-free [probe]: damaged entries are quarantined
    exactly as a lookup would have done, but the runtime hit/miss
-   counters (`--stats`) are not perturbed and no LRU mtime is touched. *)
+   counters (`--stats`) are not perturbed and no LRU mtime is touched.
+   A file of no current kind (a sidecar or payload left by an older
+   build) can never hit, so it is quarantined too.  Temp files may be
+   a concurrent store in flight: [prune] handles them. *)
 let verify t =
-  let shard_files =
-    List.concat_map
-      (fun s ->
-        Sys.readdir (Filename.concat t.dir s)
-        |> Array.to_list
-        |> List.map (fun f -> (s, f)))
-      (shards t)
-  in
-  let entries =
-    List.filter_map
-      (fun (_, f) ->
-        if Filename.check_suffix f ".meta" then Some (Filename.remove_extension f)
-        else None)
-      shard_files
-    |> List.sort compare
-  in
-  let orphans =
-    (* payloads with no sidecar can never hit; quarantine them too *)
-    List.filter_map
-      (fun (_, f) ->
-        if is_payload f && not (Sys.file_exists (meta_path t (Filename.remove_extension f)))
-        then Some (Filename.remove_extension f)
-        else None)
-      shard_files
-    |> List.sort compare
-  in
-  (* Files of no current kind (payloads of a retired kind, such as the
-     optimized-function [.fn] entries) can never hit either.  Temp
-     files may be a concurrent store in flight: [prune] handles them. *)
-  let strays =
-    List.filter
-      (fun (_, f) ->
-        not (Filename.check_suffix f ".meta" || Filename.check_suffix f ".tmp" || is_payload f))
-      shard_files
-    |> List.sort compare
+  let files =
+    List.filter (fun path -> not (Filename.check_suffix path ".tmp")) (shard_files t)
   in
   let quarantined = ref [] in
   let ok = ref 0 in
   List.iter
-    (fun k ->
-      (* The sidecar names the entry's kind.  One naming a retired kind
-         can never hit (its payload is a stray below); an unreadable or
-         unparseable one probes as a Job entry. *)
-      let meta =
-        try Some (Io.read_file (meta_path t k)) with Sys_error _ | Unix.Unix_error _ -> None
-      in
-      let retired =
-        match Option.bind meta (fun m -> List.assoc_opt "kind" (meta_fields m)) with
-        | Some name -> kind_of_string name = None
-        | None -> false
-      in
-      if retired then begin
-        quarantine_entry t k;
-        quarantined := (k, "metadata of no current entry kind") :: !quarantined
-      end
-      else
-        let kind =
-          match Option.bind meta meta_of_string with Some (kind, _, _, _) -> kind | None -> Job
-        in
+    (fun path ->
+      let f = Filename.basename path in
+      match kind_of_file f with
+      | None ->
+        quarantine_file t path;
+        quarantined := (f, "file of no current entry kind") :: !quarantined
+      | Some kind -> (
+        let k = Filename.remove_extension f in
         match probe ~kind t k with
         | Hit _ -> incr ok
-        | Miss ->
-          quarantine_entry t k;
-          quarantined := (k, "missing payload") :: !quarantined
+        | Miss -> ()  (* evicted since the listing *)
         | Corrupt reason -> quarantined := (k, reason) :: !quarantined
-        | Read_fault reason -> quarantined := (k, "unreadable: " ^ reason) :: !quarantined)
-    entries;
-  List.iter
-    (fun k ->
-      quarantine_entry t k;
-      quarantined := (k, "orphan payload (no metadata)") :: !quarantined)
-    orphans;
-  List.iter
-    (fun (s, f) ->
-      quarantine_file t (Filename.concat (Filename.concat t.dir s) f);
-      quarantined := (f, "file of no current entry kind") :: !quarantined)
-    strays;
-  {
-    vr_scanned = List.length entries + List.length orphans + List.length strays;
-    vr_ok = !ok;
-    vr_quarantined = List.rev !quarantined;
-  }
+        | Read_fault reason -> quarantined := (k, "unreadable: " ^ reason) :: !quarantined))
+    files;
+  { vr_scanned = List.length files; vr_ok = !ok; vr_quarantined = List.rev !quarantined }
 
 type prune_report = { pr_removed : int; pr_bytes : int }
 
@@ -556,43 +432,19 @@ let prune t =
     Array.iter (fun f -> rm (Filename.concat qdir f)) (Sys.readdir qdir);
     (try Unix.rmdir qdir with Unix.Unix_error _ -> ())
   end;
-  let sweep_tmp dir =
-    Array.iter
-      (fun f -> if Filename.check_suffix f ".tmp" then rm (Filename.concat dir f))
-      (Sys.readdir dir)
-  in
-  sweep_tmp t.dir;
-  List.iter (fun s -> sweep_tmp (Filename.concat t.dir s)) (shards t);
+  let is_tmp path = Filename.check_suffix path ".tmp" in
+  Array.iter
+    (fun f -> if is_tmp f then rm (Filename.concat t.dir f))
+    (Sys.readdir t.dir);
+  List.iter (fun path -> if is_tmp path then rm path) (shard_files t);
   { pr_removed = !removed; pr_bytes = !bytes }
 
 (* On-disk population by kind, for `hirc cache DIR --stats`:
-   (kind, entry count, payload+sidecar bytes). *)
+   (kind, entry count, entry-file bytes). *)
 let stats_by_kind t =
-  let m = Hir_ir.Metrics.create () in
-  let name kind what = kind_to_string kind ^ "." ^ what in
-  List.iter
-    (fun s ->
-      let dir = Filename.concat t.dir s in
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".meta" then begin
-            let k = Filename.remove_extension f in
-            match meta_of_string (Io.read_file (Filename.concat dir f)) with
-            | exception Sys_error _ -> ()
-            | None -> ()
-            | Some (kind, _, _, _) ->
-              let size path =
-                try (Unix.stat path).Unix.st_size
-                with Unix.Unix_error _ | Sys_error _ -> 0
-              in
-              Hir_ir.Metrics.incr m (name kind "entries");
-              Hir_ir.Metrics.incr m (name kind "bytes")
-                ~by:(size (Filename.concat dir f) + size (payload_path t kind k))
-          end)
-        (Sys.readdir dir))
-    (shards t);
+  let files = shard_files t in
   List.map
     (fun kind ->
-      let get what = Hir_ir.Metrics.get m (name kind what) in
-      (kind, get "entries", get "bytes"))
+      let mine = List.filter (fun path -> kind_of_file path = Some kind) files in
+      (kind, List.length mine, List.fold_left (fun n path -> n + file_size path) 0 mine))
     kinds

@@ -114,6 +114,17 @@ let run_verifiers module_op =
   if Diagnostic.Engine.has_errors engine then
     raise (Compile_failed (Diagnostic.Engine.to_list engine))
 
+(* Diagnostics with no location of their own are attributed to the
+   job, so batch output still says which input failed.  `hirc verify`
+   attributes its diagnostics the same way, so it and `hirc compile`
+   report an input's errors alike. *)
+let attribute ~job diags =
+  List.map
+    (fun (d : Diagnostic.t) ->
+      if Location.is_unknown d.Diagnostic.loc then { d with Diagnostic.loc = Location.name job }
+      else d)
+    diags
+
 (* Top-function selection, with a note when the choice is implicit:
    with no [--top] and several functions we keep the historical
    behaviour (the last, i.e. textually final, function) but say so
@@ -413,17 +424,7 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
               finish ~from_cache ~note ~pass_stats:(List.concat (List.rev st.st_stats)) entry)))
   with
   | Compile_failed diags | Incr.Pass_failed diags ->
-    (* Diagnostics with no location of their own are attributed to the
-       job, so batch output still says which input failed. *)
-    let diags =
-      List.map
-        (fun (d : Diagnostic.t) ->
-          if Location.is_unknown d.Diagnostic.loc then
-            { d with Diagnostic.loc = Location.name name }
-          else d)
-        diags
-    in
-    Error { err_job = name; err_class = Permanent; err_diags = diags }
+    Error { err_job = name; err_class = Permanent; err_diags = attribute ~job:name diags }
   | Guard.Exhausted { reason; _ } ->
     Trace.instant trace ~cat:"fault" ~args:[ ("job", name) ] "job-timeout";
     Error

@@ -16,6 +16,33 @@ let fsync_dir dir =
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
+(* Durably replace [path]'s contents with what [write] puts out: a
+   fresh temp file beside [path] is written, fsynced and renamed over
+   it, and then the directory is fsynced.  A reader sees the old file
+   or the new one, never a partial one, and a crash cannot leave a
+   renamed-but-empty file.  [fault_point] fires between the write and
+   the rename.  The temp file is removed on any failure (a short
+   write, an injected fault, a rename onto a squatted path), so a
+   failed publish leaves nothing behind. *)
+let publish ?fault_point path write =
+  let dir = Filename.dirname path in
+  let tmp = Filename.temp_file ~temp_dir:dir ("." ^ Filename.basename path) ".tmp" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          write oc;
+          flush oc;
+          Unix.fsync (Unix.descr_of_out_channel oc);
+          close_out oc);
+      Option.iter Faults.point fault_point;
+      Sys.rename tmp path;
+      fsync_dir dir)
+
 (* Remove [path] and everything under it (symbolic links are removed,
    not followed).  A missing [path] is not an error. *)
 let rec remove_tree path =

@@ -16,9 +16,12 @@
    where the CRC-32 is computed over the JSON bytes.  Two record
    shapes:
 
-       {"t":"admit","client":C,"id":I,"digest":D, <request fields>}
+       {"t":"admit", <the compile request's fields, client resolved>}
        {"t":"done","client":C,"id":I,"status":S}
 
+   An admit record is the request in [Protocol]'s codec; its digest
+   (the idempotency key) is recomputed on replay, so an admit written
+   with a "digest" field, as earlier builds wrote, replays the same.
    Appends are write + fsync on an O_APPEND descriptor — a record is
    durable before the caller proceeds.  Torn-write tolerance on
    replay: a final line with no terminating newline is a truncated
@@ -28,32 +31,10 @@
    and never silently trusted.
 
    Compaction rewrites the log to just the still-pending admit
-   records via the same temp + fsync + rename + dir-fsync discipline
-   the cache uses, so a long-lived journal does not grow without
-   bound.  All failure paths are exercised by the "journal.append" /
-   "journal.mark" / "journal.replay" fault points. *)
-
-type admit = {
-  a_client : string;  (* stable client identity *)
-  a_id : string;  (* client-chosen job id *)
-  a_digest : string;  (* request digest: the idempotency key *)
-  a_kernel : string option;
-  a_name : string option;
-  a_source : string option;
-  a_top : string option;
-  a_passes : string option;
-  a_priority : int;
-  a_deadline : float option;
-  a_want_verilog : bool;
-}
-
-(* The compile-relevant fields only: a resubmission with a different
-   deadline or priority is still the *same request* for idempotency. *)
-let digest_of_request ~kernel ~name ~source ~top ~passes =
-  let part = function None -> "\x00" | Some s -> "\x01" ^ s in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x02" [ part kernel; part name; part source; part top; part passes ]))
+   records through [Io.publish], the durable publish the cache uses,
+   so a long-lived journal does not grow without bound.  All failure
+   paths are exercised by the "journal.append" / "journal.mark" /
+   "journal.replay" fault points. *)
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3), table-driven                                   *)
@@ -80,39 +61,8 @@ let crc32 s =
 (* ------------------------------------------------------------------ *)
 (* Record codec                                                        *)
 
-let admit_to_json a =
-  let opt k = function None -> [] | Some v -> [ (k, Json.Str v) ] in
-  Json.Obj
-    ([
-       ("t", Json.Str "admit");
-       ("client", Json.Str a.a_client);
-       ("id", Json.Str a.a_id);
-       ("digest", Json.Str a.a_digest);
-     ]
-    @ opt "kernel" a.a_kernel @ opt "name" a.a_name @ opt "source" a.a_source
-    @ opt "top" a.a_top @ opt "passes" a.a_passes
-    @ [ ("priority", Json.Num (float_of_int a.a_priority)) ]
-    @ (match a.a_deadline with None -> [] | Some d -> [ ("deadline", Json.Num d) ])
-    @ [ ("verilog", Json.Bool a.a_want_verilog) ])
-
-let admit_of_json j =
-  match (Json.field_str j "client", Json.field_str j "id", Json.field_str j "digest") with
-  | Some client, Some id, Some digest ->
-    Some
-      {
-        a_client = client;
-        a_id = id;
-        a_digest = digest;
-        a_kernel = Json.field_str j "kernel";
-        a_name = Json.field_str j "name";
-        a_source = Json.field_str j "source";
-        a_top = Json.field_str j "top";
-        a_passes = Json.field_str j "passes";
-        a_priority = Option.value ~default:0 (Json.field_int j "priority");
-        a_deadline = Json.field_num j "deadline";
-        a_want_verilog = Option.value ~default:false (Json.field_bool j "verilog");
-      }
-  | _ -> None
+let admit_json req =
+  Json.Obj (("t", Json.Str "admit") :: Protocol.compile_req_to_fields req)
 
 let record_line j =
   let payload = Json.to_string j in
@@ -167,7 +117,8 @@ let append t ~fault_point j =
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | Sys_error msg -> Error msg
 
-let append_admit t a = append t ~fault_point:"journal.append" (admit_to_json a)
+(* [req] carries the resolved client. *)
+let append_admit t req = append t ~fault_point:"journal.append" (admit_json req)
 
 let append_done t ~client ~id ~status =
   append t ~fault_point:"journal.mark"
@@ -183,7 +134,8 @@ let append_done t ~client ~id ~status =
 (* Replay                                                              *)
 
 type replay_result = {
-  rr_pending : admit list;  (* admitted, never marked done; file order *)
+  rr_pending : Protocol.compile_req list;
+      (* admitted, never marked done; file order; each names its client *)
   rr_records : int;  (* records seen (complete lines) *)
   rr_completed : int;  (* done marks *)
   rr_quarantined : int;  (* CRC/parse failures and faulted records *)
@@ -212,7 +164,7 @@ let replay ~dir =
   if not (Sys.file_exists path) then empty_replay
   else begin
     let lines, torn = complete_lines (Io.read_file path) in
-    let pending : (string * string, admit) Hashtbl.t = Hashtbl.create 64 in
+    let pending : (string * string, Protocol.compile_req) Hashtbl.t = Hashtbl.create 64 in
     let order = ref [] in  (* newest first *)
     let records = ref 0 and completed = ref 0 and quarantined = ref 0 in
     List.iter
@@ -227,12 +179,12 @@ let replay ~dir =
             | Ok j -> (
               match Json.field_str j "t" with
               | Some "admit" -> (
-                match admit_of_json j with
-                | Some a ->
-                  let key = (a.a_client, a.a_id) in
+                match Protocol.compile_req_of_json j with
+                | Ok ({ Protocol.cr_client = Some client; _ } as req) ->
+                  let key = (client, req.Protocol.cr_id) in
                   if not (Hashtbl.mem pending key) then order := key :: !order;
-                  Hashtbl.replace pending key a
-                | None -> incr quarantined)
+                  Hashtbl.replace pending key req
+                | Ok _ | Error _ -> incr quarantined)
               | Some "done" -> (
                 incr completed;
                 match (Json.field_str j "client", Json.field_str j "id") with
@@ -272,17 +224,8 @@ let compact ?result ~dir () =
   try
     let r = match result with Some r -> r | None -> replay ~dir in
     Io.mkdir_p dir;
-    let tmp = log_path dir ^ ".tmp" in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        List.iter
-          (fun a -> Io.write_all fd (record_line (admit_to_json a)))
-          r.rr_pending;
-        Unix.fsync fd);
-    Sys.rename tmp (log_path dir);
-    Io.fsync_dir dir;
+    Io.publish (log_path dir) (fun oc ->
+        List.iter (fun req -> output_string oc (record_line (admit_json req))) r.rr_pending);
     Ok (List.length r.rr_pending)
   with
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)

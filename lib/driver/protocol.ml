@@ -60,6 +60,51 @@ type request =
   | Metrics
   | Shutdown
 
+(* The compile request's codec, shared by the "compile" frame and the
+   journal's admit record (which carries the resolved client). *)
+let compile_req_to_fields r =
+  let opt k = function None -> [] | Some v -> [ (k, Json.Str v) ] in
+  [ ("id", Json.Str r.cr_id) ]
+  @ opt "client" r.cr_client @ opt "kernel" r.cr_kernel @ opt "name" r.cr_name
+  @ opt "source" r.cr_source @ opt "top" r.cr_top @ opt "passes" r.cr_passes
+  @ [ ("priority", Json.Num (float_of_int r.cr_priority)) ]
+  @ (match r.cr_deadline with None -> [] | Some d -> [ ("deadline", Json.Num d) ])
+  @ [ ("verilog", Json.Bool r.cr_want_verilog) ]
+
+let compile_req_of_json j =
+  match Json.field_str j "id" with
+  | None -> Error "compile: missing \"id\""
+  | Some id -> (
+    let kernel = Json.field_str j "kernel" in
+    let source = Json.field_str j "source" in
+    match (kernel, source) with
+    | None, None -> Error "compile: needs \"kernel\" or \"source\""
+    | Some _, Some _ -> Error "compile: \"kernel\" and \"source\" are exclusive"
+    | _ ->
+      Ok
+        {
+          cr_id = id;
+          cr_client = Json.field_str j "client";
+          cr_kernel = kernel;
+          cr_name = Json.field_str j "name";
+          cr_source = source;
+          cr_top = Json.field_str j "top";
+          cr_passes = Json.field_str j "passes";
+          cr_priority = Option.value ~default:0 (Json.field_int j "priority");
+          cr_deadline = Json.field_num j "deadline";
+          cr_want_verilog = Option.value ~default:false (Json.field_bool j "verilog");
+        })
+
+(* The idempotency key of a compile request: its compile-relevant
+   fields only, so a resubmission with a different deadline or
+   priority is still the *same request*. *)
+let digest_of_request r =
+  let part = function None -> "\x00" | Some s -> "\x01" ^ s in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x02"
+          [ part r.cr_kernel; part r.cr_name; part r.cr_source; part r.cr_top; part r.cr_passes ]))
+
 let request_of_json j =
   match Json.field_str j "op" with
   | None -> Error "missing \"op\" field"
@@ -72,31 +117,7 @@ let request_of_json j =
     match Json.field_str j "id" with
     | Some id -> Ok (Cancel id)
     | None -> Error "cancel: missing \"id\"")
-  | Some "compile" -> (
-    match Json.field_str j "id" with
-    | None -> Error "compile: missing \"id\""
-    | Some id ->
-      let kernel = Json.field_str j "kernel" in
-      let source = Json.field_str j "source" in
-      (match (kernel, source) with
-      | None, None -> Error "compile: needs \"kernel\" or \"source\""
-      | Some _, Some _ -> Error "compile: \"kernel\" and \"source\" are exclusive"
-      | _ ->
-        Ok
-          (Compile
-             {
-               cr_id = id;
-               cr_client = Json.field_str j "client";
-               cr_kernel = kernel;
-               cr_name = Json.field_str j "name";
-               cr_source = source;
-               cr_top = Json.field_str j "top";
-               cr_passes = Json.field_str j "passes";
-               cr_priority = Option.value ~default:0 (Json.field_int j "priority");
-               cr_deadline = Json.field_num j "deadline";
-               cr_want_verilog =
-                 Option.value ~default:false (Json.field_bool j "verilog");
-             })))
+  | Some "compile" -> Result.map (fun r -> Compile r) (compile_req_of_json j)
   | Some op -> Error (Printf.sprintf "unknown op %S" op)
 
 let request_of_line line =

@@ -145,7 +145,7 @@ type t = {
   finished : (string * string, finished_job) Hashtbl.t;
   finished_order : (string * string) Queue.t;  (* eviction, oldest first *)
   mutable journal : Journal.t option;
-  mutable backlog : Journal.admit list;  (* replays awaiting queue space *)
+  mutable backlog : Protocol.compile_req list;  (* replays awaiting queue space *)
   mutable listen_fd : Unix.file_descr option;
   mutable stopping : bool;
   mutable draining : bool;
@@ -365,46 +365,12 @@ let failed_frame ~id msg =
       ("diagnostics", Json.Arr [ Json.Str msg ]);
     ]
 
-let request_digest (req : Protocol.compile_req) =
-  Journal.digest_of_request ~kernel:req.Protocol.cr_kernel ~name:req.Protocol.cr_name
-    ~source:req.Protocol.cr_source ~top:req.Protocol.cr_top
-    ~passes:req.Protocol.cr_passes
-
-let admit_of_req ~client ~digest (req : Protocol.compile_req) =
-  {
-    Journal.a_client = client;
-    a_id = req.Protocol.cr_id;
-    a_digest = digest;
-    a_kernel = req.Protocol.cr_kernel;
-    a_name = req.Protocol.cr_name;
-    a_source = req.Protocol.cr_source;
-    a_top = req.Protocol.cr_top;
-    a_passes = req.Protocol.cr_passes;
-    a_priority = req.Protocol.cr_priority;
-    a_deadline = req.Protocol.cr_deadline;
-    a_want_verilog = req.Protocol.cr_want_verilog;
-  }
-
-let req_of_admit (a : Journal.admit) : Protocol.compile_req =
-  {
-    Protocol.cr_id = a.Journal.a_id;
-    cr_client = Some a.Journal.a_client;
-    cr_kernel = a.Journal.a_kernel;
-    cr_name = a.Journal.a_name;
-    cr_source = a.Journal.a_source;
-    cr_top = a.Journal.a_top;
-    cr_passes = a.Journal.a_passes;
-    cr_priority = a.Journal.a_priority;
-    cr_deadline = a.Journal.a_deadline;
-    cr_want_verilog = a.Journal.a_want_verilog;
-  }
-
 (* Journal IO failure is degraded durability, never a failed job. *)
-let journal_admit t admit =
+let journal_admit t req =
   match t.journal with
   | None -> ()
   | Some j -> (
-    match Journal.append_admit j admit with
+    match Journal.append_admit j req with
     | Ok () -> count t "journal.appends"
     | Error e ->
       count t "journal.faults";
@@ -456,7 +422,7 @@ let admit_request t ~conn_id ~client ~ephemeral ~digest ~journal_new
     with
     | Service.Accepted h ->
       count t "jobs.submitted";
-      if journal_new then journal_admit t (admit_of_req ~client ~digest req);
+      if journal_new then journal_admit t { req with Protocol.cr_client = Some client };
       Hashtbl.replace t.pending (client, req.Protocol.cr_id)
         { pj_handle = h; pj_watchdog = false };
       `Admitted h
@@ -469,7 +435,7 @@ let handle_compile t conn (req : Protocol.compile_req) =
   let client =
     match req.Protocol.cr_client with Some c -> c | None -> conn_client_name conn
   in
-  let digest = request_digest req in
+  let digest = Protocol.digest_of_request req in
   let key = (client, id) in
   let reject reason =
     count t "jobs.rejected";
@@ -627,24 +593,23 @@ let drain_completions t =
 (* ------------------------------------------------------------------ *)
 (* Journal recovery and drain                                          *)
 
-(* Re-enqueue one journal replay.  Replays whose request can no longer
-   resolve (a kernel renamed across versions, say) are marked done
-   "failed" so they do not haunt every future startup. *)
-let admit_replayed t (a : Journal.admit) =
-  let req = req_of_admit a in
+(* Re-enqueue one journal replay, which names its client.  Replays
+   whose request can no longer resolve (a kernel renamed across
+   versions, say) are marked done "failed" so they do not haunt every
+   future startup. *)
+let admit_replayed t (req : Protocol.compile_req) =
+  let client = Option.value ~default:"" req.Protocol.cr_client and id = req.Protocol.cr_id in
+  let digest = Protocol.digest_of_request req in
   match
-    admit_request t ~conn_id:(-1) ~client:a.Journal.a_client ~ephemeral:false
-      ~digest:a.Journal.a_digest ~journal_new:false req
+    admit_request t ~conn_id:(-1) ~client ~ephemeral:false ~digest ~journal_new:false req
   with
   | `Admitted _ ->
     count t "journal.replayed";
     `Done
   | `Failed frame ->
-    journal_done t ~client:a.Journal.a_client ~id:a.Journal.a_id ~status:"failed";
-    add_finished t
-      (a.Journal.a_client, a.Journal.a_id)
-      { fj_digest = a.Journal.a_digest; fj_status = "failed"; fj_frame = frame };
-    logf t "replay of %s/%s failed to resolve" a.Journal.a_client a.Journal.a_id;
+    journal_done t ~client ~id ~status:"failed";
+    add_finished t (client, id) { fj_digest = digest; fj_status = "failed"; fj_frame = frame };
+    logf t "replay of %s/%s failed to resolve" client id;
     `Done
   | `Overloaded -> `Overloaded
   | `Stopped -> `Done

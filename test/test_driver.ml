@@ -163,8 +163,26 @@ let cache_files dir ~suffix =
          else if Filename.check_suffix f suffix then [ path ]
          else [])
 
-(* One payload extension per cache entry kind (see [Cache.kind_ext]). *)
+(* One entry-file extension per cache entry kind (see [Cache.kind_ext]). *)
 let payload_suffixes = [ ".v"; ".src"; ".vm" ]
+
+let entry_files dir = List.concat_map (fun suffix -> cache_files dir ~suffix) payload_suffixes
+
+(* An entry file's header line: "<digest> <lut> <ff> <dsp> <bram>
+   <top as an OCaml string literal>", then the payload. *)
+let entry_top path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> Scanf.sscanf (input_line ic) "%_s %_d %_d %_d %_d %S" Fun.id)
+
+(* Rewrite an entry file's header line, keeping its digest and payload. *)
+let rewrite_header path f =
+  let text = Io.read_file path in
+  let nl = String.index text '\n' in
+  let fields = String.split_on_char ' ' (String.sub text 0 nl) in
+  Io.write_file path
+    (String.concat " " (f fields) ^ String.sub text nl (String.length text - nl))
 
 let compile_text ?cache ~pipeline text =
   match Driver.compile_job ?cache (Driver.job_of_text ~pipeline ~name:"t.hir" text) with
@@ -546,6 +564,8 @@ let test_cache_bitflip_quarantined () =
   check_int "all three damaged entries counted" 3 (Cache.corrupt_count cache);
   check_bool "damaged files moved to quarantine" true (quarantine_files dir <> [])
 
+(* An entry file cut short inside its header line (its metadata) is
+   quarantined and recompiled, whatever kind it is. *)
 let test_cache_truncated_meta_quarantined () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir () in
@@ -554,14 +574,82 @@ let test_cache_truncated_meta_quarantined () =
   let cold = compile_text ~cache ~pipeline text in
   List.iter
     (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "hir-driver/2\n";  (* header only: truncated *)
-      close_out oc)
-    (cache_files dir ~suffix:".meta");
+      let text = Io.read_file path in
+      Io.write_file path (String.sub text 0 (String.index text ' ' + 3)))
+    (entry_files dir);
   let again = compile_text ~cache ~pipeline text in
-  check_bool "truncated meta is not served" false again.Driver.from_cache;
+  check_bool "truncated entry is not served" false again.Driver.from_cache;
   check_string "recompile is bit-identical" cold.Driver.verilog again.Driver.verilog;
+  check_int "one corrupt entry per kind" 3 (Cache.corrupt_count cache);
   check_bool "quarantined" true (quarantine_files dir <> [])
+
+(* The header's fields are covered by the digest: an entry whose top or
+   resource usage was edited, digest and payload untouched, is
+   quarantined and recompiled, never served with the edited fields. *)
+let test_cache_header_fields_covered () =
+  let dir = fresh_dir () in
+  let cache = Cache.create ~dir () in
+  let pipeline = Pipeline.default ~optimize:true in
+  let text = transpose_text () in
+  let cold = compile_text ~cache ~pipeline text in
+  List.iter
+    (fun path ->
+      rewrite_header path (function
+        | digest :: _lut :: ff :: dsp :: bram :: _top -> [ digest; "1"; ff; dsp; bram; "\"bogus\"" ]
+        | fields -> fields))
+    (entry_files dir);
+  let again = compile_text ~cache ~pipeline text in
+  check_bool "an edited header is not served" false again.Driver.from_cache;
+  check_int "one corrupt entry per kind" 3 (Cache.corrupt_count cache);
+  check_string "the top is recomputed" cold.Driver.top_name again.Driver.top_name;
+  check_bool "the usage is recomputed" true (cold.Driver.usage = again.Driver.usage);
+  check_string "recompile is bit-identical" cold.Driver.verilog again.Driver.verilog
+
+(* Every single-byte flip of a stored entry, in its header or its
+   payload, and every truncation of its file reads as [Corrupt] or
+   [Miss], never as a hit, for each kind of entry. *)
+let test_cache_entry_damage_never_served () =
+  let dir = fresh_dir () in
+  let cache = Cache.create ~dir () in
+  let entry =
+    {
+      Cache.e_top = "f";
+      e_verilog = "module f(input clk);\nendmodule\n";
+      e_usage = { Hir_resources.Model.lut = 12; ff = 3; dsp = 1; bram = 0 };
+    }
+  in
+  List.iter
+    (fun kind ->
+      let k = Cache.stage_key ~kind ~parts:[ "damage" ] in
+      (match Cache.store ~kind cache k entry with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "store failed: %s" e);
+      let path = Cache.payload_path cache kind k in
+      let stored = Io.read_file path in
+      let served bytes =
+        Io.write_file path bytes;
+        match Cache.probe ~kind cache k with
+        | Cache.Hit _ -> true
+        | Cache.Miss | Cache.Corrupt _ -> false
+        | Cache.Read_fault e -> Alcotest.failf "read fault: %s" e
+      in
+      check_bool "the undamaged entry is served" true (served stored);
+      String.iteri
+        (fun i c ->
+          List.iter
+            (fun mask ->
+              let b = Bytes.of_string stored in
+              Bytes.set b i (Char.chr (Char.code c lxor mask));
+              if served (Bytes.to_string b) then
+                Alcotest.failf "%s entry served with byte %d xor %#x" (Cache.kind_to_string kind)
+                  i mask)
+            [ 0x01; 0x20; 0x80 ])
+        stored;
+      for len = 0 to String.length stored - 1 do
+        if served (String.sub stored 0 len) then
+          Alcotest.failf "%s entry served truncated to %d bytes" (Cache.kind_to_string kind) len
+      done)
+    Cache.kinds
 
 (* [store] must never throw, and a failed atomic write must not leave
    temp files behind.  A directory squatting on the payload path makes
@@ -587,13 +675,13 @@ let test_cache_store_failure_is_clean () =
   Alcotest.(check (list string)) "no temp files leak from the failed write" []
     (cache_files dir ~suffix:".tmp")
 
-(* Crash-ordering on the durable store path: [store] writes payload
-   then meta, each as temp + fsync + rename, with the "cache.write"
-   fault point between the temp write and the rename.  Faulting the
-   first write models a crash before anything is published; faulting
-   the second models a published payload with no meta.  Both must
-   report an error, leave no temp litter, and leave the cache either
-   empty or cleanly missing — never serving a half-stored entry. *)
+(* Crash-ordering on the durable store path: [store] publishes the
+   entry file as temp + fsync + rename, with the "cache.write" fault
+   point between the temp write and the rename.  Faulting it models a
+   crash before the entry is published: the store reports an error,
+   leaves no temp litter and publishes nothing, so the lookup misses
+   cleanly.  A clean store then heals the entry, and a faulted
+   re-store over it leaves the published entry served. *)
 let test_cache_write_fault_ordering () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir () in
@@ -606,40 +694,37 @@ let test_cache_write_fault_ordering () =
     }
   in
   let store () = Cache.store ~kind:Cache.Job cache k entry in
+  let faulted_store () =
+    Faults.with_config
+      { Faults.rules = [ ("cache.write", Faults.Nth 1) ]; seed = 1 }
+      (fun () ->
+        match store () with
+        | Ok () -> Alcotest.fail "a cache.write fault must fail the store"
+        | Error _ -> ())
+  in
   let lookup () =
     match Cache.consult ~kind:Cache.Job cache k with Cache.Hit e -> Some e | _ -> None
   in
-  (* Crash before the payload rename: nothing published. *)
-  Faults.with_config
-    { Faults.rules = [ ("cache.write", Faults.Nth 1) ]; seed = 1 }
-    (fun () ->
-      match store () with
-      | Ok () -> Alcotest.fail "payload-write fault must fail the store"
-      | Error _ -> ());
-  check_bool "no payload published" true (cache_files dir ~suffix:".v" = []);
+  (* Crash before the rename: nothing published. *)
+  faulted_store ();
+  check_bool "no entry published" true (cache_files dir ~suffix:".v" = []);
   Alcotest.(check (list string)) "no temp litter" [] (cache_files dir ~suffix:".tmp");
   check_bool "lookup misses cleanly" true (lookup () = None);
-  (* Crash between the payload rename and the meta rename: the torn
-     pair must read as a miss, not as corruption served. *)
-  Faults.with_config
-    { Faults.rules = [ ("cache.write", Faults.Nth 2) ]; seed = 1 }
-    (fun () ->
-      match store () with
-      | Ok () -> Alcotest.fail "meta-write fault must fail the store"
-      | Error _ -> ());
-  check_bool "payload was published" true (cache_files dir ~suffix:".v" <> []);
-  check_bool "meta was not" true (cache_files dir ~suffix:".meta" = []);
-  Alcotest.(check (list string)) "still no temp litter" []
-    (cache_files dir ~suffix:".tmp");
-  check_bool "torn pair reads as a miss" true (lookup () = None);
-  check_int "both faults counted" 2 (Cache.fault_count cache);
-  (* A clean store over the torn pair heals it. *)
+  (* A clean store heals it. *)
   (match store () with
   | Ok () -> ()
   | Error e -> Alcotest.failf "clean store failed: %s" e);
-  match lookup () with
+  (match lookup () with
   | Some e -> check_string "healed entry served" entry.Cache.e_verilog e.Cache.e_verilog
-  | None -> Alcotest.fail "healed entry must hit"
+  | None -> Alcotest.fail "healed entry must hit");
+  (* A crash re-storing over the published entry leaves it in place. *)
+  faulted_store ();
+  Alcotest.(check (list string)) "still no temp litter" []
+    (cache_files dir ~suffix:".tmp");
+  check_int "both faults counted" 2 (Cache.fault_count cache);
+  match lookup () with
+  | Some e -> check_string "published entry still served" entry.Cache.e_verilog e.Cache.e_verilog
+  | None -> Alcotest.fail "the published entry must still hit"
 
 let test_cache_verify_and_prune () =
   let dir = fresh_dir () in
@@ -680,33 +765,28 @@ let test_cache_verify_and_prune () =
   Alcotest.(check (list string)) "the stray file is quarantined"
     [ Filename.basename stray ] (List.map fst r.Cache.vr_quarantined);
   check_bool "and gone from its shard" false (Sys.file_exists stray);
-  (* So is a linked-design entry, which older builds stored under the
-     top's cone hash: a valid [.lnk] payload with a [kind link]
-     sidecar. *)
-  let k = Digest.to_hex (Digest.string "a linked design") in
+  (* So is an entry an older build stored as a payload plus a [.meta]
+     sidecar: the payload has no header whose digest checks, and the
+     sidecar is a file of no current kind. *)
+  let k = Digest.to_hex (Digest.string "an older build's entry") in
   let shard = Filename.concat dir (String.sub k 0 2) in
   Io.mkdir_p shard;
-  let write name content =
-    let oc = open_out_bin (Filename.concat shard name) in
-    output_string oc content;
-    close_out oc
-  in
   let design = "module top(input clk);\nendmodule\n" in
-  write (k ^ ".lnk") design;
-  write (k ^ ".meta")
-    (Printf.sprintf "kind link\ntop top\ndigest %s\nlut 0\nff 0\ndsp 0\nbram 0\n"
+  Io.write_file (Filename.concat shard (k ^ ".v")) design;
+  Io.write_file (Filename.concat shard (k ^ ".meta"))
+    (Printf.sprintf "kind job\ntop top\ndigest %s\nlut 0\nff 0\ndsp 0\nbram 0\n"
        (Digest.to_hex (Digest.string design)));
   let r = Cache.verify cache in
   check_int "the current entries are still ok" 3 r.Cache.vr_ok;
   Alcotest.(check (list (pair string string)))
-    "the sidecar names a retired kind, the payload has no current kind"
-    [ (k, "metadata of no current entry kind"); (k ^ ".lnk", "file of no current entry kind") ]
+    "the sidecar has no current kind, the payload fails its digest"
+    [ (k ^ ".meta", "file of no current entry kind"); (k, k ^ ".v: content digest mismatch") ]
     r.Cache.vr_quarantined;
-  Alcotest.(check (list string)) "its payload and sidecar are quarantined"
-    [ k ^ ".lnk"; k ^ ".meta" ]
+  Alcotest.(check (list string)) "both of its files are quarantined"
+    [ k ^ ".meta"; k ^ ".v" ]
     (List.filter (String.starts_with ~prefix:k) (quarantine_files dir) |> List.sort compare);
   check_bool "and gone from their shard" false
-    (List.exists (fun ext -> Sys.file_exists (Filename.concat shard (k ^ ext))) [ ".lnk"; ".meta" ])
+    (List.exists (fun ext -> Sys.file_exists (Filename.concat shard (k ^ ext))) [ ".v"; ".meta" ])
 
 (* [Cache.verify] is an offline integrity scan: it must not perturb the
    runtime hit/miss/store counters a monitoring endpoint reports, and a
@@ -777,9 +857,6 @@ let test_cache_budget_eviction () =
         let m, _ = Hir_kernels.Fifo.build () in
         Printer.op_to_string m)
   in
-  let all_files dir =
-    List.concat_map (fun s -> cache_files dir ~suffix:s) (".meta" :: payload_suffixes)
-  in
   let du files =
     List.fold_left (fun a f -> a + (Unix.stat f).Unix.st_size) 0 files
   in
@@ -788,14 +865,13 @@ let test_cache_budget_eviction () =
   let probe text =
     let dir = fresh_dir () in
     ignore (compile_text ~cache:(Cache.create ~dir ()) ~pipeline text);
-    du (all_files dir)
+    du (entry_files dir)
   in
   let bytes_a = probe text_a and bytes_b = probe text_b in
   let job_a =
     let dir = fresh_dir () in
     ignore (compile_text ~cache:(Cache.create ~dir ()) ~pipeline text_a);
-    let jobs = cache_files dir ~suffix:".v" in
-    du jobs + (du (all_files dir) - du jobs) / 5
+    du (cache_files dir ~suffix:".v")
   in
   (* Room for B's whole chain plus A's whole-job entry — but not for
      both chains, so storing B must trigger a sweep. *)
@@ -808,7 +884,7 @@ let test_cache_budget_eviction () =
   (* Age everything on disk, then hit A's whole-job entry: the hit
      refreshes that entry's clock and nothing else's. *)
   let old = Unix.gettimeofday () -. 3600. in
-  List.iter (fun f -> Unix.utimes f old old) (all_files dir);
+  List.iter (fun f -> Unix.utimes f old old) (entry_files dir);
   let warm_a = compile_text ~cache ~pipeline text_a in
   check_bool "A hits before the sweep" true warm_a.Driver.from_cache;
   let cold_b = compile_text ~cache ~pipeline text_b in
@@ -925,16 +1001,10 @@ let test_extern_miss_stores_job () =
   let text = mac_text () in
   let cold = compile text in
   let extern_entries =
-    List.filter
-      (fun meta -> List.mem "top mult" (String.split_on_char '\n' (Io.read_file meta)))
-      (cache_files dir ~suffix:".meta")
+    List.filter (fun path -> entry_top path = "mult") (cache_files dir ~suffix:".vm")
   in
   check_int "the extern has one function entry" 1 (List.length extern_entries);
-  List.iter
-    (fun meta ->
-      Sys.remove meta;
-      Sys.remove (Filename.remove_extension meta ^ ".vm"))
-    extern_entries;
+  List.iter Sys.remove extern_entries;
   let job_stores () = (List.assoc Cache.Job (Cache.kind_stats cache)).Cache.k_stores in
   let before = job_stores () in
   let again = compile (text ^ "\n// edited\n") in
@@ -958,6 +1028,29 @@ let test_unknown_callee () =
   expect_permanent
     (compile_design ~name:"nope.hir" text)
     "\"nope.hir\": error: codegen: call to unknown function @nope"
+
+(* err_add.hir's schedule error has no location of its own.  `hirc
+   verify` and `hirc compile` attribute it to the input alike: the
+   first line each prints is the same. *)
+let test_verify_matches_compile () =
+  let name = "err_add.hir" in
+  let text = read_design name in
+  let first_line s = List.hd (String.split_on_char '\n' s) in
+  let verified =
+    match
+      Driver.attribute ~job:name
+        (Diagnostic.Engine.to_list (Driver.verifier_engine (Parser.parse_string ~file:name text)))
+    with
+    | [] -> Alcotest.fail "err_add.hir must fail verification"
+    | d :: _ -> Diagnostic.to_string d
+  in
+  match compile_design ~name text with
+  | Ok _ -> Alcotest.fail "err_add.hir must fail to compile"
+  | Error e ->
+    check_string "first lines match" (first_line (Driver.error_to_string e))
+      (first_line verified);
+    check_bool "attributed to the input" true
+      (String.starts_with ~prefix:"\"err_add.hir\": error: Schedule error" (first_line verified))
 
 (* delay_order.hir defines a 3-cycle delay of %a before a 1-cycle one
    and returns both.  delay-elim must not rewire the deeper delay onto
@@ -1193,6 +1286,10 @@ let () =
           Alcotest.test_case "bitflip-quarantined" `Quick test_cache_bitflip_quarantined;
           Alcotest.test_case "truncated-meta-quarantined" `Quick
             test_cache_truncated_meta_quarantined;
+          Alcotest.test_case "header-fields-covered" `Quick
+            test_cache_header_fields_covered;
+          Alcotest.test_case "entry-damage-never-served" `Quick
+            test_cache_entry_damage_never_served;
           Alcotest.test_case "store-failure-is-clean" `Quick
             test_cache_store_failure_is_clean;
           Alcotest.test_case "write-fault-ordering" `Quick
@@ -1215,6 +1312,7 @@ let () =
           Alcotest.test_case "extern-top" `Quick test_extern_top;
           Alcotest.test_case "unknown-callee" `Quick test_unknown_callee;
           Alcotest.test_case "delay-order" `Quick test_delay_order_design;
+          Alcotest.test_case "verify-matches-compile" `Quick test_verify_matches_compile;
         ] );
       ( "degradation",
         [

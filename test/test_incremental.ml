@@ -221,23 +221,21 @@ let test_definitions_travel_with_function () =
     | Error e -> Alcotest.failf "compile failed: %s" (Driver.error_to_string e)
   in
   let cold = compile text in
-  (* (payload path without extension, sidecar lines) of every entry. *)
+  (* (kind extension, top named in the header line) of every entry. *)
   let entries =
     Sys.readdir dir |> Array.to_list
     |> List.concat_map (fun shard ->
            let sdir = Filename.concat dir shard in
            Sys.readdir sdir |> Array.to_list
-           |> List.filter_map (fun f ->
-                  if Filename.check_suffix f ".meta" then
-                    let base = Filename.concat sdir (Filename.remove_extension f) in
-                    Some (base, String.split_on_char '\n' (Io.read_file (base ^ ".meta")))
-                  else None))
+           |> List.map (fun f ->
+                  let text = Io.read_file (Filename.concat sdir f) in
+                  let header = String.sub text 0 (String.index text '\n') in
+                  (Filename.extension f, Scanf.sscanf header "%_s %_d %_d %_d %_d %S" Fun.id)))
   in
-  let of_kind kind = List.filter (fun (_, meta) -> List.mem ("kind " ^ kind) meta) entries in
   check_bool "no entry is keyed on a definition" false
-    (List.exists (fun (_, meta) -> List.exists (String.starts_with ~prefix:"top hirdef_") meta)
-       entries);
-  check_int "one Vmod entry per compiled function" functions (List.length (of_kind "vmod"));
+    (List.exists (fun (_, top) -> String.starts_with ~prefix:"hirdef_" top) entries);
+  check_int "one Vmod entry per compiled function" functions
+    (List.length (List.filter (fun (ext, _) -> ext = ".vm") entries));
   let vmod () = List.assoc Cache.Vmod (Cache.kind_stats cache) in
   let before = vmod () in
   let warm = compile (text ^ "\n// edited\n") in

@@ -407,19 +407,18 @@ let fresh_dir name =
   Hir_driver.Io.mkdir_p d;
   d
 
-let mk_admit ?(client = "alice") ?(digest = "d0") id kernel =
+let mk_admit ?(client = "alice") id kernel =
   {
-    Journal.a_client = client;
-    a_id = id;
-    a_digest = digest;
-    a_kernel = Some kernel;
-    a_name = None;
-    a_source = None;
-    a_top = None;
-    a_passes = None;
-    a_priority = 1;
-    a_deadline = Some 2.5;
-    a_want_verilog = true;
+    Protocol.cr_id = id;
+    cr_client = Some client;
+    cr_kernel = Some kernel;
+    cr_name = None;
+    cr_source = None;
+    cr_top = None;
+    cr_passes = None;
+    cr_priority = 1;
+    cr_deadline = Some 2.5;
+    cr_want_verilog = true;
   }
 
 let append_ok j a =
@@ -445,14 +444,15 @@ let test_journal_roundtrip () =
   (* Pending = admitted minus done, in file order, all fields intact. *)
   match r.Journal.rr_pending with
   | [ a; b ] ->
-    Alcotest.(check string) "first pending" "j2" a.Journal.a_id;
+    Alcotest.(check string) "first pending" "j2" a.Protocol.cr_id;
     Alcotest.(check (option string)) "kernel survives" (Some "transpose")
-      a.Journal.a_kernel;
-    Alcotest.(check int) "priority survives" 1 a.Journal.a_priority;
+      a.Protocol.cr_kernel;
+    Alcotest.(check int) "priority survives" 1 a.Protocol.cr_priority;
     Alcotest.(check (option (float 1e-9))) "deadline survives" (Some 2.5)
-      a.Journal.a_deadline;
-    Alcotest.(check bool) "verilog flag survives" true a.Journal.a_want_verilog;
-    Alcotest.(check string) "second pending is bob's" "bob" b.Journal.a_client
+      a.Protocol.cr_deadline;
+    Alcotest.(check bool) "verilog flag survives" true a.Protocol.cr_want_verilog;
+    Alcotest.(check (option string)) "second pending is bob's" (Some "bob")
+      b.Protocol.cr_client
   | l -> Alcotest.failf "expected 2 pending, got %d" (List.length l)
 
 let test_journal_torn_tail_tolerated () =
@@ -493,7 +493,7 @@ let test_journal_corruption_quarantined () =
   let r = Journal.replay ~dir in
   Alcotest.(check int) "one record quarantined" 1 r.Journal.rr_quarantined;
   (match r.Journal.rr_pending with
-  | [ a ] -> Alcotest.(check string) "undamaged record survives" "j2" a.Journal.a_id
+  | [ a ] -> Alcotest.(check string) "undamaged record survives" "j2" a.Protocol.cr_id
   | l -> Alcotest.failf "expected 1 pending, got %d" (List.length l));
   (* Whole-line garbage is quarantined the same way, not fatal. *)
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -520,7 +520,7 @@ let test_journal_compact () =
     r.Journal.rr_records;
   Alcotest.(check int) "no done marks left" 0 r.Journal.rr_completed;
   Alcotest.(check (list string)) "order preserved" [ "j1"; "j3" ]
-    (List.map (fun a -> a.Journal.a_id) r.Journal.rr_pending)
+    (List.map (fun a -> a.Protocol.cr_id) r.Journal.rr_pending)
 
 let test_journal_append_fault () =
   let dir = fresh_dir "journal-fault" in
@@ -535,7 +535,7 @@ let test_journal_append_fault () =
   Journal.close j;
   let r = Journal.replay ~dir in
   Alcotest.(check (list string)) "only the durable record replays" [ "j2" ]
-    (List.map (fun a -> a.Journal.a_id) r.Journal.rr_pending);
+    (List.map (fun a -> a.Protocol.cr_id) r.Journal.rr_pending);
   (* Replay faults quarantine records instead of raising. *)
   Faults.with_config
     { Faults.rules = [ ("journal.replay", Faults.Nth 1) ]; seed = 7 }
@@ -565,14 +565,73 @@ let test_journal_record_format () =
   Alcotest.(check int) "nothing quarantined" 0 r.Journal.rr_quarantined;
   Alcotest.(check int) "done marks" 1 r.Journal.rr_completed;
   Alcotest.(check (list string)) "the open admit is pending" [ "j3" ]
-    (List.map (fun a -> a.Journal.a_id) r.Journal.rr_pending)
+    (List.map (fun a -> a.Protocol.cr_id) r.Journal.rr_pending)
+
+(* An admit line exactly as an earlier build wrote it, with the
+   request digest it computed, replays with every field intact, and
+   the digest recomputed from the replayed request is the one it
+   wrote. *)
+let test_journal_replays_earlier_admit () =
+  let dir = fresh_dir "journal-earlier" in
+  let oc = open_out_bin (Filename.concat dir "journal.log") in
+  output_string oc
+    "ec44d93b {\"t\":\"admit\",\"client\":\"alice\",\"id\":\"p1\",\
+     \"digest\":\"c2a8b5b154b6dc6ce329782e80ff2362\",\"name\":\"edit.hir\",\
+     \"source\":\"hir.func @f {\\n  \\\"q\\\"\\n}\\n\",\"top\":\"f\",\
+     \"passes\":\"cse,unroll\",\"priority\":3,\"deadline\":1.5,\"verilog\":false}\n";
+  close_out oc;
+  let r = Journal.replay ~dir in
+  Alcotest.(check int) "nothing quarantined" 0 r.Journal.rr_quarantined;
+  match r.Journal.rr_pending with
+  | [ req ] ->
+    Alcotest.(check bool) "every field survives" true
+      (req
+      = {
+          Protocol.cr_id = "p1";
+          cr_client = Some "alice";
+          cr_kernel = None;
+          cr_name = Some "edit.hir";
+          cr_source = Some "hir.func @f {\n  \"q\"\n}\n";
+          cr_top = Some "f";
+          cr_passes = Some "cse,unroll";
+          cr_priority = 3;
+          cr_deadline = Some 1.5;
+          cr_want_verilog = false;
+        });
+    Alcotest.(check string) "the recomputed digest is the written one"
+      "c2a8b5b154b6dc6ce329782e80ff2362" (Protocol.digest_of_request req)
+  | l -> Alcotest.failf "expected 1 pending, got %d" (List.length l)
+
+(* A compaction that cannot publish (a directory squats on the log
+   path) reports the failure and leaves no temp file behind. *)
+let test_journal_compact_failure_is_clean () =
+  let dir = fresh_dir "journal-compact-fail" in
+  let j = Journal.open_journal ~dir in
+  append_ok j (mk_admit "j1" "fifo");
+  Journal.close j;
+  let r = Journal.replay ~dir in
+  Sys.remove (Filename.concat dir "journal.log");
+  Unix.mkdir (Filename.concat dir "journal.log") 0o755;
+  (match Journal.compact ~result:r ~dir () with
+  | Ok _ -> Alcotest.fail "compaction onto a squatted log path must fail"
+  | Error _ -> ());
+  Alcotest.(check (list string)) "no temp file left behind" [ "journal.log" ]
+    (Array.to_list (Sys.readdir dir))
 
 let test_request_digest_stability () =
-  let d1 = Journal.digest_of_request ~kernel:(Some "gemm") ~name:None ~source:None ~top:None ~passes:None in
-  let d2 = Journal.digest_of_request ~kernel:(Some "gemm") ~name:None ~source:None ~top:None ~passes:None in
-  let d3 = Journal.digest_of_request ~kernel:(Some "fifo") ~name:None ~source:None ~top:None ~passes:None in
-  let d4 = Journal.digest_of_request ~kernel:None ~name:(Some "gemm") ~source:None ~top:None ~passes:None in
-  Alcotest.(check string) "same request, same digest" d1 d2;
+  let digest ?(client = "alice") ?(id = "j1") kernel name =
+    Protocol.digest_of_request
+      { (mk_admit ~client id "unused") with Protocol.cr_kernel = kernel; cr_name = name }
+  in
+  let d1 = digest (Some "gemm") None in
+  let d2 =
+    Protocol.digest_of_request
+      { (mk_admit ~client:"bob" "j9" "gemm") with Protocol.cr_priority = 7; cr_deadline = None }
+  in
+  let d3 = digest (Some "fifo") None in
+  let d4 = digest None (Some "gemm") in
+  Alcotest.(check string) "same request, same digest" d1 (digest (Some "gemm") None);
+  Alcotest.(check string) "client, id, priority and deadline do not matter" d1 d2;
   Alcotest.(check bool) "kernel matters" true (d1 <> d3);
   Alcotest.(check bool) "field position matters" true (d1 <> d4)
 
@@ -1140,8 +1199,12 @@ let () =
           Alcotest.test_case "corruption quarantined" `Quick
             test_journal_corruption_quarantined;
           Alcotest.test_case "compaction" `Quick test_journal_compact;
+          Alcotest.test_case "compaction failure is clean" `Quick
+            test_journal_compact_failure_is_clean;
           Alcotest.test_case "append/replay faults" `Quick test_journal_append_fault;
           Alcotest.test_case "record format" `Quick test_journal_record_format;
+          Alcotest.test_case "replays an earlier admit" `Quick
+            test_journal_replays_earlier_admit;
           Alcotest.test_case "request digest stability" `Quick
             test_request_digest_stability;
         ] );
