@@ -22,7 +22,9 @@ test:
 # plus a bounded deterministic fuzz pass over the frontend.  The
 # summary's cache hits must count exactly the jobs printed "(cached)",
 # and `hirc cache --verify` must pass every file the batch left in the
-# cache's shards.
+# cache's shards.  `hirc print` of `hirc print` must equal `hirc print`
+# on every example design, and `hirc verify` must report a parse error
+# with the `error:` severity `hirc compile` gives it.
 check: build test
 	@rm -rf _build/.hirc-smoke-cache
 	dune exec bin/hirc.exe -- batch $(SMOKE_DESIGNS) --kernels -j 4 \
@@ -62,6 +64,20 @@ check: build test
 	    echo "make check: FAILED (an -o path under a missing directory exited $$code, not 1 with one cannot-write line)"; exit 1; \
 	  fi
 	@echo "unwritable output rejection: OK"
+	@for f in examples/designs/*.hir; do \
+	  _build/default/bin/hirc.exe print $$f > _build/.hirc-print1.hir \
+	  && _build/default/bin/hirc.exe print _build/.hirc-print1.hir > _build/.hirc-print2.hir \
+	  && cmp -s _build/.hirc-print1.hir _build/.hirc-print2.hir \
+	  || { echo "make check: FAILED (hirc print of hirc print differs from hirc print on $$f)"; exit 1; }; \
+	done
+	@echo "print fixed point: OK"
+	@printf 'hir.func\n' > _build/.hirc-parse-error.hir; \
+	  out=$$(timeout 10 _build/default/bin/hirc.exe verify _build/.hirc-parse-error.hir 2>&1); \
+	  code=$$?; \
+	  if [ $$code -ne 1 ] || ! echo "$$out" | grep -q "error: parse error"; then \
+	    echo "make check: FAILED (hirc verify on a parse error exited $$code, not 1 with 'error: parse error')"; exit 1; \
+	  fi
+	@echo "verify parse-error diagnostic: OK"
 	$(MAKE) faults
 	$(MAKE) serve-smoke
 	$(MAKE) crash

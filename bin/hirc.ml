@@ -64,13 +64,12 @@ let () =
   | "Unix" | "Cygwin" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ()
 
+(* A design file's module, or the line to report: a lex or parse error
+   reads as `hirc compile` reports it. *)
 let load_module path =
-  try Ok (Parser.parse_file path) with
-  | Parser.Parse_error (loc, msg) ->
-    Error (Printf.sprintf "%s: parse error: %s" (Location.to_string loc) msg)
-  | Lexer.Lex_error (loc, msg) ->
-    Error (Printf.sprintf "%s: lex error: %s" (Location.to_string loc) msg)
-  | Sys_error e -> Error e
+  match Io.read_file path with
+  | exception Sys_error e -> Error e
+  | text -> Result.map_error Diagnostic.to_string (Driver.parse_source ~file:path text)
 
 (* Run [f], which writes the file or directory [path].  If it cannot,
    hirc reports that as one line and exits 1. *)

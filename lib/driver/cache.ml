@@ -110,8 +110,10 @@ let count_kind t kind what = count t (kind_to_string kind ^ "." ^ what)
    compiles its module's printed fixed point, so it emits what a text
    job of the same printed module emits under the same Job key; v7: a
    function's definitions travel in its own Vmod payload; v8: one file
-   per entry, whose header the digest covers.) *)
-let driver_version = "hir-driver/8"
+   per entry, whose header the digest covers; v9: strings print with
+   only the escapes the lexer decodes, so a Src or Job entry of v8 may
+   hold a string the print corrupted.) *)
+let driver_version = "hir-driver/9"
 
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 

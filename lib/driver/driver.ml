@@ -125,6 +125,20 @@ let attribute ~job diags =
       else d)
     diags
 
+(* A lex or parse error as every command reports it: `hirc compile`,
+   `hirc verify` and `hirc print` print the same line for one input. *)
+let frontend_diagnostic = function
+  | Parser.Parse_error (loc, msg) -> Some (Diagnostic.error loc ("parse error: " ^ msg))
+  | Lexer.Lex_error (loc, msg) -> Some (Diagnostic.error loc ("lex error: " ^ msg))
+  | _ -> None
+
+(* Parse a source, a lex or parse error becoming its diagnostic. *)
+let parse_source ~file text =
+  match Parser.parse_string ~file text with
+  | m -> Ok m
+  | exception exn -> (
+    match frontend_diagnostic exn with Some d -> Error d | None -> raise exn)
+
 (* Top-function selection, with a note when the choice is implicit:
    with no [--top] and several functions we keep the historical
    behaviour (the last, i.e. textually final, function) but say so
@@ -234,17 +248,21 @@ let store st kind what k entry =
           degrade st (Printf.sprintf "cache write fault, %s not cached: %s" what reason);
           count st "cache-write-fault")
 
-(* The text the job's keys are computed from.  A builder source prints
-   its module, which also brings the module to the print∘parse fixed
-   point: each function's own print is then its slice of this text, as
-   it is for a text job. *)
+(* The text the job's keys are computed from, and a builder source's
+   module with its top.  A builder module is named in place
+   ([Printer.fix_names]), which brings it to the print∘parse fixed
+   point, and printed only for a job with a cache: each function's own
+   print is then its slice of that text, as it is for a text job. *)
 let source_text st =
   match st.st_job.src with
-  | Text { text; _ } -> (text, None)
+  | Text { text; _ } -> (Lazy.from_val text, None)
   | Builder { build; _ } ->
     Trace.span st.st_trace ~cat:"frontend" "build" (fun () ->
         let m, f = build () in
-        (Printer.op_to_string_fixed m, Some (m, f)))
+        Printer.fix_names m;
+        let text = lazy (Printer.op_to_string m) in
+        if st.st_cache <> None then ignore (Lazy.force text);
+        (text, Some (m, f)))
 
 let verify st m =
   Trace.span st.st_trace ~cat:"verify" "verify" (fun () -> run_verifiers m);
@@ -255,7 +273,10 @@ let verify st m =
    so it is planned in memory with no Src entry.  A text source is
    memoized in a Src entry keyed on its raw text, whose payload is the
    normalized module text: a hit proves the source parsed and verified
-   before and skips the verifiers. *)
+   before and skips the verifiers.  Without a cache, the parsed module
+   is planned with no text at all: a parse is already named as the
+   parse of its print ([Incr.normalize]), so both paths compile the
+   same module. *)
 let plan_source st ~text built =
   match built with
   | Some (m, f) ->
@@ -266,6 +287,7 @@ let plan_source st ~text built =
       None )
   | None ->
     let name = st.st_name in
+    let text = Lazy.force text in
     let src_key = lazy (Cache.stage_key ~kind:Cache.Src ~parts:[ text ]) in
     let plan =
       match consult st Cache.Src "source" src_key with
@@ -279,7 +301,7 @@ let plan_source st ~text built =
         (* The payload is a printed fixed point, so it is its own
            parse's print. *)
         Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
-            Incr.plan_of_module ~text m)
+            Incr.plan_of_module ~text:(Lazy.from_val text) m)
       | None ->
         let m =
           Trace.span st.st_trace ~cat:"frontend" "parse" (fun () ->
@@ -289,11 +311,13 @@ let plan_source st ~text built =
         verify st m;
         let plan =
           Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
-              Ir.with_isolated_ids (fun () -> Incr.normalize ~file:name ~text m))
+              match st.st_cache with
+              | None -> Incr.plan_of_module m
+              | Some _ -> Incr.normalize ~file:name ~text m)
         in
         store st Cache.Src "normalized source" src_key (fun () ->
             {
-              Cache.e_verilog = plan.Incr.pl_text;
+              Cache.e_verilog = Lazy.force plan.Incr.pl_text;
               e_top = "";
               e_usage = Hir_resources.Model.zero;
             });
@@ -303,11 +327,11 @@ let plan_source st ~text built =
     (plan, Ops.func_name f, note)
 
 (* The top's cone in dependency order, once the top is known to have a
-   body and the cone to have no call cycle.  The plan slices a
-   function's text on first use, so this is planning time. *)
+   body and the cone to have no call cycle.  The plan reads a
+   function's callees on first use, so this is planning time. *)
 let cone st plan ~top =
   Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
-      if (Incr.fn_info plan top).Incr.fi_extern then
+      if (Incr.find plan top).Incr.fn_extern then
         raise
           (Hir_codegen.Emit.Codegen_error
              (Printf.sprintf "top function @%s is extern (it has no body to emit)" top));
@@ -330,7 +354,7 @@ let compile_fn st plan ~passes ~hash fn =
     | Some c -> c
     | None ->
       let emit =
-        if (Incr.fn_info plan fn).Incr.fi_extern then Incr.emit_extern plan
+        if (Incr.find plan fn).Incr.fn_extern then Incr.emit_extern plan
         else begin
           let opt_fn, stats =
             Trace.span st.st_trace "optimize" (fun () ->
@@ -399,7 +423,9 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
     Faults.with_scope name (fun () ->
         Ir.with_isolated_ids (fun () ->
             let text, built = source_text st in
-            let key = lazy (Cache.key ~pipeline:st.st_pipeline ~top:job.top ~source:text) in
+            let key =
+              lazy (Cache.key ~pipeline:st.st_pipeline ~top:job.top ~source:(Lazy.force text))
+            in
             Guard.tick st.st_guard;
             match consult st Cache.Job "job" key with
             | Some entry ->
@@ -444,16 +470,11 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
         err_class = Transient;
         err_diags =
           [ Diagnostic.error (Location.name name) ("injected fault at " ^ p) ] }
-  | Parser.Parse_error (loc, msg) ->
+  | (Parser.Parse_error _ | Lexer.Lex_error _) as exn ->
     Error
       { err_job = name;
         err_class = Permanent;
-        err_diags = [ Diagnostic.error loc ("parse error: " ^ msg) ] }
-  | Lexer.Lex_error (loc, msg) ->
-    Error
-      { err_job = name;
-        err_class = Permanent;
-        err_diags = [ Diagnostic.error loc ("lex error: " ^ msg) ] }
+        err_diags = Option.to_list (frontend_diagnostic exn) }
   | Hir_codegen.Emit.Codegen_error msg | Incr.Fallback msg ->
     (* A module the staged path cannot compile (unknown callee, call
        cycle, ...) is an input the emitter rejects for the same

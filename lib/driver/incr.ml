@@ -2,29 +2,32 @@
    driver's staged cache chain (see [Cache] for the entry kinds).
 
    The whole scheme rests on one invariant: every per-function artifact
-   is a *pure function of printed text*.  The module is first
-   normalized to the print∘parse fixed point; each function's
-   normalized printed form (plus the recursive hashes of its callees
-   and the pass-pipeline spec) is its *cone hash*; optimizing or
-   emitting a function happens in a fresh mini-module built under an
-   isolated id counter, holding exactly what those texts parse to.
+   is a *pure function of printed text*.  The module is at the
+   print∘parse fixed point (a parse is, and a builder module is named
+   in place by [Printer.fix_names]); each function's printed form
+   (plus the recursive hashes of its callees and the pass-pipeline
+   spec) is its *cone hash*; optimizing or emitting a function happens
+   in a fresh mini-module built under an isolated id counter, holding
+   exactly what those texts parse to.
    Cold compiles and warm recompiles therefore run the exact same
    construction on the exact same IR, which is what makes an
    incremental recompile byte-identical to a cold one — the property
    the qcheck suite pins.
 
-   The compile path neither prints nor parses per-function text.  A
-   function's printed form is its slice of the module's print
-   ([Printer.slice]), and it is hashed only for a job with a cache.
-   The mini-modules are built in memory, cloning the functions of the
-   normalized module and the optimized function the optimizer has just
-   named with [Printer.fix_names].  Both are at the print∘parse fixed
-   point, and [Ir.Clone] allocates ids in the parser's order, so a
-   clone is the IR its text would parse to, id for id.  Properties in
-   test_incremental pin slice ≡ print and clone ≡ parse on random
-   designs and every kernel: same printed text, same id sequences,
-   same Verilog.  The parse side ([Text] members, [module_of_texts])
-   serves that property and the benchmark's staged replay.
+   The compile path neither prints nor parses per-function text, and a
+   job without a cache prints nothing at all: a plan holds the module's
+   print, and each function's printed form, its slice of that print
+   ([Printer.slice]), as lazy values that only a cache key or a cache
+   store forces.  The mini-modules are built in memory, cloning the
+   functions of the module and the optimized function the optimizer
+   has just named with [Printer.fix_names].  Both are at the
+   print∘parse fixed point, and [Ir.Clone] allocates ids in the
+   parser's order, so a clone is the IR its text would parse to, id for
+   id.  Properties in test_incremental pin slice ≡ print and clone ≡
+   parse on random designs and every kernel: same printed text, same id
+   sequences, same Verilog.  The parse side ([Text] members,
+   [module_of_texts]) serves that property and the benchmark's staged
+   replay.
 
    Each compiled function becomes one [compiled] record: its Verilog
    module, the shared definitions that module instantiates, and its
@@ -49,6 +52,8 @@ exception Fallback of string
    job's error. *)
 exception Pass_failed of Diagnostic.t list
 
+(* A function of a plan with its printed form, as the benchmark's
+   staged replay and the tests read it. *)
 type fn_info = {
   fi_func : Ir.op;  (* the function inside [pl_module] *)
   fi_text : string;  (* normalized per-function printed form *)
@@ -56,16 +61,25 @@ type fn_info = {
   fi_extern : bool;
 }
 
+(* A function of a plan as the compile path reads it: its printed form
+   is built only when forced. *)
+type fn = {
+  fn_func : Ir.op;  (* the function inside [pl_module] *)
+  fn_text : string Lazy.t;  (* its slice of the module's print *)
+  fn_callees : string list;  (* direct callees, deduped, discovery order *)
+  fn_extern : bool;
+}
+
 type plan = {
-  pl_module : Ir.op;  (* the normalized module *)
-  pl_text : string;  (* its printed form (the print∘parse fixed point) *)
-  pl_fns : (string, fn_info Lazy.t) Hashtbl.t;
+  pl_module : Ir.op;  (* the module, at the print∘parse fixed point *)
+  pl_text : string Lazy.t;  (* its printed form, printed when forced *)
+  pl_fns : (string, fn Lazy.t) Hashtbl.t;
       (* the first function of each name; built on first use, so a job
-         slices out only the functions in its top's cone *)
+         reads only the functions in its top's cone *)
 }
 
 (* ------------------------------------------------------------------ *)
-(* Normalization                                                       *)
+(* Planning                                                            *)
 
 let direct_callees func =
   let seen = Hashtbl.create 8 in
@@ -78,60 +92,73 @@ let direct_callees func =
            Some name
          end)
 
-(* [module_op] must be verified and at the print∘parse fixed point;
-   [text], when given, must be [Printer.op_to_string module_op].  A
+(* [module_op] must be verified and at the print∘parse fixed point (a
+   parse, or a module named by [Printer.fix_names]); [text], when
+   given, is its print, and otherwise it is printed when forced.  A
    verified module holds only functions, so its functions and the
    top-level ranges of its print pair up in order, and each function's
    printed form is its slice of the module's print: the plan prints no
    function. *)
 let plan_of_module ?text module_op =
   let pl_text =
-    match text with Some t -> t | None -> Printer.op_to_string module_op
+    match text with Some t -> t | None -> lazy (Printer.op_to_string module_op)
   in
+  let ranges = lazy (Array.of_list (Printer.top_level_ranges (Lazy.force pl_text))) in
   let fns = Hashtbl.create 16 in
-  List.iter2
-    (fun f range ->
+  List.iteri
+    (fun i f ->
       let name = Ops.func_name f in
       if not (Hashtbl.mem fns name) then
         Hashtbl.add fns name
           (lazy
             {
-              fi_func = f;
-              fi_text = Printer.slice pl_text range;
-              fi_callees = direct_callees f;
-              fi_extern = Ops.is_extern_func f;
+              fn_func = f;
+              fn_text = lazy (Printer.slice (Lazy.force pl_text) (Lazy.force ranges).(i));
+              fn_callees = direct_callees f;
+              fn_extern = Ops.is_extern_func f;
             }))
-    (Ops.module_funcs module_op)
-    (Printer.top_level_ranges pl_text);
+    (Ops.module_funcs module_op);
   { pl_module = module_op; pl_text; pl_fns = fns }
 
-(* Normalize a parsed module to the print∘parse fixed point.  Printing
-   then re-parsing assigns every value a hint equal to its printed name
-   (module-wide uniquified), after which printing is the identity — so
-   all per-function texts derived from the result agree with each
-   other, whichever parse produced them.  One round suffices; if the
-   module's own print fails to re-parse, the printed form is not a
-   faithful serialization of this IR and the staged path must not be
-   trusted with it. *)
+(* Plan a parsed, verified module for a job with a cache, whose keys
+   hash printed text.  A parse is at the print∘parse fixed point as it
+   stands: its hints are its source names, which the parser requires
+   to be unique module-wide, so [Printer.fix_names] would rename
+   nothing.  The module is therefore compiled as parsed, with or
+   without a cache, and only printed here.  A print that differs from the source [text] is what
+   the job's Src entry stores and a later hit parses, so it must
+   re-parse; that parse is discarded.  If it does not re-parse, the
+   printed form is not a faithful serialization of this IR and the
+   staged path must not be trusted with it. *)
 let normalize ~file ~text module_op =
   let printed = Printer.op_to_string module_op in
-  if String.equal printed text then plan_of_module ~text module_op
-  else
-    match Parser.parse_string ~file printed with
-    | m -> plan_of_module m
+  if not (String.equal printed text) then begin
+    match Ir.with_isolated_ids (fun () -> Parser.parse_string ~file printed) with
+    | _ -> ()
     | exception (Parser.Parse_error _ | Lexer.Lex_error _) ->
       raise (Fallback "module print does not re-parse")
+  end;
+  plan_of_module ~text:(Lazy.from_val printed) module_op
+
+let find plan name =
+  match Hashtbl.find_opt plan.pl_fns name with
+  | Some fn -> Lazy.force fn
+  | None -> raise (Fallback (Printf.sprintf "call to unknown function @%s" name))
 
 let fn_info plan name =
-  match Hashtbl.find_opt plan.pl_fns name with
-  | Some fi -> Lazy.force fi
-  | None -> raise (Fallback (Printf.sprintf "call to unknown function @%s" name))
+  let fn = find plan name in
+  {
+    fi_func = fn.fn_func;
+    fi_text = Lazy.force fn.fn_text;
+    fi_callees = fn.fn_callees;
+    fi_extern = fn.fn_extern;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Cone hashes                                                         *)
 
 (* [f] evaluated bottom-up over the call graph from a function, memoized:
-   [f fi callees] gets each direct callee paired with its value.  A call
+   [f fn callees] gets each direct callee paired with its value.  A call
    cycle has no bottom (nor finite hardware), so it raises [Fallback]
    naming the first function the walk meets again on one call path. *)
 let bottom_up plan f =
@@ -144,8 +171,8 @@ let bottom_up plan f =
       if Hashtbl.mem visiting name then
         raise (Fallback (Printf.sprintf "call cycle through @%s" name));
       Hashtbl.replace visiting name ();
-      let fi = fn_info plan name in
-      let v = f fi (List.map (fun c -> (c, eval c)) fi.fi_callees) in
+      let fn = find plan name in
+      let v = f fn (List.map (fun c -> (c, eval c)) fn.fn_callees) in
       Hashtbl.remove visiting name;
       Hashtbl.replace memo name v;
       v
@@ -157,7 +184,7 @@ let bottom_up plan f =
    callee's hash covers changes h(f); editing a sibling function does
    not.  The version salt lives in [Cache.stage_key], not here. *)
 let cone_hashes plan ~pipeline =
-  bottom_up plan (fun fi callees ->
+  bottom_up plan (fun fn callees ->
       let callee_part =
         callees
         |> List.sort compare
@@ -165,7 +192,8 @@ let cone_hashes plan ~pipeline =
         |> String.concat ","
       in
       Digest.to_hex
-        (Digest.string (String.concat "\x00" [ pipeline; fi.fi_text; callee_part ])))
+        (Digest.string
+           (String.concat "\x00" [ pipeline; Lazy.force fn.fn_text; callee_part ])))
 
 (* Reject a call cycle in [order] (a [usage_order]) exactly as hashing
    its functions in that order would, with no hashing: a job compiled
@@ -183,15 +211,13 @@ let check_acyclic plan order = List.iter (bottom_up plan (fun _ _ -> ())) order
 let emit_order plan ~top =
   let acc = ref [] in
   let rec go name =
-    let fi = fn_info plan name in
     List.iter
       (fun callee ->
         if not (List.mem callee !acc) then begin
           acc := callee :: !acc;
-          let cfi = fn_info plan callee in
-          if not cfi.fi_extern then go callee
+          if not (find plan callee).fn_extern then go callee
         end)
-      fi.fi_callees
+      (find plan name).fn_callees
   in
   go top;
   List.rev !acc @ [ top ]
@@ -204,8 +230,7 @@ let usage_order plan ~top =
   let rec go name =
     if not (Hashtbl.mem seen name) then begin
       Hashtbl.replace seen name ();
-      let fi = fn_info plan name in
-      List.iter go fi.fi_callees;
+      List.iter go (find plan name).fn_callees;
       acc := name :: !acc
     end
   in
@@ -267,10 +292,10 @@ let module_of_texts texts f =
    dependency order, itself last.  This is the mini-module layout the
    optimizer builds. *)
 let cone_texts plan name =
-  List.map (fun n -> (n, (fn_info plan n).fi_text)) (usage_order plan ~top:name)
+  List.map (fun n -> (n, Lazy.force (find plan n).fn_text)) (usage_order plan ~top:name)
 
 let cone_members plan name =
-  List.map (fun n -> (n, Clone (fn_info plan n).fi_func)) (usage_order plan ~top:name)
+  List.map (fun n -> (n, Clone (find plan n).fn_func)) (usage_order plan ~top:name)
 
 let lookup mini name =
   match Ops.lookup_func mini name with Some f -> f | None -> assert false
@@ -311,7 +336,7 @@ let optimize plan ~passes ~instrument name =
    itself: the op [optimize] returned, or its printed form — the same
    IR either way (clone ≡ parse). *)
 let emit_members plan ~opt name =
-  List.map (fun c -> (c, Clone (fn_info plan c).fi_func)) (fn_info plan name).fi_callees
+  List.map (fun c -> (c, Clone (find plan c).fn_func)) (find plan name).fn_callees
   @ [ (name, opt) ]
 
 let emit_fn plan ~opt name =
@@ -324,7 +349,7 @@ let emit_fn plan ~opt name =
 (* An extern function has no body to optimize: its module is a black
    box emitted from the declaration itself. *)
 let emit_extern plan name =
-  mini_module [ (name, Clone (fn_info plan name).fi_func) ] (fun mini ->
+  mini_module [ (name, Clone (find plan name).fn_func) ] (fun mini ->
       (Hir_codegen.Emit.emit_extern_module (lookup mini name), []))
 
 (* The Verilog module name [name] emits as — the key instances use. *)
@@ -352,7 +377,7 @@ let print_compiled plan ~compiled name ((vmodule : Hir_verilog.Ast.module_def), 
   let usages = Hashtbl.create 8 in
   List.iter
     (fun c -> Hashtbl.replace usages (emitted_module_name c) (compiled c).c_usage)
-    (fn_info plan name).fi_callees;
+    (find plan name).fn_callees;
   let usage (m : Hir_verilog.Ast.module_def) =
     Hir_resources.Model.module_usage m ~instance_usage:(fun mname ->
         match Hashtbl.find_opt usages mname with

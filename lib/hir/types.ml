@@ -154,10 +154,10 @@ let parse_type mnemonic lex =
     let max_elements = 1 lsl 22 in
     let rec dims acc =
       match L.peek lex with
-      | L.INT n, dim_loc ->
+      | L.INT n ->
         ignore (L.next lex);
-        if n < 1 then
-          raise (L.Lex_error (dim_loc, "memref dimension size must be positive"));
+        let dim_at = L.offset lex in
+        if n < 1 then raise (L.Lex_error (L.loc lex, "memref dimension size must be positive"));
         L.expect lex L.STAR;
         let acc = n :: acc in
         (* Each accepted size is <= max_elements, so the running product
@@ -165,7 +165,7 @@ let parse_type mnemonic lex =
         if n > max_elements || List.fold_left ( * ) 1 acc > max_elements then
           raise
             (L.Lex_error
-               ( dim_loc,
+               ( L.location_at lex dim_at,
                  Printf.sprintf "memref has more than %d elements" max_elements ));
         dims acc
       | _ -> List.rev acc
@@ -177,11 +177,11 @@ let parse_type mnemonic lex =
     let parse_tail () =
       while L.accept lex L.COMMA do
         match L.next lex with
-        | L.IDENT "packing", _ ->
+        | L.IDENT "packing" ->
           L.expect lex L.EQUAL;
           L.expect lex L.LBRACKET;
           let rec ints acc =
-            match L.peek_token lex with
+            match L.peek lex with
             | L.INT n ->
               ignore (L.next lex);
               ignore (L.accept lex L.COMMA);
@@ -191,11 +191,11 @@ let parse_type mnemonic lex =
               List.rev acc
           in
           packing := Some (ints [])
-        | L.IDENT "r", _ -> port := Read
-        | L.IDENT "w", _ -> port := Write
-        | L.IDENT "rw", _ -> port := Read_write
-        | got, loc ->
-          raise (L.Lex_error (loc, "unexpected memref modifier " ^ L.token_to_string got))
+        | L.IDENT "r" -> port := Read
+        | L.IDENT "w" -> port := Write
+        | L.IDENT "rw" -> port := Read_write
+        | got ->
+          raise (L.Lex_error (L.loc lex, "unexpected memref modifier " ^ L.token_to_string got))
       done;
       L.expect lex L.RANGLE
     in

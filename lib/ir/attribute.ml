@@ -10,16 +10,40 @@ type t =
   | Array of t list
   | Dict of (string * t) list
 
+(* The escape [add_quoted] writes for a byte, or "" for a raw one. *)
+let escape = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\t' -> "\\t"
+  | _ -> ""
+
+(* Append [s] as a string literal that [Lexer] reads back byte for
+   byte: only the four bytes it decodes are escaped (double quote,
+   backslash, newline, tab), and every other byte is written raw.  A
+   newline is escaped, so every line break in a print is the
+   printer's own. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  let raw = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let e = escape s.[i] in
+    if String.length e > 0 then begin
+      Buffer.add_substring buf s !raw (i - !raw);
+      Buffer.add_string buf e;
+      raw := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !raw (String.length s - !raw);
+  Buffer.add_char buf '"'
+
 (* Append the textual form of an attribute to [buf]; [typ] renders the
    payload of a type attribute. *)
 let rec add_to_buffer ~typ buf = function
   | Unit -> Buffer.add_string buf "unit"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int n -> Buffer.add_string buf (string_of_int n)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (String.escaped s);
-    Buffer.add_char buf '"'
+  | String s -> add_quoted buf s
   | Symbol s ->
     Buffer.add_char buf '@';
     Buffer.add_string buf s

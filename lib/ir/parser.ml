@@ -9,45 +9,51 @@ let fail loc msg = raise (Parse_error (loc, msg))
 
 type state = {
   lex : Lexer.t;
-  scope : (string, Ir.value * Location.t) Hashtbl.t;
-      (* SSA name -> value and the location that defined it *)
+  scope : (string, Ir.value * int) Hashtbl.t;
+      (* SSA name -> value and the source offset that defined it *)
   mutable depth : int;  (* current region-nesting depth *)
 }
+
+(* A parse error at a source offset, or at the token [Lexer.next]
+   returned last: its location is rendered only now. *)
+let fail_at st offset msg = fail (Lexer.location_at st.lex offset) msg
+let fail_here st msg = fail (Lexer.loc st.lex) msg
 
 (* The parser is recursive-descent, so region nesting consumes OCaml
    stack; bound it so a pathological input is a parse error rather
    than a [Stack_overflow].  Real designs nest a handful of levels. *)
 let max_region_depth = 64
 
-let lookup_value st name loc =
-  match Hashtbl.find_opt st.scope name with
-  | Some (v, _) -> v
-  | None -> fail loc (Printf.sprintf "use of undefined value %%%s" name)
+let lookup_value st name =
+  match Hashtbl.find st.scope name with
+  | v, _ -> v
+  | exception Not_found -> fail_here st (Printf.sprintf "use of undefined value %%%s" name)
 
 (* A second definition of the same SSA name is an error reported with
    both locations — [Hashtbl.replace] would silently shadow the first
    binding and rewire every later use. *)
-let define_value st name v loc =
-  match Hashtbl.find_opt st.scope name with
-  | Some (_, prior_loc) ->
-    fail loc
+let define_value st name v offset =
+  match Hashtbl.find st.scope name with
+  | _, prior ->
+    fail_at st offset
       (Printf.sprintf "redefinition of value %%%s (previously defined at %s)" name
-         (Location.to_string prior_loc))
-  | None -> Hashtbl.replace st.scope name (v, loc)
+         (Location.to_string (Lexer.location_at st.lex prior)))
+  | exception Not_found -> Hashtbl.add st.scope name (v, offset)
 
 let rec parse_attr_value st =
   match Lexer.next st.lex with
-  | Lexer.INT n, _ -> Attribute.Int n
-  | Lexer.STRING s, _ -> Attribute.String s
-  | Lexer.AT s, _ -> Attribute.Symbol s
-  | Lexer.IDENT "true", _ -> Attribute.Bool true
-  | Lexer.IDENT "false", _ -> Attribute.Bool false
-  | Lexer.IDENT "unit", _ -> Attribute.Unit
-  | Lexer.LBRACKET, loc ->
+  | Lexer.INT n -> Attribute.Int n
+  | Lexer.STRING s -> Attribute.String s
+  | Lexer.AT s -> Attribute.Symbol s
+  | Lexer.IDENT "true" -> Attribute.Bool true
+  | Lexer.IDENT "false" -> Attribute.Bool false
+  | Lexer.IDENT "unit" -> Attribute.Unit
+  | Lexer.LBRACKET ->
     (* Arrays and dicts recurse, so they count against the same nesting
        bound as regions. *)
     if st.depth >= max_region_depth then
-      fail loc (Printf.sprintf "attributes nested deeper than %d levels" max_region_depth);
+      fail_here st
+        (Printf.sprintf "attributes nested deeper than %d levels" max_region_depth);
     st.depth <- st.depth + 1;
     let rec go acc =
       if Lexer.accept st.lex Lexer.RBRACKET then List.rev acc
@@ -63,23 +69,25 @@ let rec parse_attr_value st =
     let a = Attribute.Array (go []) in
     st.depth <- st.depth - 1;
     a
-  | Lexer.LBRACE, loc ->
+  | Lexer.LBRACE ->
     if st.depth >= max_region_depth then
-      fail loc (Printf.sprintf "attributes nested deeper than %d levels" max_region_depth);
+      fail_here st
+        (Printf.sprintf "attributes nested deeper than %d levels" max_region_depth);
     st.depth <- st.depth + 1;
     let d = Attribute.Dict (parse_attr_entries st) in
     st.depth <- st.depth - 1;
     d
-  | Lexer.BANG, loc ->
+  | Lexer.BANG ->
+    let bang = Lexer.offset st.lex in
     let kind = Lexer.expect_ident st.lex in
-    if kind <> "ty" then fail loc "expected !ty<...> attribute"
+    if kind <> "ty" then fail_at st bang "expected !ty<...> attribute"
     else begin
       Lexer.expect st.lex Lexer.LANGLE;
       let t = Type_parser.parse st.lex in
       Lexer.expect st.lex Lexer.RANGLE;
       Attribute.Type t
     end
-  | got, loc -> fail loc ("expected attribute value, found " ^ Lexer.token_to_string got)
+  | got -> fail_here st ("expected attribute value, found " ^ Lexer.token_to_string got)
 
 and parse_attr_entries st =
   (* Assumes the opening brace is already consumed; consumes the
@@ -102,14 +110,14 @@ and parse_attr_entries st =
 
 let parse_loc st =
   (* 'loc' '(' STRING [':' INT ':' INT] ')' — optional trailer. *)
-  match Lexer.peek_token st.lex with
+  match Lexer.peek st.lex with
   | Lexer.IDENT "loc" ->
     ignore (Lexer.next st.lex);
     Lexer.expect st.lex Lexer.LPAREN;
     let s =
       match Lexer.next st.lex with
-      | Lexer.STRING s, _ -> s
-      | got, loc -> fail loc ("expected string in loc(...), found " ^ Lexer.token_to_string got)
+      | Lexer.STRING s -> s
+      | got -> fail_here st ("expected string in loc(...), found " ^ Lexer.token_to_string got)
     in
     let result =
       if Lexer.accept st.lex Lexer.COLON then begin
@@ -127,51 +135,49 @@ let parse_loc st =
 let rec parse_op st =
   (* Optional results. *)
   let results =
-    match Lexer.peek_token st.lex with
+    match Lexer.peek st.lex with
     | Lexer.PERCENT _ ->
       let rec go acc =
         match Lexer.next st.lex with
-        | Lexer.PERCENT name, name_loc ->
-          if Lexer.accept st.lex Lexer.COMMA then go ((name, name_loc) :: acc)
+        | Lexer.PERCENT name ->
+          let acc = (name, Lexer.offset st.lex) :: acc in
+          if Lexer.accept st.lex Lexer.COMMA then go acc
           else begin
             Lexer.expect st.lex Lexer.EQUAL;
-            List.rev ((name, name_loc) :: acc)
+            List.rev acc
           end
-        | got, loc -> fail loc ("expected %result, found " ^ Lexer.token_to_string got)
+        | got -> fail_here st ("expected %result, found " ^ Lexer.token_to_string got)
       in
       go []
     | _ -> []
   in
-  let name, name_loc =
+  let name =
     match Lexer.next st.lex with
-    | Lexer.STRING s, loc -> (s, loc)
-    | got, loc -> fail loc ("expected op name string, found " ^ Lexer.token_to_string got)
+    | Lexer.STRING s -> s
+    | got -> fail_here st ("expected op name string, found " ^ Lexer.token_to_string got)
   in
+  let name_at = Lexer.offset st.lex in
   (* Operands. *)
   Lexer.expect st.lex Lexer.LPAREN;
   let operands =
     let rec go acc =
-      match Lexer.peek_token st.lex with
-      | Lexer.RPAREN ->
-        ignore (Lexer.next st.lex);
-        List.rev acc
-      | _ -> (
+      if Lexer.accept st.lex Lexer.RPAREN then List.rev acc
+      else
         match Lexer.next st.lex with
-        | Lexer.PERCENT n, loc ->
-          let v = lookup_value st n loc in
+        | Lexer.PERCENT n ->
+          let v = lookup_value st n in
           if Lexer.accept st.lex Lexer.COMMA then go (v :: acc)
           else begin
             Lexer.expect st.lex Lexer.RPAREN;
             List.rev (v :: acc)
           end
-        | got, loc -> fail loc ("expected %operand, found " ^ Lexer.token_to_string got))
+        | got -> fail_here st ("expected %operand, found " ^ Lexer.token_to_string got)
     in
     go []
   in
   (* Optional regions. *)
   let regions =
-    if Lexer.peek_token st.lex = Lexer.LPAREN then begin
-      ignore (Lexer.next st.lex);
+    if Lexer.accept st.lex Lexer.LPAREN then begin
       let rec go acc =
         let r = parse_region st in
         if Lexer.accept st.lex Lexer.COMMA then go (r :: acc)
@@ -223,14 +229,14 @@ let rec parse_op st =
   in
   let loc = parse_loc st in
   if List.length operand_types <> List.length operands then
-    fail name_loc "operand count does not match operand type list";
+    fail_at st name_at "operand count does not match operand type list";
   if List.length result_types <> List.length results then
-    fail name_loc "result count does not match result type list";
+    fail_at st name_at "result count does not match result type list";
   (* Check declared operand types against the resolved values. *)
   List.iter2
     (fun v t ->
       if not (Typ.equal v.Ir.v_type t) then
-        fail name_loc
+        fail_at st name_at
           (Printf.sprintf "operand type mismatch: value has %s, signature says %s"
              (Typ.to_string v.Ir.v_type) (Typ.to_string t)))
     operands operand_types;
@@ -238,24 +244,17 @@ let rec parse_op st =
     Ir.Op.create ~attrs ~regions ~loc name ~operands ~result_types
       ~result_hints:(List.map (fun (n, _) -> Some n) results)
   in
-  List.iteri
-    (fun i (n, name_loc) -> define_value st n (Ir.Op.result op i) name_loc)
-    results;
+  List.iteri (fun i (n, at) -> define_value st n (Ir.Op.result op i) at) results;
   op
 
 and parse_region st =
-  (match Lexer.peek st.lex with
-  | Lexer.LBRACE, loc when st.depth >= max_region_depth ->
-    fail loc (Printf.sprintf "regions nested deeper than %d levels" max_region_depth)
-  | _ -> ());
+  if Lexer.peek st.lex == Lexer.LBRACE && st.depth >= max_region_depth then
+    fail (Lexer.peek_loc st.lex)
+      (Printf.sprintf "regions nested deeper than %d levels" max_region_depth);
   Lexer.expect st.lex Lexer.LBRACE;
   st.depth <- st.depth + 1;
   let rec go acc =
-    match Lexer.peek_token st.lex with
-    | Lexer.RBRACE ->
-      ignore (Lexer.next st.lex);
-      List.rev acc
-    | _ -> go (parse_block st :: acc)
+    if Lexer.accept st.lex Lexer.RBRACE then List.rev acc else go (parse_block st :: acc)
   in
   let blocks = go [] in
   st.depth <- st.depth - 1;
@@ -263,24 +262,25 @@ and parse_region st =
 
 and parse_block st =
   (match Lexer.next st.lex with
-  | Lexer.CARET _, _ -> ()
-  | got, loc -> fail loc ("expected block label ^.., found " ^ Lexer.token_to_string got));
+  | Lexer.CARET _ -> ()
+  | got -> fail_here st ("expected block label ^.., found " ^ Lexer.token_to_string got));
   Lexer.expect st.lex Lexer.LPAREN;
   let args =
     let rec go acc =
       if Lexer.accept st.lex Lexer.RPAREN then List.rev acc
       else begin
         match Lexer.next st.lex with
-        | Lexer.PERCENT n, name_loc ->
+        | Lexer.PERCENT n ->
+          let at = Lexer.offset st.lex in
           Lexer.expect st.lex Lexer.COLON;
           let t = Type_parser.parse st.lex in
-          let acc = (n, name_loc, t) :: acc in
+          let acc = (n, at, t) :: acc in
           if Lexer.accept st.lex Lexer.COMMA then go acc
           else begin
             Lexer.expect st.lex Lexer.RPAREN;
             List.rev acc
           end
-        | got, loc -> fail loc ("expected %blockarg, found " ^ Lexer.token_to_string got)
+        | got -> fail_here st ("expected %blockarg, found " ^ Lexer.token_to_string got)
       end
     in
     go []
@@ -291,11 +291,9 @@ and parse_block st =
       ~arg_hints:(List.map (fun (n, _, _) -> Some n) args)
       (List.map (fun (_, _, t) -> t) args)
   in
-  List.iteri
-    (fun i (n, name_loc, _) -> define_value st n (Ir.Block.arg block i) name_loc)
-    args;
+  List.iteri (fun i (n, at, _) -> define_value st n (Ir.Block.arg block i) at) args;
   let rec go () =
-    match Lexer.peek_token st.lex with
+    match Lexer.peek st.lex with
     | Lexer.RBRACE | Lexer.CARET _ -> ()
     | _ ->
       Ir.Block.append block (parse_op st);
@@ -308,16 +306,6 @@ let parse_string ?(file = "<input>") src =
   let st = { lex = Lexer.create ~file src; scope = Hashtbl.create 64; depth = 0 } in
   let op = parse_op st in
   (match Lexer.peek st.lex with
-  | Lexer.EOF, _ -> ()
-  | got, loc -> fail loc ("trailing input: " ^ Lexer.token_to_string got));
+  | Lexer.EOF -> ()
+  | got -> fail (Lexer.peek_loc st.lex) ("trailing input: " ^ Lexer.token_to_string got));
   op
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let src =
-    (* [Fun.protect] so a read error cannot leak the channel. *)
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse_string ~file:path src

@@ -79,11 +79,6 @@ let type_text namer t =
     Hashtbl.add namer.types t s;
     s
 
-let add_quoted buf s =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (String.escaped s);
-  Buffer.add_char buf '"'
-
 let add_value namer buf v =
   Buffer.add_char buf '%';
   Buffer.add_string buf (name_value namer v)
@@ -98,7 +93,7 @@ let add_sep_array buf add a =
 let add_attrs namer buf = function
   | [] -> ()
   | attrs ->
-    let attrs = List.sort (fun (a, _) (b, _) -> String.compare a b) attrs in
+    let attrs = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) attrs in
     Buffer.add_string buf " {";
     List.iteri
       (fun i (k, v) ->
@@ -117,7 +112,7 @@ let add_loc buf op =
   | Location.Unknown -> ()
   | Location.File { file; line; col } ->
     Buffer.add_string buf " loc(";
-    add_quoted buf file;
+    Attribute.add_quoted buf file;
     Buffer.add_char buf ':';
     Buffer.add_string buf (string_of_int line);
     Buffer.add_char buf ':';
@@ -125,7 +120,7 @@ let add_loc buf op =
     Buffer.add_char buf ')'
   | Location.Name { name; _ } ->
     Buffer.add_string buf " loc(";
-    add_quoted buf name;
+    Attribute.add_quoted buf name;
     Buffer.add_char buf ')'
 
 let add_types namer buf values =
@@ -138,7 +133,7 @@ let rec add_op ?(indent = 0) namer buf op =
     add_sep_array buf (add_value namer buf) op.results;
     Buffer.add_string buf " = "
   end;
-  add_quoted buf op.op_name;
+  Attribute.add_quoted buf op.op_name;
   Buffer.add_char buf '(';
   add_sep_array buf (add_value namer buf) op.operands;
   Buffer.add_char buf ')';
@@ -185,9 +180,12 @@ and add_region ~indent namer buf r =
   Buffer.add_string buf (String.make indent ' ');
   Buffer.add_char buf '}'
 
+(* Each print and slice counts into the current [Metrics] scope, so a
+   caller can see what text a compile built. *)
 let print_with namer op =
   let buf = Buffer.create 4096 in
   add_op namer buf op;
+  Metrics.record "printer.prints";
   Buffer.contents buf
 
 let op_to_string op = print_with (create_namer ()) op
@@ -223,6 +221,7 @@ let top_level_ranges text =
    the module's print does and the slice is that print, byte for
    byte. *)
 let slice text (start, stop) =
+  Metrics.record "printer.slices";
   let buf = Buffer.create (stop - start) in
   let rec copy i =
     match String.index_from_opt text i '\n' with
@@ -244,8 +243,15 @@ let slice text (start, stop) =
    the same text every time, and so does printing any op nested in it
    on its own, since the names are now unique within [op].
    [Ir.Clone] of [op], or of a function nested in it, therefore builds
-   the IR that parsing its printed form builds, in the same id
-   order. *)
+   the IR that parsing its printed form builds, in the same id order.
+
+   The print sorts attributes by key, stably, and the walk leaves them
+   in place: every reader of an attribute list looks keys up
+   ([Ir.Op.attr]: the first entry with the key, which a stable sort
+   keeps first) or sorts the list itself (the printer, CSE's key), so
+   the order of distinct keys reaches no output.  test_incremental's
+   one-compute-path cases compile shuffled attribute orders to the same
+   Verilog. *)
 let fix_names op =
   let namer = { (create_namer ()) with fix = true } in
   let name v = ignore (name_value namer v) in
@@ -266,12 +272,6 @@ let fix_names op =
     | _ -> ()
   in
   walk op
-
-(* [fix_names], then the text: after the walk every hint is a unique
-   printed name, so a plain print reproduces it name for name. *)
-let op_to_string_fixed op =
-  fix_names op;
-  op_to_string op
 
 (* Canonical text: identical for structurally identical modules even
    when value ids / hints differ (e.g. comparing the output of two

@@ -14,39 +14,56 @@ let register_dialect ~dialect f = Hashtbl.replace hooks dialect f
    allocation downstream). *)
 let max_type_width = 65536
 
-let parse_builtin_ident loc s =
-  let len = String.length s in
-  let is_num_suffix () =
-    len > 1
-    && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub s 1 (len - 1))
-  in
-  let num_suffix () =
-    match int_of_string_opt (String.sub s 1 (len - 1)) with
-    | Some n when n >= 1 && n <= max_type_width -> n
-    | _ ->
-      raise
-        (Lexer.Lex_error
-           ( loc,
-             Printf.sprintf "type width in '%s' must be between 1 and %d" s
-               max_type_width ))
-  in
-  match s.[0] with
-  | 'i' when is_num_suffix () -> Typ.Int (num_suffix ())
-  | 'f' when is_num_suffix () -> Typ.Float (num_suffix ())
-  | _ when s = "none" -> Typ.None_type
-  | _ -> raise (Lexer.Lex_error (loc, "unknown builtin type '" ^ s ^ "'"))
+(* [src.[i..stop)] is all digits. *)
+let rec all_digits src i stop = i = stop || (Lexer.is_digit src.[i] && all_digits src (i + 1) stop)
+
+(* The width [src.[i..stop)] spells, or [max_type_width + 1] for any
+   larger one. *)
+let rec width src i stop n =
+  if i = stop then n
+  else
+    width src (i + 1) stop
+      (min (max_type_width + 1) ((n * 10) + Char.code src.[i] - Char.code '0'))
+
+(* [src] holds [w] from [i], compared from [w]'s byte [j] on. *)
+let rec same src i w j = j = String.length w || (src.[i + j] = w.[j] && same src i w (j + 1))
+
+(* A lex error at the token [Lexer.next] returned last. *)
+let fail lex msg = raise (Lexer.Lex_error (Lexer.loc lex, msg))
+
+(* The builtin type named by the [len]-byte identifier that
+   [Lexer.next_word] just consumed, decoded in place: [iN] and [fN] read
+   their width straight from the source, and only a diagnostic copies
+   the name. *)
+let parse_builtin lex len =
+  let src = lex.Lexer.src and start = Lexer.offset lex in
+  let stop = start + len in
+  match src.[start] with
+  | ('i' | 'f') as c when len > 1 && all_digits src (start + 1) stop ->
+    let n = width src (start + 1) stop 0 in
+    if n < 1 || n > max_type_width then
+      fail lex
+        (Printf.sprintf "type width in '%s' must be between 1 and %d"
+           (String.sub src start len) max_type_width);
+    if c = 'i' then Typ.Int n else Typ.Float n
+  | _ when len = 4 && same src start "none" 0 -> Typ.None_type
+  | _ -> fail lex ("unknown builtin type '" ^ String.sub src start len ^ "'")
 
 let parse lex =
-  match Lexer.next lex with
-  | Lexer.IDENT s, loc -> parse_builtin_ident loc s
-  | Lexer.BANG, loc ->
-    let dialect = Lexer.expect_ident lex in
-    Lexer.expect lex Lexer.DOT;
-    let mnemonic = Lexer.expect_ident lex in
-    (match Hashtbl.find_opt hooks dialect with
-    | Some f -> f mnemonic lex
-    | None ->
-      raise (Lexer.Lex_error (loc, "no registered dialect type parser for '" ^ dialect ^ "'")))
-  | got, loc ->
-    raise
-      (Lexer.Lex_error (loc, "expected a type, found " ^ Lexer.token_to_string got))
+  match Lexer.next_word lex with
+  | 0 -> (
+    match Lexer.next lex with
+    | Lexer.BANG ->
+      let bang = Lexer.offset lex in
+      let dialect = Lexer.expect_ident lex in
+      Lexer.expect lex Lexer.DOT;
+      let mnemonic = Lexer.expect_ident lex in
+      (match Hashtbl.find_opt hooks dialect with
+      | Some f -> f mnemonic lex
+      | None ->
+        raise
+          (Lexer.Lex_error
+             ( Lexer.location_at lex bang,
+               "no registered dialect type parser for '" ^ dialect ^ "'" )))
+    | got -> fail lex ("expected a type, found " ^ Lexer.token_to_string got))
+  | len -> parse_builtin lex len

@@ -1033,24 +1033,36 @@ let test_unknown_callee () =
    verify` and `hirc compile` attribute it to the input alike: the
    first line each prints is the same. *)
 let test_verify_matches_compile () =
-  let name = "err_add.hir" in
-  let text = read_design name in
   let first_line s = List.hd (String.split_on_char '\n' s) in
-  let verified =
-    match
-      Driver.attribute ~job:name
-        (Diagnostic.Engine.to_list (Driver.verifier_engine (Parser.parse_string ~file:name text)))
-    with
-    | [] -> Alcotest.fail "err_add.hir must fail verification"
-    | d :: _ -> Diagnostic.to_string d
+  (* The first line `hirc verify` (and `hirc print`) prints for an
+     input: a lex or parse error from [Driver.parse_source], as
+     [load_module] prints it, or the first verifier diagnostic. *)
+  let verified ~name text =
+    match Driver.parse_source ~file:name text with
+    | Error d -> Diagnostic.to_string d
+    | Ok m -> (
+      match
+        Driver.attribute ~job:name (Diagnostic.Engine.to_list (Driver.verifier_engine m))
+      with
+      | [] -> Alcotest.failf "%s must fail verification" name
+      | d :: _ -> Diagnostic.to_string d)
   in
-  match compile_design ~name text with
-  | Ok _ -> Alcotest.fail "err_add.hir must fail to compile"
-  | Error e ->
-    check_string "first lines match" (first_line (Driver.error_to_string e))
-      (first_line verified);
-    check_bool "attributed to the input" true
-      (String.starts_with ~prefix:"\"err_add.hir\": error: Schedule error" (first_line verified))
+  List.iter
+    (fun (name, text, prefix) ->
+      let verified = first_line (verified ~name text) in
+      match compile_design ~name text with
+      | Ok _ -> Alcotest.failf "%s must fail to compile" name
+      | Error e ->
+        check_string (name ^ ": first lines match") (first_line (Driver.error_to_string e))
+          verified;
+        check_bool (name ^ ": " ^ verified) true (String.starts_with ~prefix verified))
+    [
+      ("err_add.hir", read_design "err_add.hir", "\"err_add.hir\": error: Schedule error");
+      ("parseerr.hir", "hir.func\n", "parseerr.hir:1:1: error: parse error: expected op name");
+      ( "lexerr.hir",
+        "\"builtin.module\"() ({\n  ^bb():\n  \"hir.nop\"() {value = 123abc} : () -> ()\n}) : () -> ()\n",
+        "lexerr.hir:3:24: error: lex error: malformed integer literal '123abc'" );
+    ]
 
 (* delay_order.hir defines a 3-cycle delay of %a before a 1-cycle one
    and returns both.  delay-elim must not rewire the deeper delay onto

@@ -66,6 +66,35 @@ let test_reaches_all_stages () =
   Alcotest.(check bool) "some verify rejects" true (stats.Fuzz.verify_rejects > 0);
   Alcotest.(check bool) "some inputs survive" true (stats.Fuzz.compiled_ok > 0)
 
+(* The frontend's diagnostics, pinned: every lex and parse reject of a
+   fixed mutant campaign, rendered "loc: kind error: message", hashed
+   into one digest.  A change to the lexer or parser that moves a
+   single line or column, or rewords a single message, changes it. *)
+let test_diagnostics_digest () =
+  let open Hir_ir in
+  let rng = Rng.create ~seed:2024 in
+  let corpus = Array.of_list (Lazy.force corpus) in
+  let buf = Buffer.create 65536 in
+  let lex = ref 0 and parse = ref 0 in
+  let add kind loc msg =
+    Printf.bprintf buf "%s: %s error: %s\n" (Location.to_string loc) kind msg
+  in
+  for _ = 1 to 3000 do
+    let input = Mutate.generate rng corpus in
+    match Ir.with_isolated_ids (fun () -> Parser.parse_string ~file:"<mutant>" input) with
+    | _ -> ()
+    | exception Lexer.Lex_error (loc, msg) ->
+      incr lex;
+      add "lex" loc msg
+    | exception Parser.Parse_error (loc, msg) ->
+      incr parse;
+      add "parse" loc msg
+  done;
+  Alcotest.(check (pair int int)) "lex and parse rejects" (1590, 1312) (!lex, !parse);
+  Alcotest.(check string)
+    "digest of the rendered diagnostics" "2d6e18c012a902ca0cf70ce24848003b"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -76,5 +105,6 @@ let () =
           Alcotest.test_case "full pipeline never crashes" `Quick test_full_no_crash;
           Alcotest.test_case "corpus seeds are valid" `Quick test_corpus_seeds_valid;
           Alcotest.test_case "campaign reaches all stages" `Quick test_reaches_all_stages;
+          Alcotest.test_case "frontend diagnostics digest" `Quick test_diagnostics_digest;
         ] );
     ]

@@ -394,6 +394,12 @@ let id_sequences root =
 
 let lookup mini name = Option.get (Ops.lookup_func mini name)
 
+(* [Printer.fix_names], then the text: after the walk every hint is a
+   unique printed name, so a plain print reproduces it name for name. *)
+let print_fixed op =
+  Printer.fix_names op;
+  Printer.op_to_string op
+
 let verilog_of_modules modules =
   String.concat "\n" (List.map Hir_verilog.Pretty.module_to_string modules)
 
@@ -421,7 +427,7 @@ let observe_optimize name mini =
     | exception Hir_codegen.Emit.Codegen_error msg -> Error msg
   in
   let f = lookup mini name in
-  ((before, after, verilog, Printer.op_to_string_fixed f), f)
+  ((before, after, verilog, print_fixed f), f)
 
 (* For every function of the module [build] returns, the mini-modules
    a cold compile clones and the ones the parse of the same texts
@@ -433,8 +439,8 @@ let observe_optimize name mini =
 let clone_matches_parse build =
   Ir.with_isolated_ids (fun () ->
       let m, _ = build () in
-      let text = Printer.op_to_string_fixed m in
-      let cplan = Incr.plan_of_module ~text m in
+      let text = print_fixed m in
+      let cplan = Incr.plan_of_module ~text:(Lazy.from_val text) m in
       let tplan = Incr.normalize ~file:"t.hir" ~text (Parser.parse_string text) in
       (* A side's result, or [None] when it rejects the function as not
          self-contained: the sides must agree on that too. *)
@@ -527,7 +533,7 @@ let slices_differ build =
       let m, _ = build () in
       let own () = List.map Printer.op_to_string (Ops.module_funcs m) in
       let before = own () in
-      ignore (Printer.op_to_string_fixed m);
+      ignore (print_fixed m);
       before <> own ())
 
 (* Every kernel, and GEMM and the systolic array at n = 4, 8 and 16.
@@ -595,7 +601,8 @@ let test_clone_rejects_foreign_value () =
 let check_slices plan =
   let fail name what = failwith (Printf.sprintf "@%s: %s" name what) in
   let funcs = Ops.module_funcs plan.Incr.pl_module in
-  let ranges = Printer.top_level_ranges plan.Incr.pl_text in
+  let text = Lazy.force plan.Incr.pl_text in
+  let ranges = Printer.top_level_ranges text in
   if List.length ranges <> List.length funcs then
     failwith
       (Printf.sprintf "%d ranges for %d functions" (List.length ranges) (List.length funcs));
@@ -603,7 +610,7 @@ let check_slices plan =
     (fun f range ->
       let name = Ops.func_name f in
       let own = Printer.op_to_string f in
-      if Printer.slice plan.Incr.pl_text range <> own then fail name "slice differs from print";
+      if Printer.slice text range <> own then fail name "slice differs from print";
       let fi = Incr.fn_info plan name in
       if fi.Incr.fi_func == f && fi.Incr.fi_text <> own then
         fail name "plan text differs from print")
@@ -615,8 +622,8 @@ let check_slices plan =
 let check_slices_of_build build =
   Ir.with_isolated_ids (fun () ->
       let m, _ = build () in
-      let text = Printer.op_to_string_fixed m in
-      check_slices (Incr.plan_of_module ~text m);
+      let text = print_fixed m in
+      check_slices (Incr.plan_of_module ~text:(Lazy.from_val text) m);
       check_slices (Incr.normalize ~file:"t.hir" ~text (Parser.parse_string text)))
 
 (* A text job's plan of a source that need not be its own print. *)
@@ -625,7 +632,7 @@ let check_slices_of_text ~file text =
       check_slices (Incr.normalize ~file ~text (Parser.parse_string ~file text)))
 
 (* Every kernel design, every example design (a file that is not its
-   own print is planned from the parse of its print), and a combined
+   own print is named in place and planned with its print), and a combined
    module of two kernels, as the edit tests compile them. *)
 let test_slices_match_prints () =
   List.iter
@@ -650,6 +657,230 @@ let slice_print_prop =
     (fun d ->
       match check_slices_of_build (fun () -> build_random d) with
       | () -> true
+      | exception Failure msg -> QCheck.Test.fail_report msg)
+
+(* ------------------------------------------------------------------ *)
+(* One compute path: with or without a cache, the same module          *)
+
+(* Every token of [text] with its offset. *)
+let tokens text =
+  let lex = Lexer.create text in
+  let rec go acc =
+    match Lexer.next lex with
+    | Lexer.EOF -> Array.of_list (List.rev acc)
+    | tok -> go ((tok, Lexer.offset lex) :: acc)
+  in
+  go []
+
+(* [text] with each op's attribute entries in reverse order.  An op's
+   attribute dict opens right after the ')' that closes its operands or
+   regions; a dict-valued attribute opens after '=', '[' or ','. *)
+let reverse_attributes text =
+  let toks = tokens text in
+  let buf = Buffer.create (String.length text) in
+  let copied = ref 0 in
+  let entry_text start stop = String.trim (String.sub text start (stop - start)) in
+  Array.iteri
+    (fun i (tok, at) ->
+      if tok = Lexer.LBRACE && i > 0 && fst toks.(i - 1) = Lexer.RPAREN then begin
+        (* Split the dict's entries at the commas of depth 0. *)
+        let rec scan j depth start acc =
+          let tok, off = toks.(j) in
+          match tok with
+          | Lexer.LBRACE | Lexer.LBRACKET | Lexer.LANGLE | Lexer.LPAREN ->
+            scan (j + 1) (depth + 1) start acc
+          | (Lexer.RBRACE | Lexer.RBRACKET | Lexer.RANGLE | Lexer.RPAREN) when depth > 0 ->
+            scan (j + 1) (depth - 1) start acc
+          | Lexer.RBRACE -> (off, entry_text start off :: acc)
+          | Lexer.COMMA when depth = 0 ->
+            scan (j + 1) depth (snd toks.(j + 1)) (entry_text start off :: acc)
+          | _ -> scan (j + 1) depth start acc
+        in
+        let close, reversed = scan (i + 1) 0 (snd toks.(i + 1)) [] in
+        Buffer.add_substring buf text !copied (at + 1 - !copied);
+        Buffer.add_string buf (String.concat ", " reversed);
+        copied := close
+      end)
+    toks;
+  Buffer.add_substring buf text !copied (String.length text - !copied);
+  Buffer.contents buf
+
+(* A file name that needs every escape the printer writes, and holds
+   non-ASCII bytes. *)
+let odd_file = {|"café \"q\" \\ \t\n.hir"|}
+
+(* [text] with a location naming [odd_file] on every op that has none:
+   after the ')' that closes an op's result types ('->' then '('). *)
+let add_locations text =
+  let toks = tokens text in
+  let buf = Buffer.create (String.length text) in
+  let copied = ref 0 in
+  Array.iteri
+    (fun i (tok, _) ->
+      if tok = Lexer.ARROW then begin
+        let rec close j depth =
+          match fst toks.(j) with
+          | Lexer.LPAREN -> close (j + 1) (depth + 1)
+          | Lexer.RPAREN when depth = 1 -> j
+          | Lexer.RPAREN -> close (j + 1) (depth - 1)
+          | _ -> close (j + 1) depth
+        in
+        let j = close (i + 1) 0 in
+        let has_loc = j + 1 < Array.length toks && fst toks.(j + 1) = Lexer.IDENT "loc" in
+        if not has_loc then begin
+          let after = snd toks.(j) + 1 in
+          Buffer.add_substring buf text !copied (after - !copied);
+          Printf.bprintf buf " loc(%s:%d:7)" odd_file (i mod 97);
+          copied := after
+        end
+      end)
+    toks;
+  Buffer.add_substring buf text !copied (String.length text - !copied);
+  Buffer.contents buf
+
+(* [text] with a comment line after every line, and more whitespace
+   around every colon and before every line break. *)
+let add_comments text =
+  let buf = Buffer.create (2 * String.length text) in
+  Buffer.add_string buf "// perturbed\n";
+  String.iter
+    (function
+      | '\n' -> Buffer.add_string buf " \r\n  // a comment line\n"
+      | ':' -> Buffer.add_string buf " \t:  "
+      | c -> Buffer.add_char buf c)
+    text;
+  Buffer.contents buf
+
+(* Comments, whitespace, reversed attributes and escaped strings at
+   once. *)
+let perturb text = add_comments (add_locations (reverse_attributes text))
+
+(* Every value's hint and every op's location under [root], in walk
+   order. *)
+let names root =
+  let acc = ref [] in
+  Ir.Walk.ops_pre root ~f:(fun op ->
+      acc := `Loc op.Ir.loc :: !acc;
+      Array.iter (fun v -> acc := `Hint v.Ir.v_hint :: !acc) op.Ir.results;
+      List.iter
+        (fun r ->
+          List.iter
+            (fun b -> Array.iter (fun v -> acc := `Hint v.Ir.v_hint :: !acc) b.Ir.b_args)
+            r.Ir.blocks)
+        op.Ir.regions);
+  List.rev !acc
+
+(* Compile [text] without a cache, cold with one, warm with it, and
+   with a second pipeline, whose job hits only the first job's Src
+   entry and so compiles the parse of its normalized print: the same
+   Verilog, usage or first diagnostic every time.  A job without a
+   cache prints and slices no HIR; with one, it prints the module once.
+   The parse a cache-less job plans is at the print∘parse fixed point
+   as it stands ([Printer.fix_names] renames nothing in it), and its
+   print is [Incr.normalize]'s. *)
+let check_one_path ~name ?top text =
+  let fail what = failwith (Printf.sprintf "%s: %s" name what) in
+  let opt = Pipeline.default ~optimize:true and plain = Pipeline.default ~optimize:false in
+  let compile ?cache pipeline =
+    let outcome, counters =
+      Metrics.with_scope (fun () ->
+          Driver.compile_job ?cache (Driver.job_of_text ?top ~pipeline ~name text))
+    in
+    let printed k = Option.value ~default:0 (List.assoc_opt ("printer." ^ k) counters) in
+    ( (match outcome with
+      | Ok o -> Ok (o.Driver.verilog, o.Driver.usage)
+      | Error e ->
+        Error (List.hd (String.split_on_char '\n' (Driver.error_to_string e)))),
+      (printed "prints", printed "slices") )
+  in
+  let bare, bare_printed = compile opt in
+  let bare_plain, _ = compile plain in
+  if bare_printed <> (0, 0) then fail "a job without a cache printed or sliced HIR";
+  let cache = Cache.create ~dir:(fresh_dir ()) () in
+  let cold, cold_printed = compile ~cache opt in
+  if cold <> bare then fail "cold compile with a cache differs";
+  if Result.is_ok cold && fst cold_printed <> 1 then
+    fail (Printf.sprintf "cold compile printed %d times" (fst cold_printed));
+  if fst (compile ~cache opt) <> bare then fail "warm compile differs";
+  let src_hits = Cache.get cache "src.hits" in
+  if fst (compile ~cache plain) <> bare_plain then fail "compile from the Src entry differs";
+  (match Driver.parse_source ~file:name text with
+  | Error _ -> ()
+  | Ok m ->
+    if Diagnostic.Engine.has_errors (Driver.verifier_engine m) then ()
+    else begin
+      if Cache.get cache "src.hits" <> src_hits + 1 then fail "the Src entry was not hit";
+      let normalized =
+        Ir.with_isolated_ids (fun () ->
+            let m = Parser.parse_string ~file:name text in
+            Lazy.force (Incr.normalize ~file:name ~text m).Incr.pl_text)
+      in
+      let plan = Incr.plan_of_module m in
+      if Printer.op_to_string plan.Incr.pl_module <> normalized then
+        fail "the plan's module prints differently from normalize's";
+      let parsed = names m in
+      Printer.fix_names m;
+      if names m <> parsed then fail "fix_names renamed a value of a parse"
+    end);
+  bare
+
+(* Every example design and kernel, as printed and perturbed. *)
+let test_one_path_designs () =
+  let kernels =
+    List.map
+      (fun k ->
+        Ir.with_isolated_ids (fun () ->
+            let m, f = k.Hir_kernels.Kernels.build () in
+            (k.Hir_kernels.Kernels.name, Some (Ops.func_name f), Printer.op_to_string m)))
+      Hir_kernels.Kernels.all
+  in
+  let examples = List.map (fun (file, text) -> (file, None, text)) Example_designs.designs in
+  List.iter
+    (fun (name, top, text) ->
+      match
+        ( check_one_path ~name ?top text,
+          check_one_path ~name:(name ^ " perturbed") ?top (perturb text) )
+      with
+      | Ok (_, usage), Ok (_, perturbed) ->
+        check_bool (name ^ ": perturbed usage") true (usage = perturbed)
+      | Error _, Error _ -> ()
+      | _ -> Alcotest.failf "%s: the perturbed text compiles differently" name
+      | exception Failure msg -> Alcotest.fail msg)
+    (examples @ kernels)
+
+(* The perturbations keep the module: its normalized print is the
+   original's, bar the added locations. *)
+let test_perturbations_keep_module () =
+  let normal text =
+    Ir.with_isolated_ids (fun () ->
+        let m = Parser.parse_string text in
+        Printer.fix_names m;
+        Printer.op_to_string m)
+  in
+  List.iter
+    (fun (file, text) ->
+      check_bool (file ^ " reversed") true (reverse_attributes text <> text);
+      check_string (file ^ " reversed and commented")
+        (normal text)
+        (normal (add_comments (reverse_attributes text)));
+      check_bool (file ^ " gets locations") true
+        (String.length (normal (add_locations text)) > String.length (normal text)))
+    (List.filter (fun (f, _) -> f <> "err_add.hir") Example_designs.designs)
+
+let one_path_prop =
+  QCheck.Test.make ~count:40 ~name:"one compute path on random designs" arb_random_design
+    (fun d ->
+      QCheck.assume
+        (Ir.with_isolated_ids (fun () ->
+             Random_designs.verifier_accepts (fst (build_random d))));
+      let text =
+        Ir.with_isolated_ids (fun () -> Printer.op_to_string (fst (build_random d)))
+      in
+      match
+        (check_one_path ~name:"random" text, check_one_path ~name:"random perturbed" (perturb text))
+      with
+      | Ok (_, usage), Ok (_, perturbed) -> usage = perturbed
+      | _ -> QCheck.Test.fail_report "a random design or its perturbation did not compile"
       | exception Failure msg -> QCheck.Test.fail_report msg)
 
 (* ------------------------------------------------------------------ *)
@@ -687,5 +918,12 @@ let () =
         [
           Alcotest.test_case "kernels and examples" `Quick test_slices_match_prints;
           QCheck_alcotest.to_alcotest ~verbose:false slice_print_prop;
+        ] );
+      ( "one-path",
+        [
+          Alcotest.test_case "perturbations keep the module" `Quick
+            test_perturbations_keep_module;
+          Alcotest.test_case "kernels and examples" `Quick test_one_path_designs;
+          QCheck_alcotest.to_alcotest ~verbose:false one_path_prop;
         ] );
     ]

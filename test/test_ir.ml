@@ -313,6 +313,43 @@ let test_lexer_string_newlines () =
   | exception exn -> Alcotest.failf "wrong exception: %s" (Printexc.to_string exn)
   | _ -> Alcotest.fail "expected a parse error"
 
+(* Any byte string, as a string attribute (also inside an array and a
+   dict), as a file location's name and as a named location, reads back
+   unchanged, and print∘parse∘print = print.  The printer escapes only
+   what the lexer decodes; before, [String.escaped] wrote [\ddd] and
+   the lexer read it back as [ddd]. *)
+let string_round_trip_prop =
+  QCheck.Test.make ~count:500 ~name:"strings round-trip through print and parse"
+    QCheck.(pair string string)
+    (fun (s, file) ->
+      let attrs =
+        (* In key order, the order the print writes and the parse reads. *)
+        [
+          ("a", Attribute.Array [ Attribute.String s; Attribute.Dict [ ("k", Attribute.String s) ] ]);
+          ("s", Attribute.String s);
+        ]
+      in
+      List.for_all
+        (fun loc ->
+          let op = Ir.Op.create "test.strings" ~attrs ~loc ~operands:[] ~result_types:[] in
+          let text = Printer.op_to_string op in
+          let back = Parser.parse_string text in
+          back.Ir.attrs = attrs && back.Ir.loc = loc && Printer.op_to_string back = text)
+        [ Location.file ~file ~line:5 ~col:5; Location.name file ])
+
+(* The location a string literal with a non-ASCII byte names survives
+   a print and a parse, as `hirc print` shows it. *)
+let test_non_ascii_location () =
+  let text = wrap_op "  \"hir.nop\"() : () -> () loc(\"caf\xc3\xa9.hir\":5:5)" in
+  let once = Printer.op_to_string (Parser.parse_string text) in
+  let twice = Printer.op_to_string (Parser.parse_string once) in
+  check_bool "file name kept" true
+    (let needle = "loc(\"caf\xc3\xa9.hir\":5:5)" in
+     let n = String.length needle in
+     let rec go i = i + n <= String.length once && (String.sub once i n = needle || go (i + 1)) in
+     go 0);
+  check_string "print is a fixed point" once twice
+
 let test_duplicate_ssa_definition () =
   let text =
     wrap_op
@@ -456,6 +493,8 @@ let () =
           Alcotest.test_case "duplicate SSA definition" `Quick test_duplicate_ssa_definition;
           Alcotest.test_case "nesting depth limit" `Quick test_nesting_depth_limit;
           Alcotest.test_case "diagnostic format" `Quick test_diagnostics_format;
+          Alcotest.test_case "non-ASCII location" `Quick test_non_ascii_location;
+          QCheck_alcotest.to_alcotest ~verbose:false string_round_trip_prop;
         ] );
       ( "infra",
         [
