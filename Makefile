@@ -19,7 +19,8 @@ test:
 # example designs and every built-in kernel (4 workers, traced, on a
 # cache emptied first so every job runs parse -> verify -> passes ->
 # emit for real, except a job another job's entries already serve),
-# plus a bounded deterministic fuzz pass over the frontend.  The
+# plus bounded deterministic fuzz passes over the frontend and over
+# the driver's shipped compile (`--full`, 0 crashes required).  The
 # summary's cache hits must count exactly the jobs printed "(cached)",
 # and `hirc cache --verify` must pass every file the batch left in the
 # cache's shards.  `hirc print` of `hirc print` must equal `hirc print`
@@ -46,6 +47,7 @@ check: build test
 	  fi
 	@echo "smoke cache verify: OK"
 	dune exec bin/hirc.exe -- fuzz 2000 --seed 1
+	dune exec bin/hirc.exe -- fuzz 10000 --seed 2 --full
 	@_build/default/bin/hirc.exe sim transposee 2>&1 | grep -q "did you mean transpose" \
 	  || { echo "make check: FAILED (sim typo did not suggest a kernel)"; exit 1; }
 	@echo "sim typo suggestion: OK"

@@ -73,22 +73,20 @@ let header title =
 (* ------------------------------------------------------------------ *)
 (* Compilation helpers                                                 *)
 
-let hir_design ~optimize build =
-  let m, f = build () in
-  Emit.compile ~optimize ~module_op:m ~top:f ()
+(* The resource usage `hirc compile` reports for a built design: a
+   builder job through the driver, with the default pipeline. *)
+let usage ~optimize build =
+  let job = Driver.job_of_builder ~pipeline:(Pipeline.default ~optimize) ~name:"bench" build in
+  match Driver.compile_job job with
+  | Ok o -> o.Driver.usage
+  | Error e -> failwith (Driver.error_to_string e)
 
-let hir_usage ~optimize build =
-  Model.design_usage (hir_design ~optimize build).Emit.design
-
-let hls_design ?(iv_width = 32) source_of =
-  let source =
-    match iv_width with 32 -> source_of () | _ -> Hls.Suite.transpose ~iv_width ()
-  in
-  let c = Hls.Compiler.compile source in
-  Emit.compile ~module_op:c.Hls.Compiler.hls_module ~top:c.Hls.Compiler.hls_func ()
-
-let hls_usage ?iv_width source_of =
-  Model.design_usage (hls_design ?iv_width source_of).Emit.design
+(* The HLS flow's design, which it lowers unoptimized: the HLS
+   compiler's HIR for a suite source. *)
+let hls_usage source_of =
+  usage ~optimize:false (fun () ->
+      let c = Hls.Compiler.compile (source_of ()) in
+      (c.Hls.Compiler.hls_module, c.Hls.Compiler.hls_func))
 
 (* Full HIR compile pipeline, as timed for Table 6: construct the
    design (standing in for parsing), verify it, generate and print
@@ -168,13 +166,13 @@ let table4 () =
         (fun () -> hls_usage Hls.Suite.transpose),
         (41, 92) );
       ( "Vivado HLS (manual opt)",
-        (fun () -> hls_usage ~iv_width:5 Hls.Suite.transpose),
+        (fun () -> hls_usage (Hls.Suite.transpose ~iv_width:5)),
         (7, 51) );
       ( "HIR (no opt)",
-        (fun () -> hir_usage ~optimize:false Hir_kernels.Transpose.build),
+        (fun () -> usage ~optimize:false Hir_kernels.Transpose.build),
         (32, 72) );
       ( "HIR (auto opt)",
-        (fun () -> hir_usage ~optimize:true Hir_kernels.Transpose.build),
+        (fun () -> usage ~optimize:true Hir_kernels.Transpose.build),
         (8, 18) );
     ]
   in
@@ -203,7 +201,7 @@ let table5 () =
   in
   let baseline_usage name =
     match name with
-    | "transpose" -> hls_usage ~iv_width:5 Hls.Suite.transpose
+    | "transpose" -> hls_usage (Hls.Suite.transpose ~iv_width:5)
     | "stencil_1d" -> hls_usage Hls.Suite.stencil
     | "histogram" -> hls_usage Hls.Suite.histogram
     | "gemm" -> hls_usage Hls.Suite.gemm
@@ -228,7 +226,7 @@ let table5 () =
   List.iter
     (fun (name, (bl, bf, bd, bb), (hl, hf, hd, hb)) ->
       let bu = baseline_usage name in
-      let hu = hir_usage ~optimize:true (hir_build name) in
+      let hu = usage ~optimize:true (hir_build name) in
       Printf.printf "%-12s | %6d %6d %4d %4d | %6d %6d %4d %4d   <- model\n" name
         bu.Model.lut bu.Model.ff bu.Model.dsp bu.Model.bram hu.Model.lut hu.Model.ff
         hu.Model.dsp hu.Model.bram;
@@ -288,9 +286,9 @@ let table6 () =
 (* Per-stage compile-time breakdown of the HIR flow, measured through
    the driver's tracing instrumentation — where the totals of Table 6
    actually go.  The columns are disjoint: [optimize] is the optimize
-   span less the passes it runs (re-parsing the function's cone and
-   printing the optimized function), and [other] is what the listed
-   columns leave of the total. *)
+   span less the passes it runs (cloning the function into a
+   mini-module of its own and naming the optimized function), and
+   [other] is what the listed columns leave of the total. *)
 let stages () =
   header "Table 6 (breakdown): per-stage HIR compile time through lib/driver (ms)";
   let columns = [ "build"; "verify"; "plan"; "passes"; "optimize"; "emit"; "pretty"; "print" ] in
@@ -771,8 +769,8 @@ let ablation () =
   Printf.printf "  %-14s %18s %18s\n" "kernel" "no-opt LUT/FF" "auto-opt LUT/FF";
   List.iter
     (fun (name, build) ->
-      let a = hir_usage ~optimize:false build in
-      let b = hir_usage ~optimize:true build in
+      let a = usage ~optimize:false build in
+      let b = usage ~optimize:true build in
       Printf.printf "  %-14s %11d/%-6d %11d/%-6d\n" name a.Model.lut a.Model.ff
         b.Model.lut b.Model.ff)
     [
@@ -1257,9 +1255,14 @@ let serve_crash ~seed ~hirc () =
   (* ---- phase B: restart on the same journal, recover everything ---- *)
   let pid = spawn_server faulted_args in
   wait_sock ();
-  (* Per job: poll until a terminal result; "unknown" means the admit
-     never reached the journal (or its record was faulted away), so
-     resubmit — idempotency makes over-resubmission safe. *)
+  (* Per job: poll until a terminal result, with at most one request
+     outstanding, so the server never queues a frame the client is not
+     about to read.  A poll is answered by the job's result or by its
+     state: "pending" polls again after 50 ms; "unknown" means the
+     admit never reached the journal (or its record was faulted away),
+     so the job is resubmitted and its own frame awaited, its result or
+     a rejection (duplicate-id: a replay admitted it meanwhile), before
+     polling resumes.  Frames about other jobs are stale and dropped. *)
   let recover_client idx =
     let c = connect_retry 40 in
     let client = client_name idx in
@@ -1267,45 +1270,51 @@ let serve_crash ~seed ~hirc () =
       let id = job_id idx i in
       if not (Hashtbl.mem results (client, id)) then begin
         let deadline = Unix.gettimeofday () +. 90. in
-        let send_poll () =
+        (* The next frame about [id], or [None] once the job is lost. *)
+        let rec next_frame () =
+          if Unix.gettimeofday () > deadline then begin
+            violate "phase B: %s/%s never resolved" client id;
+            None
+          end
+          else
+            match Protocol.Client.recv c with
+            | None ->
+              violate "phase B: server hung up on %s" client;
+              None
+            | Some j when Protocol.Json.field_str j "id" = Some id -> Some j
+            | Some _ -> next_frame ()
+        in
+        let is_result j =
+          Protocol.Json.field_str j "event" = Some "result"
+          && Protocol.Json.field_str j "reason" = None
+        in
+        let record j =
+          let status = Option.value ~default:"?" (Protocol.Json.field_str j "status") in
+          record_result (client, id) (status, Protocol.Json.field_str j "verilog")
+        in
+        let rec poll () =
           Protocol.Client.send c
             (Protocol.Json.Obj
                [
                  ("op", Protocol.Json.Str "poll");
                  ("client", Protocol.Json.Str client);
                  ("id", Protocol.Json.Str id);
-               ])
+               ]);
+          match next_frame () with
+          | None -> ()
+          | Some j when is_result j -> record j
+          | Some j when Protocol.Json.field_str j "state" = Some "unknown" -> (
+            send_compile c ~client ~id ~kernel:(kernel_of idx i);
+            match next_frame () with
+            | None -> ()
+            | Some j when is_result j -> record j
+            | Some _ -> retry ())
+          | Some _ -> retry ()
+        and retry () =
+          Unix.sleepf 0.05;
+          poll ()
         in
-        let rec await () =
-          if Unix.gettimeofday () > deadline then
-            violate "phase B: %s/%s never resolved" client id
-          else begin
-            send_poll ();
-            match Protocol.Client.recv c with
-            | None -> violate "phase B: server hung up on %s" client
-            | Some j -> (
-              match
-                ( Protocol.Json.field_str j "event",
-                  Protocol.Json.field_str j "id",
-                  Protocol.Json.field_str j "reason",
-                  Protocol.Json.field_str j "state" )
-              with
-              | Some "result", Some rid, None, _ when rid = id ->
-                let status =
-                  Option.value ~default:"?" (Protocol.Json.field_str j "status")
-                in
-                record_result (client, id) (status, Protocol.Json.field_str j "verilog")
-              | Some "poll", Some rid, _, Some "pending" when rid = id ->
-                Unix.sleepf 0.05;
-                await ()
-              | Some "poll", Some rid, _, Some "unknown" when rid = id ->
-                send_compile c ~client ~id ~kernel:(kernel_of idx i);
-                Unix.sleepf 0.05;
-                await ()
-              | _ -> await ()  (* duplicate-id races, stray frames *))
-          end
-        in
-        await ()
+        poll ()
       end
     done;
     Protocol.Client.close c

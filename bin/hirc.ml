@@ -27,9 +27,9 @@
          (quarantining damaged ones) and/or empty the quarantine
      hirc fuzz [N] [--seed S] [--full] [--corpus DIR] [--crash-dir DIR]
                [--dump-last FILE]
-         mutation-fuzz the textual frontend (--full: also passes, codegen
-         and printing); exits 1 if any input crashes instead of failing
-         with a diagnostic
+         mutation-fuzz the textual frontend (--full: compile each input
+         as `hirc compile` does); exits 1 if any input crashes instead of
+         failing with a diagnostic
      hirc sim <kernel> [--cycles N] [--stats] [--vcd out.vcd] [--hls]
          compile a built-in kernel and run it on the opcode engine of the
          RTL simulator with generic inputs; --stats reports the
@@ -396,8 +396,9 @@ let fuzz_cmd =
       value & flag
       & info [ "full" ]
           ~doc:
-            "Also run the pass pipeline, codegen and the Verilog printer on inputs \
-             that verify (slower; default fuzzes parse + verify only)")
+            "Compile each input through the stages `hirc compile` ships: verify, \
+             the optimizing pass pipeline and per-function emit and print, as an \
+             uncached job (slower; default fuzzes parse + verify only)")
   in
   let corpus_arg =
     Arg.(
@@ -1017,16 +1018,8 @@ let serve_cmd =
             "On SIGTERM or a shutdown frame, finish in-flight jobs for up to \
              $(docv) seconds before cancelling the stragglers and exiting")
   in
-  let watchdog_arg =
-    Arg.(
-      value & opt float 3.0
-      & info [ "watchdog-factor" ] ~docv:"K"
-          ~doc:
-            "Cancel a running job once it exceeds $(docv) x its deadline without \
-             finishing (0 disables the watchdog)")
-  in
   let run socket port workers depth cache_dir cache_budget trace_out deadline retries
-      verbose journal drain_deadline watchdog inject inject_seed =
+      verbose journal drain_deadline inject inject_seed =
     match fault_config_of inject inject_seed with
     | Error e ->
       prerr_endline e;
@@ -1059,7 +1052,6 @@ let serve_cmd =
             cfg_trace_path = trace_out;
             cfg_journal = journal;
             cfg_drain_deadline = max 0. drain_deadline;
-            cfg_watchdog_factor = watchdog;
             cfg_verbose = verbose;
           }
         in
@@ -1076,7 +1068,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ port_arg $ workers_arg $ depth_arg $ cache_dir_arg
       $ cache_budget_arg $ trace_arg $ deadline_arg $ retries_arg $ verbose_arg
-      $ journal_arg $ drain_arg $ watchdog_arg $ inject_arg $ inject_seed_arg)
+      $ journal_arg $ drain_arg $ inject_arg $ inject_seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* hirc journal                                                        *)

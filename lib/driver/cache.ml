@@ -112,8 +112,11 @@ let count_kind t kind what = count t (kind_to_string kind ^ "." ^ what)
    function's definitions travel in its own Vmod payload; v8: one file
    per entry, whose header the digest covers; v9: strings print with
    only the escapes the lexer decodes, so a Src or Job entry of v8 may
-   hold a string the print corrupted.) *)
-let driver_version = "hir-driver/9"
+   hold a string the print corrupted; v10: the verifiers check each
+   function's signature against its body and each call against its
+   callee, and a Src hit skips them, so a v9 Src entry may hold a
+   module they now reject.) *)
+let driver_version = "hir-driver/10"
 
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 

@@ -97,16 +97,19 @@ exception Compile_failed of Diagnostic.t list
 
 let fail_msg msg = raise (Compile_failed [ Diagnostic.error Location.unknown msg ])
 
-(* Structural verification, then schedule verification if that was
-   clean: the schedule verifier's accessors assume a structurally sound
-   module.  The engine holds every diagnostic either reported. *)
+(* Structural verification, then, if that was clean, each call
+   against its callee's signature and the schedule: their accessors
+   assume a structurally sound module.  The engine holds every
+   diagnostic reported. *)
 let verifier_engine module_op =
   let engine = Diagnostic.Engine.create () in
   (match Verify.verify module_op with
   | Ok () -> ()
   | Error e -> List.iter (Diagnostic.Engine.emit engine) (Diagnostic.Engine.to_list e));
-  if not (Diagnostic.Engine.has_errors engine) then
-    Verify_schedule.verify_module engine module_op;
+  if not (Diagnostic.Engine.has_errors engine) then begin
+    Ops.verify_calls engine module_op;
+    Verify_schedule.verify_module engine module_op
+  end;
   engine
 
 let run_verifiers module_op =
@@ -388,8 +391,11 @@ let link st plan ~top =
   let usage = (Hashtbl.find st.st_fns top).Incr.c_usage in
   { Cache.e_verilog = verilog; e_top = top; e_usage = usage }
 
-let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
-  let trace = match trace with Some t -> t | None -> Trace.create () in
+(* The job's stages: cache lookup, plan, per-function compile, link
+   and store.  A failing stage's exception escapes: [compile_job] maps
+   it to the job's error, and `hirc fuzz --full` runs this form so that
+   a bug the mapping's backstop would report is a crash there. *)
+let compile_job_exn ?cache ?(trace = Trace.create ()) ?(limits = Guard.no_limits) ?cancel job =
   let name = source_name job.src in
   let st =
     {
@@ -406,102 +412,83 @@ let compile_job ?cache ?trace ?(limits = Guard.no_limits) ?cancel job =
   in
   let started = Trace.now () in
   let finish ~from_cache ~note ~pass_stats (e : Cache.entry) =
-    Ok
-      {
-        job_name = name;
-        top_name = e.Cache.e_top;
-        verilog = e.Cache.e_verilog;
-        usage = e.Cache.e_usage;
-        from_cache;
-        note;
-        degradations = List.rev st.st_degradations;
-        pass_stats;
-        seconds = Trace.now () -. started;
-      }
+    {
+      job_name = name;
+      top_name = e.Cache.e_top;
+      verilog = e.Cache.e_verilog;
+      usage = e.Cache.e_usage;
+      from_cache;
+      note;
+      degradations = List.rev st.st_degradations;
+      pass_stats;
+      seconds = Trace.now () -. started;
+    }
   in
-  try
-    Faults.with_scope name (fun () ->
-        Ir.with_isolated_ids (fun () ->
-            let text, built = source_text st in
-            let key =
-              lazy (Cache.key ~pipeline:st.st_pipeline ~top:job.top ~source:(Lazy.force text))
-            in
-            Guard.tick st.st_guard;
-            match consult st Cache.Job "job" key with
-            | Some entry ->
-              count st "cache-hit";
-              finish ~from_cache:true ~note:None ~pass_stats:[] entry
-            | None -> (
-              if cache <> None then count st "cache-miss";
-              (* The compile itself as an injection point: models a
-                 worker crashing mid-job. *)
-              Faults.point "job.compile";
-              let plan, top, note = plan_source st ~text built in
-              let order = cone st plan ~top in
-              let hash = lazy (Incr.cone_hashes plan ~pipeline:st.st_pipeline) in
-              let passes = Pipeline.to_passes job.pipeline in
-              let emitted = List.filter (compile_fn st plan ~passes ~hash) order in
-              let entry = link st plan ~top in
-              (* With every function of the design from its Vmod entry,
-                 the job is served from the cache and stores nothing. *)
-              let from_cache = emitted = [] in
-              if from_cache then count st "cache-link-hit"
-              else store st Cache.Job "result" key (fun () -> entry);
-              finish ~from_cache ~note ~pass_stats:(List.concat (List.rev st.st_stats)) entry)))
-  with
-  | Compile_failed diags | Incr.Pass_failed diags ->
-    Error { err_job = name; err_class = Permanent; err_diags = attribute ~job:name diags }
-  | Guard.Exhausted { reason; _ } ->
-    Trace.instant trace ~cat:"fault" ~args:[ ("job", name) ] "job-timeout";
-    Error
-      { err_job = name;
-        err_class = Timeout;
-        err_diags = [ Diagnostic.error (Location.name name) ("job timeout: " ^ reason) ] }
-  | Guard.Cancelled _ ->
-    Trace.instant trace ~cat:"fault" ~args:[ ("job", name) ] "job-cancelled";
-    Error
-      { err_job = name;
-        err_class = Cancelled;
-        err_diags = [ Diagnostic.error (Location.name name) "job cancelled" ] }
-  | Faults.Injected p ->
-    Trace.instant trace ~cat:"fault" ~args:[ ("job", name); ("point", p) ] "fault-injected";
-    Error
-      { err_job = name;
-        err_class = Transient;
-        err_diags =
-          [ Diagnostic.error (Location.name name) ("injected fault at " ^ p) ] }
-  | (Parser.Parse_error _ | Lexer.Lex_error _) as exn ->
-    Error
-      { err_job = name;
-        err_class = Permanent;
-        err_diags = Option.to_list (frontend_diagnostic exn) }
-  | Hir_codegen.Emit.Codegen_error msg | Incr.Fallback msg ->
+  Faults.with_scope name (fun () ->
+      Ir.with_isolated_ids (fun () ->
+          let text, built = source_text st in
+          let key =
+            lazy (Cache.key ~pipeline:st.st_pipeline ~top:job.top ~source:(Lazy.force text))
+          in
+          Guard.tick st.st_guard;
+          match consult st Cache.Job "job" key with
+          | Some entry ->
+            count st "cache-hit";
+            finish ~from_cache:true ~note:None ~pass_stats:[] entry
+          | None ->
+            if cache <> None then count st "cache-miss";
+            (* The compile itself as an injection point: models a
+               worker crashing mid-job. *)
+            Faults.point "job.compile";
+            let plan, top, note = plan_source st ~text built in
+            let order = cone st plan ~top in
+            let hash = lazy (Incr.cone_hashes plan ~pipeline:st.st_pipeline) in
+            let passes = Pipeline.to_passes job.pipeline in
+            let emitted = List.filter (compile_fn st plan ~passes ~hash) order in
+            let entry = link st plan ~top in
+            (* With every function of the design from its Vmod entry,
+               the job is served from the cache and stores nothing. *)
+            let from_cache = emitted = [] in
+            if from_cache then count st "cache-link-hit"
+            else store st Cache.Job "result" key (fun () -> entry);
+            finish ~from_cache ~note ~pass_stats:(List.concat (List.rev st.st_stats)) entry))
+
+let compile_job ?cache ?(trace = Trace.create ()) ?limits ?cancel job =
+  let name = source_name job.src in
+  let error err_class err_diags = Error { err_job = name; err_class; err_diags } in
+  let fault ?(args = []) what =
+    Trace.instant trace ~cat:"fault" ~args:(("job", name) :: args) what
+  in
+  match compile_job_exn ?cache ~trace ?limits ?cancel job with
+  | o -> Ok o
+  | exception (Compile_failed diags | Incr.Pass_failed diags) ->
+    error Permanent (attribute ~job:name diags)
+  | exception Guard.Exhausted { reason; _ } ->
+    fault "job-timeout";
+    error Timeout [ Diagnostic.error (Location.name name) ("job timeout: " ^ reason) ]
+  | exception Guard.Cancelled _ ->
+    fault "job-cancelled";
+    error Cancelled [ Diagnostic.error (Location.name name) "job cancelled" ]
+  | exception Faults.Injected p ->
+    fault ~args:[ ("point", p) ] "fault-injected";
+    error Transient [ Diagnostic.error (Location.name name) ("injected fault at " ^ p) ]
+  | exception ((Parser.Parse_error _ | Lexer.Lex_error _) as exn) ->
+    error Permanent (Option.to_list (frontend_diagnostic exn))
+  | exception (Hir_codegen.Emit.Codegen_error msg | Incr.Fallback msg) ->
     (* A module the staged path cannot compile (unknown callee, call
        cycle, ...) is an input the emitter rejects for the same
        reason. *)
-    Error
-      { err_job = name;
-        err_class = Permanent;
-        err_diags = [ Diagnostic.error (Location.name name) ("codegen: " ^ msg) ] }
-  | Sys_error msg ->
+    error Permanent [ Diagnostic.error (Location.name name) ("codegen: " ^ msg) ]
+  | exception Sys_error msg ->
     (* IO trouble is infrastructure, not input: worth a retry. *)
-    Error
-      { err_job = name;
-        err_class = Transient;
-        err_diags = [ Diagnostic.error (Location.name name) msg ] }
-  | (Stack_overflow | Out_of_memory) as e -> raise e
-  | exn ->
+    error Transient [ Diagnostic.error (Location.name name) msg ]
+  | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+  | exception exn ->
     (* Backstop: a bug anywhere in the stack (an uncaught [Failure], an
        [Invalid_argument], …) must not escape across the scheduler's
-       domains; surface it as an internal-error diagnostic instead.
-       `hirc fuzz` bypasses this by driving the stages directly, so the
-       fuzzer still sees such bugs as crashes. *)
-    Error
-      { err_job = name;
-        err_class = Permanent;
-        err_diags =
-          [ Diagnostic.error (Location.name name)
-              ("internal error: " ^ Printexc.to_string exn) ] }
+       domains; surface it as an internal-error diagnostic instead. *)
+    error Permanent
+      [ Diagnostic.error (Location.name name) ("internal error: " ^ Printexc.to_string exn) ]
 
 (* ------------------------------------------------------------------ *)
 (* Batch mode                                                          *)

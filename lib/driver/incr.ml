@@ -12,7 +12,10 @@
    Cold compiles and warm recompiles therefore run the exact same
    construction on the exact same IR, which is what makes an
    incremental recompile byte-identical to a cold one — the property
-   the qcheck suite pins.
+   the qcheck suite pins.  The optimizer's mini-module holds the
+   function alone, since no pass looks up a callee, so a job optimizes
+   each function once; the emitter's also holds the function's direct
+   callees, whose interfaces its instances read.
 
    The compile path neither prints nor parses per-function text, and a
    job without a cache prints nothing at all: a plan holds the module's
@@ -289,13 +292,11 @@ let module_of_texts texts f =
   mini_module (List.map (fun (name, text) -> (name, Text text)) texts) f
 
 (* The pre-optimization cone of [name]: its transitive callees in
-   dependency order, itself last.  This is the mini-module layout the
-   optimizer builds. *)
+   dependency order, itself last.  No compile stage builds this layout
+   ([optimize] holds the function alone); the frozen benchmark's staged
+   replay reads it. *)
 let cone_texts plan name =
   List.map (fun n -> (n, Lazy.force (find plan n).fn_text)) (usage_order plan ~top:name)
-
-let cone_members plan name =
-  List.map (fun n -> (n, Clone (find plan n).fn_func)) (usage_order plan ~top:name)
 
 let lookup mini name =
   match Ops.lookup_func mini name with Some f -> f | None -> assert false
@@ -303,13 +304,14 @@ let lookup mini name =
 (* ------------------------------------------------------------------ *)
 (* Per-function optimize                                               *)
 
-(* Optimize [name] in a fresh mini-module holding a clone of its
-   pre-opt cone.  Returns the optimized function, left at the
-   print∘parse fixed point without printing it, and the pass
-   statistics.  The result depends only on the cone texts and the
-   pipeline — exactly what the cone hash covers. *)
+(* Optimize [name] in a fresh mini-module holding a clone of the
+   function alone: no pass looks up a callee, so each function of a
+   cone is optimized once, in its own job step.  Returns the optimized
+   function, left at the print∘parse fixed point without printing it,
+   and the pass statistics.  The result depends only on the function's
+   text and the pipeline, which its cone hash covers. *)
 let optimize plan ~passes ~instrument name =
-  mini_module (cone_members plan name) (fun mini ->
+  mini_module [ (name, Clone (find plan name).fn_func) ] (fun mini ->
       let mgr = Pass.Manager.create ~instrument passes in
       let result = Pass.Manager.run mgr mini in
       if not result.Pass.succeeded then begin

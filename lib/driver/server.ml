@@ -36,9 +36,7 @@
    exits cleanly; jobs still unfinished at [cfg_drain_deadline] are
    cancelled through the cooperative-cancel path, so their journal
    records are marked (status "cancelled") and a replay after drain
-   finds zero incomplete jobs.  A stuck-job watchdog cancels any
-   running job that exceeds [cfg_watchdog_factor] x its deadline
-   without reaching a guard checkpoint.
+   finds zero incomplete jobs.
 
    Cancellation: an explicit cancel frame or a client disconnect
    cancels that connection's *anonymous* jobs — named-client jobs
@@ -51,7 +49,7 @@
    Probes: line-JSON {"op":"health"} / {"op":"metrics"} frames, or
    plain HTTP `GET /health` / `GET /metrics` on the same socket for
    curl-style monitoring.  Metrics render the server's [Metrics]
-   table — job outcomes, journal and watchdog counters, every completed
+   table — job outcomes, journal counters, every completed
    job's counters (cache, retries, "pass:<pass>/<counter>") and
    log-bucket latency histograms — with the pool's queue depth and the
    cache's headline counters.  With [cfg_trace_path] set, a Chrome
@@ -71,8 +69,7 @@ type config = {
   cfg_trace_path : string option;
   cfg_journal : string option;  (* write-ahead job journal directory *)
   cfg_drain_deadline : float;  (* seconds before a drain cancels stragglers *)
-  cfg_watchdog_factor : float;  (* cancel at factor x deadline; <=0 disables *)
-  cfg_tick : float;  (* select timeout: drain/watchdog scan period *)
+  cfg_tick : float;  (* select timeout: drain scan period *)
   cfg_verbose : bool;
 }
 
@@ -87,7 +84,6 @@ let default_config ~listen () =
     cfg_trace_path = None;
     cfg_journal = None;
     cfg_drain_deadline = 30.0;
-    cfg_watchdog_factor = 3.0;
     cfg_tick = 1.0;
     cfg_verbose = false;
   }
@@ -118,12 +114,6 @@ type conn = {
   mutable co_closed : bool;
 }
 
-(* One in-flight job, keyed by (client, id). *)
-type pending_job = {
-  pj_handle : job_ctx Service.handle;
-  mutable pj_watchdog : bool;  (* already cancelled by the watchdog *)
-}
-
 (* One retained completion, for poll and idempotent resubmission. *)
 type finished_job = {
   fj_digest : string;
@@ -141,7 +131,7 @@ type t = {
   cq_mu : Mutex.t;
   cq : (job_ctx, Driver.report) Service.completion Queue.t;
   client_ids : (string, int) Hashtbl.t;  (* identity -> service client *)
-  pending : (string * string, pending_job) Hashtbl.t;  (* (client,id) *)
+  pending : (string * string, job_ctx Service.handle) Hashtbl.t;  (* (client,id) *)
   finished : (string * string, finished_job) Hashtbl.t;
   finished_order : (string * string) Queue.t;  (* eviction, oldest first *)
   mutable journal : Journal.t option;
@@ -246,7 +236,7 @@ let health_json t =
    appear as they first occur. *)
 let job_counters =
   [ "submitted"; "rejected"; "completed"; "ok"; "degraded"; "failed"; "cancelled";
-    "watchdog"; "idempotent" ]
+    "idempotent" ]
 
 let journal_counters = [ "appends"; "marks"; "faults"; "replayed" ]
 
@@ -423,8 +413,7 @@ let admit_request t ~conn_id ~client ~ephemeral ~digest ~journal_new
     | Service.Accepted h ->
       count t "jobs.submitted";
       if journal_new then journal_admit t { req with Protocol.cr_client = Some client };
-      Hashtbl.replace t.pending (client, req.Protocol.cr_id)
-        { pj_handle = h; pj_watchdog = false };
+      Hashtbl.replace t.pending (client, req.Protocol.cr_id) h;
       `Admitted h
     | Service.Overloaded -> `Overloaded
     | Service.Stopped -> `Stopped)
@@ -644,36 +633,11 @@ let drain_step t =
       t.drain_cancelled <- true;
       logf t "drain deadline passed: cancelling %d straggler(s)"
         (Hashtbl.length t.pending);
-      Hashtbl.iter (fun _ pj -> ignore (Service.cancel t.svc pj.pj_handle)) t.pending;
+      Hashtbl.iter (fun _ h -> ignore (Service.cancel t.svc h)) t.pending;
       (* Queued-job cancels synthesize completions synchronously. *)
       drain_completions t
     end;
     if Hashtbl.length t.pending = 0 && t.backlog = [] then t.stopping <- true
-  end
-
-(* The stuck-job watchdog: a running job that has blown through
-   [factor] x its deadline without a guard checkpoint observing the
-   deadline gets cancelled through the same cooperative path. *)
-let watchdog_step t =
-  let factor = t.cfg.cfg_watchdog_factor in
-  if factor > 0. then begin
-    let now = Unix.gettimeofday () in
-    Hashtbl.iter
-      (fun _ pj ->
-        if not pj.pj_watchdog then
-          let ctx = Service.data pj.pj_handle in
-          match ctx.jc_limits.Guard.deadline_s with
-          | None -> ()
-          | Some d -> (
-            match Service.running_since t.svc pj.pj_handle with
-            | Some started when now -. started > factor *. d ->
-              pj.pj_watchdog <- true;
-              count t "jobs.watchdog";
-              logf t "watchdog: cancelling %s/%s (ran %.1fs, deadline %.1fs)"
-                ctx.jc_client ctx.jc_id (now -. started) d;
-              ignore (Service.cancel t.svc pj.pj_handle)
-            | _ -> ()))
-      t.pending
   end
 
 (* ------------------------------------------------------------------ *)
@@ -918,7 +882,6 @@ let run cfg =
       start_drain t "SIGTERM"
     end;
     retry_backlog t;
-    watchdog_step t;
     drain_completions t;
     drain_step t
   done;

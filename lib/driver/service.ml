@@ -285,16 +285,6 @@ let submit t ~client ~priority data =
     Accepted h
   end
 
-(* How long has this job been occupying a worker?  [None] unless it is
-   currently running.  The stuck-job watchdog uses this to spot jobs
-   that sailed past k x their deadline without reaching a guard
-   checkpoint. *)
-let running_since t h =
-  Mutex.lock t.mu;
-  let r = match h.h_state with Running -> Some h.h_started | _ -> None in
-  Mutex.unlock t.mu;
-  r
-
 (* Withdraw a job.  [`Cancelled]: it was still queued and its
    (synthesized) completion has been delivered; [`Cancelling]: it is
    mid-compile, the flag is set and the real completion will report the

@@ -7,22 +7,25 @@
    a crash, and each crash is reported with the input that triggered
    it.
 
-   Unlike [Driver.compile_job] (whose catch-all backstop exists so a
-   service never dies), this module drives the stages directly, so
-   bugs the backstop would paper over still surface here as crashes. *)
+   Full mode compiles each input through [Driver.compile_job_exn], the
+   stages `hirc compile`, `batch` and `serve` ship, without
+   [Driver.compile_job]'s error mapping: its catch-all backstop exists
+   so a service never dies, and here the bugs it would paper over
+   surface as crashes. *)
 
 open Hir_ir
-open Hir_dialect
+module Driver = Hir_driver.Driver
+module Incr = Hir_driver.Incr
 
 type mode =
-  | Frontend  (* parse + structural & schedule verification *)
-  | Full  (* Frontend + default pass pipeline + emit + print *)
+  | Frontend  (* parse + [Driver.verifier_engine] *)
+  | Full  (* the driver's whole compile: verify, passes, emit, print *)
 
 type verdict =
   | Reject_lex
   | Reject_parse
   | Reject_verify  (* verifier or pass-pipeline diagnostics *)
-  | Reject_backend  (* located Codegen_error *)
+  | Reject_backend  (* codegen error, or a module the staged compile rejects *)
   | Compiled_ok
 
 type crash = {
@@ -49,35 +52,22 @@ let verdict_to_string = function
   | Compiled_ok -> "ok"
 
 let classify ~mode input =
-  match Parser.parse_string ~file:"<fuzz>" input with
-  | exception Lexer.Lex_error _ -> Reject_lex
-  | exception Parser.Parse_error _ -> Reject_parse
-  | module_op -> (
-    if Diagnostic.Engine.has_errors (Hir_driver.Driver.verifier_engine module_op) then
-      Reject_verify
-    else
-      match mode with
-      | Frontend -> Compiled_ok
-      | Full -> (
-        match
-          List.filter (fun f -> not (Ops.is_extern_func f)) (Ops.module_funcs module_op)
-        with
-        | [] -> Reject_verify
-        | funcs -> (
-          let top = List.nth funcs (List.length funcs - 1) in
-          let mgr =
-            Pass.Manager.create
-              (Hir_driver.Pipeline.to_passes (Hir_driver.Pipeline.default ~optimize:true))
-          in
-          let result = Pass.Manager.run mgr module_op in
-          if not result.Pass.succeeded then Reject_verify
-          else
-            match Hir_codegen.Emit.emit ~module_op ~top () with
-            | exception Hir_codegen.Emit.Codegen_error _ -> Reject_backend
-            | emitted ->
-              ignore
-                (Hir_verilog.Pretty.design_to_string emitted.Hir_codegen.Emit.design);
-              Compiled_ok)))
+  match mode with
+  | Frontend -> (
+    match Parser.parse_string ~file:"<fuzz>" input with
+    | exception Lexer.Lex_error _ -> Reject_lex
+    | exception Parser.Parse_error _ -> Reject_parse
+    | module_op ->
+      if Diagnostic.Engine.has_errors (Driver.verifier_engine module_op) then Reject_verify
+      else Compiled_ok)
+  | Full -> (
+    let pipeline = Hir_driver.Pipeline.default ~optimize:true in
+    match Driver.compile_job_exn (Driver.job_of_text ~pipeline ~name:"<fuzz>" input) with
+    | _ -> Compiled_ok
+    | exception Lexer.Lex_error _ -> Reject_lex
+    | exception Parser.Parse_error _ -> Reject_parse
+    | exception (Driver.Compile_failed _ | Incr.Pass_failed _) -> Reject_verify
+    | exception (Hir_codegen.Emit.Codegen_error _ | Incr.Fallback _) -> Reject_backend)
 
 (* One oracle call: a verdict, or the crash payload. *)
 let run_one ~mode input =

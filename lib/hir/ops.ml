@@ -221,6 +221,16 @@ let verify_func op engine =
         if List.length arg_types <> n - 1 then
           err engine op "hir.func arg_types length (%d) does not match body args (%d)"
             (List.length arg_types) (n - 1)
+        else
+          (* Codegen builds the module's ports from [arg_types] and
+             binds them to the body arguments positionally. *)
+          List.iteri
+            (fun i t ->
+              let body_t = Ir.Value.typ (Ir.Block.arg b i) in
+              if not (Typ.equal t body_t) then
+                err engine op "hir.func arg_types entry %d is %s but body argument %d is %s" i
+                  (Typ.to_string t) i (Typ.to_string body_t))
+            arg_types
       end;
       let returns =
         List.filter (fun o -> Ir.Op.name o = "hir.return") (Ir.Block.ops b)
@@ -762,3 +772,41 @@ let module_funcs module_op =
 
 let lookup_func module_op name =
   List.find_opt (fun f -> func_name f = name) (module_funcs module_op)
+
+(* Every hir.call against its callee's signature: argument and result
+   counts and types.  Codegen instantiates a callee positionally from
+   its signature, so a call that disagrees with it must not verify.
+   The check reads the whole module, so it is not a pass (the
+   compile's per-function mini-modules hold no callees), and it leaves
+   a call to an unknown function to codegen, which names it.  The
+   module must be structurally sound: signatures are read through the
+   typed accessors. *)
+let verify_calls engine module_op =
+  let funcs = Hashtbl.create 16 in
+  List.iter
+    (fun f -> if not (Hashtbl.mem funcs (func_name f)) then Hashtbl.add funcs (func_name f) f)
+    (module_funcs module_op);
+  let check call ~callee what actual expected =
+    let n = List.length actual and m = List.length expected in
+    if n <> m then
+      err engine call "hir.call to @%s has %d %ss but the callee's signature has %d" callee n
+        what m
+    else
+      List.iteri
+        (fun i (a, e) ->
+          if not (Typ.equal a e) then
+            err engine call "hir.call to @%s: %s %d is %s but the callee's signature has %s"
+              callee what i (Typ.to_string a) (Typ.to_string e))
+        (List.combine actual expected)
+  in
+  List.iter
+    (fun call ->
+      let callee = call_callee call in
+      match Hashtbl.find_opt funcs callee with
+      | None -> ()
+      | Some f ->
+        check call ~callee "argument" (List.map Ir.Value.typ (call_args call)) (func_arg_types f);
+        check call ~callee "result"
+          (List.map Ir.Value.typ (Ir.Op.results call))
+          (func_result_types f))
+    (Ir.Walk.find_all module_op "hir.call")

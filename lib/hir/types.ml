@@ -140,12 +140,15 @@ let print_type buf = function
     true
   | _ -> false
 
+(* [lex] has just read [mnemonic], so its last token is where the
+   type's errors point. *)
 let parse_type mnemonic lex =
   let module L = Hir_ir.Lexer in
   match mnemonic with
   | "const" -> Const
   | "time" -> Time
   | "memref" ->
+    let at = L.offset lex in
     L.expect lex L.LANGLE;
     (* dims: INT STAR ... then element type.  Sizes must be positive and
        the tensor bounded: a parsed [!hir.memref<-3*i32>] or a
@@ -209,13 +212,10 @@ let parse_type mnemonic lex =
     | Memref info when num_banks info > max_banks ->
       raise
         (L.Lex_error
-           ( Hir_ir.Location.unknown,
-             Printf.sprintf "memref has more than %d banks" max_banks ))
+           (L.location_at lex at, Printf.sprintf "memref has more than %d banks" max_banks))
     | _ -> ());
     t
-  | m ->
-    raise
-      (L.Lex_error (Hir_ir.Location.unknown, "unknown hir type mnemonic '" ^ m ^ "'"))
+  | m -> raise (L.Lex_error (L.loc lex, "unknown hir type mnemonic '" ^ m ^ "'"))
 
 let bit_width_hook = function
   | Const -> Some 32  (* materialized constants default to 32 bits *)

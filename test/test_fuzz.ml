@@ -92,7 +92,7 @@ let test_diagnostics_digest () =
   done;
   Alcotest.(check (pair int int)) "lex and parse rejects" (1590, 1312) (!lex, !parse);
   Alcotest.(check string)
-    "digest of the rendered diagnostics" "2d6e18c012a902ca0cf70ce24848003b"
+    "digest of the rendered diagnostics" "722f8a1e3223a3cf6d933e2667ae2594"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let () =

@@ -61,7 +61,7 @@ let build_transpose ?(outer_offset = 1) () =
 let verify_all m =
   let engine = Diagnostic.Engine.create () in
   (match Verify.verify m with
-  | Ok () -> ()
+  | Ok () -> Ops.verify_calls engine m
   | Error e ->
     List.iter (Diagnostic.Engine.emit engine) (Diagnostic.Engine.to_list e));
   Verify_schedule.verify_module engine m;
@@ -434,6 +434,71 @@ let test_transpose_print_parse () =
     Alcotest.failf "reparsed transpose fails verify:\n%s"
       (Diagnostic.Engine.to_string engine)
 
+(* ------------------------------------------------------------------ *)
+(* Signatures and type errors                                          *)
+
+(* [text] with its one occurrence of [old] replaced by [by]. *)
+let replace_once text ~old ~by =
+  let n = String.length old in
+  let rec find i =
+    if i + n > String.length text then Alcotest.failf "%S not in the design" old
+    else if String.sub text i n = old then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub text 0 i ^ by ^ String.sub text (i + n) (String.length text - i - n)
+
+let expect_verify_error text needle =
+  let diags = Diagnostic.Engine.to_string (verify_all (Parser.parse_string text)) in
+  if not (contains diags needle) then
+    Alcotest.failf "expected a diagnostic containing %S, got:\n%s" needle diags
+
+(* Codegen binds the ports it builds from [arg_types] to the body
+   arguments positionally: a signature entry that disagrees with its
+   argument crashed the emitter after verifying. *)
+let test_arg_types_match_body () =
+  let text = Printer.op_to_string (fst (build_transpose ())) in
+  expect_verify_error
+    (replace_once text ~old:"!ty<!hir.memref<16*16*i32, w>>" ~by:"!ty<!hir.memref<16*1*6*i32, w>>")
+    "hir.func arg_types entry 1 is !hir.memref<16*1*6*i32, w> but body argument 1 is \
+     !hir.memref<16*16*i32, w>"
+
+(* stencil_1d.hir with its call given one of @stencil_1d_op's two
+   arguments verified, then crashed codegen's instantiation. *)
+let test_call_matches_callee () =
+  let text = List.assoc "stencil_1d.hir" Example_designs.designs in
+  expect_verify_error
+    (replace_once text ~old:"(%v93, %v95, %ti) {arg_delays = [0, 0]"
+       ~by:"(%v93, %ti) {arg_delays = [0]"
+    |> replace_once ~old:": (i32, i32, !hir.time) -> (i32)" ~by:": (i32, !hir.time) -> (i32)")
+    "hir.call to @stencil_1d_op has 1 arguments but the callee's signature has 2"
+
+let lex_error_of text =
+  match Parser.parse_string ~file:"t.hir" text with
+  | exception Lexer.Lex_error (loc, msg) -> (Location.to_string loc, msg)
+  | _ -> Alcotest.failf "expected a lex error for:\n%s" text
+
+let test_unknown_type_located () =
+  Alcotest.(check (pair string string))
+    "located at the mnemonic"
+    ("t.hir:3:51", "unknown hir type mnemonic 'bogus'")
+    (lex_error_of
+       "\"builtin.module\"() ({\n  ^bb():\n  %c = \"hir.constant\"() {value = 1} : () -> \
+        (!hir.bogus)\n}) : () -> ()")
+
+let test_bank_bound_located () =
+  let text =
+    Printf.sprintf
+      "\"builtin.module\"() ({\n  ^bb():\n  \"hir.func\"() ({\n    ^bb(%%A: %s, %%t: \
+       !hir.time):\n    \"hir.return\"() : () -> ()\n  }) {arg_types = [!ty<%s>], \
+       sym_name = @f} : () -> ()\n}) : () -> ()"
+      "!hir.memref<8192*i32, packing=[], r>" "!hir.memref<8192*i32, packing=[], r>"
+  in
+  Alcotest.(check (pair string string))
+    "located at the mnemonic"
+    ("t.hir:4:18", "memref has more than 4096 banks")
+    (lex_error_of text)
+
 let () =
   Alcotest.run "hir"
     [
@@ -463,4 +528,14 @@ let () =
         ] );
       ( "unroll",
         [ Alcotest.test_case "unroll_for verifies" `Quick test_unroll_for_verifies ] );
+      ( "signatures",
+        [
+          Alcotest.test_case "arg_types match the body" `Quick test_arg_types_match_body;
+          Alcotest.test_case "calls match the callee" `Quick test_call_matches_callee;
+        ] );
+      ( "type errors",
+        [
+          Alcotest.test_case "unknown mnemonic located" `Quick test_unknown_type_located;
+          Alcotest.test_case "bank bound located" `Quick test_bank_bound_located;
+        ] );
     ]

@@ -466,11 +466,11 @@ let clone_matches_parse build =
           else begin
             let c =
               attempt (fun () ->
-                  Incr.mini_module (Incr.cone_members cplan name) (observe_optimize name))
+                  Incr.mini_module [ (name, Incr.Clone fi.Incr.fi_func) ] (observe_optimize name))
             in
             let t =
               attempt (fun () ->
-                  Incr.module_of_texts (Incr.cone_texts tplan name) (observe_optimize name))
+                  Incr.module_of_texts [ (name, ti.Incr.fi_text) ] (observe_optimize name))
             in
             expect "optimize layout" name (Option.map fst c) (Option.map fst t);
             match (c, t) with
@@ -884,6 +884,28 @@ let one_path_prop =
       | exception Failure msg -> QCheck.Test.fail_report msg)
 
 (* ------------------------------------------------------------------ *)
+(* Each function optimized once                                        *)
+
+(* A cache-less compile optimizes each function of the top's cone in a
+   mini-module of its own, so canonicalize processes each op once: a
+   mini-module holding the function's whole cone would process every
+   callee again for each caller. *)
+let test_optimize_once () =
+  List.iter
+    (fun (name, expected) ->
+      let top, parts = kernel_parts name in
+      let trace = Trace.create () in
+      (match
+         Driver.compile_job ~trace
+           (Driver.job_of_text ~top ~pipeline ~name (combined parts))
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" name (Driver.error_to_string e));
+      check_int (name ^ ": canonicalize ops processed") expected
+        (Metrics.get (Trace.metrics trace) "pass:canonicalize/driver.ops-processed"))
+    [ ("task_parallel", 76); ("stencil_1d", 37) ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "incremental"
@@ -926,4 +948,6 @@ let () =
           Alcotest.test_case "kernels and examples" `Quick test_one_path_designs;
           QCheck_alcotest.to_alcotest ~verbose:false one_path_prop;
         ] );
+      ( "optimize",
+        [ Alcotest.test_case "each function once" `Quick test_optimize_once ] );
     ]

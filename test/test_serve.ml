@@ -903,29 +903,6 @@ let test_server_sigterm_drains () =
       wait 200;
       try Protocol.Client.close c with _ -> ())
 
-let test_server_watchdog_cancels_stuck () =
-  (* A generous deadline the guard will never enforce, but a watchdog
-     factor that makes k x deadline pass almost immediately: the scan
-     must cancel the running job through the cooperative path and
-     count it. *)
-  with_server ~workers:1
-    ~tweak:(fun cfg ->
-      { cfg with Server.cfg_tick = 0.02; cfg_watchdog_factor = 0.00001 })
-    (fun sock ->
-      let c = Protocol.Client.connect_unix sock in
-      send_compile c ~id:"stuck" ~kernel:"gemm" ~deadline:1000.;
-      let r = recv_or_fail c "watchdog result" in
-      Alcotest.(check (option string)) "watchdog cancelled the job"
-        (Some "cancelled") (field r "status");
-      Protocol.Client.send c (Protocol.Json.Obj [ ("op", Protocol.Json.Str "metrics") ]);
-      let m = recv_or_fail c "metrics" in
-      (match Protocol.Json.mem "jobs" m with
-      | Some jobs ->
-        Alcotest.(check (option int)) "watchdog counter" (Some 1)
-          (Protocol.Json.field_int jobs "watchdog")
-      | None -> Alcotest.fail "metrics lacks jobs");
-      Protocol.Client.close c)
-
 let test_server_journal_replays_on_restart () =
   (* In-process end-to-end: journal a job on one server, shut it down
      with the done mark suppressed by a fault, restart on the same
@@ -1044,7 +1021,7 @@ let metrics_inventory =
   [ "event" ]
   @ group "jobs"
       [ "submitted"; "rejected"; "completed"; "ok"; "degraded"; "failed"; "cancelled";
-        "watchdog"; "idempotent"; "queue_depth"; "running"; "workers"; "spawn_failures" ]
+        "idempotent"; "queue_depth"; "running"; "workers"; "spawn_failures" ]
   @ group "cache" [ "hits"; "misses"; "stores"; "corrupt"; "faults" ]
   @ group "journal" [ "appends"; "marks"; "faults"; "replayed"; "backlog" ]
   @ group "counters" [ "cache-hit"; "cache-miss" ]
@@ -1221,8 +1198,6 @@ let () =
             test_server_named_client_survives_disconnect;
           Alcotest.test_case "sigterm drains cleanly" `Quick
             test_server_sigterm_drains;
-          Alcotest.test_case "watchdog cancels stuck job" `Quick
-            test_server_watchdog_cancels_stuck;
           Alcotest.test_case "journal replays on restart" `Quick
             test_server_journal_replays_on_restart;
           Alcotest.test_case "oversized frame rejected" `Quick test_server_frame_cap;
