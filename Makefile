@@ -25,7 +25,9 @@ test:
 # and `hirc cache --verify` must pass every file the batch left in the
 # cache's shards.  `hirc print` of `hirc print` must equal `hirc print`
 # on every example design, and `hirc verify` must report a parse error
-# with the `error:` severity `hirc compile` gives it.
+# with the `error:` severity `hirc compile` gives it.  `hirc sim` must
+# run every kernel, and every HLS suite kernel with --hls, with no
+# assertion failure.
 check: build test
 	@rm -rf _build/.hirc-smoke-cache
 	dune exec bin/hirc.exe -- batch $(SMOKE_DESIGNS) --kernels -j 4 \
@@ -51,6 +53,12 @@ check: build test
 	@_build/default/bin/hirc.exe sim transposee 2>&1 | grep -q "did you mean transpose" \
 	  || { echo "make check: FAILED (sim typo did not suggest a kernel)"; exit 1; }
 	@echo "sim typo suggestion: OK"
+	@sim() { out=$$(timeout 60 _build/default/bin/hirc.exe sim "$$@" 2>&1) \
+	    && echo "$$out" | head -1 | grep -qF " 0 assertion failure(s)" \
+	    || { echo "make check: FAILED (hirc sim $$*: $$out)"; exit 1; }; }; \
+	  for k in $$(_build/default/bin/hirc.exe kernels | cut -d' ' -f1); do sim $$k; done; \
+	  for k in $$(_build/default/bin/hirc.exe kernels --hls); do sim $$k --hls; done
+	@echo "sim sweep (every kernel, every HLS suite kernel): OK"
 	@out=$$(timeout 10 _build/default/bin/hirc.exe compile examples/designs/err_call_cycle.hir 2>&1); \
 	  code=$$?; \
 	  if [ $$code -ne 1 ] || ! echo "$$out" | grep -q "call cycle through @"; then \

@@ -588,26 +588,12 @@ let sim_scaling () =
   let histogram_inputs =
     [ Harness.Tensor (Hir_kernels.Histogram.make_input ~seed:33); Harness.Out_tensor ]
   in
-  let interp_cycles ~m ~f inputs =
-    let result, _ =
-      Interp.run ~module_op:m ~func:f
-        (List.map
-           (function
-             | Harness.Scalar v -> Interp.Scalar v
-             | Harness.Tensor a -> Interp.Tensor a
-             | Harness.Out_tensor -> Interp.Out_tensor)
-           inputs)
-    in
-    result.Interp.cycles
-  in
   let violation = ref None in
   let violate fmt = Printf.ksprintf (fun m -> if !violation = None then violation := Some m) fmt in
   List.iter
     (fun (name, build, inputs, floor) ->
       let m, f = build () in
-      let cycles = interp_cycles ~m ~f inputs in
-      (* compile mutates the module (unroll etc.), so rebuild fresh. *)
-      let m, f = build () in
+      let cycles = Harness.interp_cycles ~module_op:m ~func:f inputs in
       let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
       let last_stats = ref None in
       (* Steady-state: elaborate once, then time per-stimulus work only

@@ -6,11 +6,12 @@
          run the structural and schedule verifiers, print diagnostics
      hirc print design.hir
          parse and re-print (round-trip check)
-     hirc kernels
-         list the built-in benchmark kernels
-     hirc demo <kernel> [-o out.v] [--no-opt] [--stats] [--no-share]
+     hirc kernels [--hls]
+         list the built-in benchmark kernels (--hls: the HLS suite)
+     hirc demo <kernel> [-o out.v] [--no-opt] [--stats]
          compile a built-in kernel and report resources (--stats shows
-         the per-definition hierarchy breakdown; --no-share flattens it)
+         the per-definition hierarchy breakdown, ending with the flat
+         inclusive usage)
      hirc pipeline --passes "<spec>" design.hir [-o out.v] [--stats]
          compile with an explicit textual pass pipeline (--list shows
          the available passes)
@@ -52,6 +53,7 @@ open Hir_ir
 open Hir_dialect
 open Hir_driver
 open Cmdliner
+module Emit = Hir_codegen.Emit
 
 let () = Ops.register ()
 
@@ -247,17 +249,24 @@ let print_cmd =
     Term.(const run $ file_arg $ out_arg $ pretty_arg)
 
 let kernels_cmd =
-  let run () =
-    List.iter
-      (fun k ->
-        Printf.printf "%-14s %s\n" k.Hir_kernels.Kernels.name
-          k.Hir_kernels.Kernels.description)
-      Hir_kernels.Kernels.all;
+  let hls_arg =
+    Arg.(
+      value & flag
+      & info [ "hls" ] ~doc:"List the HLS evaluation suite (the kernels of `hirc sim --hls`)")
+  in
+  let run hls =
+    if hls then List.iter (fun (name, _) -> print_endline name) (Hir_hls.Suite.all ())
+    else
+      List.iter
+        (fun k ->
+          Printf.printf "%-14s %s\n" k.Hir_kernels.Kernels.name
+            k.Hir_kernels.Kernels.description)
+        Hir_kernels.Kernels.all;
     0
   in
   Cmd.v
     (Cmd.info "kernels" ~doc:"List the built-in benchmark kernels")
-    Term.(const run $ const ())
+    Term.(const run $ hls_arg)
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print per-pass statistics / resource estimates")
@@ -272,19 +281,11 @@ let unknown_kernel name =
   Printf.sprintf "unknown kernel %s%s (try `hirc kernels`)" name
     (did_you_mean (Hir_kernels.Kernels.suggest name))
 
-let no_share_arg =
-  Arg.(
-    value & flag
-    & info [ "no-share" ]
-        ~doc:
-          "With --stats, report flat (inclusive) resource numbers instead of the \
-           hierarchy-aware per-definition breakdown")
-
 let demo_cmd =
   let kernel_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name")
   in
-  let run name out no_opt stats no_share =
+  let run name out no_opt stats =
     match Hir_kernels.Kernels.find name with
     | None ->
       Printf.eprintf "%s\n" (unknown_kernel name);
@@ -299,30 +300,21 @@ let demo_cmd =
       | Ok o ->
         if stats then begin
           Format.eprintf "%a%!" Pass.Manager.pp_stats o.Driver.pass_stats;
-          if no_share then
-            (* Flat accounting: every instance charged in full. *)
-            Printf.eprintf "%s: %s\n" name
-              (Format.asprintf "%a" Hir_resources.Model.pp o.Driver.usage)
-          else begin
-            (* Hierarchy-aware accounting needs the design AST, which
-               the driver's cached text path does not keep; re-emit. *)
-            let module_op, top = k.Hir_kernels.Kernels.build () in
-            let emitted =
-              Hir_codegen.Emit.compile ~optimize:(not no_opt) ~module_op ~top ()
-            in
-            let report =
-              Hir_resources.Model.shared_report emitted.Hir_codegen.Emit.design
-            in
-            Printf.eprintf "%s:\n%s\n" name
-              (Format.asprintf "%a" Hir_resources.Model.pp_shared report)
-          end
+          (* Hierarchy-aware accounting needs the design AST, which the
+             driver's result does not keep: [Emit.compile] of the same
+             build gives the design it printed. *)
+          let module_op, top = Ir.with_isolated_ids k.Hir_kernels.Kernels.build in
+          let emitted = Emit.compile ~optimize:(not no_opt) ~module_op ~top () in
+          let report = Hir_resources.Model.shared_report emitted.Emit.design in
+          Printf.eprintf "%s:\n%s\n" name
+            (Format.asprintf "%a" Hir_resources.Model.pp_shared report)
         end;
         output_text out o.Driver.verilog;
         0)
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Compile a built-in kernel")
-    Term.(const run $ kernel_arg $ out_arg $ no_opt_arg $ stats_arg $ no_share_arg)
+    Term.(const run $ kernel_arg $ out_arg $ no_opt_arg $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* hirc pipeline                                                       *)
@@ -463,7 +455,6 @@ let fuzz_cmd =
 (* ------------------------------------------------------------------ *)
 (* hirc sim                                                            *)
 
-module Emit = Hir_codegen.Emit
 module Harness = Hir_rtl.Harness
 
 let sim_cmd =
@@ -529,40 +520,34 @@ let sim_cmd =
       prerr_endline e;
       1
     | Ok build ->
+      (* One build under a fresh id counter, as a builder job builds
+         it: the design simulated is the one `hirc demo` prints, and
+         the compile leaves the module for the interpreter. *)
+      let m, f = Ir.with_isolated_ids build in
+      let emitted = Emit.compile ~optimize:(not use_hls) ~module_op:m ~top:f () in
       (* Generic inputs derived from the compiled interface: zeroed
          scalars, zero-filled tensors on readable memref ports, a
          capture buffer on write-only ports. *)
-      let emitted =
-        let m, f = build () in
-        if use_hls then Emit.compile ~module_op:m ~top:f ()
-        else Emit.compile ~optimize:true ~module_op:m ~top:f ()
-      in
       let inputs =
         List.map
-          (fun arg ->
-            match arg with
-            | Emit.Ifc_scalar (_, w, _) -> (Harness.Scalar (Bitvec.zero w), Interp.Scalar (Bitvec.zero w))
+          (function
+            | Emit.Ifc_scalar (_, w, _) -> Harness.Scalar (Bitvec.zero w)
             | Emit.Ifc_mem mi -> (
               let info = mi.Emit.mi_info in
               match info.Types.port with
-              | Types.Write -> (Harness.Out_tensor, Interp.Out_tensor)
+              | Types.Write -> Harness.Out_tensor
               | _ ->
-                let n = Types.num_elements info in
-                let zeros = Array.init n (fun _ -> Bitvec.zero mi.Emit.mi_elem_width) in
-                (Harness.Tensor zeros, Interp.Tensor (Array.copy zeros))))
+                Harness.Tensor
+                  (Array.init (Types.num_elements info) (fun _ ->
+                       Bitvec.zero mi.Emit.mi_elem_width))))
           emitted.Emit.top_iface.Emit.ifc_args
       in
-      let harness_inputs = List.map fst inputs in
       let cycles =
         match cycles with
         | Some n -> n
-        | None ->
-          (* compile mutated the module, so rebuild for the interpreter. *)
-          let m, f = build () in
-          let r, _ = Interp.run ~module_op:m ~func:f (List.map snd inputs) in
-          r.Interp.cycles
+        | None -> Harness.interp_cycles ~module_op:m ~func:f inputs
       in
-      let simulate () = Harness.run ?vcd_path ~emitted ~inputs:harness_inputs ~cycles () in
+      let simulate () = Harness.run ?vcd_path ~emitted ~inputs ~cycles () in
       let (result, _agents), counters =
         Metrics.with_scope (fun () ->
             match vcd_path with Some path -> writing path simulate | None -> simulate ())

@@ -1159,58 +1159,198 @@ let emit_module_for ?(hier = true) ~module_op func =
     Outline.defs l.lw_registry,
     l.lw_iface )
 
-(* Transitive callees of a function, depth first.  [path] holds the
-   functions on the current call chain: a callee already on it is a
-   call cycle, which has no finite hardware (a module would have to
-   instantiate itself). *)
-let rec callees_of ~module_op ~path func acc =
-  let calls = Ir.Walk.find_all func "hir.call" in
-  List.fold_left
-    (fun acc call ->
-      let name = Ops.call_callee call in
-      if List.mem name path then fail "call cycle through @%s" name
-      else if List.mem_assoc name acc then acc
-      else
-        match Ops.lookup_func module_op name with
-        | None -> fail "call to unknown function @%s" name
-        | Some callee ->
-          let acc = (name, callee) :: acc in
-          if Ops.is_extern_func callee then acc
-          else callees_of ~module_op ~path:(name :: path) callee acc)
-    acc calls
 
-let emit ?(hier = true) ~module_op ~top () =
-  if Ops.is_extern_func top then
-    fail "top function @%s is extern (it has no body to emit)" (Ops.func_name top);
-  let callees = callees_of ~module_op ~path:[ Ops.func_name top ] top [] in
-  let modules = ref [] in
-  (* Shared definitions are deduplicated design-wide by name (the name
-     is content-addressed) and placed before the first module that
-     instantiates them. *)
-  let seen_defs = Hashtbl.create 16 in
-  let add_defs defs =
-    List.iter
-      (fun (d : V.module_def) ->
-        if not (Hashtbl.mem seen_defs d.V.mod_name) then begin
-          Hashtbl.replace seen_defs d.V.mod_name ();
-          modules := d :: !modules
-        end)
-      defs
-  in
+(* ------------------------------------------------------------------ *)
+(* Per-function compilation                                            *)
+
+(* [compile] below and the driver's jobs run the same stages over a
+   module at the print∘parse fixed point (a parse, or a module named in
+   place by [Printer.fix_names]):
+     - [compile_cone] walks the top's cone once, rejecting an extern
+       top, a call to an unknown function and a call cycle;
+     - [optimize_fn] optimizes each function alone, in a mini-module of
+       its own (no pass looks up a callee), and names the result;
+     - [emit_fn] emits it in a mini-module that also holds its
+       pre-optimization direct callees, whose interfaces its instances
+       read (optimization never changes an interface);
+     - [place] lists the modules in emit order, each shared definition
+       once, before the first module that instantiates it.
+   A mini-module is built under an isolated id counter from clones
+   ([Ir.Clone] allocates ids in the parser's order), so it is the IR
+   its functions' printed texts parse to, id for id: a function's
+   Verilog depends only on its own text and its callees'. *)
+
+(* A pass pipeline rejected a function: the pass diagnostics. *)
+exception Pass_failed of Diagnostic.t list
+
+(* One function of a mini-module: an op at the print∘parse fixed point
+   to clone, or a printed form to parse. *)
+type member = Clone of Ir.op | Text of string
+
+(* Each text is a single "hir.func" op, so [Parser.parse_string]
+   consumes it whole; a text that does not re-parse (a value captured
+   across function boundaries, a printer/parser asymmetry) cannot be
+   compiled on its own. *)
+let parse_fn_text ~what text =
+  match Parser.parse_string ~file:what text with
+  | op when Ir.Op.name op = "hir.func" -> op
+  | _ -> fail "%s: not a standalone function" what
+  | exception (Parser.Parse_error _ | Lexer.Lex_error _) ->
+    fail "%s does not re-parse standalone" what
+
+(* Clone one function with a mapping table of its own: two functions'
+   ids may come from different counters, so one shared table could
+   confuse them.  An operand the function does not define before its
+   use is what the parser would reject as an undefined value. *)
+let clone_fn ~what f =
+  Ir.Clone.clone_op ~mapping:(Hashtbl.create 64)
+    ~unmapped:(fun _ -> fail "%s uses a value it does not define first" what)
+    f
+
+(* A fresh module holding the given functions, in order, built under an
+   isolated id counter: ids run 0..n in member order, the same whether
+   a member is cloned or parsed. *)
+let mini_module members f =
+  Ir.with_isolated_ids (fun () ->
+      let m = Builder.create_module () in
+      let block = Builder.module_block m in
+      List.iter
+        (fun (name, member) ->
+          let what = "@" ^ name in
+          Ir.Block.append block
+            (match member with
+            | Clone op -> clone_fn ~what op
+            | Text text -> parse_fn_text ~what text))
+        members;
+      f m)
+
+(* A function as the stages read it. *)
+type fn = {
+  fn_func : Ir.op;
+  fn_callees : string list;  (* direct callees, deduped, discovery order *)
+  fn_extern : bool;
+}
+
+(* The first function of each name in a module, each read on first
+   use, so a compile reads only the functions of its top's cone. *)
+type functions = (string, fn Lazy.t) Hashtbl.t
+
+let direct_callees func =
+  let seen = Hashtbl.create 8 in
+  Ir.Walk.find_all func "hir.call"
+  |> List.filter_map (fun call ->
+         let name = Ops.call_callee call in
+         if Hashtbl.mem seen name then None
+         else begin
+           Hashtbl.replace seen name ();
+           Some name
+         end)
+
+let functions module_op : functions =
+  let fns = Hashtbl.create 16 in
   List.iter
-    (fun (_, callee) ->
-      if Ops.is_extern_func callee then
-        modules := emit_extern_module callee :: !modules
-      else begin
-        let m, defs, _ = emit_module_for ~hier ~module_op callee in
-        add_defs defs;
-        modules := m :: !modules
-      end)
-    (List.rev callees);
-  let top_module, top_defs, top_ifc = emit_module_for ~hier ~module_op top in
-  add_defs top_defs;
-  modules := top_module :: !modules;
-  { design = { V.modules = List.rev !modules; top = top_ifc.ifc_module }; top_iface = top_ifc }
+    (fun f ->
+      let name = Ops.func_name f in
+      if not (Hashtbl.mem fns name) then
+        Hashtbl.add fns name
+          (lazy
+            { fn_func = f; fn_callees = direct_callees f; fn_extern = Ops.is_extern_func f }))
+    (Ops.module_funcs module_op);
+  fns
+
+let find (fns : functions) name =
+  match Hashtbl.find_opt fns name with
+  | Some fn -> Lazy.force fn
+  | None -> fail "call to unknown function @%s" name
+
+(* A top's cone in the two orders the stages read it. *)
+type cone = {
+  co_deps : string list;  (* every callee before its callers, the top last *)
+  co_emit : string list;  (* the design's module order: callees in discovery order, the top last *)
+}
+
+(* One depth-first walk from [top].  A callee met again while it is
+   still on the call path is a call cycle, which has no finite hardware
+   (a module would have to instantiate itself): the walk names it. *)
+let cone fns ~top =
+  let state = Hashtbl.create 16 in
+  let deps = ref [] and discovered = ref [] in
+  let rec visit name =
+    Hashtbl.replace state name `On_path;
+    List.iter
+      (fun c ->
+        match Hashtbl.find_opt state c with
+        | Some `On_path -> fail "call cycle through @%s" c
+        | Some `Done -> ()
+        | None ->
+          discovered := c :: !discovered;
+          visit c)
+      (find fns name).fn_callees;
+    Hashtbl.replace state name `Done;
+    deps := name :: !deps
+  in
+  visit top;
+  { co_deps = List.rev !deps; co_emit = List.rev (top :: !discovered) }
+
+(* The cone a compile of [top] walks: an extern top has no body. *)
+let compile_cone fns ~top =
+  if (find fns top).fn_extern then fail "top function @%s is extern (it has no body to emit)" top;
+  cone fns ~top
+
+(* Optimize [func] in a fresh mini-module holding a clone of it alone,
+   so each function of a cone is optimized once.  Returns the optimized
+   function, left at the print∘parse fixed point without printing it,
+   and the pass statistics. *)
+let optimize_fn ~passes ?instrument func =
+  let name = Ops.func_name func in
+  mini_module [ (name, Clone func) ] (fun mini ->
+      let result = Pass.Manager.run (Pass.Manager.create ?instrument passes) mini in
+      if not result.Pass.succeeded then
+        raise
+          (Pass_failed
+             (match Diagnostic.Engine.to_list result.Pass.engine with
+             | [] -> [ Diagnostic.error Location.unknown "pass pipeline failed" ]
+             | diags -> diags));
+      let f =
+        match Ops.lookup_func mini name with
+        | Some f -> f
+        | None -> fail "@%s vanished during optimization" name
+      in
+      Printer.fix_names f;
+      (f, result.Pass.stats))
+
+(* The members of [func]'s emit mini-module: its direct callees as
+   [fns] holds them, then [func] (what [optimize_fn] returned). *)
+let emit_members fns func =
+  let name = Ops.func_name func in
+  List.map (fun c -> (c, Clone (find fns c).fn_func)) (find fns name).fn_callees
+  @ [ (name, Clone func) ]
+
+(* Emit [func] as [emit_module_for] does, from its emit mini-module. *)
+let emit_fn ?hier fns func =
+  mini_module (emit_members fns func) (fun mini ->
+      let f = Option.get (Ops.lookup_func mini (Ops.func_name func)) in
+      emit_module_for ?hier ~module_op:mini f)
+
+(* A design's entries in [order] (a cone's [co_emit]): for each
+   function, the shared definitions no earlier function placed, then
+   its own module.  [parts fn] is the function's definitions, by name,
+   and its module. *)
+let place order parts =
+  let placed = Hashtbl.create 16 in
+  List.concat_map
+    (fun fn ->
+      let defs, m = parts fn in
+      List.filter_map
+        (fun (name, d) ->
+          if Hashtbl.mem placed name then None
+          else begin
+            Hashtbl.replace placed name ();
+            Some d
+          end)
+        defs
+      @ [ m ])
+    order
 
 (* The default pass pipeline: [compile] runs it, and the driver's
    [Pipeline.default] names it.  The scalar optimizations run before
@@ -1222,9 +1362,28 @@ let default_passes ~optimize =
   if optimize then [ Passes.canonicalize; Precision_opt.pass; Unroll.pass; Passes.delay_elim ]
   else [ Unroll.pass ]
 
-(* Convenience: run the default pipeline then emit.  Pass diagnostics
-   are not reported here; the driver's pipeline reports them. *)
+(* Compile [top]'s cone with the default pipeline through the stages
+   above: the design `hirc compile` ships for the same module, which is
+   named in place first, as the driver names a builder module.  The
+   module's ops are left as they were; only the stages' clones are
+   optimized. *)
 let compile ?(optimize = false) ?(hier = true) ~module_op ~top () =
-  let engine = Diagnostic.Engine.create () in
-  List.iter (fun (p : Pass.t) -> ignore (p.Pass.run module_op engine)) (default_passes ~optimize);
-  emit ~hier ~module_op ~top ()
+  Printer.fix_names module_op;
+  let fns = functions module_op in
+  let cone = compile_cone fns ~top:(Ops.func_name top) in
+  let passes = default_passes ~optimize in
+  let compiled = Hashtbl.create 16 in
+  List.iter
+    (fun name ->
+      let fn = find fns name in
+      Hashtbl.replace compiled name
+        (if fn.fn_extern then (emit_extern_module fn.fn_func, [], interface_of fn.fn_func)
+         else emit_fn ~hier fns (fst (optimize_fn ~passes fn.fn_func))))
+    cone.co_deps;
+  let modules =
+    place cone.co_emit (fun name ->
+        let m, defs, _ = Hashtbl.find compiled name in
+        (List.map (fun (d : V.module_def) -> (d.V.mod_name, d)) defs, m))
+  in
+  let _, _, top_iface = Hashtbl.find compiled (Ops.func_name top) in
+  { design = { V.modules; top = top_iface.ifc_module }; top_iface }

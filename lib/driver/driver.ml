@@ -23,6 +23,7 @@
 
 open Hir_ir
 open Hir_dialect
+module Emit = Hir_codegen.Emit
 
 type source =
   | Text of { src_name : string; text : string }
@@ -329,22 +330,17 @@ let plan_source st ~text built =
     let f, note = pick_top plan.Incr.pl_module st.st_job.top in
     (plan, Ops.func_name f, note)
 
-(* The top's cone in dependency order, once the top is known to have a
-   body and the cone to have no call cycle.  The plan reads a
-   function's callees on first use, so this is planning time. *)
+(* The top's cone, once the top is known to have a body and the cone
+   to have no call cycle or unknown callee ([Emit.compile_cone], the
+   walk [Emit.compile] runs).  The plan reads a function's callees on
+   first use, so this is planning time. *)
 let cone st plan ~top =
   Trace.span st.st_trace ~cat:"frontend" "plan" (fun () ->
-      if (Incr.find plan top).Incr.fn_extern then
-        raise
-          (Hir_codegen.Emit.Codegen_error
-             (Printf.sprintf "top function @%s is extern (it has no body to emit)" top));
-      let order = Incr.usage_order plan ~top in
-      Incr.check_acyclic plan order;
-      order)
+      Emit.compile_cone plan.Incr.pl_fns ~top)
 
 (* One function of the cone, every callee already compiled: its record
-   comes from its Vmod entry, or it is optimized, emitted and printed
-   from the plan and stored.  Returns whether it was emitted. *)
+   comes from its Vmod entry, or it runs [Emit]'s stages from the plan
+   and is printed and stored.  Returns whether it was emitted. *)
 let compile_fn st plan ~passes ~hash fn =
   Guard.tick st.st_guard;
   let key = lazy (Cache.stage_key ~kind:Cache.Vmod ~parts:[ Lazy.force hash fn ]) in
@@ -356,20 +352,23 @@ let compile_fn st plan ~passes ~hash fn =
     match cached with
     | Some c -> c
     | None ->
+      let f = Emit.find plan.Incr.pl_fns fn in
       let emit =
-        if (Incr.find plan fn).Incr.fn_extern then Incr.emit_extern plan
+        if f.Emit.fn_extern then fun () -> (Emit.emit_extern_module f.Emit.fn_func, [])
         else begin
           let opt_fn, stats =
             Trace.span st.st_trace "optimize" (fun () ->
-                Incr.optimize plan ~passes
+                Emit.optimize_fn ~passes
                   ~instrument:(pass_instrument ~trace:st.st_trace ~guard:st.st_guard)
-                  fn)
+                  f.Emit.fn_func)
           in
           st.st_stats <- stats :: st.st_stats;
-          Incr.emit_fn plan ~opt:(Incr.Clone opt_fn)
+          fun () ->
+            let vmodule, defs, _ = Emit.emit_fn plan.Incr.pl_fns opt_fn in
+            (vmodule, defs)
         end
       in
-      let emitted = Trace.span st.st_trace ~cat:"backend" "emit" (fun () -> emit fn) in
+      let emitted = Trace.span st.st_trace ~cat:"backend" "emit" emit in
       let c =
         Trace.span st.st_trace ~cat:"backend" "pretty" (fun () ->
             Incr.print_compiled plan ~compiled:(Hashtbl.find st.st_fns) fn emitted)
@@ -382,10 +381,10 @@ let compile_fn st plan ~passes ~hash fn =
   Option.is_none cached
 
 (* Link the compiled cone into the job's result. *)
-let link st plan ~top =
+let link st (cone : Emit.cone) ~top =
   let verilog =
     Trace.span st.st_trace ~cat:"backend" "print" (fun () ->
-        Incr.link plan ~top ~compiled:(Hashtbl.find st.st_fns))
+        Incr.link cone.Emit.co_emit ~compiled:(Hashtbl.find st.st_fns))
   in
   Guard.tick st.st_guard;
   let usage = (Hashtbl.find st.st_fns top).Incr.c_usage in
@@ -441,11 +440,11 @@ let compile_job_exn ?cache ?(trace = Trace.create ()) ?(limits = Guard.no_limits
                worker crashing mid-job. *)
             Faults.point "job.compile";
             let plan, top, note = plan_source st ~text built in
-            let order = cone st plan ~top in
+            let cone = cone st plan ~top in
             let hash = lazy (Incr.cone_hashes plan ~pipeline:st.st_pipeline) in
             let passes = Pipeline.to_passes job.pipeline in
-            let emitted = List.filter (compile_fn st plan ~passes ~hash) order in
-            let entry = link st plan ~top in
+            let emitted = List.filter (compile_fn st plan ~passes ~hash) cone.Emit.co_deps in
+            let entry = link st cone ~top in
             (* With every function of the design from its Vmod entry,
                the job is served from the cache and stores nothing. *)
             let from_cache = emitted = [] in
@@ -461,7 +460,7 @@ let compile_job ?cache ?(trace = Trace.create ()) ?limits ?cancel job =
   in
   match compile_job_exn ?cache ~trace ?limits ?cancel job with
   | o -> Ok o
-  | exception (Compile_failed diags | Incr.Pass_failed diags) ->
+  | exception (Compile_failed diags | Emit.Pass_failed diags) ->
     error Permanent (attribute ~job:name diags)
   | exception Guard.Exhausted { reason; _ } ->
     fault "job-timeout";
@@ -474,10 +473,7 @@ let compile_job ?cache ?(trace = Trace.create ()) ?limits ?cancel job =
     error Transient [ Diagnostic.error (Location.name name) ("injected fault at " ^ p) ]
   | exception ((Parser.Parse_error _ | Lexer.Lex_error _) as exn) ->
     error Permanent (Option.to_list (frontend_diagnostic exn))
-  | exception (Hir_codegen.Emit.Codegen_error msg | Incr.Fallback msg) ->
-    (* A module the staged path cannot compile (unknown callee, call
-       cycle, ...) is an input the emitter rejects for the same
-       reason. *)
+  | exception Emit.Codegen_error msg ->
     error Permanent [ Diagnostic.error (Location.name name) ("codegen: " ^ msg) ]
   | exception Sys_error msg ->
     (* IO trouble is infrastructure, not input: worth a retry. *)

@@ -67,7 +67,7 @@ let classify ~mode input =
     | exception Lexer.Lex_error _ -> Reject_lex
     | exception Parser.Parse_error _ -> Reject_parse
     | exception (Driver.Compile_failed _ | Incr.Pass_failed _) -> Reject_verify
-    | exception (Hir_codegen.Emit.Codegen_error _ | Incr.Fallback _) -> Reject_backend)
+    | exception Hir_codegen.Emit.Codegen_error _ -> Reject_backend)
 
 (* One oracle call: a verdict, or the crash payload. *)
 let run_one ~mode input =

@@ -268,29 +268,23 @@ let delay_elim =
    converge by worklist exhaustion, so hitting the bound means a
    rewrite bug — stop rather than hang.  The driver reports it through
    [ds_backstop] and a "backstop" counter, and the [canonicalize] pass
-   turns it into an error (see [canonicalize]). *)
+   turns it into an error (see [make_canonicalize]). *)
 let max_canonicalize_rounds = 64
-
-(* Mutable so the fault-tolerance tests can trip the backstop on a
-   well-behaved module (set to 0: the driver gives up before its first
-   drain) and observe the diagnostic; production code never writes
-   it. *)
-let canonicalize_rounds = ref max_canonicalize_rounds
 
 (* One greedy driver invocation: fold hooks + strength-reduction
    patterns + trivial-DCE on the worklist, with the scoped CSE sweep
    between drains.  The differential tests check its normal form
    against the whole-module fixpoint in test/legacy_canon.ml. *)
-let canonicalize_config () =
+let canonicalize_config ~max_rounds =
   {
     Rewrite.default_config with
     is_trivially_dead = Some dce_removable;
     sweeps = [ cse_sweep ];
-    max_rounds = !canonicalize_rounds;
+    max_rounds;
   }
 
 let run_canonicalize_stats module_op =
-  Rewrite.run_greedy ~config:(canonicalize_config ()) module_op
+  Rewrite.run_greedy ~config:(canonicalize_config ~max_rounds:max_canonicalize_rounds) module_op
 
 let run_canonicalize module_op =
   (run_canonicalize_stats module_op).Rewrite.ds_changed
@@ -298,15 +292,18 @@ let run_canonicalize module_op =
 (* A backstop trip means the greedy driver did not converge: a rewrite
    bug, not an input property (real modules converge by worklist
    exhaustion).  Rather than ship a half-rewritten module, the pass
-   fails with a located error, and the job with it. *)
-let canonicalize =
+   fails with a located error, and the job with it.  [max_rounds] is
+   the backstop's budget; a test trips it on a well-behaved module
+   with a budget of 0, which gives up before the first drain. *)
+let make_canonicalize ~max_rounds =
   Pass.make ~name:"canonicalize"
     ~description:"Fold, reduce, CSE and DCE to a worklist fixpoint"
     (fun module_op engine ->
-      let stats = run_canonicalize_stats module_op in
+      let stats = Rewrite.run_greedy ~config:(canonicalize_config ~max_rounds) module_op in
       record_driver_stats stats;
       if stats.Rewrite.ds_backstop then
         Diagnostic.Engine.errorf engine (Ir.Op.loc module_op)
-          "canonicalize did not converge within %d rounds (rewrite backstop)"
-          !canonicalize_rounds;
+          "canonicalize did not converge within %d rounds (rewrite backstop)" max_rounds;
       stats.Rewrite.ds_changed)
+
+let canonicalize = make_canonicalize ~max_rounds:max_canonicalize_rounds

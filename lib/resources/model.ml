@@ -145,8 +145,9 @@ let design_usage (design : design) =
    cost of the definition body alone (instances excluded) and how many
    times the elaborated design stamps it out — "one definition + N
    instantiations".  [sr_unique] sums each reachable definition once;
-   [sr_total] is the inclusive figure (identical to [design_usage],
-   which the `--no-share` toggle falls back to). *)
+   [sr_total] is the inclusive figure, [design_usage], which ends the
+   `hirc demo --stats` report and equals the usage a compile job
+   reports. *)
 
 type shared_entry = {
   se_module : string;

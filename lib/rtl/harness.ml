@@ -22,6 +22,17 @@ type input =
   | Tensor of Bitvec.t array
   | Out_tensor
 
+(* The same input to the HIR interpreter. *)
+let interp_input = function
+  | Scalar v -> Interp.Scalar v
+  | Tensor a -> Interp.Tensor a
+  | Out_tensor -> Interp.Out_tensor
+
+(* The interpreter's latency of [func] on [inputs]: the cycle budget a
+   run of its compiled design needs. *)
+let interp_cycles ~module_op ~func inputs =
+  (fst (Interp.run ~module_op ~func (List.map interp_input inputs))).Interp.cycles
+
 (* Per-bank port accessors, resolved against the simulator once at
    agent construction ([int_reader]/[reader]/[writer] of [SIM]) so
    the per-cycle observe/drive loop does no name lookups, and reads

@@ -38,25 +38,28 @@ let no_failures (result : Harness.run_result) =
     Alcotest.failf "assertion failed at cycle %d: %s" f.Hir_rtl.Sim.at_cycle
       f.Hir_rtl.Sim.message
 
-(* Interpreter gives us the cycle budget for the RTL run. *)
-let interp_cycles ~m ~f inputs =
-  let result, _ =
-    Interp.run ~module_op:m ~func:f
-      (List.map
-         (function
-           | Harness.Scalar v -> Interp.Scalar v
-           | Harness.Tensor a -> Interp.Tensor a
-           | Harness.Out_tensor -> Interp.Out_tensor)
-         inputs)
-  in
-  result.Interp.cycles
+(* What a compile must leave as it was: the module's ops (their
+   canonical print, which ignores value names), and the interpreter's
+   result on them, with every memref argument's final contents. *)
+let module_state ~m ~f inputs =
+  let result, tensors = Interp.run ~module_op:m ~func:f (List.map Harness.interp_input inputs) in
+  ( Printer.op_to_canonical_string m,
+    result,
+    List.concat
+      (List.mapi
+         (fun i -> function
+           | Harness.Scalar _ -> []
+           | _ -> [ Interp.tensor_snapshot (tensors i) ~cycle:max_int ])
+         inputs) )
 
+(* The interpreter gives the cycle budget for the RTL run, and runs
+   again on the module after the compile. *)
 let run_kernel_rtl ~optimize ~build inputs =
   let m, f = build () in
-  let cycles = interp_cycles ~m ~f inputs in
-  (* compile mutates the module (unroll etc.), so rebuild fresh. *)
-  let m, f = build () in
+  let ((_, interp, _) as before) = module_state ~m ~f inputs in
+  let cycles = interp.Interp.cycles in
   let emitted = Emit.compile ~optimize ~module_op:m ~top:f () in
+  check_bool "compile leaves the module as it was" true (module_state ~m ~f inputs = before);
   let result, agents = Harness.run ~emitted ~inputs ~cycles () in
   no_failures result;
   (result, agents)
@@ -172,7 +175,7 @@ let test_assertion_fires_on_conflict () =
           Builder.return_ b []
         | _ -> assert false)
   in
-  let emitted = Emit.emit ~module_op:m ~top:f () in
+  let emitted = Emit.compile ~module_op:m ~top:f () in
   let input = Hir_kernels.Util.test_data ~seed:1 ~n:8 ~width:32 in
   let result, _ =
     Harness.run ~emitted
@@ -214,7 +217,7 @@ let test_scalar_results () =
     (m, f)
   in
   let m, f = build () in
-  let emitted = Emit.emit ~module_op:m ~top:f () in
+  let emitted = Emit.compile ~module_op:m ~top:f () in
   let bv = Bitvec.of_int ~width:32 in
   let result, _ =
     Harness.run ~emitted
@@ -229,7 +232,9 @@ let test_scalar_results () =
 (* A call cycle has no finite hardware: a module would have to
    instantiate itself.  The emitter rejects it instead of emitting a
    self-instantiating module, both when the top calls itself and when
-   the cycle sits below the top. *)
+   the cycle sits below the top.  Its cone walk is the one a driver job
+   runs, so a job fails with "codegen: " and the same text
+   (test_driver's call-cycle case). *)
 let test_call_cycle_rejected () =
   (* An i32 -> i32 function returning the result of one call. *)
   let func name callee =
@@ -250,7 +255,7 @@ let test_call_cycle_rejected () =
     in
     let module_op = Parser.parse_string ~file:"cycle.hir" text in
     let top = Option.get (Ops.lookup_func module_op top) in
-    match Emit.emit ~module_op ~top () with
+    match Emit.compile ~module_op ~top () with
     | _ -> Alcotest.failf "%s: emitted a design with a call cycle" label
     | exception Emit.Codegen_error msg -> msg
   in
@@ -260,6 +265,34 @@ let test_call_cycle_rejected () =
     (expect_cycle "cycle below the top"
        [ ("g", "h"); ("h", "g"); ("top", "g") ]
        ~top:"top")
+
+(* The cone walk's other two rejections, with the texts a driver job
+   prints after "codegen: " (test_driver's unknown-callee and
+   extern-top cases). *)
+let test_cone_errors () =
+  let rejects label expected ~module_op ~top =
+    match Emit.compile ~module_op ~top () with
+    | _ -> Alcotest.failf "%s: compiled" label
+    | exception Emit.Codegen_error msg -> Alcotest.(check string) label expected msg
+  in
+  let m = Builder.create_module () in
+  let mult =
+    Builder.extern_func m ~name:"mult"
+      ~args:[ Builder.arg "a" Typ.i32; Builder.arg "b" Typ.i32 ]
+      ~results:[ (Typ.i32, 2) ]
+  in
+  rejects "extern top" "top function @mult is extern (it has no body to emit)" ~module_op:m
+    ~top:mult;
+  let f =
+    Builder.func m ~name:"f" ~args:[ Builder.arg "x" Typ.i32 ] ~results:[ (Typ.i32, 2) ]
+      (fun b args t ->
+        let x = List.hd args in
+        Builder.return_ b (Builder.call b ~callee:mult [ x; x ] ~at:Builder.(t @>> 0)))
+  in
+  Ir.Op.set_attr
+    (List.hd (Ir.Walk.find_all f "hir.call"))
+    "callee" (Attribute.Symbol "nope");
+  rejects "unknown callee" "call to unknown function @nope" ~module_op:m ~top:f
 
 (* ------------------------------------------------------------------ *)
 (* Names: the IR printer and the Verilog namer pick the same suffixes  *)
@@ -467,6 +500,7 @@ let () =
           Alcotest.test_case "UB assertion fires" `Quick test_assertion_fires_on_conflict;
           Alcotest.test_case "scalar results (MAC)" `Quick test_scalar_results;
           Alcotest.test_case "call cycle rejected" `Quick test_call_cycle_rejected;
+          Alcotest.test_case "unknown callee, extern top rejected" `Quick test_cone_errors;
           Alcotest.test_case "newline in a location comment" `Quick test_comment_injection;
           Alcotest.test_case "keywords as identifiers" `Quick test_keyword_identifiers;
         ] );

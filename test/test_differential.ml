@@ -14,7 +14,10 @@
 
    This hunts for disagreements between the four independent
    implementations of HIR semantics (verifier, interpreter, code
-   generator, RTL simulator). *)
+   generator, RTL simulator).  The generated Verilog is what
+   [Emit.compile] gives, the flow `hirc compile` ships; the
+   whole-module flow in [Monolithic] runs beside it as an oracle on
+   the kernels and the random unrolled designs. *)
 
 open Hir_ir
 open Hir_dialect
@@ -34,7 +37,7 @@ let interp_outputs m f =
   Interp.tensor_snapshot (tensors 1) ~cycle:max_int
 
 let rtl_outputs m f =
-  let emitted = Emit.emit ~module_op:m ~top:f () in
+  let emitted = Emit.compile ~module_op:m ~top:f () in
   let result, agents =
     Harness.run ~emitted
       ~inputs:[ Harness.Tensor input_data; Harness.Out_tensor ]
@@ -62,8 +65,7 @@ let prop_differential =
       let text2 = Printer.op_to_string reparsed in
       if text1 <> text2 then QCheck.Test.fail_report "print/parse not a fixpoint";
       let expected = interp_outputs m f in
-      let m2, f2 = build_design recipe in
-      let failures, actual = rtl_outputs m2 f2 in
+      let failures, actual = rtl_outputs m f in
       if failures <> [] then
         QCheck.Test.fail_report
           ("UB assertion fired: " ^ (List.hd failures).Hir_rtl.Sim.message);
@@ -106,8 +108,7 @@ let test_delay_order_recipe () =
   let m, f = build_design recipe in
   Alcotest.(check bool) "verifier accepts the recipe" true (verifier_accepts m);
   let expected = interp_outputs m f in
-  let m2, f2 = build_design recipe in
-  let emitted = Emit.compile ~optimize:true ~module_op:m2 ~top:f2 () in
+  let emitted = Emit.compile ~optimize:true ~module_op:m ~top:f () in
   let result, agents =
     Harness.run ~emitted
       ~inputs:[ Harness.Tensor input_data; Harness.Out_tensor ]
@@ -118,7 +119,7 @@ let test_delay_order_recipe () =
     (agree expected (Harness.nth_tensor agents 1))
 
 let rtl_loop_outputs r m f =
-  let emitted = Emit.emit ~module_op:m ~top:f () in
+  let emitted = Emit.compile ~module_op:m ~top:f () in
   let result, agents =
     Harness.run ~emitted
       ~inputs:[ Harness.Tensor input_data; Harness.Out_tensor ]
@@ -140,8 +141,7 @@ let prop_loop_differential =
       let text2 = Printer.op_to_string reparsed in
       if text1 <> text2 then QCheck.Test.fail_report "print/parse not a fixpoint";
       let expected = interp_outputs m f in
-      let m2, f2 = build_loop_design recipe in
-      let failures, actual = rtl_loop_outputs recipe m2 f2 in
+      let failures, actual = rtl_loop_outputs recipe m f in
       if failures <> [] then
         QCheck.Test.fail_report
           ("UB assertion fired: " ^ (List.hd failures).Hir_rtl.Sim.message);
@@ -173,16 +173,46 @@ let prop_loop_optimizer_preserves =
    assertion failures as the flat emission of the same IR.  Pinned two
    ways: a qcheck property over random unrolled bodies (the shape the
    outliner exists for), and full kernel runs (gemm, systolic) against
-   their reference models. *)
+   their reference models.  Both also run the whole-module oracle
+   ([Monolithic.compile]) beside the staged hierarchical flow: the same
+   cycle count, assertion failures (by cycle), outputs and usage. *)
 
-let harness_outputs ~hier (m, f) =
-  let emitted = Emit.compile ~hier ~module_op:m ~top:f () in
-  let result, agents =
-    Harness.run ~emitted
-      ~inputs:[ Harness.Tensor input_data; Harness.Out_tensor ]
-      ~cycles:60 ()
-  in
-  (result.Harness.failures, Harness.nth_tensor agents 1)
+(* What a lockstep compares of one simulated design. *)
+type run = {
+  r_cycles : int;
+  r_failures : int list;  (* the cycle of each assertion failure *)
+  r_out : Bitvec.t option array;
+  r_usage : Hir_resources.Model.usage;
+  r_emitted : Emit.emitted;
+}
+
+let simulate ~inputs ~cycles ~out_slot emitted =
+  let result, agents = Harness.run ~emitted ~inputs ~cycles () in
+  {
+    r_cycles = result.Harness.cycles_run;
+    r_failures =
+      List.map
+        (fun (f : Hir_rtl.Sim.assertion_failure) -> f.Hir_rtl.Sim.at_cycle)
+        result.Harness.failures;
+    r_out = Harness.nth_tensor agents out_slot;
+    r_usage = Hir_resources.Model.design_usage emitted.Emit.design;
+    r_emitted = emitted;
+  }
+
+(* Where the staged run [s] and the oracle's run [m] differ, if they
+   do. *)
+let oracle_mismatch s m =
+  if s.r_cycles <> m.r_cycles then Some "cycle counts"
+  else if s.r_failures <> m.r_failures then Some "assertion failures"
+  else if not (agree s.r_out m.r_out) then Some "outputs"
+  else if s.r_usage <> m.r_usage then Some "usage"
+  else None
+
+let harness_outputs compile (m, f) =
+  simulate
+    ~inputs:[ Harness.Tensor input_data; Harness.Out_tensor ]
+    ~cycles:60 ~out_slot:1
+    (compile ~module_op:m ~top:f ())
 
 let prop_hier_lockstep =
   QCheck.Test.make ~count:80 ~name:"flat == hierarchical on unrolled designs"
@@ -191,40 +221,48 @@ let prop_hier_lockstep =
         let m, f = build_unroll_design recipe in
         interp_outputs m f
       in
-      let flat_failures, flat_out = harness_outputs ~hier:false (build_unroll_design recipe) in
-      let hier_failures, hier_out = harness_outputs ~hier:true (build_unroll_design recipe) in
-      if List.length flat_failures <> List.length hier_failures then
+      let run compile = harness_outputs compile (build_unroll_design recipe) in
+      let flat = run (Emit.compile ~optimize:false ~hier:false) in
+      let hier = run (Emit.compile ~optimize:false ~hier:true) in
+      let mono = run (Monolithic.compile ~optimize:false ~hier:true) in
+      if List.length flat.r_failures <> List.length hier.r_failures then
         QCheck.Test.fail_report "flat and hierarchical failure counts differ";
-      if not (agree flat_out hier_out) then
+      if not (agree flat.r_out hier.r_out) then
         QCheck.Test.fail_report "flat != hierarchical outputs";
-      if not (agree expected hier_out) then
+      Option.iter
+        (fun what -> QCheck.Test.fail_reportf "staged != monolithic %s" what)
+        (oracle_mismatch hier mono);
+      if not (agree expected hier.r_out) then
         QCheck.Test.fail_report "interp != hierarchical outputs"
       else true)
 
 (* Full kernels, flat vs. hierarchical vs. reference model — the
    RTL-vs-reference differential check for the systolic generator, and
    the same for gemm (whose PE grid is the outliner's original
-   target).  Runs both unoptimized and under the full pass pipeline. *)
+   target).  Runs both unoptimized and under the full pass pipeline,
+   and the monolithic oracle beside the hierarchical run. *)
 let kernel_lockstep ~build ~inputs ~expected ~out_slot ~cycles () =
-  let run ~hier ~optimize =
+  let run compile =
     let m, f = build () in
-    let emitted = Emit.compile ~optimize ~hier ~module_op:m ~top:f () in
-    let result, agents = Harness.run ~emitted ~inputs ~cycles () in
-    (result.Harness.failures, Harness.nth_tensor agents out_slot, emitted)
+    simulate ~inputs ~cycles ~out_slot (compile ~module_op:m ~top:f ())
   in
   List.iter
     (fun optimize ->
-      let flat_failures, flat_out, _ = run ~hier:false ~optimize in
-      let hier_failures, hier_out, hier_emitted = run ~hier:true ~optimize in
+      let flat = run (Emit.compile ~optimize ~hier:false) in
+      let hier = run (Emit.compile ~optimize ~hier:true) in
+      let mono = run (Monolithic.compile ~optimize ~hier:true) in
       Alcotest.(check int)
         (Printf.sprintf "failure counts agree (optimize=%b)" optimize)
-        (List.length flat_failures) (List.length hier_failures);
+        (List.length flat.r_failures) (List.length hier.r_failures);
       Alcotest.(check bool)
         (Printf.sprintf "no assertion failures (optimize=%b)" optimize)
-        true (hier_failures = []);
+        true (hier.r_failures = []);
       Alcotest.(check bool)
         (Printf.sprintf "flat == hierarchical (optimize=%b)" optimize)
-        true (agree flat_out hier_out);
+        true (agree flat.r_out hier.r_out);
+      Alcotest.(check (option string))
+        (Printf.sprintf "staged == monolithic (optimize=%b)" optimize)
+        None (oracle_mismatch hier mono);
       Array.iteri
         (fun i v ->
           match v with
@@ -232,13 +270,13 @@ let kernel_lockstep ~build ~inputs ~expected ~out_slot ~cycles () =
           | _ ->
             Alcotest.failf "output %d disagrees with the reference (optimize=%b)" i
               optimize)
-        hier_out;
+        hier.r_out;
       (* The definition cache must actually fire on these kernels:
          hierarchy, not just equivalence. *)
       Alcotest.(check bool)
         (Printf.sprintf "design is hierarchical (optimize=%b)" optimize)
         true
-        (List.length hier_emitted.Emit.design.Hir_verilog.Ast.modules > 1))
+        (List.length hier.r_emitted.Emit.design.Hir_verilog.Ast.modules > 1))
     [ false; true ]
 
 let test_gemm_lockstep () =
@@ -292,8 +330,7 @@ let outlined_by outline ~module_op f =
    every function with a body; returns how many definitions they
    outlined. *)
 let outliners_agree ~optimize ~what m =
-  let engine = Diagnostic.Engine.create () in
-  List.iter (fun (p : Pass.t) -> ignore (p.Pass.run m engine)) (Emit.default_passes ~optimize);
+  Monolithic.run_passes ~optimize m;
   List.fold_left
     (fun n f ->
       if Ops.is_extern_func f then n

@@ -304,7 +304,9 @@ let test_cache_key () =
 (* A builder job and a text job of the kernel's printed module share a
    Job cache key, so they must compile to the same Verilog: otherwise
    whichever of them runs first decides what a shared cache serves the
-   other. *)
+   other.  The flat inclusive usage that ends `hirc demo --stats`
+   ([Model.shared_report]'s [sr_total] of [Emit.compile]'s design) is
+   the job's usage. *)
 let test_builder_matches_text () =
   let pipeline = Pipeline.default ~optimize:true in
   let cache = Cache.create ~dir:(fresh_dir ()) () in
@@ -323,7 +325,16 @@ let test_builder_matches_text () =
       let builder_job = Driver.job_of_builder ~pipeline ~name k.Hir_kernels.Kernels.build in
       let text_job = Driver.job_of_text ~pipeline ~name text in
       let expected = (compile text_job).Driver.verilog in
-      check_string (name ^ ": builder = text") expected (compile builder_job).Driver.verilog;
+      let builder = compile builder_job in
+      check_string (name ^ ": builder = text") expected builder.Driver.verilog;
+      let design =
+        Ir.with_isolated_ids (fun () ->
+            let module_op, top = k.Hir_kernels.Kernels.build () in
+            (Hir_codegen.Emit.compile ~optimize:true ~module_op ~top ()).Hir_codegen.Emit.design)
+      in
+      check_bool (name ^ ": demo --stats total = usage") true
+        ((Hir_resources.Model.shared_report design).Hir_resources.Model.sr_total
+        = builder.Driver.usage);
       check_string (name ^ ": builder, shared cache") expected
         (compile ~cache builder_job).Driver.verilog;
       let hit = compile ~cache text_job in
@@ -920,6 +931,20 @@ let compile_design ?cache ?top ~name text =
   Driver.compile_job ?cache
     (Driver.job_of_text ?top ~pipeline:(Pipeline.default ~optimize:true) ~name text)
 
+(* A job that fails with [expected], a codegen diagnostic, and
+   [Emit.compile] of the parse of [text], which rejects it with the
+   text the job prints after "codegen: ": both walk the top's cone with
+   [Emit.compile_cone]. *)
+let expect_codegen_error ?cache ?top ~name text expected =
+  expect_permanent (compile_design ?cache ?top ~name text) expected;
+  let m = Ir.with_isolated_ids (fun () -> Parser.parse_string ~file:name text) in
+  let top = fst (Driver.pick_top m top) in
+  match Hir_codegen.Emit.compile ~optimize:true ~module_op:m ~top () with
+  | _ -> Alcotest.failf "Emit.compile accepted %s" name
+  | exception Hir_codegen.Emit.Codegen_error msg ->
+    check_string "Emit.compile's message" expected
+      (Printf.sprintf "%S: error: codegen: %s" name msg)
+
 (* On an empty cache the transpose kernel's job is served from the
    function entries the example design's job stored just before it.
    The batch tally counts it, although no whole-job entry hit. *)
@@ -947,8 +972,7 @@ let test_batch_tally_counts_served () =
 let test_call_cycle () =
   List.iter
     (fun cache ->
-      expect_permanent
-        (compile_design ?cache ~name:"cycle.hir" (read_design "err_call_cycle.hir"))
+      expect_codegen_error ?cache ~name:"cycle.hir" (read_design "err_call_cycle.hir")
         "\"cycle.hir\": error: codegen: call cycle through @stencil_1d_op")
     [ None; Some (Cache.create ~dir:(fresh_dir ()) ()) ]
 
@@ -979,8 +1003,7 @@ let mac_text () =
 (* The MAC compiled with the extern as its top: there is no body to
    emit. *)
 let test_extern_top () =
-  expect_permanent
-    (compile_design ~top:"mult" ~name:"mac.hir" (mac_text ()))
+  expect_codegen_error ~top:"mult" ~name:"mac.hir" (mac_text ())
     "\"mac.hir\": error: codegen: top function @mult is extern (it has no body to emit)"
 
 (* A job is served from the cache only when no function of its cone
@@ -1025,8 +1048,7 @@ let test_unknown_callee () =
     String.sub text 0 i ^ "callee = @nope"
     ^ String.sub text (i + n) (String.length text - i - n)
   in
-  expect_permanent
-    (compile_design ~name:"nope.hir" text)
+  expect_codegen_error ~name:"nope.hir" text
     "\"nope.hir\": error: codegen: call to unknown function @nope"
 
 (* err_add.hir's schedule error has no location of its own.  `hirc
@@ -1074,21 +1096,12 @@ let test_delay_order_design () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "default pipeline failed: %s" (Driver.error_to_string e));
   let a = Bitvec.of_int ~width:32 1234 in
-  let parse () =
-    let m = Parser.parse_string ~file:"delay_order.hir" text in
-    (m, Option.get (Ops.lookup_func m "f"))
-  in
+  let m = Parser.parse_string ~file:"delay_order.hir" text in
+  let f = Option.get (Ops.lookup_func m "f") in
   let expected =
-    let m, f = parse () in
     (fst (Interp.run ~module_op:m ~func:f [ Interp.Scalar a ])).Interp.return_values
   in
-  let m, _ = parse () in
-  let passes = Pipeline.to_passes (Pipeline.default ~optimize:true) in
-  check_bool "pipeline succeeded" true
-    (Pass.Manager.run (Pass.Manager.create passes) m).Pass.succeeded;
-  let emitted =
-    Hir_codegen.Emit.emit ~module_op:m ~top:(Option.get (Ops.lookup_func m "f")) ()
-  in
+  let emitted = Hir_codegen.Emit.compile ~optimize:true ~module_op:m ~top:f () in
   let r, _ =
     Hir_rtl.Harness.run ~emitted ~inputs:[ Hir_rtl.Harness.Scalar a ] ~cycles:8 ()
   in
@@ -1104,19 +1117,16 @@ let test_delay_order_design () =
    bug).  The job fails with a located diagnostic; it is not retried and
    no half-rewritten module reaches the emitter. *)
 let test_canonicalize_backstop_diagnostic () =
-  let pipeline = Pipeline.default ~optimize:true in
-  let text = transpose_text () in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () ->
-        Hir_dialect.Passes.canonicalize_rounds := Hir_dialect.Passes.max_canonicalize_rounds)
-      (fun () ->
-        (* Zero rounds trips the greedy driver's backstop before its
-           first drain. *)
-        Hir_dialect.Passes.canonicalize_rounds := 0;
-        Driver.compile_job (Driver.job_of_text ~pipeline ~name:"t.hir" text))
+  (* The default pipeline with a budget of zero rounds, which trips the
+     greedy driver's backstop before its first drain. *)
+  let pipeline =
+    List.map
+      (fun (p : Pass.t) ->
+        if p.Pass.name = "canonicalize" then Passes.make_canonicalize ~max_rounds:0 else p)
+      (Pipeline.default ~optimize:true)
   in
-  expect_permanent outcome
+  expect_permanent
+    (Driver.compile_job (Driver.job_of_text ~pipeline ~name:"t.hir" (transpose_text ())))
     "\"t.hir\": error: canonicalize did not converge within 0 rounds (rewrite backstop)"
 
 (* ------------------------------------------------------------------ *)

@@ -106,7 +106,7 @@ let test_retime_rtl_equivalence () =
   let m, f = build_retimable () in
   ignore (Retime.run m);
   verify_clean m;
-  let emitted = Hir_codegen.Emit.emit ~module_op:m ~top:f () in
+  let emitted = Hir_codegen.Emit.compile ~module_op:m ~top:f () in
   let result, _ =
     Hir_rtl.Harness.run ~emitted
       ~inputs:
@@ -295,7 +295,7 @@ let test_arg_delays () =
   in
   check_int "30+12" 42 (Bitvec.to_int (List.hd result.Interp.return_values));
   (* And through the generated Verilog. *)
-  let emitted = Hir_codegen.Emit.emit ~module_op:m ~top:f () in
+  let emitted = Hir_codegen.Emit.compile ~module_op:m ~top:f () in
   let rtl, _ =
     Hir_rtl.Harness.run ~emitted
       ~inputs:[ Hir_rtl.Harness.Scalar (bv 30); Hir_rtl.Harness.Scalar (bv 12) ]

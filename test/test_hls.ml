@@ -96,23 +96,11 @@ let compare_expected ~name ?(valid = fun _ -> true) expected actual =
 
 let rtl_outputs source inputs ~out_arg =
   let c = compile_fresh source in
+  let module_op = c.Hls.Compiler.hls_module and func = c.Hls.Compiler.hls_func in
   (* Cycle budget from the interpreter. *)
-  let interp_result, _ =
-    Interp.run ~module_op:c.Hls.Compiler.hls_module ~func:c.Hls.Compiler.hls_func
-      (List.map
-         (function
-           | Harness.Scalar v -> Interp.Scalar v
-           | Harness.Tensor a -> Interp.Tensor a
-           | Harness.Out_tensor -> Interp.Out_tensor)
-         inputs)
-  in
-  let c = compile_fresh source in
-  let emitted =
-    Emit.compile ~module_op:c.Hls.Compiler.hls_module ~top:c.Hls.Compiler.hls_func ()
-  in
-  let result, agents =
-    Harness.run ~emitted ~inputs ~cycles:interp_result.Interp.cycles ()
-  in
+  let cycles = Harness.interp_cycles ~module_op ~func inputs in
+  let emitted = Emit.compile ~module_op ~top:func () in
+  let result, agents = Harness.run ~emitted ~inputs ~cycles () in
   (match result.Harness.failures with
   | [] -> ()
   | f :: _ ->

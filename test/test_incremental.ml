@@ -12,6 +12,7 @@
 open Hir_ir
 open Hir_dialect
 open Hir_driver
+module Emit = Hir_codegen.Emit
 
 let () = Ops.register ()
 
@@ -140,8 +141,7 @@ let test_link_design_matches_pretty () =
         | Some f -> f
         | None -> Alcotest.fail "transpose vanished"
       in
-      let emitted = Hir_codegen.Emit.emit ~module_op:m ~top () in
-      let design = emitted.Hir_codegen.Emit.design in
+      let design = (Emit.compile ~module_op:m ~top ()).Emit.design in
       let whole = Hir_verilog.Pretty.design_to_string design in
       let relinked =
         Incr.link_design
@@ -304,8 +304,8 @@ let test_golden_digests () =
           Ir.with_isolated_ids (fun () ->
               let plan = Incr.normalize ~file:name ~text (Parser.parse_string ~file:name text) in
               let f, _ =
-                Incr.optimize plan ~passes:(Pipeline.to_passes pipeline)
-                  ~instrument:(fun _ -> ()) top
+                Emit.optimize_fn ~passes:(Pipeline.to_passes pipeline)
+                  (Incr.fn_info plan top).Incr.fi_func
               in
               Printer.op_to_string f)
         in
@@ -318,6 +318,44 @@ let test_golden_digests () =
          (List.map
             (fun (n, (i, v)) -> Printf.sprintf "    (%S, (%S, %S));" n i v)
             actual))
+
+(* [Emit.compile] runs the driver's stages.  Every golden design,
+   optimized and not, built under a fresh id counter as a builder job
+   builds it, and every example design that compiles, parsed likewise,
+   gives the job's Verilog byte for byte and the job's usage. *)
+let test_emit_compile_ships () =
+  let check ~what ~optimize job build =
+    match Driver.compile_job (job (Pipeline.default ~optimize)) with
+    | Error _ -> ()
+    | Ok o ->
+      let what = Printf.sprintf "%s (optimize=%b)" what optimize in
+      let design =
+        Ir.with_isolated_ids (fun () ->
+            let module_op, top = build () in
+            (Emit.compile ~optimize ~module_op ~top ()).Emit.design)
+      in
+      check_string (what ^ ": Verilog") o.Driver.verilog
+        (Hir_verilog.Pretty.design_to_string design);
+      check_bool (what ^ ": usage") true
+        (Hir_resources.Model.design_usage design = o.Driver.usage)
+  in
+  List.iter
+    (fun optimize ->
+      List.iter
+        (fun (name, build) ->
+          check ~what:name ~optimize
+            (fun pipeline -> Driver.job_of_builder ~pipeline ~name build)
+            build)
+        golden_designs;
+      List.iter
+        (fun (file, text) ->
+          check ~what:file ~optimize
+            (fun pipeline -> Driver.job_of_text ~pipeline ~name:file text)
+            (fun () ->
+              let m = Parser.parse_string ~file text in
+              (m, fst (Driver.pick_top m None))))
+        Example_designs.designs)
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Property: byte-identity and minimal recompute on random edits       *)
@@ -411,7 +449,7 @@ let emitted mini name =
    the Verilog [name] emits from it. *)
 let observe_emit name mini = (Printer.op_to_string mini, id_sequences mini, emitted mini name)
 
-(* The optimize layout, run the way [Incr.optimize] runs it: what the
+(* The optimize layout, run the way [Emit.optimize_fn] runs it: what the
    pipeline saw and left behind, the Verilog emitted in place from the
    result (or the emitter's error, which both sides must then share),
    and the optimized function (at the print∘parse fixed point) with
@@ -444,7 +482,9 @@ let clone_matches_parse build =
       let tplan = Incr.normalize ~file:"t.hir" ~text (Parser.parse_string text) in
       (* A side's result, or [None] when it rejects the function as not
          self-contained: the sides must agree on that too. *)
-      let attempt f = match f () with v -> Some v | exception Incr.Fallback _ -> None in
+      let attempt f =
+        match f () with v -> Some v | exception Emit.Codegen_error _ -> None
+      in
       let expect what name c t =
         if c <> t then failwith (Printf.sprintf "@%s: clone and parse differ in the %s" name what)
       in
@@ -460,13 +500,13 @@ let clone_matches_parse build =
                 verilog_of_modules [ Hir_codegen.Emit.emit_extern_module (lookup mini name) ] )
             in
             expect "extern layout" name
-              (attempt (fun () -> Incr.mini_module [ (name, Incr.Clone fi.Incr.fi_func) ] observe))
+              (attempt (fun () -> Emit.mini_module [ (name, Emit.Clone fi.Incr.fi_func) ] observe))
               (attempt (fun () -> Incr.module_of_texts [ (name, ti.Incr.fi_text) ] observe))
           end
           else begin
             let c =
               attempt (fun () ->
-                  Incr.mini_module [ (name, Incr.Clone fi.Incr.fi_func) ] (observe_optimize name))
+                  Emit.mini_module [ (name, Emit.Clone fi.Incr.fi_func) ] (observe_optimize name))
             in
             let t =
               attempt (fun () ->
@@ -480,8 +520,8 @@ let clone_matches_parse build =
               in
               expect "emit layout" name
                 (attempt (fun () ->
-                     Incr.mini_module
-                       (Incr.emit_members cplan ~opt:(Incr.Clone c_fn) name)
+                     Emit.mini_module
+                       (Emit.emit_members cplan.Incr.pl_fns c_fn)
                        (observe_emit name)))
                 (attempt (fun () ->
                      Incr.module_of_texts (callee_texts @ [ (name, t_text) ]) (observe_emit name)))
@@ -583,12 +623,12 @@ let test_clone_rejects_foreign_value () =
       let user = List.hd (Ir.Walk.collect f ~pred:(fun o -> Ir.Op.num_operands o > 0)) in
       Ir.Op.set_operand user 0 (Ir.Op.result foreign 0);
       let rejects what member =
-        match Incr.mini_module [ ("transpose", member) ] ignore with
+        match Emit.mini_module [ ("transpose", member) ] ignore with
         | () -> Alcotest.failf "the %s accepted a value defined outside the function" what
-        | exception Incr.Fallback _ -> ()
+        | exception Emit.Codegen_error _ -> ()
       in
-      rejects "clone" (Incr.Clone f);
-      rejects "parse" (Incr.Text (Printer.op_to_string f)))
+      rejects "clone" (Emit.Clone f);
+      rejects "parse" (Emit.Text (Printer.op_to_string f)))
 
 (* ------------------------------------------------------------------ *)
 (* Slice ≡ print: a plan's function texts are its functions' prints    *)
@@ -927,7 +967,10 @@ let () =
             test_definitions_travel_with_function;
         ] );
       ( "golden",
-        [ Alcotest.test_case "kernel digests" `Quick test_golden_digests ] );
+        [
+          Alcotest.test_case "kernel digests" `Quick test_golden_digests;
+          Alcotest.test_case "emit-compile-ships" `Quick test_emit_compile_ships;
+        ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest ~verbose:false incremental_reuse_prop ] );
       ( "clone",

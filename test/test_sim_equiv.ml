@@ -252,24 +252,11 @@ let netlist_equiv =
 (* ------------------------------------------------------------------ *)
 (* Kernel-level lockstep through the harness                           *)
 
-let interp_cycles ~m ~f inputs =
-  let result, _ =
-    Interp.run ~module_op:m ~func:f
-      (List.map
-         (function
-           | Harness.Scalar v -> Interp.Scalar v
-           | Harness.Tensor a -> Interp.Tensor a
-           | Harness.Out_tensor -> Interp.Out_tensor)
-         inputs)
-  in
-  result.Interp.cycles
-
 (* The optimized design of [build] and the interpreter's cycle count
    on [inputs]. *)
 let compile_kernel ~build inputs =
   let m, f = build () in
-  let cycles = interp_cycles ~m ~f inputs in
-  let m, f = build () in
+  let cycles = Harness.interp_cycles ~module_op:m ~func:f inputs in
   (Emit.compile ~optimize:true ~module_op:m ~top:f (), cycles)
 
 let check_against_reference name ~(rr : Harness.run_result) ~ar
